@@ -357,7 +357,7 @@ def monotone_iterate(problem, w, lam, delta, tol=1e-10, residual_target=None,
         f = f_next
         if log is not None and (it < 10 or it % 50 == 0):
             log.append({"iter": it, "change": change, "C_delta": C_delta,
-                        "time": time.time()})
+                        "time": time.perf_counter()})
         if change < tol:
             if residual_target is None:
                 break

@@ -49,6 +49,9 @@ _ALLOWED_KEYS = {
     "solve-eb": _COMMON_KEYS | {"tau", "alpha", "delta", "lambda", "sigma",
                                 "margin", "lambda_pair"},
 }
+# keys a runner reads with cfg[...], beyond backend and resolution
+_REQUIRED_KEYS = {"solve-vortex": ("tau",), "solve-gv": ("tau",),
+                  "sweep-eps": ("tau",)}
 _DIVISOR_KEYS = {"zeros", "cone", "parabolic"}
 _POINT_KEYS = {"zeros": {"point", "n"}, "cone": {"point", "beta"},
                "parabolic": {"point", "alpha_k"}}
@@ -85,9 +88,16 @@ def validate_config(cfg, command):
     for key in cfg:
         if key not in allowed:
             raise ConfigError(f"unknown config key {key!r} for {command}")
-    for key in ("backend", "resolution"):
+    for key in ("backend", "resolution") + _REQUIRED_KEYS.get(command, ()):
         if key not in cfg:
             raise ConfigError(f"missing config key {key!r}")
+    for key in ("resolution", "seed"):
+        value = cfg.get(key, 0)
+        if isinstance(value, bool) or not (
+                isinstance(value, int)
+                or isinstance(value, float) and value.is_integer()):
+            raise ConfigError(f"config key {key!r} must be an integer, "
+                              f"got {value!r}")
     div = cfg.get("divisor", {})
     if not isinstance(div, dict):
         raise ConfigError("divisor must be an object")
@@ -180,7 +190,7 @@ class ArtifactWriter:
         self.cfg = cfg
         self.seed = seed
         self.quiet = quiet
-        self.t0 = time.time() if started is None else started
+        self.t0 = time.perf_counter() if started is None else started
         self.files = {}
         os.makedirs(outdir, exist_ok=True)
         os.makedirs(os.path.join(outdir, "fields"), exist_ok=True)
@@ -196,6 +206,9 @@ class ArtifactWriter:
         self._register(relpath)
 
     def write_jsonl(self, relpath, records):
+        """Write log records, their perf_counter ``time`` made run-relative."""
+        records = [dict(r, time=r["time"] - self.t0) if "time" in r else r
+                   for r in records]
         write_jsonl(os.path.join(self.outdir, relpath), records)
         self._register(relpath)
 
@@ -213,7 +226,7 @@ class ArtifactWriter:
             "label": self.cfg.get("label", ""),
             "seed": self.seed,
             "theorem_coverage": _COVERAGE.get(self.command, ""),
-            "runtime_seconds": time.time() - self.t0,
+            "runtime_seconds": time.perf_counter() - self.t0,
             "versions": {
                 "vortexlab": __version__,
                 "numpy": np.__version__,
@@ -234,7 +247,7 @@ class ArtifactWriter:
 
 
 def run_solve_vortex(cfg, outdir, seed, quiet):
-    t_start = time.time()
+    t_start = time.perf_counter()
     surface, divisor = build_setup(cfg)
     tau = float(cfg["tau"])
     b, F = synthesize_twist(surface, cfg.get("twist"))
@@ -259,7 +272,7 @@ def run_solve_vortex(cfg, outdir, seed, quiet):
 
 
 def run_solve_tke(cfg, outdir, seed, quiet):
-    t_start = time.time()
+    t_start = time.perf_counter()
     surface, divisor = build_setup(cfg)
     eps = float(cfg.get("epsilon", 0.1))
     t = float(cfg.get("t", 1.0))
@@ -282,7 +295,7 @@ def run_solve_tke(cfg, outdir, seed, quiet):
 
 
 def run_solve_gv(cfg, outdir, seed, quiet):
-    t_start = time.time()
+    t_start = time.perf_counter()
     surface, divisor = build_setup(cfg)
     tau = float(cfg["tau"])
     eps = float(cfg.get("epsilon", 0.1))
@@ -314,7 +327,7 @@ def run_solve_gv(cfg, outdir, seed, quiet):
 
 
 def run_sweep_eps(cfg, outdir, seed, quiet):
-    t_start = time.time()
+    t_start = time.perf_counter()
     surface, divisor = build_setup(cfg)
     tau = float(cfg["tau"])
     eps = cfg.get("epsilon", [0.1, 0.05, 0.025, 0.0125])
@@ -360,7 +373,7 @@ def run_sweep_eps(cfg, outdir, seed, quiet):
 
 
 def run_solve_eb(cfg, outdir, seed, quiet):
-    t_start = time.time()
+    t_start = time.perf_counter()
     surface, divisor = build_setup(cfg)
     alpha = cfg.get("alpha")
     tau = cfg.get("tau")
@@ -582,7 +595,7 @@ def main(argv=None):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--verify-only", action="store_true")
         p.add_argument("--quiet", action="store_true")
     pv = sub.add_parser("verify")
@@ -603,7 +616,6 @@ def main(argv=None):
             return run_verify(args.out, quiet=args.quiet)
         cfg = validate_config(load_config(args.config), args.command)
         seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
-        np.random.default_rng(seed)
         return _RUNNERS[args.command](cfg, args.out, seed, args.quiet)
     except AssumptionNotSatisfied as exc:
         print(f"[vortexlab] refused: {exc}", file=sys.stderr)

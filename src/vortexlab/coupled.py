@@ -180,7 +180,7 @@ def newton_step(problem, alpha, f_tilde, u, c_tilde=None, max_backtrack=30,
                     "alpha": alpha, "step": step, "krylov": nk,
                     "residual_inf": max(float(np.max(np.abs(T1))),
                                         float(np.max(np.abs(T2)))),
-                    "time": time.time(),
+                    "time": time.perf_counter(),
                 })
             return ft, ut, (T1, T2), step, nk
         step *= 0.5

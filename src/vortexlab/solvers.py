@@ -72,7 +72,7 @@ def damped_newton_scalar(surface, residual_fn, lin_weight_fn, x0, tol=1e-10,
         history.append(rn_inf)
         if log is not None:
             log.append({"iter": it, "residual_inf": rn_inf, "residual_l2": rn_l2,
-                        "time": time.time()})
+                        "time": time.perf_counter()})
         if rn_inf < tol:
             return x
         V = lin_weight_fn(x)

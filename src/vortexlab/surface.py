@@ -233,14 +233,21 @@ class Sphere:
     # -- transforms -------------------------------------------------------
     def analyze(self, values):
         """Forward transform to coefficients a[l, m] for m >= 0."""
+        # one real GEMM per order m, applied to (Re, Im) pairs viewed as a
+        # float64 (..., 2) array: a complex product would upcast the whole
+        # float64 Legendre tensor to complex on every call
         F = np.fft.rfft(values, axis=1)[:, : self.L + 1]
-        c = F * (np.sqrt(2.0 * np.pi) / self.nlon)
-        return np.einsum("mil,im->lm", self._plm_w, c, optimize=True)
+        c = np.ascontiguousarray(F.T) * (np.sqrt(2.0 * np.pi) / self.nlon)
+        a = self._plm_w.transpose(0, 2, 1) @ _as_pairs(c)
+        return a.view(np.complex128)[..., 0].T
 
     def synthesize(self, coeffs):
-        c = np.einsum("mil,lm->im", self._plm, coeffs, optimize=True)
+        """Inverse transform of coefficients a[l, m] to grid values."""
+        c = np.ascontiguousarray(np.asarray(coeffs, dtype=np.complex128).T)
+        g = self._plm @ _as_pairs(c)
         F = np.zeros((self.nlat, self.nlon // 2 + 1), dtype=np.complex128)
-        F[:, : self.L + 1] = c * (self.nlon / np.sqrt(2.0 * np.pi))
+        F[:, : self.L + 1] = g.view(np.complex128)[..., 0].T * (
+            self.nlon / np.sqrt(2.0 * np.pi))
         return np.fft.irfft(F, n=self.nlon, axis=1)
 
     def integrate(self, values):
@@ -351,6 +358,11 @@ class Sphere:
             else:
                 out += scale * (a * y.real + b * y.imag)
         return out
+
+
+def _as_pairs(c):
+    """View a C-contiguous complex (m, k) array as float64 (m, k, 2) pairs."""
+    return c.view(np.float64).reshape(c.shape + (2,))
 
 
 def _legendre_table(L, mu):

@@ -60,6 +60,8 @@ def test_solve_vortex_roundtrip(tmp_path):
                  "--verify-only", "--quiet"]) == 0
     meta = json.load(open(os.path.join(out, "metadata.json")))
     assert "coverage" not in meta or True
+    # no --seed given: the config's "seed": 7 takes effect
+    assert meta["seed"] == 7
     assert meta["theorem_coverage"].startswith("covered")
 
 
@@ -77,7 +79,7 @@ def test_bit_reproducibility(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     # existence condition: exit 2, message cites the condition
     bad = dict(VORTEX_CFG, tau=2.0)
     bad.pop("twist")
@@ -116,6 +118,22 @@ def test_exit_codes(tmp_path):
     cfg = write_cfg(tmp_path, "node.json", ongrid)
     assert main(["solve-vortex", "--config", cfg, "--out",
                  str(tmp_path / "x5"), "--quiet"]) == 2
+    # missing required key or non-integer resolution: exit 2 naming the key
+    no_tau = dict(VORTEX_CFG)
+    no_tau.pop("tau")
+    malformed = [("solve-vortex", no_tau, "tau"),
+                 ("solve-gv", {k: v for k, v in GV_CFG.items() if k != "tau"},
+                  "tau"),
+                 ("sweep-eps", {k: v for k, v in GV_CFG.items() if k != "tau"},
+                  "tau"),
+                 ("solve-vortex", dict(VORTEX_CFG, resolution="abc"),
+                  "resolution")]
+    for k, (command, bad, key) in enumerate(malformed):
+        cfg = write_cfg(tmp_path, f"malformed{k}.json", bad)
+        capsys.readouterr()
+        assert main([command, "--config", cfg, "--out",
+                     str(tmp_path / f"m{k}"), "--quiet"]) == 2
+        assert repr(key) in capsys.readouterr().err
 
 
 def test_gv_and_verify_tamper(tmp_path):
@@ -123,6 +141,11 @@ def test_gv_and_verify_tamper(tmp_path):
     out = str(tmp_path / "gv")
     assert main(["solve-gv", "--config", cfg, "--out", out, "--quiet"]) == 0
     assert main(["verify", "--out", out, "--quiet"]) == 0
+    # log timestamps are offsets from the start of the run
+    runtime = json.load(open(os.path.join(out, "metadata.json")))["runtime_seconds"]
+    with open(os.path.join(out, "iterations.jsonl")) as fh:
+        times = [r["time"] for r in map(json.loads, fh) if "time" in r]
+    assert times and all(0.0 <= t <= runtime for t in times)
     # tampering with a field file must be detected
     path = os.path.join(out, "fields", "u.vfield")
     blob = bytearray(open(path, "rb").read())

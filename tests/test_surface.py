@@ -155,6 +155,44 @@ def test_sht_roundtrip_and_point_eval(sphere31):
     assert abs(v - f[4, 9]) < 1e-12
 
 
+def _einsum_analyze(s, values):
+    # reference: the complex einsum the GEMM transforms replaced
+    F = np.fft.rfft(values, axis=1)[:, : s.L + 1]
+    c = F * (np.sqrt(2.0 * np.pi) / s.nlon)
+    return np.einsum("mil,im->lm", s._plm_w, c, optimize=True)
+
+
+def _einsum_synthesize(s, coeffs):
+    c = np.einsum("mil,lm->im", s._plm, coeffs, optimize=True)
+    F = np.zeros((s.nlat, s.nlon // 2 + 1), dtype=np.complex128)
+    F[:, : s.L + 1] = c * (s.nlon / np.sqrt(2.0 * np.pi))
+    return np.fft.irfft(F, n=s.nlon, axis=1)
+
+
+@pytest.mark.parametrize("L", [15, 17, 31])  # L = 17 has odd nlat = 27
+def test_sht_matches_einsum_reference(L):
+    s = build_surface("sphere", L)
+    rng = np.random.default_rng(L)
+    # full-spectrum inputs with O(1) grid values, so every order m is exercised
+    values = rng.normal(size=s.shape)
+    coeffs = (rng.normal(size=(L + 1, L + 1))
+              + 1j * rng.normal(size=(L + 1, L + 1))) / (L + 1)
+    wide = np.zeros((2 * s.nlat, 2 * s.nlon))
+    wide[::2, ::2] = values
+    cases_a = [values, np.asfortranarray(values), wide[::2, ::2]]
+    for v in cases_a:
+        assert np.max(np.abs(s.analyze(v) - _einsum_analyze(s, values))) < 1e-15
+    cases_s = [coeffs, np.asfortranarray(coeffs),
+               np.repeat(coeffs, 2, axis=1)[:, ::2], s.analyze(values)]
+    refs = [_einsum_synthesize(s, c) for c in cases_s]
+    assert np.max(np.abs(refs[0])) < 10.0
+    for c, ref in zip(cases_s, refs):
+        assert np.max(np.abs(s.synthesize(c) - ref)) < 1e-14
+    # real-valued coefficients are accepted as before
+    real = coeffs.real.copy()
+    assert np.max(np.abs(s.synthesize(real) - _einsum_synthesize(s, real))) < 1e-14
+
+
 def test_torus_mode_eval_consistency(torus32):
     s = torus32
     rng = np.random.default_rng(8)
