@@ -2,17 +2,17 @@
 """Micro-benchmarks of the surface layer, as medians of repeated calls.
 
 Usage:
-    python scripts/bench.py [--repeats N] [--rounds R] [--out FILE] [LABEL=SRC ...]
+    python scripts/bench.py [--out FILE] LABEL=SRC [LABEL=SRC ...]
 
 Times sphere ``analyze``, ``synthesize`` and ``laplacian`` at L = 127 and the
 torus Laplacian at 256^2. Each LABEL=SRC pair names a source tree (the
-directory holding the ``vortexlab`` package); with none given, ``src`` of this
-checkout is measured under the label ``current``. Every side is measured in
-its own fresh process, and the sides take turns over R rounds so that a drift
-in CPU speed affects them alike. Each round takes N timed calls per
-micro-benchmark after one warm-up call. The medians over all rounds, the
-machine, the Python, numpy and BLAS versions and the BLAS thread setting go
-to FILE (default: standard output) as JSON.
+directory holding the ``vortexlab`` package). Every side is measured in its
+own fresh process, and the sides take turns over ROUNDS rounds so that a
+drift in CPU speed affects them alike. Each round takes REPEATS timed calls
+per micro-benchmark after one warm-up call. The medians and quartiles over
+all rounds and the run record of ``perfbench/run.py`` (machine, Python,
+numpy, scipy and BLAS versions, BLAS thread setting, git commit) go to FILE
+(default: standard output) as JSON.
 
 Example, comparing a copy of another commit with this one:
     python scripts/bench.py --out BENCH_2.json before=../parent/src after=src
@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import statistics
 import subprocess
 import sys
@@ -32,9 +31,11 @@ import time
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+REPEATS = 20   # timed calls per micro-benchmark in each round
+ROUNDS = 10    # alternating rounds per side
 
 
-def measure(repeats):
+def measure():
     """Per-call wall times in seconds of each micro-benchmark, in this process."""
     import numpy as np
 
@@ -55,7 +56,7 @@ def measure(repeats):
     for name, (fn, arg) in cases.items():
         fn(arg)
         samples = []
-        for _ in range(repeats):
+        for _ in range(REPEATS):
             t0 = time.perf_counter()
             fn(arg)
             samples.append(time.perf_counter() - t0)
@@ -64,68 +65,43 @@ def measure(repeats):
 
 
 def environment():
-    import numpy as np
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    from run import run_record
 
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {
-        "machine": platform.machine(),
-        "processor": _cpu_model(),
-        "cpus": os.cpu_count(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "blas": f"{blas.get('name')} {blas.get('version')}",
-        "threads": {v: os.environ.get(v) for v in THREAD_VARS},
-    }
+    return run_record({v: os.environ.get(v) for v in THREAD_VARS}, None)
 
 
-def _cpu_model():
-    try:
-        with open("/proc/cpuinfo") as fh:
-            for line in fh:
-                if line.startswith("model name"):
-                    return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor()
-
-
-def run_side(src, repeats):
+def run_side(src):
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     proc = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--child", "--repeats",
-         str(repeats)], env=env, cwd=ROOT, check=True, capture_output=True,
-        text=True)
+        [sys.executable, os.path.abspath(__file__), "--child"], env=env,
+        cwd=ROOT, check=True, capture_output=True, text=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("sides", nargs="*", metavar="LABEL=SRC")
-    parser.add_argument("--repeats", type=int, default=20)
-    parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument("--out", default=None)
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.repeats < 2 or args.rounds < 1:
-        parser.error("--repeats must be at least 2 and --rounds at least 1")
     if args.child:
-        print(json.dumps(measure(args.repeats)))
+        print(json.dumps(measure()))
         return 0
 
-    if any("=" not in s for s in args.sides):
-        parser.error("each side must be given as LABEL=SRC")
-    sides = dict(s.split("=", 1) for s in args.sides) or {
-        "current": os.path.join(ROOT, "src")}
+    if not args.sides or any("=" not in s for s in args.sides):
+        parser.error("give one or more sides as LABEL=SRC")
+    sides = dict(s.split("=", 1) for s in args.sides)
     samples = {label: {} for label in sides}
     order = list(sides)
-    for rnd in range(args.rounds):
+    for rnd in range(ROUNDS):
         for label in order if rnd % 2 == 0 else order[::-1]:
-            for name, times in run_side(sides[label], args.repeats).items():
+            for name, times in run_side(sides[label]).items():
                 samples[label].setdefault(name, []).extend(times)
     report = {
         "environment": environment(),
-        "repeats_per_round": args.repeats,
-        "rounds": args.rounds,
+        "repeats_per_round": REPEATS,
+        "rounds": ROUNDS,
         "unit": "ms",
         "median_ms": {
             label: {name: 1e3 * statistics.median(times)
