@@ -22,7 +22,6 @@ from .bogomolnyi import (
     assembled_residual,
     check_numerical_assumption,
     delta_ladder_and_assemble,
-    eb_residual,
     make_eb_problem,
     supersolution_margin,
 )
@@ -34,7 +33,7 @@ from .errors import (
     VortexlabError,
 )
 from .fieldio import read_field, sha256_file, write_field, write_jsonl, write_pgm
-from .fields import DivisorData, build_divisor_fields
+from .fields import DivisorData, build_divisor_fields, derive_params
 from .singular import run_ladder
 from .surface import build_surface, check_field
 from .verify import Certificate, certify_state, certify_tke, certify_vortex
@@ -105,6 +104,9 @@ def validate_config(cfg, command):
         if key not in _DIVISOR_KEYS:
             raise ConfigError(f"unknown divisor key {key!r}")
     for group, entries in div.items():
+        if not (isinstance(entries, list)
+                and all(isinstance(e, dict) for e in entries)):
+            raise ConfigError(f"divisor {group!r} must be a list of objects")
         for e in entries:
             for key in e:
                 if key not in _POINT_KEYS[group]:
@@ -242,6 +244,84 @@ class ArtifactWriter:
             print(f"[vortexlab] artifact written to {self.outdir}")
         return meta
 
+    def finish(self, cert, extra=None):
+        """Write the certificate and the metadata; a failed check is exit 3."""
+        self.write_json("certificate.json", cert.to_dict())
+        self.finalize(extra)
+        if not cert.all_passed:
+            raise ConvergenceFailure("certificate checks failed")
+        return 0
+
+
+# --- one problem builder and one certifier per command --------------------
+# The solve runners and `verify` both call these, so a stored result is
+# re-certified against the same problem that produced it.
+
+
+def _tol(cfg, key, default):
+    return float(cfg.get("tolerances", {}).get(key, default))
+
+
+def _vortex_problem(cfg, surface, divisor):
+    tau = float(cfg["tau"])
+    b, F = synthesize_twist(surface, cfg.get("twist"))
+    weight = np.exp(build_divisor_fields(surface, divisor).log_phi_sq)
+    return make_vortex_problem(surface, weight, tau, divisor.N, b=b, F=F,
+                               t=float(cfg.get("t", 1.0)))
+
+
+def _certify_vortex(cfg, problem, seed, f):
+    return certify_vortex(problem.surface, problem, f, seed=seed,
+                          multistart=int(_tol(cfg, "multistart", 3)),
+                          tol=_tol(cfg, "residual", 1e-9))
+
+
+def _tke_problem(cfg, surface, divisor):
+    """(chi~, F_xi) of the twisted Kaehler-Einstein equation."""
+    eps = float(cfg.get("epsilon", 0.1))
+    fields = build_divisor_fields(surface, divisor)
+    return surface.euler_char - divisor.sum_one_minus_beta, fields.F_xi(eps)
+
+
+def _certify_tke(cfg, surface, problem, u):
+    chi_tilde, F_xi = problem
+    return certify_tke(surface, chi_tilde, F_xi, u, t=float(cfg.get("t", 1.0)),
+                       tol=_tol(cfg, "residual", 1e-9))
+
+
+# solve-gv and sweep-eps build their problem with coupled.make_problem at the
+# recorded epsilon and certify with verify.certify_state
+
+
+def _eb_problem(cfg, surface, divisor):
+    """The c~ = 0 problem from whichever of alpha/tau the config gives."""
+    alpha, tau = cfg.get("alpha"), cfg.get("tau")
+    return make_eb_problem(
+        surface, divisor,
+        alpha=float(alpha) if alpha is not None else None,
+        tau=float(tau) if tau is not None else None,
+        lam=cfg.get("lambda"), sigma=cfg.get("sigma"),
+    )
+
+
+def _certify_eb(cfg, problem, seed, f, w, ladder):
+    """Supersolution margin on every delta rung, and the residual of the
+    assembled pair at the last rung, for the lam of the ladder report."""
+    lam, deltas = ladder["lam"], ladder["deltas"]
+    margins = [supersolution_margin(problem, w, lam, d) for d in deltas]
+    res = assembled_residual(problem, f, deltas[-1], lam)
+    cert = Certificate(seed=seed)
+    cert.add("supersolution_margin_min", 0.0, min(margins), tol=0.0,
+             note="strict inequality pointwise, every rung")
+    # 1e-6 is the default-resolution figure; coarse grids have a larger
+    # spectral floor and may override through tolerances
+    cert.add("assembled_residual_masked", res["sup_masked"],
+             _tol(cfg, "assembled_residual", 1e-6), tol=0.0)
+    cert.constants.update({"lam": lam, "lam_min": ladder["lam_min"],
+                           "C_sigma": ladder["C_sigma"],
+                           "alpha": problem.alpha, "tau": problem.tau})
+    return cert
+
 
 # --- runners -------------------------------------------------------------
 
@@ -249,49 +329,29 @@ class ArtifactWriter:
 def run_solve_vortex(cfg, outdir, seed, quiet):
     t_start = time.perf_counter()
     surface, divisor = build_setup(cfg)
-    tau = float(cfg["tau"])
-    b, F = synthesize_twist(surface, cfg.get("twist"))
-    t = float(cfg.get("t", 1.0))
-    tol = float(cfg.get("tolerances", {}).get("residual", 1e-9))
-    multistart = int(cfg.get("tolerances", {}).get("multistart", 3))
-    fields = build_divisor_fields(surface, divisor)
-    weight = np.exp(fields.log_phi_sq)
-    problem = make_vortex_problem(surface, weight, tau, divisor.N, b=b, F=F, t=t)
-    f = solve_vortex(problem, tol=tol * 0.1)
-    cert = certify_vortex(surface, problem, f, seed=seed, multistart=multistart,
-                          tol=tol)
+    problem = _vortex_problem(cfg, surface, divisor)
+    f = solve_vortex(problem, tol=_tol(cfg, "residual", 1e-9) * 0.1)
+    cert = _certify_vortex(cfg, problem, seed, f)
     art = ArtifactWriter(outdir, "solve-vortex", cfg, seed, quiet, started=t_start)
     art.field("f_tilde", f, surface)
     art.field("Phi", problem.phi0_sq * np.exp(2.0 * f), surface)
-    art.write_json("certificate.json", cert.to_dict())
     art.write_jsonl("iterations.jsonl", problem.log)
-    art.finalize()
-    if not cert.all_passed:
-        raise ConvergenceFailure("certificate checks failed")
-    return 0
+    return art.finish(cert)
 
 
 def run_solve_tke(cfg, outdir, seed, quiet):
     t_start = time.perf_counter()
     surface, divisor = build_setup(cfg)
-    eps = float(cfg.get("epsilon", 0.1))
-    t = float(cfg.get("t", 1.0))
-    tol = float(cfg.get("tolerances", {}).get("residual", 1e-9))
-    fields = build_divisor_fields(surface, divisor)
-    chi_tilde = surface.euler_char - divisor.sum_one_minus_beta
-    F_xi = fields.F_xi(eps)
+    chi_tilde, F_xi = problem = _tke_problem(cfg, surface, divisor)
     log = []
-    u = solve_twisted_ke(surface, chi_tilde, F_xi, t=t, tol=tol * 0.1, log=log)
-    cert = certify_tke(surface, chi_tilde, F_xi, u, t=t, tol=tol)
+    u = solve_twisted_ke(surface, chi_tilde, F_xi, t=float(cfg.get("t", 1.0)),
+                         tol=_tol(cfg, "residual", 1e-9) * 0.1, log=log)
+    cert = _certify_tke(cfg, surface, problem, u)
     art = ArtifactWriter(outdir, "solve-tke", cfg, seed, quiet, started=t_start)
     art.field("u", u, surface)
     art.field("metric_density", 1.0 - surface.laplacian(u), surface)
-    art.write_json("certificate.json", cert.to_dict())
     art.write_jsonl("iterations.jsonl", log)
-    art.finalize(extra={"chi_tilde": chi_tilde})
-    if not cert.all_passed:
-        raise ConvergenceFailure("certificate checks failed")
-    return 0
+    return art.finish(cert, extra={"chi_tilde": chi_tilde})
 
 
 def run_solve_gv(cfg, outdir, seed, quiet):
@@ -299,7 +359,7 @@ def run_solve_gv(cfg, outdir, seed, quiet):
     surface, divisor = build_setup(cfg)
     tau = float(cfg["tau"])
     eps = float(cfg.get("epsilon", 0.1))
-    tol = float(cfg.get("tolerances", {}).get("residual", 1e-9))
+    tol = _tol(cfg, "residual", 1e-9)
     target, steps = run_sequence(cfg)
     problem = make_problem(surface, divisor, tau=tau, eps=eps)
     if target == "alpha_star":
@@ -313,17 +373,13 @@ def run_solve_gv(cfg, outdir, seed, quiet):
     art.field("f_tilde", final.f_tilde, surface)
     art.field("u", final.u, surface)
     art.field("Phi", final.Phi, surface)
-    art.write_json("certificate.json", cert.to_dict())
     path_log = [{"alpha": st.alpha, "c_tilde": st.c_tilde,
                  "residual": st.res_norm, "newton_steps": len(st.newton_log)}
                 for st in states]
     art.write_jsonl("iterations.jsonl",
                     path_log + [e for st in states for e in st.newton_log])
-    art.finalize(extra={"alpha": final.alpha, "alpha_star":
-                        problem.params.alpha_star})
-    if not cert.all_passed:
-        raise ConvergenceFailure("certificate checks failed")
-    return 0
+    return art.finish(cert, extra={"alpha": final.alpha, "epsilon": problem.eps,
+                                   "alpha_star": problem.params.alpha_star})
 
 
 def run_sweep_eps(cfg, outdir, seed, quiet):
@@ -332,24 +388,22 @@ def run_sweep_eps(cfg, outdir, seed, quiet):
     tau = float(cfg["tau"])
     eps = cfg.get("epsilon", [0.1, 0.05, 0.025, 0.0125])
     eps_list = [float(e) for e in (eps if isinstance(eps, list) else [eps])]
-    tol = float(cfg.get("tolerances", {}).get("residual", 1e-9))
+    tol = _tol(cfg, "residual", 1e-9)
     target, steps = run_sequence(cfg)
-    probe = make_problem(surface, divisor, tau=tau, eps=eps_list[0])
     if target == "alpha_star":
-        target = probe.params.alpha_star
+        target = derive_params(divisor, surface, tau,
+                               epsilon=eps_list[0]).alpha_star
     report = run_ladder(surface, divisor, tau, float(target), eps_list,
                         n_steps=steps, tol=tol, seed=seed,
                         fit=bool(cfg.get("fit", True)))
-    if report.failures and not report.states:
+    if not report.states:
         raise ConvergenceFailure(f"ladder failed: {report.failures}")
-    final = report.states[-1]
-    problem = make_problem(surface, divisor, tau=tau,
-                           eps=eps_list[len(report.states) - 1])
+    # a truncated ladder certifies its last completed rung
+    final, problem = report.states[-1], report.problem
     cert = certify_state(problem, final, seed=seed)
     art = ArtifactWriter(outdir, "sweep-eps", cfg, seed, quiet, started=t_start)
     art.field("f_tilde", final.f_tilde, surface)
     art.field("u", final.u, surface)
-    art.write_json("certificate.json", cert.to_dict())
     art.write_json("ladder.json", {
         "eps": report.eps_list[: len(report.states)],
         "d_f": report.d_f,
@@ -366,27 +420,17 @@ def run_sweep_eps(cfg, outdir, seed, quiet):
     art.write_jsonl("iterations.jsonl",
                     [{"eps": e, "newton_steps": c}
                      for e, c in zip(report.eps_list, report.newton_counts)])
-    art.finalize(extra={"alpha": float(target)})
-    if not cert.all_passed:
-        raise ConvergenceFailure("certificate checks failed")
-    return 0
+    return art.finish(cert, extra={"alpha": final.alpha, "epsilon": problem.eps})
 
 
 def run_solve_eb(cfg, outdir, seed, quiet):
     t_start = time.perf_counter()
     surface, divisor = build_setup(cfg)
-    alpha = cfg.get("alpha")
-    tau = cfg.get("tau")
     deltas = cfg.get("delta", [0.1 * 0.5**k for k in range(7)])
-    if not isinstance(deltas, list):
-        deltas = [float(deltas)]
-    tol = float(cfg.get("tolerances", {}).get("residual", 1e-10))
-    problem = make_eb_problem(
-        surface, divisor,
-        alpha=float(alpha) if alpha is not None else None,
-        tau=float(tau) if tau is not None else None,
-        lam=cfg.get("lambda"), sigma=cfg.get("sigma"),
-    )
+    deltas = [float(d) for d in (deltas if isinstance(deltas, list) else [deltas])]
+    tol = _tol(cfg, "residual", 1e-10)
+    margin = float(cfg.get("margin", 0.5))
+    problem = _eb_problem(cfg, surface, divisor)
     na = check_numerical_assumption(problem)
     art = ArtifactWriter(outdir, "solve-eb", cfg, seed, quiet, started=t_start)
     art.write_json("na_report.json", na.to_dict())
@@ -396,45 +440,26 @@ def run_solve_eb(cfg, outdir, seed, quiet):
             "admissibility inequalities fail; see na_report.json", na)
     log = []
     f, g_density, h_factor, w, report = delta_ladder_and_assemble(
-        problem, deltas=[float(d) for d in deltas], tol=tol,
-        margin=float(cfg.get("margin", 0.5)), log=log,
-    )
-    res = assembled_residual(problem, f, float(deltas[-1]), report["lam"])
+        problem, deltas=deltas, tol=tol, margin=margin, log=log)
     art.field("f_tilde", f, surface)
     art.field("supersolution_w", w, surface)
     art.field("metric_density", g_density.values, surface)
     art.field("hermitian_factor", h_factor.values, surface)
-    # 1e-6 is the default-resolution figure; coarse grids have a larger
-    # spectral floor and may override through tolerances
-    res_bound = float(cfg.get("tolerances", {}).get("assembled_residual", 1e-6))
-    cert = Certificate(seed=seed)
-    cert.add("supersolution_margin_min", 0.0, min(report["sup_margins"]),
-             tol=0.0, note="strict inequality pointwise, every rung")
-    cert.add("assembled_residual_masked", res["sup_masked"], res_bound,
-             tol=0.0)
-    cert.constants.update({"lam": report["lam"], "lam_min": report["lam_min"],
-                           "C_sigma": report["C_sigma"],
-                           "alpha": problem.alpha, "tau": problem.tau})
-    art.write_json("certificate.json", cert.to_dict())
+    cert = _certify_eb(cfg, problem, seed, f, w, report)
     art.write_json("ladder.json", report)
     art.write_jsonl("iterations.jsonl", log)
     if bool(cfg.get("lambda_pair", False)):
         lam2 = 2.0 * report["lam"]
-        prob2 = make_eb_problem(surface, divisor,
-                                alpha=problem.alpha, lam=lam2,
-                                sigma=problem.sigma)
-        f2, _, _, _, rep2 = delta_ladder_and_assemble(
-            prob2, deltas=[float(deltas[-1])], tol=tol,
-            margin=float(cfg.get("margin", 0.5)))
+        prob2 = make_eb_problem(surface, divisor, alpha=problem.alpha,
+                                lam=lam2, sigma=problem.sigma)
+        f2 = delta_ladder_and_assemble(prob2, deltas=deltas[-1:], tol=tol,
+                                       margin=margin)[0]
         art.field("f_tilde_lam2", f2, surface)
         art.write_json("lambda_dependence.json", {
             "lam_pair": [report["lam"], lam2],
             "sup_difference": float(np.max(np.abs(f - f2))),
         })
-    art.finalize(extra={"alpha": problem.alpha, "tau": problem.tau})
-    if not cert.all_passed:
-        raise ConvergenceFailure("certificate checks failed")
-    return 0
+    return art.finish(cert, extra={"alpha": problem.alpha, "tau": problem.tau})
 
 
 _RUNNERS = {
@@ -449,24 +474,70 @@ _RUNNERS = {
 # --- verification of stored artifacts -----------------------------------
 
 
+class _Stored:
+    """A finished artifact directory, read back for re-certification."""
+
+    def __init__(self, outdir):
+        self.outdir = outdir
+        self.meta = self.read_json("metadata.json")
+        self.seed = int(self.meta.get("seed", 0))
+
+    def read_json(self, relpath):
+        with open(os.path.join(self.outdir, relpath)) as fh:
+            return json.load(fh)
+
+    def field(self, name, surface):
+        values, _ = read_field(os.path.join(self.outdir, "fields",
+                                            name + ".vfield"))
+        check_field(surface, values)
+        return values
+
+
+def _recertify_gv(cfg, surface, divisor, art):
+    if "epsilon" not in art.meta:
+        raise ConfigError("metadata.json records no 'epsilon' (the artifact "
+                          "predates it); solve again to verify")
+    problem = make_problem(surface, divisor, tau=float(cfg["tau"]),
+                           eps=float(art.meta["epsilon"]))
+    alpha = float(art.meta["alpha"])
+    f, u = art.field("f_tilde", surface), art.field("u", surface)
+    S1, S2 = residual(problem, alpha, f, u)
+    state = SolveState(alpha=alpha, c_tilde=problem.c_tilde(alpha),
+                       f_tilde=f, u=u, Phi=problem.weight_t * np.exp(2.0 * f),
+                       res1=S1, res2=S2, params=problem.params.with_alpha(alpha))
+    return certify_state(problem, state, seed=art.seed)
+
+
+# per command: read the stored result back, then run the problem builder and
+# the certifier that the solve runner ran
+_RECERTIFY = {
+    "solve-vortex": lambda cfg, s, d, art: _certify_vortex(
+        cfg, _vortex_problem(cfg, s, d), art.seed, art.field("f_tilde", s)),
+    "solve-tke": lambda cfg, s, d, art: _certify_tke(
+        cfg, s, _tke_problem(cfg, s, d), art.field("u", s)),
+    "solve-gv": _recertify_gv,
+    "sweep-eps": _recertify_gv,
+    "solve-eb": lambda cfg, s, d, art: _certify_eb(
+        cfg, _eb_problem(cfg, s, d), art.seed, art.field("f_tilde", s),
+        art.field("supersolution_w", s), art.read_json("ladder.json")),
+}
+
+
 def run_verify(outdir, quiet=False):
-    meta_path = os.path.join(outdir, "metadata.json")
-    if not os.path.exists(meta_path):
+    if not os.path.exists(os.path.join(outdir, "metadata.json")):
         raise ConfigError(f"no artifact metadata in {outdir}")
-    with open(meta_path) as fh:
-        meta = json.load(fh)
-    for rel, digest in meta.get("files", {}).items():
-        actual = sha256_file(os.path.join(outdir, rel))
-        if actual != digest:
+    art = _Stored(outdir)
+    for rel, digest in art.meta.get("files", {}).items():
+        if sha256_file(os.path.join(outdir, rel)) != digest:
             raise ConvergenceFailure(f"artifact file {rel} hash mismatch")
-    command = meta["command"]
-    with open(os.path.join(outdir, "config.json")) as fh:
-        cfg = json.load(fh)
-    with open(os.path.join(outdir, "certificate.json")) as fh:
-        stored = json.load(fh)
-    cert = _recompute_certificate(command, cfg, outdir, meta)
+    command = art.meta["command"]
+    if command not in _RECERTIFY:
+        raise ConfigError(f"cannot verify artifacts of command {command!r}")
+    cfg = art.read_json("config.json")
+    surface, divisor = build_setup(cfg)
+    cert = _RECERTIFY[command](cfg, surface, divisor, art)
     fresh = cert.to_dict()
-    mism = _compare_certificates(stored, fresh)
+    mism = _compare_certificates(art.read_json("certificate.json"), fresh)
     if mism:
         raise ConvergenceFailure(
             "re-certification differs from the stored certificate: "
@@ -477,83 +548,6 @@ def run_verify(outdir, quiet=False):
         print(f"[vortexlab] verified {outdir}: "
               f"{len(fresh['checks'])} checks reproduced, all passed")
     return 0
-
-
-def _load_field(outdir, name, surface=None):
-    values, _ = read_field(os.path.join(outdir, "fields", name + ".vfield"))
-    if surface is not None:
-        check_field(surface, values)
-    return values
-
-
-def _recompute_certificate(command, cfg, outdir, meta):
-    surface, divisor = build_setup(cfg)
-    seed = int(meta.get("seed", 0))
-    if command == "solve-vortex":
-        tau = float(cfg["tau"])
-        b, F = synthesize_twist(surface, cfg.get("twist"))
-        fields = build_divisor_fields(surface, divisor)
-        weight = np.exp(fields.log_phi_sq)
-        problem = make_vortex_problem(surface, weight, tau, divisor.N, b=b,
-                                      F=F, t=float(cfg.get("t", 1.0)))
-        f = _load_field(outdir, "f_tilde", surface)
-        tol = float(cfg.get("tolerances", {}).get("residual", 1e-9))
-        multistart = int(cfg.get("tolerances", {}).get("multistart", 3))
-        return certify_vortex(surface, problem, f, seed=seed,
-                              multistart=multistart, tol=tol)
-    if command == "solve-tke":
-        eps = float(cfg.get("epsilon", 0.1))
-        fields = build_divisor_fields(surface, divisor)
-        chi_tilde = surface.euler_char - divisor.sum_one_minus_beta
-        u = _load_field(outdir, "u", surface)
-        tol = float(cfg.get("tolerances", {}).get("residual", 1e-9))
-        return certify_tke(surface, chi_tilde, fields.F_xi(eps), u,
-                           t=float(cfg.get("t", 1.0)), tol=tol)
-    if command in ("solve-gv", "sweep-eps"):
-        tau = float(cfg["tau"])
-        if command == "solve-gv":
-            eps = float(cfg.get("epsilon", 0.1))
-        else:
-            eps_cfg = cfg.get("epsilon", [0.1, 0.05, 0.025, 0.0125])
-            eps_list = eps_cfg if isinstance(eps_cfg, list) else [eps_cfg]
-            eps = float(eps_list[-1])
-        problem = make_problem(surface, divisor, tau=tau, eps=eps)
-        f = _load_field(outdir, "f_tilde", surface)
-        u = _load_field(outdir, "u", surface)
-        alpha = float(meta["alpha"])
-        S1, S2 = residual(problem, alpha, f, u)
-        state = SolveState(alpha=alpha, c_tilde=problem.c_tilde(alpha),
-                           f_tilde=f, u=u,
-                           Phi=problem.weight_t * np.exp(2.0 * f),
-                           res1=S1, res2=S2,
-                           params=problem.params.with_alpha(alpha))
-        return certify_state(problem, state, seed=seed)
-    if command == "solve-eb":
-        problem = make_eb_problem(
-            surface, divisor,
-            alpha=float(meta["alpha"]),
-            lam=cfg.get("lambda"), sigma=cfg.get("sigma"),
-        )
-        with open(os.path.join(outdir, "ladder.json")) as fh:
-            ladder = json.load(fh)
-        f = _load_field(outdir, "f_tilde", surface)
-        w = _load_field(outdir, "supersolution_w", surface)
-        lam = float(ladder["lam"])
-        deltas = [float(d) for d in ladder["deltas"]]
-        res = assembled_residual(problem, f, deltas[-1], lam)
-        res_bound = float(cfg.get("tolerances", {}).get("assembled_residual",
-                                                        1e-6))
-        cert = Certificate(seed=int(meta.get("seed", 0)))
-        margins = [supersolution_margin(problem, w, lam, d) for d in deltas]
-        cert.add("supersolution_margin_min", 0.0, min(margins), tol=0.0,
-                 note="strict inequality pointwise, every rung")
-        cert.add("assembled_residual_masked", res["sup_masked"], res_bound,
-                 tol=0.0)
-        cert.constants.update({"lam": lam, "lam_min": ladder["lam_min"],
-                               "C_sigma": ladder["C_sigma"],
-                               "alpha": problem.alpha, "tau": problem.tau})
-        return cert
-    raise ConfigError(f"cannot verify artifacts of command {command!r}")
 
 
 def _compare_certificates(stored, fresh):

@@ -75,10 +75,6 @@ class SolveState:
     def res_norm(self):
         return max(float(np.max(np.abs(self.res1))), float(np.max(np.abs(self.res2))))
 
-    @property
-    def metric_density(self):
-        return None  # filled by callers that track 1 - lap u
-
 
 def make_problem(surface, divisor, tau, eps, delta=0.5, lam=1.0):
     fields = build_divisor_fields(surface, divisor)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 
 import numpy as np
 
@@ -19,20 +18,7 @@ from .errors import ConfigError
 MAGIC = b"VORTEXLABFIELD\x00\x00"
 
 __all__ = ["MAGIC", "write_field", "read_field", "sha256_file",
-           "write_jsonl", "write_pgm", "worker_count"]
-
-
-def worker_count():
-    """Worker cap from VORTEXLAB_THREADS (falls back to the CPU count)."""
-    env = os.environ.get("VORTEXLAB_THREADS", "").strip()
-    if env:
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"VORTEXLAB_THREADS must be an integer: {env!r}") from exc
-        if n >= 1:
-            return n
-    return max(1, os.cpu_count() or 1)
+           "write_jsonl", "write_pgm"]
 
 
 def write_field(path, values, backend, resolution, name, extra=None):

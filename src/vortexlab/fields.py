@@ -70,6 +70,13 @@ class DivisorData:
     def sum_one_minus_beta(self):
         return float(sum(1.0 - b for _, b in self.cone))
 
+    @property
+    def lp_exponent(self):
+        """p = (1 + min_j 1/(1-beta_j)) / 2 from the cone weights (2 if none)."""
+        if not self.cone:
+            return 2.0
+        return 0.5 * (1.0 + min(1.0 / (1.0 - b) for _, b in self.cone))
+
     def all_points(self):
         seen = {}
         for p, n in self.zeros:

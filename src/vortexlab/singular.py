@@ -17,14 +17,12 @@ be resolved against the grid or the neighbour separation are flagged.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .coupled import continue_alpha, decoupled_state, make_problem, solve_at_alpha
 from .errors import ConvergenceFailure
-from .fieldio import worker_count
 from .verify import holder_quotient
 
 __all__ = ["FitRecord", "LadderReport", "run_ladder", "mask_away_from_points",
@@ -61,6 +59,7 @@ class LadderReport:
     newton_counts: list = field(default_factory=list)
     failures: list = field(default_factory=list)
     fits: list = field(default_factory=list)
+    problem: object = None    # GVProblem of the last completed rung
 
     @property
     def d_sup(self):
@@ -214,14 +213,12 @@ def run_ladder(surface, divisor, tau, alpha, eps_list, n_steps=16,
     eps_list = list(eps_list)
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise ConvergenceFailure("smoothing rungs must be strictly decreasing")
-    report = LadderReport(eps_list=eps_list, states=[])
-    rng = np.random.default_rng(seed)
+    report = LadderReport(eps_list=eps_list, states=[],
+                          lp_exponent=divisor.lp_exponent)
     points = [tuple(p) for p in divisor.all_points().keys()]
     prev_state = None
-    problems = []
-    for m, eps in enumerate(eps_list):
+    for eps in eps_list:
         problem = make_problem(surface, divisor, tau=tau, eps=eps)
-        problems.append(problem)
         try:
             if prev_state is None:
                 st0 = decoupled_state(problem, tol=tol)
@@ -244,25 +241,25 @@ def run_ladder(surface, divisor, tau, alpha, eps_list, n_steps=16,
             report.failures.append({"eps": eps, "error": str(exc)})
             break
         report.states.append(state)
+        report.problem = problem
         report.newton_counts.append(count)
         report.holder_f.append(holder_quotient(surface, state.f_tilde, gamma,
                                                1000, np.random.default_rng(seed)))
         report.holder_u.append(holder_quotient(surface, state.u, gamma,
                                                1000, np.random.default_rng(seed)))
-        p = _lp_exp(divisor)
-        report.lp_exponent = p
-        report.wp_integrals.append(
-            float(surface.integrate(problem.fields.weight_W(eps) ** p)))
+        report.wp_integrals.append(float(surface.integrate(
+            problem.fields.weight_W(eps) ** report.lp_exponent)))
         prev_state = state
 
-    # Cauchy distances between consecutive rungs on K
+    # Cauchy distances between consecutive rungs on K; the divisor fields
+    # do not depend on eps, so the last rung's serve every rung
     for m in range(len(report.states) - 1):
         eps_fine = eps_list[m + 1]
         if rho_K == "auto":
             A = 1.0
-            if problems[m + 1].fields.log_s_sq:
+            if report.problem.fields.log_s_sq:
                 A = _local_quadratic_coeff(
-                    surface, problems[m + 1].fields.log_s_sq[0],
+                    surface, report.problem.fields.log_s_sq[0],
                     divisor.cone[0][0])
             radius = max(8.0 * surface.h, float(np.sqrt(eps_fine / A)))
         else:
@@ -277,24 +274,9 @@ def run_ladder(surface, divisor, tau, alpha, eps_list, n_steps=16,
         report.d_u.append(float(np.max(np.abs(a.u - b.u)[mask])))
 
     if fit and report.states:
-        fin = report.states[-1]
-        eps_fin = eps_list[len(report.states) - 1]
-        fields = problems[len(report.states) - 1].fields
-        jobs = [lambda j=j: conical_fit(surface, fin, fields, j, eps_fin)
-                for j in range(len(divisor.cone))]
-        jobs += [lambda k=k: parabolic_fit(surface, fin, fields, k, eps_fin)
-                 for k in range(len(divisor.parabolic))]
-        if jobs:
-            # fits at distinct points are independent; VORTEXLAB_THREADS
-            # caps the workers
-            with ThreadPoolExecutor(min(worker_count(), len(jobs))) as pool:
-                report.fits = [f.result()
-                               for f in [pool.submit(j) for j in jobs]]
+        fin, last = report.states[-1], report.problem
+        report.fits = [conical_fit(surface, fin, last.fields, j, last.eps)
+                       for j in range(len(divisor.cone))]
+        report.fits += [parabolic_fit(surface, fin, last.fields, k, last.eps)
+                        for k in range(len(divisor.parabolic))]
     return report
-
-
-def _lp_exp(divisor):
-    betas = [b for _, b in divisor.cone]
-    if not betas:
-        return 2.0
-    return 0.5 * (1.0 + min(1.0 / (1.0 - b) for b in betas))

@@ -122,14 +122,6 @@ def _green_stats(surface, p_star):
     return _green_cache[key]
 
 
-def _lp_exponent(problem):
-    """p = (1 + min_j 1/(1-beta_j)) / 2 from the cone weights (2 if none)."""
-    betas = [b for _, b in problem.fields.divisor.cone]
-    if not betas:
-        return 2.0
-    return 0.5 * (1.0 + min(1.0 / (1.0 - b) for b in betas))
-
-
 def certify_phi_bound(state, tau, cert=None, tol=1e-8):
     """max Phi <= tau for coupled states (nonpositive bundle twist)."""
     cert = Certificate() if cert is None else cert
@@ -186,7 +178,7 @@ def certify_logy_bounds(problem, state, cert=None, gamma=0.25, npairs=1000,
     s = problem.surface
     a, tau, ct = state.alpha, problem.tau, state.c_tilde
     chi_t = problem.params.chi_tilde
-    p = _lp_exponent(problem)
+    p = problem.fields.divisor.lp_exponent
     p_star = p / (p - 1.0)
     gmin, gnorm = _green_stats(s, p_star)
     logy = 4.0 * a * tau * state.f_tilde - 2.0 * ct * state.u

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vortexlab.cli import main
-from vortexlab.errors import ConfigError
+from vortexlab import singular
+from vortexlab.errors import ConfigError, ConvergenceFailure
 from vortexlab.fieldio import MAGIC, read_field, write_field, write_pgm
 
 
@@ -46,6 +47,15 @@ EB_CFG = {
     "delta": [0.3],
     "tolerances": {"residual": 1e-9, "assembled_residual": 0.05},
 }
+
+TKE_CFG = {k: GV_CFG[k] for k in ("backend", "resolution", "divisor", "epsilon")}
+
+SWEEP_CFG = dict(GV_CFG, epsilon=[0.1, 0.05])
+
+# alpha = chi~/(2 tau N~) does not give this tau back in the last bit, so
+# verify must build the problem from the config's tau, as the solve does
+EB_TAU_CFG = dict({k: v for k, v in EB_CFG.items() if k != "alpha"},
+                  tau=5.714286)
 
 
 def test_solve_vortex_roundtrip(tmp_path):
@@ -127,7 +137,12 @@ def test_exit_codes(tmp_path, capsys):
                  ("sweep-eps", {k: v for k, v in GV_CFG.items() if k != "tau"},
                   "tau"),
                  ("solve-vortex", dict(VORTEX_CFG, resolution="abc"),
-                  "resolution")]
+                  "resolution"),
+                 ("solve-vortex",
+                  dict(VORTEX_CFG, divisor={"zeros": {
+                      "point": [0.31415927, 0.57721566], "n": 1}}),
+                  "zeros"),
+                 ("solve-gv", dict(GV_CFG, divisor={"cone": 0.5}), "cone")]
     for k, (command, bad, key) in enumerate(malformed):
         cfg = write_cfg(tmp_path, f"malformed{k}.json", bad)
         capsys.readouterr()
@@ -161,6 +176,41 @@ def test_solve_eb_cli(tmp_path):
     rep = json.load(open(os.path.join(out, "na_report.json")))
     assert rep["all_passed"]
     assert main(["verify", "--out", out, "--quiet"]) == 0
+
+
+@pytest.mark.parametrize("command, base", [
+    ("solve-vortex", VORTEX_CFG), ("solve-tke", TKE_CFG), ("solve-gv", GV_CFG),
+    ("sweep-eps", SWEEP_CFG), ("solve-eb", EB_CFG), ("solve-eb", EB_TAU_CFG)],
+    ids=["vortex", "tke", "gv", "sweep", "eb", "eb-tau"])
+def test_solve_then_verify(tmp_path, command, base):
+    cfg = write_cfg(tmp_path, "cfg.json", base)
+    out = str(tmp_path / "art")
+    assert main([command, "--config", cfg, "--out", out, "--quiet"]) == 0
+    assert main(["verify", "--out", out, "--quiet"]) == 0
+
+
+def test_truncated_ladder_reverifies(tmp_path, monkeypatch):
+    # a failed rung truncates the ladder; the artifact certifies the last
+    # completed rung and must re-verify at that rung's epsilon
+    def fail_fine_rungs(fn):
+        def wrapped(problem, *args, **kwargs):
+            if problem.eps < 0.03:
+                raise ConvergenceFailure("injected rung failure")
+            return fn(problem, *args, **kwargs)
+        return wrapped
+
+    for name in ("solve_at_alpha", "decoupled_state"):
+        monkeypatch.setattr(singular, name,
+                            fail_fine_rungs(getattr(singular, name)))
+    cfg = write_cfg(tmp_path, "sweep.json",
+                    dict(GV_CFG, epsilon=[0.1, 0.05, 0.025]))
+    out = str(tmp_path / "sweep")
+    assert main(["sweep-eps", "--config", cfg, "--out", out, "--quiet"]) == 0
+    ladder = json.load(open(os.path.join(out, "ladder.json")))
+    assert ladder["eps"] == [0.1, 0.05]
+    assert [f["eps"] for f in ladder["failures"]] == [0.025]
+    assert main(["verify", "--out", out, "--quiet"]) == 0
+    assert json.load(open(os.path.join(out, "metadata.json")))["epsilon"] == 0.05
 
 
 def test_export_heatmap(tmp_path):
