@@ -1,21 +1,25 @@
 #!/usr/bin/env python3
-"""Micro-benchmarks of the surface layer, as medians of repeated calls.
+"""Micro-benchmarks of the building blocks, as medians of repeated calls.
 
 Usage:
     python scripts/bench.py [--out FILE] LABEL=SRC [LABEL=SRC ...]
 
-Times sphere ``analyze``, ``synthesize`` and ``laplacian`` at L = 127 and the
-torus Laplacian at 256^2. Each LABEL=SRC pair names a source tree (the
-directory holding the ``vortexlab`` package). Every side is measured in its
-own fresh process, and the sides take turns over ROUNDS rounds so that a
-drift in CPU speed affects them alike. Each round takes REPEATS timed calls
-per micro-benchmark after one warm-up call. The medians and quartiles over
-all rounds and the run record of ``perfbench/run.py`` (machine, Python,
-numpy, scipy and BLAS versions, BLAS thread setting, git commit) go to FILE
-(default: standard output) as JSON.
+Times sphere ``analyze``, ``synthesize`` and ``laplacian`` at L = 127, the
+torus Laplacian at 256^2, one Ewald ``green_field`` at 256^2, and one damped
+coupled Newton step (``newton_step``) at 256^2: the first step of the
+continuation of ``scripts/configs/sweep_torus256.json`` at eps = 0.1, at
+alpha = 0.0625/16 from the decoupled state. Each LABEL=SRC pair names a
+source tree (the directory holding the ``vortexlab`` package). Every side is
+measured in its own fresh process, and the sides take turns over ROUNDS
+rounds so that a drift in CPU speed affects them alike. Each round takes
+REPEATS timed calls per micro-benchmark (SLOW_REPEATS for the two slow ones)
+after one warm-up call. The medians and quartiles over all rounds and the
+run record of ``perfbench/run.py`` (machine, Python, numpy, scipy and BLAS
+versions, BLAS thread setting, git commit) go to FILE (default: standard
+output) as JSON.
 
 Example, comparing a copy of another commit with this one:
-    python scripts/bench.py --out BENCH_2.json before=../parent/src after=src
+    python scripts/bench.py --out BENCH_4.json before=../parent/src after=src
 """
 
 from __future__ import annotations
@@ -31,14 +35,30 @@ import time
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-REPEATS = 20   # timed calls per micro-benchmark in each round
-ROUNDS = 10    # alternating rounds per side
+REPEATS = 20      # timed calls per micro-benchmark in each round
+SLOW_REPEATS = 3  # the same for green_field and the Newton step (~0.5 s each)
+ROUNDS = 10       # alternating rounds per side
+SWEEP_CONFIG = os.path.join(ROOT, "scripts", "configs", "sweep_torus256.json")
+
+
+def newton_step_case(torus, cfg):
+    """(newton_step, its arguments) for the first continuation step of the
+    sweep config's divisor at eps = 0.1, from the decoupled state."""
+    from vortexlab.cli import build_divisor
+    from vortexlab.coupled import decoupled_state, make_problem, newton_step
+
+    problem = make_problem(torus, build_divisor(cfg), tau=float(cfg["tau"]),
+                           eps=0.1)
+    state = decoupled_state(problem)
+    alpha = float(cfg["alpha"]["target"]) / cfg["alpha"]["steps"]
+    return newton_step, (problem, alpha, state.f_tilde, state.u)
 
 
 def measure():
     """Per-call wall times in seconds of each micro-benchmark, in this process."""
     import numpy as np
 
+    from vortexlab.greens import green_field
     from vortexlab.surface import build_surface
 
     rng = np.random.default_rng(0)
@@ -46,19 +66,27 @@ def measure():
     torus = build_surface("torus", 256)
     grid = rng.normal(size=sphere.shape)
     coeffs = sphere.analyze(grid)
+    with open(SWEEP_CONFIG) as fh:
+        cfg = json.load(fh)
+    cone_point = tuple(cfg["divisor"]["cone"][0]["point"])
+    step, step_args = newton_step_case(torus, cfg)
     cases = {
-        "sphere127.analyze": (sphere.analyze, grid),
-        "sphere127.synthesize": (sphere.synthesize, coeffs),
-        "sphere127.laplacian": (sphere.laplacian, grid),
-        "torus256.laplacian": (torus.laplacian, rng.normal(size=torus.shape)),
+        "sphere127.analyze": (sphere.analyze, (grid,), REPEATS),
+        "sphere127.synthesize": (sphere.synthesize, (coeffs,), REPEATS),
+        "sphere127.laplacian": (sphere.laplacian, (grid,), REPEATS),
+        "torus256.laplacian": (torus.laplacian, (rng.normal(size=torus.shape),),
+                               REPEATS),
+        "torus256.green_field": (green_field, (torus, cone_point),
+                                 SLOW_REPEATS),
+        "torus256.gv_newton_step": (step, step_args, SLOW_REPEATS),
     }
     out = {}
-    for name, (fn, arg) in cases.items():
-        fn(arg)
+    for name, (fn, args, repeats) in cases.items():
+        fn(*args)
         samples = []
-        for _ in range(REPEATS):
+        for _ in range(repeats):
             t0 = time.perf_counter()
-            fn(arg)
+            fn(*args)
             samples.append(time.perf_counter() - t0)
         out[name] = samples
     return out
@@ -101,6 +129,7 @@ def main(argv=None):
     report = {
         "environment": environment(),
         "repeats_per_round": REPEATS,
+        "slow_repeats_per_round": SLOW_REPEATS,
         "rounds": ROUNDS,
         "unit": "ms",
         "median_ms": {

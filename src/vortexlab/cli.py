@@ -56,6 +56,8 @@ _POINT_KEYS = {"zeros": {"point", "n"}, "cone": {"point", "beta"},
                "parabolic": {"point", "alpha_k"}}
 _TWIST_KEYS = {"b", "modes"}
 _TOL_KEYS = {"residual", "multistart", "assembled_residual"}
+# the smoothing ladders: a number, or a strictly decreasing list of numbers
+_LADDER_KEYS = {"sweep-eps": "epsilon", "solve-eb": "delta"}
 
 _COVERAGE = {
     "solve-vortex": "covered: twisted-vortex existence/uniqueness "
@@ -97,6 +99,9 @@ def validate_config(cfg, command):
                 or isinstance(value, float) and value.is_integer()):
             raise ConfigError(f"config key {key!r} must be an integer, "
                               f"got {value!r}")
+    for key in ("epsilon", "delta"):
+        if key in cfg:
+            _check_numbers(key, cfg[key], _LADDER_KEYS.get(command) == key)
     div = cfg.get("divisor", {})
     if not isinstance(div, dict):
         raise ConfigError("divisor must be an object")
@@ -122,6 +127,20 @@ def validate_config(cfg, command):
             if key not in _TOL_KEYS:
                 raise ConfigError(f"unknown tolerances key {key!r}")
     return cfg
+
+
+def _check_numbers(key, value, ladder):
+    """A number, or for a ladder key a non-empty strictly decreasing list."""
+    values = value if ladder and isinstance(value, list) else [value]
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               for v in values):
+        kind = "a number or a list of numbers" if ladder else "a number"
+        raise ConfigError(f"config key {key!r} must be {kind}, got {value!r}")
+    if not values:
+        raise ConfigError(f"config key {key!r} must not be an empty list")
+    if any(b >= a for a, b in zip(values, values[1:])):
+        raise ConfigError(f"config key {key!r} must be strictly decreasing, "
+                          f"got {value!r}")
 
 
 def build_divisor(cfg):
@@ -354,21 +373,43 @@ def run_solve_tke(cfg, outdir, seed, quiet):
     return art.finish(cert, extra={"chi_tilde": chi_tilde})
 
 
+class _Phases:
+    """Wall seconds of the consecutive phases of a run, for metadata.json."""
+
+    def __init__(self, started):
+        self.seconds = {}
+        self._last = started
+
+    def end(self, name):
+        now = time.perf_counter()
+        self.seconds[name] = now - self._last
+        self._last = now
+
+    def profile(self, **counts):
+        return {"seconds": self.seconds, "counts": counts}
+
+
 def run_solve_gv(cfg, outdir, seed, quiet):
     t_start = time.perf_counter()
+    phases = _Phases(t_start)
     surface, divisor = build_setup(cfg)
+    phases.end("setup")
+    fields = build_divisor_fields(surface, divisor)
+    phases.end("divisor_fields")
     tau = float(cfg["tau"])
     eps = float(cfg.get("epsilon", 0.1))
     tol = _tol(cfg, "residual", 1e-9)
     target, steps = run_sequence(cfg)
-    problem = make_problem(surface, divisor, tau=tau, eps=eps)
+    problem = make_problem(surface, divisor, tau=tau, eps=eps, fields=fields)
     if target == "alpha_star":
         target = problem.params.alpha_star
     state0 = decoupled_state(problem, tol=tol)
     states = continue_alpha(problem, state0, float(target), n_steps=steps,
                             tol=tol)
     final = states[-1]
+    phases.end("solve")
     cert = certify_state(problem, final, seed=seed)
+    phases.end("certify")
     art = ArtifactWriter(outdir, "solve-gv", cfg, seed, quiet, started=t_start)
     art.field("f_tilde", final.f_tilde, surface)
     art.field("u", final.u, surface)
@@ -378,13 +419,22 @@ def run_solve_gv(cfg, outdir, seed, quiet):
                 for st in states]
     art.write_jsonl("iterations.jsonl",
                     path_log + [e for st in states for e in st.newton_log])
+    phases.end("write")
+    profile = phases.profile(
+        divisor_field_builds=1,
+        newton_steps=sum(len(st.newton_log) for st in states))
     return art.finish(cert, extra={"alpha": final.alpha, "epsilon": problem.eps,
-                                   "alpha_star": problem.params.alpha_star})
+                                   "alpha_star": problem.params.alpha_star,
+                                   "profile": profile})
 
 
 def run_sweep_eps(cfg, outdir, seed, quiet):
     t_start = time.perf_counter()
+    phases = _Phases(t_start)
     surface, divisor = build_setup(cfg)
+    phases.end("setup")
+    fields = build_divisor_fields(surface, divisor)
+    phases.end("divisor_fields")
     tau = float(cfg["tau"])
     eps = cfg.get("epsilon", [0.1, 0.05, 0.025, 0.0125])
     eps_list = [float(e) for e in (eps if isinstance(eps, list) else [eps])]
@@ -395,12 +445,14 @@ def run_sweep_eps(cfg, outdir, seed, quiet):
                                epsilon=eps_list[0]).alpha_star
     report = run_ladder(surface, divisor, tau, float(target), eps_list,
                         n_steps=steps, tol=tol, seed=seed,
-                        fit=bool(cfg.get("fit", True)))
+                        fit=bool(cfg.get("fit", True)), fields=fields)
     if not report.states:
         raise ConvergenceFailure(f"ladder failed: {report.failures}")
+    phases.end("ladder")
     # a truncated ladder certifies its last completed rung
     final, problem = report.states[-1], report.problem
     cert = certify_state(problem, final, seed=seed)
+    phases.end("certify")
     art = ArtifactWriter(outdir, "sweep-eps", cfg, seed, quiet, started=t_start)
     art.field("f_tilde", final.f_tilde, surface)
     art.field("u", final.u, surface)
@@ -420,7 +472,11 @@ def run_sweep_eps(cfg, outdir, seed, quiet):
     art.write_jsonl("iterations.jsonl",
                     [{"eps": e, "newton_steps": c}
                      for e, c in zip(report.eps_list, report.newton_counts)])
-    return art.finish(cert, extra={"alpha": final.alpha, "epsilon": problem.eps})
+    phases.end("write")
+    profile = phases.profile(divisor_field_builds=1,
+                             newton_steps=sum(report.newton_counts))
+    return art.finish(cert, extra={"alpha": final.alpha, "epsilon": problem.eps,
+                                   "profile": profile})
 
 
 def run_solve_eb(cfg, outdir, seed, quiet):

@@ -26,9 +26,9 @@ from .fields import build_divisor_fields, derive_params
 from .solvers import solve_block_newton_step
 from .vortex import solve_twisted_ke, solve_vortex_on_metric
 
-__all__ = ["GVProblem", "SolveState", "make_problem", "residual",
-           "jacobian_vp", "newton_step", "solve_at_alpha", "decoupled_state",
-           "continue_alpha"]
+__all__ = ["GVProblem", "SolveState", "Linearization", "make_problem",
+           "residual", "linearize", "jacobian_vp", "newton_step",
+           "solve_at_alpha", "decoupled_state", "continue_alpha"]
 
 RESIDUAL_TOL = 1e-9
 
@@ -76,8 +76,11 @@ class SolveState:
         return max(float(np.max(np.abs(self.res1))), float(np.max(np.abs(self.res2))))
 
 
-def make_problem(surface, divisor, tau, eps, delta=0.5, lam=1.0):
-    fields = build_divisor_fields(surface, divisor)
+def make_problem(surface, divisor, tau, eps, delta=0.5, lam=1.0, fields=None):
+    """The problem at one smoothing level; ``fields`` are the divisor fields
+    of (surface, divisor) if already built (they do not depend on eps)."""
+    if fields is None:
+        fields = build_divisor_fields(surface, divisor)
     params = derive_params(divisor, surface, tau, alpha=0.0, epsilon=eps,
                            delta=delta, lam=lam)
     return GVProblem(
@@ -107,60 +110,87 @@ def residual(problem, alpha, f_tilde, u, c_tilde=None):
     if c_tilde is None:
         c_tilde = problem.c_tilde(alpha)
     Phi = _phi(problem, f_tilde)
-    rho = 1.0 - s.laplacian(u)
+    lap_u = s.laplacian(u)
+    rho = 1.0 - lap_u
     S1 = (
         s.laplacian(f_tilde)
         + 0.5 * (Phi - problem.tau) * rho
         + problem.params.N_tilde
     )
-    S2 = s.laplacian(u) + _exp_factor(problem, alpha, c_tilde, f_tilde, u, Phi) - 1.0
+    S2 = lap_u + _exp_factor(problem, alpha, c_tilde, f_tilde, u, Phi) - 1.0
     return S1, S2
+
+
+@dataclass(frozen=True, eq=False)
+class Linearization:
+    """The Jacobian of (S1, S2) frozen at one iterate (f~, u): Phi,
+    rho = 1 - lap u and the exponential factor E, computed once and shared
+    by every Krylov matvec and the model preconditioner of a Newton step."""
+
+    problem: GVProblem
+    alpha: float
+    c_tilde: float
+    Phi: np.ndarray
+    rho: np.ndarray
+    E: np.ndarray
+
+    def apply(self, df, du):
+        """Directional derivative of (S1, S2) in direction (df, du)."""
+        s, tau = self.problem.surface, self.problem.tau
+        lap_du = s.laplacian(du)
+        dS1 = (
+            s.laplacian(df)
+            + self.Phi * self.rho * df
+            - 0.5 * (self.Phi - tau) * lap_du
+        )
+        dS2 = lap_du + self.E * (
+            4.0 * self.alpha * (tau - self.Phi) * df - 2.0 * self.c_tilde * du
+        )
+        return dS1, dS2
+
+    def model_coeffs(self):
+        """Means of the four coefficients: the constant-coefficient model
+        system whose spectral inverse preconditions GMRES."""
+        tau = self.problem.tau
+        return (
+            float(np.mean(self.Phi * self.rho)),
+            float(np.mean(0.5 * (tau - self.Phi))),
+            float(np.mean(4.0 * self.alpha * (tau - self.Phi) * self.E)),
+            float(np.mean(-2.0 * self.c_tilde * self.E)),
+        )
+
+
+def linearize(problem, alpha, f_tilde, u, c_tilde=None):
+    """The frozen Jacobian of (S1, S2) at (f~, u)."""
+    if c_tilde is None:
+        c_tilde = problem.c_tilde(alpha)
+    Phi = _phi(problem, f_tilde)
+    rho = 1.0 - problem.surface.laplacian(u)
+    E = _exp_factor(problem, alpha, c_tilde, f_tilde, u, Phi)
+    return Linearization(problem, alpha, c_tilde, Phi, rho, E)
 
 
 def jacobian_vp(problem, alpha, f_tilde, u, df, du, c_tilde=None):
     """Directional derivative of (S1, S2) at (f~, u) in direction (df, du)."""
-    s = problem.surface
-    if c_tilde is None:
-        c_tilde = problem.c_tilde(alpha)
-    Phi = _phi(problem, f_tilde)
-    rho = 1.0 - s.laplacian(u)
-    E = _exp_factor(problem, alpha, c_tilde, f_tilde, u, Phi)
-    dS1 = (
-        s.laplacian(df)
-        + Phi * rho * df
-        - 0.5 * (Phi - problem.tau) * s.laplacian(du)
-    )
-    dS2 = s.laplacian(du) + E * (
-        4.0 * alpha * (problem.tau - Phi) * df - 2.0 * c_tilde * du
-    )
-    return dS1, dS2
+    return linearize(problem, alpha, f_tilde, u, c_tilde).apply(df, du)
 
 
 def newton_step(problem, alpha, f_tilde, u, c_tilde=None, max_backtrack=30,
-                log=None):
+                log=None, res=None):
     """One damped Newton step preserving 1 - lap u > 0.
 
+    ``res`` is the residual pair at (f~, u) if the caller already has it.
     Returns (f~', u', residual_pair', step_size, krylov_iterations).
     """
     s = problem.surface
     if c_tilde is None:
         c_tilde = problem.c_tilde(alpha)
-    S1, S2 = residual(problem, alpha, f_tilde, u, c_tilde)
-
-    def apply_jac(df, du):
-        return jacobian_vp(problem, alpha, f_tilde, u, df, du, c_tilde)
-
-    Phi = _phi(problem, f_tilde)
-    rho = 1.0 - s.laplacian(u)
-    E = _exp_factor(problem, alpha, c_tilde, f_tilde, u, Phi)
-    model = (
-        float(np.mean(Phi * rho)),
-        float(np.mean(0.5 * (problem.tau - Phi))),
-        float(np.mean(4.0 * alpha * (problem.tau - Phi) * E)),
-        float(np.mean(-2.0 * c_tilde * E)),
-    )
-    df, du, nk = solve_block_newton_step(s, apply_jac, -S1, -S2,
-                                         model_coeffs=model)
+    if res is None:
+        res = residual(problem, alpha, f_tilde, u, c_tilde)
+    S1, S2 = res
+    lin = linearize(problem, alpha, f_tilde, u, c_tilde)
+    df, du, nk = solve_block_newton_step(s, lin.apply, -S1, -S2,
+                                         model_coeffs=lin.model_coeffs())
     phi0 = float(s.integrate(S1 * S1 + S2 * S2))
     step = 1.0
     for _ in range(max_backtrack + 1):
@@ -191,9 +221,9 @@ def solve_at_alpha(problem, alpha, f_init, u_init, tol=RESIDUAL_TOL,
     """Newton loop at fixed alpha from the given initial pair."""
     c_tilde = problem.c_tilde(alpha)
     f, u = f_init, u_init
+    S1, S2 = residual(problem, alpha, f, u, c_tilde)
     step_log = []
     for _ in range(max_newton):
-        S1, S2 = residual(problem, alpha, f, u, c_tilde)
         rn = max(float(np.max(np.abs(S1))), float(np.max(np.abs(S2))))
         if rn < tol:
             Phi = _phi(problem, f)
@@ -203,7 +233,8 @@ def solve_at_alpha(problem, alpha, f_init, u_init, tol=RESIDUAL_TOL,
             return SolveState(alpha=alpha, c_tilde=c_tilde, f_tilde=f, u=u,
                               Phi=Phi, res1=S1, res2=S2, params=params,
                               newton_log=step_log)
-        f, u, _, _, _ = newton_step(problem, alpha, f, u, c_tilde, log=step_log)
+        f, u, (S1, S2), _, _ = newton_step(problem, alpha, f, u, c_tilde,
+                                           log=step_log, res=(S1, S2))
     raise ConvergenceFailure(f"no convergence at alpha={alpha} "
                              f"after {max_newton} Newton iterations")
 

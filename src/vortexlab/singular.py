@@ -23,6 +23,7 @@ import numpy as np
 
 from .coupled import continue_alpha, decoupled_state, make_problem, solve_at_alpha
 from .errors import ConvergenceFailure
+from .fields import build_divisor_fields
 from .verify import holder_quotient
 
 __all__ = ["FitRecord", "LadderReport", "run_ladder", "mask_away_from_points",
@@ -202,13 +203,16 @@ def regular_point_slope(surface, state, point, r_in=None, r_out=None):
 
 
 def run_ladder(surface, divisor, tau, alpha, eps_list, n_steps=16,
-               rho_K="auto", tol=1e-9, gamma=0.25, seed=0, fit=True):
+               rho_K="auto", tol=1e-9, gamma=0.25, seed=0, fit=True,
+               fields=None):
     """Drive the smoothing ladder; warm-start each rung from the previous.
 
     Rung 0 runs the full continuation from the decoupled endpoint; later
     rungs reuse the previous rung's solution as the Newton initial guess at
     the target coupling (falling back to a full path on failure).  Failures
-    truncate the ladder and are recorded.
+    truncate the ladder and are recorded.  The divisor fields do not depend
+    on eps: they are built once (or taken from ``fields``) and every rung
+    adds only its eps-dependent weights.
     """
     eps_list = list(eps_list)
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
@@ -216,9 +220,11 @@ def run_ladder(surface, divisor, tau, alpha, eps_list, n_steps=16,
     report = LadderReport(eps_list=eps_list, states=[],
                           lp_exponent=divisor.lp_exponent)
     points = [tuple(p) for p in divisor.all_points().keys()]
+    if fields is None:
+        fields = build_divisor_fields(surface, divisor)
     prev_state = None
     for eps in eps_list:
-        problem = make_problem(surface, divisor, tau=tau, eps=eps)
+        problem = make_problem(surface, divisor, tau=tau, eps=eps, fields=fields)
         try:
             if prev_state is None:
                 st0 = decoupled_state(problem, tol=tol)
@@ -248,19 +254,17 @@ def run_ladder(surface, divisor, tau, alpha, eps_list, n_steps=16,
         report.holder_u.append(holder_quotient(surface, state.u, gamma,
                                                1000, np.random.default_rng(seed)))
         report.wp_integrals.append(float(surface.integrate(
-            problem.fields.weight_W(eps) ** report.lp_exponent)))
+            problem.W ** report.lp_exponent)))
         prev_state = state
 
-    # Cauchy distances between consecutive rungs on K; the divisor fields
-    # do not depend on eps, so the last rung's serve every rung
+    # Cauchy distances between consecutive rungs on K
     for m in range(len(report.states) - 1):
         eps_fine = eps_list[m + 1]
         if rho_K == "auto":
             A = 1.0
-            if report.problem.fields.log_s_sq:
-                A = _local_quadratic_coeff(
-                    surface, report.problem.fields.log_s_sq[0],
-                    divisor.cone[0][0])
+            if fields.log_s_sq:
+                A = _local_quadratic_coeff(surface, fields.log_s_sq[0],
+                                           divisor.cone[0][0])
             radius = max(8.0 * surface.h, float(np.sqrt(eps_fine / A)))
         else:
             radius = float(rho_K)
@@ -274,9 +278,9 @@ def run_ladder(surface, divisor, tau, alpha, eps_list, n_steps=16,
         report.d_u.append(float(np.max(np.abs(a.u - b.u)[mask])))
 
     if fit and report.states:
-        fin, last = report.states[-1], report.problem
-        report.fits = [conical_fit(surface, fin, last.fields, j, last.eps)
+        fin, eps = report.states[-1], report.problem.eps
+        report.fits = [conical_fit(surface, fin, fields, j, eps)
                        for j in range(len(divisor.cone))]
-        report.fits += [parabolic_fit(surface, fin, last.fields, k, last.eps)
+        report.fits += [parabolic_fit(surface, fin, fields, k, eps)
                         for k in range(len(divisor.parabolic))]
     return report

@@ -4,7 +4,8 @@ All linearized operators here have the form  lap + diag(V)  with V >= 0
 (pointwise), solved matrix-free by preconditioned CG with the spectral
 inverse (lap + mean V)^-1 as preconditioner.  The coupled 2x2 system is
 nonsymmetric and goes through restarted GMRES with a blockwise
-(lap + 1)^-1 preconditioner; small grids fall back to a dense solve.
+(lap + 1)^-1 preconditioner; small torus grids fall back to a dense solve
+whose matrix is bounded by DENSE_MAX_BYTES.
 """
 
 from __future__ import annotations
@@ -17,6 +18,10 @@ from scipy.sparse.linalg import LinearOperator, cg
 from .errors import ConvergenceFailure
 
 __all__ = ["solve_helmholtz", "solve_block_newton_step", "damped_newton_scalar"]
+
+# largest dense float64 matrix the direct fallback may build: 32 MiB takes a
+# torus of side 32 (2048^2 entries) and refuses side 64 (512 MiB)
+DENSE_MAX_BYTES = 32 * 2**20
 
 
 def solve_helmholtz(surface, V, rhs, rtol=1e-13, atol=1e-13, maxiter=400):
@@ -107,14 +112,15 @@ def damped_newton_scalar(surface, residual_fn, lin_weight_fn, x0, tol=1e-10,
 
 def solve_block_newton_step(surface, apply_jac, rhs1, rhs2, rtol=1e-12,
                             atol=1e-13, restart=50, max_krylov=500,
-                            dense_threshold=64, model_coeffs=None):
+                            model_coeffs=None):
     """Solve the linearized 2x2 system J (df, du) = (rhs1, rhs2).
 
     apply_jac maps a pair of fields to a pair of fields.  GMRES,
     preconditioned by the exact spectral inverse of the frozen-coefficient
     model system when ``model_coeffs`` (m1, m2, m3, m4) is supplied and
-    stays definite, else by blockwise (lap+1)^-1.  Dense direct fallback on
-    small grids when Krylov stalls.
+    stays definite, else by blockwise (lap+1)^-1.  When Krylov stalls on a
+    torus whose dense Jacobian fits in DENSE_MAX_BYTES, a direct solve
+    takes over.
     """
     shape = surface.shape
     size = rhs1.size
@@ -149,8 +155,8 @@ def solve_block_newton_step(surface, apply_jac, rhs1, rhs2, rtol=1e-12,
     x, niter, converged = _gmres_left(matvec, prevec, b, rtol=rtol, atol=atol,
                                       restart=restart, max_krylov=max_krylov)
     if not converged:
-        n_side = int(np.sqrt(size)) if surface.backend == "torus" else None
-        if n_side is not None and n_side <= dense_threshold:
+        dense_bytes = b.size ** 2 * b.itemsize
+        if surface.backend == "torus" and dense_bytes <= DENSE_MAX_BYTES:
             x = _dense_block_solve(size, matvec, b)
         else:
             raise ConvergenceFailure(

@@ -142,7 +142,17 @@ def test_exit_codes(tmp_path, capsys):
                   dict(VORTEX_CFG, divisor={"zeros": {
                       "point": [0.31415927, 0.57721566], "n": 1}}),
                   "zeros"),
-                 ("solve-gv", dict(GV_CFG, divisor={"cone": 0.5}), "cone")]
+                 ("solve-gv", dict(GV_CFG, divisor={"cone": 0.5}), "cone"),
+                 ("sweep-eps", dict(GV_CFG, epsilon=[]), "epsilon"),
+                 ("sweep-eps", dict(GV_CFG, epsilon=[0.05, 0.1]), "epsilon"),
+                 ("sweep-eps", dict(GV_CFG, epsilon=[0.1, 0.1]), "epsilon"),
+                 ("sweep-eps", dict(GV_CFG, epsilon=[0.1, "x"]), "epsilon"),
+                 ("sweep-eps", dict(GV_CFG, epsilon=[], alpha=0.01),
+                  "epsilon"),
+                 ("solve-gv", dict(GV_CFG, epsilon=[0.1]), "epsilon"),
+                 ("solve-eb", dict(EB_CFG, delta=[]), "delta"),
+                 ("solve-eb", dict(EB_CFG, delta=[0.1, 0.3]), "delta"),
+                 ("solve-eb", dict(EB_CFG, delta=[0.3, True]), "delta")]
     for k, (command, bad, key) in enumerate(malformed):
         cfg = write_cfg(tmp_path, f"malformed{k}.json", bad)
         capsys.readouterr()
@@ -187,6 +197,15 @@ def test_solve_then_verify(tmp_path, command, base):
     out = str(tmp_path / "art")
     assert main([command, "--config", cfg, "--out", out, "--quiet"]) == 0
     assert main(["verify", "--out", out, "--quiet"]) == 0
+    if command in ("solve-gv", "sweep-eps"):
+        meta = json.load(open(os.path.join(out, "metadata.json")))
+        profile = meta["profile"]
+        solve = "solve" if command == "solve-gv" else "ladder"
+        assert set(profile["seconds"]) == {"setup", "divisor_fields", solve,
+                                           "certify", "write"}
+        assert sum(profile["seconds"].values()) <= meta["runtime_seconds"]
+        assert profile["counts"]["divisor_field_builds"] == 1
+        assert profile["counts"]["newton_steps"] > 0
 
 
 def test_truncated_ladder_reverifies(tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ import vortexlab.coupled as coupled
 from vortexlab.coupled import (
     continue_alpha,
     jacobian_vp,
+    linearize,
     make_problem,
     newton_step,
     residual,
@@ -71,6 +72,33 @@ def test_jacobian_decouples_at_alpha_zero(gv_problem64, gv_state0, torus64):
     _, dS2 = jacobian_vp(gv_problem64, 0.0, gv_state0.f_tilde, gv_state0.u,
                          df, z)
     assert np.max(np.abs(dS2)) < 1e-12  # no f-coupling at alpha = 0
+
+
+def test_linearization_matches_jacobian_vp(gv_problem64, gv_final, torus64):
+    # the frozen linearization of a Newton step is the same arithmetic as
+    # jacobian_vp, so the GMRES matvec must agree with it bit for bit
+    st = gv_final
+    rng = np.random.default_rng(11)
+    df, _ = torus64.random_bandlimited(rng, kmax=5, amp=0.1)
+    du, _ = torus64.random_bandlimited(rng, kmax=5, amp=0.01)
+    lin = linearize(gv_problem64, st.alpha, st.f_tilde, st.u, st.c_tilde)
+    want = jacobian_vp(gv_problem64, st.alpha, st.f_tilde, st.u, df, du,
+                       st.c_tilde)
+    for got, ref in zip(lin.apply(df, du), want):
+        assert np.array_equal(got, ref)
+
+
+def test_newton_step_given_residual(gv_problem64, gv_final, torus64):
+    # passing the residual at the iterate must not change the step
+    rng = np.random.default_rng(4)
+    bump, _ = torus64.random_bandlimited(rng, kmax=3, amp=2e-3)
+    f, u, alpha = gv_final.f_tilde + bump, gv_final.u, gv_final.alpha
+    res = residual(gv_problem64, alpha, f, u)
+    a = newton_step(gv_problem64, alpha, f, u)
+    b = newton_step(gv_problem64, alpha, f, u, res=res)
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+    assert all(np.array_equal(x, y) for x, y in zip(a[2], b[2]))
+    assert a[3:] == b[3:]
 
 
 def test_newton_fixed_point(gv_problem64, gv_final):
@@ -156,21 +184,42 @@ def test_dense_block_fallback():
     assert np.max(np.abs(M @ x - b)) < 1e-9
 
 
-def test_gmres_fallback_on_small_grid(torus32):
-    # a stiff variable-coefficient block system under a starved Krylov
-    # budget must fall back to the dense route on small grids
+def _stiff_block_system(surface):
+    # a stiff variable-coefficient block system: GMRES needs far more than
+    # a starved budget of 6 iterations
     rng = np.random.default_rng(7)
-    V1 = 1.0 + 0.9 * np.cos(2 * np.pi * 5 * torus32.X) ** 2
-    V2 = 2.0 + np.sin(2 * np.pi * 4 * torus32.Y) ** 2
+    V1 = 1.0 + 0.9 * np.cos(2 * np.pi * 5 * surface.X) ** 2
+    V2 = 2.0 + np.sin(2 * np.pi * 4 * surface.Y) ** 2
 
     def apply_jac(df, du):
-        return (torus32.laplacian(df) + V1 * df + 40.0 * du,
-                torus32.laplacian(du) + V2 * du - 35.0 * df)
+        return (surface.laplacian(df) + V1 * df + 40.0 * du,
+                surface.laplacian(du) + V2 * du - 35.0 * df)
 
-    r1, _ = torus32.random_bandlimited(rng, kmax=5)
-    r2, _ = torus32.random_bandlimited(rng, kmax=5)
+    r1, _ = surface.random_bandlimited(rng, kmax=5)
+    r2, _ = surface.random_bandlimited(rng, kmax=5)
+    return apply_jac, r1, r2
+
+
+def test_gmres_fallback_on_small_grid(torus32):
+    # under a starved Krylov budget small grids fall back to the dense route
+    apply_jac, r1, r2 = _stiff_block_system(torus32)
     df, du, _ = solve_block_newton_step(torus32, apply_jac, r1, r2,
                                         restart=3, max_krylov=6)
     a, b = apply_jac(df, du)
     assert np.max(np.abs(a - r1)) < 1e-8
     assert np.max(np.abs(b - r2)) < 1e-8
+
+
+def test_gmres_no_dense_fallback_above_memory_bound(torus64, monkeypatch):
+    # at side 64 the dense Jacobian would take 512 MiB: the same starved
+    # budget must fail without building it
+    import vortexlab.solvers as solvers
+
+    def no_dense(*args, **kwargs):
+        raise AssertionError("dense fallback called above the memory bound")
+
+    monkeypatch.setattr(solvers, "_dense_block_solve", no_dense)
+    apply_jac, r1, r2 = _stiff_block_system(torus64)
+    with pytest.raises(ConvergenceFailure):
+        solve_block_newton_step(torus64, apply_jac, r1, r2, restart=3,
+                                max_krylov=6)

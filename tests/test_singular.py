@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import vortexlab.coupled as coupled
 import vortexlab.singular as singular
 from vortexlab.coupled import make_problem
 from vortexlab.errors import ConvergenceFailure
@@ -50,6 +51,30 @@ def test_wp_integrals_bounded(ladder64):
     # increments decay: consistent with a finite limit integral
     inc = np.diff(w)
     assert inc[-1] < inc[0]
+
+
+def test_ladder_builds_divisor_fields_once(torus32, monkeypatch):
+    # the divisor fields do not depend on eps: one build (one Green field
+    # per marked point) serves every rung
+    import vortexlab.fields as fields
+
+    calls = {"green_field": 0, "build": 0}
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(fields, "green_field",
+                        counted("green_field", fields.green_field))
+    build = counted("build", build_divisor_fields)
+    monkeypatch.setattr(singular, "build_divisor_fields", build)
+    monkeypatch.setattr(coupled, "build_divisor_fields", build)
+    r = run_ladder(torus32, DD3, tau=4.0, alpha=0.03125,
+                   eps_list=[0.1, 0.05, 0.025], n_steps=4, fit=False)
+    assert len(r.states) == 3 and not r.failures
+    assert calls == {"green_field": 3, "build": 1}
 
 
 def test_single_rung_no_distances(torus64):
