@@ -5,10 +5,15 @@ Usage:
     python scripts/bench.py [--out FILE] LABEL=SRC [LABEL=SRC ...]
 
 Times sphere ``analyze``, ``synthesize`` and ``laplacian`` at L = 127, the
-torus Laplacian at 256^2, one Ewald ``green_field`` at 256^2, and one damped
+torus Laplacian at 256^2, one Ewald ``green_field`` at 256^2, one damped
 coupled Newton step (``newton_step``) at 256^2: the first step of the
 continuation of ``scripts/configs/sweep_torus256.json`` at eps = 0.1, at
-alpha = 0.0625/16 from the decoupled state. Each LABEL=SRC pair names a
+alpha = 0.0625/16 from the decoupled state, one CG ``solve_helmholtz`` at
+256^2: the first Newton correction of the twist path of
+``scripts/configs/vortex_torus256.json``,
+and one monotone-iteration step at L = 127: the spectral solve
+``solve_shifted(C_delta, rhs)`` of the first iteration on the first rung of
+``scripts/configs/eb_sphere127.json``. Each LABEL=SRC pair names a
 source tree (the directory holding the ``vortexlab`` package). Every side is
 measured in its own fresh process, and the sides take turns over ROUNDS
 rounds so that a drift in CPU speed affects them alike. Each round takes
@@ -38,7 +43,12 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 REPEATS = 20      # timed calls per micro-benchmark in each round
 SLOW_REPEATS = 3  # the same for green_field and the Newton step (~0.5 s each)
 ROUNDS = 10       # alternating rounds per side
-SWEEP_CONFIG = os.path.join(ROOT, "scripts", "configs", "sweep_torus256.json")
+CONFIGS = os.path.join(ROOT, "scripts", "configs")
+
+
+def load_config(name):
+    with open(os.path.join(CONFIGS, name)) as fh:
+        return json.load(fh)
 
 
 def newton_step_case(torus, cfg):
@@ -54,6 +64,39 @@ def newton_step_case(torus, cfg):
     return newton_step, (problem, alpha, state.f_tilde, state.u)
 
 
+def helmholtz_case(torus, cfg):
+    """(solve_helmholtz, its arguments) for the first Newton correction of the
+    vortex config's twist-path solve: (lap + Phi0) d = -r at f = 0."""
+    from vortexlab.cli import _vortex_problem, build_divisor
+    from vortexlab.solvers import solve_helmholtz
+
+    problem = _vortex_problem(cfg, torus, build_divisor(cfg))
+    return solve_helmholtz, (torus, problem.phi0_sq, -problem.twist_term())
+
+
+def monotone_step_case(sphere, cfg):
+    """(solve_shifted, its arguments) for the first monotone iteration on the
+    first delta rung of the Bogomol'nyi config, from f_1 = (log tau - u0)/2."""
+    import numpy as np
+
+    from vortexlab.bogomolnyi import (F_nonlinearity, F_prime_sup,
+                                      build_supersolution)
+    from vortexlab.cli import _eb_problem, build_divisor
+
+    problem = _eb_problem(cfg, sphere, build_divisor(cfg))
+    lam = build_supersolution(problem)[3]
+    delta = cfg["delta"][0]
+    u0 = problem.u0_delta(delta)
+    ev = np.exp(-problem.v0_delta(delta))
+    c_delta = 1.0 + lam * float(np.max(ev)) * F_prime_sup(problem.alpha,
+                                                          problem.tau)
+    f = 0.5 * (np.log(problem.tau) - u0)
+    rhs = (-0.5 * lam * ev * F_nonlinearity(2.0 * f + u0, problem.alpha,
+                                            problem.tau)
+           + c_delta * f - problem.params.N_tilde)
+    return sphere.solve_shifted, (c_delta, rhs)
+
+
 def measure():
     """Per-call wall times in seconds of each micro-benchmark, in this process."""
     import numpy as np
@@ -66,10 +109,11 @@ def measure():
     torus = build_surface("torus", 256)
     grid = rng.normal(size=sphere.shape)
     coeffs = sphere.analyze(grid)
-    with open(SWEEP_CONFIG) as fh:
-        cfg = json.load(fh)
+    cfg = load_config("sweep_torus256.json")
     cone_point = tuple(cfg["divisor"]["cone"][0]["point"])
     step, step_args = newton_step_case(torus, cfg)
+    cg, cg_args = helmholtz_case(torus, load_config("vortex_torus256.json"))
+    mono, mono_args = monotone_step_case(sphere, load_config("eb_sphere127.json"))
     cases = {
         "sphere127.analyze": (sphere.analyze, (grid,), REPEATS),
         "sphere127.synthesize": (sphere.synthesize, (coeffs,), REPEATS),
@@ -79,6 +123,8 @@ def measure():
         "torus256.green_field": (green_field, (torus, cone_point),
                                  SLOW_REPEATS),
         "torus256.gv_newton_step": (step, step_args, SLOW_REPEATS),
+        "torus256.helmholtz_cg": (cg, cg_args, REPEATS),
+        "sphere127.monotone_step": (mono, mono_args, REPEATS),
     }
     out = {}
     for name, (fn, args, repeats) in cases.items():

@@ -128,7 +128,7 @@ class EBProblem:
         return out
 
     def marked_points(self):
-        return [tuple(p) for p in self.fields.divisor.all_points().keys()]
+        return list(self.fields.divisor.all_points())
 
 
 def make_eb_problem(surface, divisor, alpha=None, tau=None, lam=None,
@@ -166,7 +166,7 @@ def make_eb_problem(surface, divisor, alpha=None, tau=None, lam=None,
         raise ConfigError(f"c~ = {params.c_tilde} not zero at the phase lock")
     if sigma is None:
         sigma = 16.0 * surface.h
-    pts = [tuple(p) for p in divisor.all_points().keys()]
+    pts = list(divisor.all_points())
     for i, p in enumerate(pts):
         for q in pts[i + 1:]:
             sep = surface.distance_points(p, q)
@@ -283,13 +283,7 @@ def build_supersolution(problem, margin=0.5, lam_safety=1.5):
 def supersolution_margin(problem, w, lam, delta):
     """min over the grid of -(lap w + (1/2) lam e^{-v0^d} F(2w+u0^d) + N~);
     positive iff the strict supersolution inequality holds pointwise."""
-    s = problem.surface
-    lap_w = s.laplacian(w)
-    v0 = problem.v0_delta(delta)
-    Ft = F_nonlinearity(2.0 * w + problem.u0_delta(delta), problem.alpha,
-                        problem.tau)
-    expr = lap_w + 0.5 * lam * np.exp(-v0) * Ft + problem.params.N_tilde
-    return -float(np.max(expr))
+    return -float(np.max(eb_residual(problem, w, delta, lam)))
 
 
 # --- monotone iteration -------------------------------------------------------

@@ -106,11 +106,16 @@ def _exp_factor(problem, alpha, c_tilde, f_tilde, u, Phi):
 
 def residual(problem, alpha, f_tilde, u, c_tilde=None):
     """(S1, S2) at the given alpha; c~ recomputed from its formula."""
-    s = problem.surface
     if c_tilde is None:
         c_tilde = problem.c_tilde(alpha)
+    return _residual(problem, alpha, f_tilde, u, c_tilde,
+                     problem.surface.laplacian(u))
+
+
+def _residual(problem, alpha, f_tilde, u, c_tilde, lap_u):
+    """(S1, S2) given lap u."""
+    s = problem.surface
     Phi = _phi(problem, f_tilde)
-    lap_u = s.laplacian(u)
     rho = 1.0 - lap_u
     S1 = (
         s.laplacian(f_tilde)
@@ -195,10 +200,11 @@ def newton_step(problem, alpha, f_tilde, u, c_tilde=None, max_backtrack=30,
     step = 1.0
     for _ in range(max_backtrack + 1):
         ft, ut = f_tilde + step * df, u + step * du
-        if float(np.min(1.0 - s.laplacian(ut))) <= 0.0:
+        lap_ut = s.laplacian(ut)
+        if float(np.min(1.0 - lap_ut)) <= 0.0:
             step *= 0.5
             continue
-        T1, T2 = residual(problem, alpha, ft, ut, c_tilde)
+        T1, T2 = _residual(problem, alpha, ft, ut, c_tilde, lap_ut)
         phit = float(s.integrate(T1 * T1 + T2 * T2))
         if phit <= (1.0 - 1e-4 * step) * phi0 or phit < (RESIDUAL_TOL * 1e-2) ** 2:
             if log is not None:

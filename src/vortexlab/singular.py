@@ -67,10 +67,6 @@ class LadderReport:
         return [max(a, b) for a, b in zip(self.d_f, self.d_u)]
 
 
-def _marked_points(divisor):
-    return [tuple(p) for p in divisor.all_points().keys()]
-
-
 def mask_away_from_points(surface, points, radius):
     mask = np.ones(surface.shape, dtype=bool)
     for p in points:
@@ -122,22 +118,29 @@ def _slope_fit(surface, values, coord, point, r_in, r_out, d_resolve=None):
     return slope, n, True
 
 
+def _exponent_fit(surface, divisor, point, log_s, y, eps, annulus):
+    """Raw slope of y against the smoothed coordinate log(|s|^2 + eps) on the
+    fit annulus at a marked point; returns (raw, npoints, resolved, r_in, r_out)."""
+    others = [q for q in divisor.all_points() if q != tuple(point)]
+    A = _local_quadratic_coeff(surface, log_s, point)
+    if annulus is None:
+        r_in, r_out = _fit_annulus(surface, point, others, eps, A)
+    else:
+        r_in, r_out = annulus
+    coord = np.logaddexp(log_s, np.log(eps))
+    raw, n, ok = _slope_fit(surface, y, coord, point, r_in, r_out,
+                            d_resolve=2.0 * np.sqrt(eps / A))
+    return raw, n, ok, r_in, r_out
+
+
 def conical_fit(surface, state, divisor_fields, j, eps, annulus=None):
     """Exponent fit of log(1 - lap u) at cone point j; target 2*beta - 2."""
     point, beta = divisor_fields.divisor.cone[j]
     log_s = divisor_fields.log_s_sq[j]
     rho = 1.0 - surface.laplacian(state.u)
     y = np.log(np.maximum(rho, 1e-300))
-    coord = np.logaddexp(log_s, np.log(eps))
-    others = [q for q in _marked_points(divisor_fields.divisor)
-              if q != tuple(point)]
-    A = _local_quadratic_coeff(surface, log_s, point)
-    if annulus is None:
-        r_in, r_out = _fit_annulus(surface, point, others, eps, A)
-    else:
-        r_in, r_out = annulus
-    raw, n, ok = _slope_fit(surface, y, coord, point, r_in, r_out,
-                            d_resolve=2.0 * np.sqrt(eps / A))
+    raw, n, ok, r_in, r_out = _exponent_fit(surface, divisor_fields.divisor,
+                                            point, log_s, y, eps, annulus)
     slope = 2.0 * raw if ok else np.nan
     target = 2.0 * beta - 2.0
     # Hoelder-factor oscillation: log rho + (1 - beta) log|s|^2 on the annulus
@@ -168,16 +171,8 @@ def parabolic_fit(surface, state, divisor_fields, k, eps, annulus=None):
     y = np.log(np.maximum(state.Phi, 1e-300))
     if n_coincident:
         y = y - n_coincident * log_t
-    coord = np.logaddexp(log_t, np.log(eps))
-    others = [q for q in _marked_points(divisor_fields.divisor)
-              if q != tuple(point)]
-    A = _local_quadratic_coeff(surface, log_t, point)
-    if annulus is None:
-        r_in, r_out = _fit_annulus(surface, point, others, eps, A)
-    else:
-        r_in, r_out = annulus
-    raw, n, ok = _slope_fit(surface, y, coord, point, r_in, r_out,
-                            d_resolve=2.0 * np.sqrt(eps / A))
+    raw, n, ok, r_in, r_out = _exponent_fit(surface, divisor_fields.divisor,
+                                            point, log_t, y, eps, annulus)
     slope = 2.0 * raw + 2.0 * n_coincident if ok else np.nan
     target = 2.0 * ak + 2.0 * n_coincident
     return FitRecord(point=tuple(point), kind="parabolic", weight=ak,
@@ -219,7 +214,7 @@ def run_ladder(surface, divisor, tau, alpha, eps_list, n_steps=16,
         raise ConvergenceFailure("smoothing rungs must be strictly decreasing")
     report = LadderReport(eps_list=eps_list, states=[],
                           lp_exponent=divisor.lp_exponent)
-    points = [tuple(p) for p in divisor.all_points().keys()]
+    points = list(divisor.all_points())
     if fields is None:
         fields = build_divisor_fields(surface, divisor)
     prev_state = None

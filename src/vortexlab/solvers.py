@@ -4,8 +4,8 @@ All linearized operators here have the form  lap + diag(V)  with V >= 0
 (pointwise), solved matrix-free by preconditioned CG with the spectral
 inverse (lap + mean V)^-1 as preconditioner.  The coupled 2x2 system is
 nonsymmetric and goes through restarted GMRES with a blockwise
-(lap + 1)^-1 preconditioner; small torus grids fall back to a dense solve
-whose matrix is bounded by DENSE_MAX_BYTES.
+(lap + 1)^-1 preconditioner; small grids fall back to a dense solve whose
+matrix is bounded by DENSE_MAX_BYTES.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from .errors import ConvergenceFailure
 __all__ = ["solve_helmholtz", "solve_block_newton_step", "damped_newton_scalar"]
 
 # largest dense float64 matrix the direct fallback may build: 32 MiB takes a
-# torus of side 32 (2048^2 entries) and refuses side 64 (512 MiB)
+# torus of side 32 (2048^2 entries) and refuses side 64 (512 MiB) and every
+# sphere (L = 15, the smallest, would need 40.5 MiB)
 DENSE_MAX_BYTES = 32 * 2**20
 
 
@@ -118,9 +119,8 @@ def solve_block_newton_step(surface, apply_jac, rhs1, rhs2, rtol=1e-12,
     apply_jac maps a pair of fields to a pair of fields.  GMRES,
     preconditioned by the exact spectral inverse of the frozen-coefficient
     model system when ``model_coeffs`` (m1, m2, m3, m4) is supplied and
-    stays definite, else by blockwise (lap+1)^-1.  When Krylov stalls on a
-    torus whose dense Jacobian fits in DENSE_MAX_BYTES, a direct solve
-    takes over.
+    stays definite, else by blockwise (lap+1)^-1.  When Krylov stalls and
+    the dense Jacobian fits in DENSE_MAX_BYTES, a direct solve takes over.
     """
     shape = surface.shape
     size = rhs1.size
@@ -156,7 +156,7 @@ def solve_block_newton_step(surface, apply_jac, rhs1, rhs2, rtol=1e-12,
                                       restart=restart, max_krylov=max_krylov)
     if not converged:
         dense_bytes = b.size ** 2 * b.itemsize
-        if surface.backend == "torus" and dense_bytes <= DENSE_MAX_BYTES:
+        if dense_bytes <= DENSE_MAX_BYTES:
             x = _dense_block_solve(size, matvec, b)
         else:
             raise ConvergenceFailure(

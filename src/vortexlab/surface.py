@@ -86,19 +86,7 @@ class Torus:
 
         c = 0 requires a mean-free rhs and returns the zero-mean solution.
         """
-        if c < 0:
-            raise ConfigError("shifted solve requires c >= 0")
-        vk = np.fft.rfft2(rhs)
-        if c < 1e-12:  # mean-mode division is meaningless below roundoff
-            mean = VOL * vk[0, 0].real / self.n**2
-            if abs(mean) > 1e-9 * max(1.0, float(np.max(np.abs(rhs)))):
-                raise ConfigError(
-                    f"c=0 solve needs mean-free rhs; integral = {mean:.3e}"
-                )
-            out = np.zeros_like(vk)
-            np.divide(vk, self._eig_r + c, out=out, where=self._eig_r > 0)
-        else:
-            out = vk / (self._eig_r + c)
+        out = _shifted_inverse(self, c, rhs, np.fft.rfft2(rhs), self._eig_r)
         return np.fft.irfft2(out, s=self.shape)
 
     def dz(self, values):
@@ -113,13 +101,8 @@ class Torus:
     def solve_block_model(self, m, r1, r2):
         """Exact inverse of the constant-coefficient model system
         [[lap + m1, m2*lap], [m3, lap + m4]] per Fourier mode."""
-        m1, m2, m3, m4 = m
-        a1 = np.fft.rfft2(r1)
-        a2 = np.fft.rfft2(r2)
-        lam = self._eig_r
-        det = (lam + m1) * (lam + m4) - m2 * lam * m3
-        x1 = ((lam + m4) * a1 - m2 * lam * a2) / det
-        x2 = (-m3 * a1 + (lam + m1) * a2) / det
+        x1, x2 = _block_inverse(m, np.fft.rfft2(r1), np.fft.rfft2(r2),
+                                self._eig_r)
         return (
             np.fft.irfft2(x1, s=self.shape),
             np.fft.irfft2(x2, s=self.shape),
@@ -265,33 +248,15 @@ class Sphere:
         return self.synthesize(a * self._eig[:, None])
 
     def solve_shifted(self, c, rhs):
-        if c < 0:
-            raise ConfigError("shifted solve requires c >= 0")
-        a = self.analyze(rhs)
-        if c < 1e-12:
-            mean = float(np.sqrt(2.0) * np.sqrt(2.0 * np.pi) * a[0, 0].real) * self.r**2
-            # a00 * Y00 integrated: integral = a00 * sqrt(4 pi) * r^2
-            if abs(mean) > 1e-9 * max(1.0, float(np.max(np.abs(rhs)))):
-                raise ConfigError(
-                    f"c=0 solve needs mean-free rhs; integral = {mean:.3e}"
-                )
-            out = np.zeros_like(a)
-            np.divide(a, (self._eig + c)[:, None], out=out,
-                      where=(self._eig > 0)[:, None])
-        else:
-            out = a / (self._eig + c)[:, None]
+        """Solve (lap + c) f = rhs spectrally; c = 0 as on the torus."""
+        out = _shifted_inverse(self, c, rhs, self.analyze(rhs), self._eig[:, None])
         return self.synthesize(out)
 
     def solve_block_model(self, m, r1, r2):
         """Exact inverse of the constant-coefficient model system
         [[lap + m1, m2*lap], [m3, lap + m4]] per spherical-harmonic degree."""
-        m1, m2, m3, m4 = m
-        a1 = self.analyze(r1)
-        a2 = self.analyze(r2)
-        lam = self._eig[:, None]
-        det = (lam + m1) * (lam + m4) - m2 * lam * m3
-        x1 = ((lam + m4) * a1 - m2 * lam * a2) / det
-        x2 = (-m3 * a1 + (lam + m1) * a2) / det
+        x1, x2 = _block_inverse(m, self.analyze(r1), self.analyze(r2),
+                                self._eig[:, None])
         return self.synthesize(x1), self.synthesize(x2)
 
     # -- geometry ----------------------------------------------------------
@@ -358,6 +323,34 @@ class Sphere:
             else:
                 out += scale * (a * y.real + b * y.imag)
         return out
+
+
+def _shifted_inverse(surface, c, rhs, coeffs, eig):
+    """Coefficients of (lap + c)^-1 rhs, given the coefficients of rhs and
+    the Laplacian eigenvalue of each mode.
+
+    For c = 0 rhs must be mean-free, and the mean mode of the solution is 0.
+    """
+    if c < 0:
+        raise ConfigError("shifted solve requires c >= 0")
+    if c < 1e-12:  # mean-mode division is meaningless below roundoff
+        mean = surface.integrate(rhs)
+        if abs(mean) > 1e-9 * max(1.0, float(np.max(np.abs(rhs)))):
+            raise ConfigError(f"c=0 solve needs mean-free rhs; integral = {mean:.3e}")
+        out = np.zeros_like(coeffs)
+        np.divide(coeffs, eig + c, out=out, where=eig > 0)
+        return out
+    return coeffs / (eig + c)
+
+
+def _block_inverse(m, a1, a2, lam):
+    """Per-mode solve of [[lam + m1, m2*lam], [m3, lam + m4]] (x1, x2) = (a1, a2)
+    for the coefficients a1, a2 of modes with Laplacian eigenvalue lam."""
+    m1, m2, m3, m4 = m
+    det = (lam + m1) * (lam + m4) - m2 * lam * m3
+    x1 = ((lam + m4) * a1 - m2 * lam * a2) / det
+    x2 = (-m3 * a1 + (lam + m1) * a2) / det
+    return x1, x2
 
 
 def _as_pairs(c):

@@ -95,7 +95,7 @@ def test_positive_spectrum_random(torus32):
         assert gradient_pairing(torus32, f, f) >= 0.0
 
 
-def test_solve_shifted(torus64):
+def test_solve_shifted(torus64, sphere31):
     s = torus64
     # c=1, rhs=1 -> f=1
     f = s.solve_shifted(1.0, np.ones(s.shape))
@@ -104,9 +104,16 @@ def test_solve_shifted(torus64):
     rhs = np.cos(2 * np.pi * s.X)
     f = s.solve_shifted(0.0, rhs)
     assert np.max(np.abs(f - rhs / (2 * np.pi))) < 1e-12
-    # c=0 with nonzero mean refuses
-    with pytest.raises(ConfigError):
-        s.solve_shifted(0.0, np.ones(s.shape))
+    # the same on the sphere: the l=1 mode has eigenvalue 2*1*2 = 4
+    rhs = sphere31.eval_modes_grid([(1, 1, 0.8, -0.4)])
+    f = sphere31.solve_shifted(0.0, rhs)
+    assert np.max(np.abs(f - rhs / 4.0)) < 1e-12
+    for s in (torus64, sphere31):
+        # c=0 with nonzero mean refuses
+        with pytest.raises(ConfigError, match="mean-free"):
+            s.solve_shifted(0.0, np.ones(s.shape))
+        with pytest.raises(ConfigError, match="c >= 0"):
+            s.solve_shifted(-1e-3, np.zeros(s.shape))
 
 
 @settings(deadline=None, max_examples=10)
@@ -203,8 +210,9 @@ def test_torus_mode_eval_consistency(torus32):
     assert np.max(np.abs(lap - s.laplacian(f))) < 1e-9
 
 
-def test_block_model_solve(torus32):
-    s = torus32
+@pytest.mark.parametrize("name", ["torus32", "sphere15"])
+def test_block_model_solve(name, request):
+    s = request.getfixturevalue(name)
     rng = np.random.default_rng(3)
     r1, _ = s.random_bandlimited(rng, kmax=4)
     r2, _ = s.random_bandlimited(rng, kmax=4)
