@@ -5,7 +5,7 @@ Usage:
     python scripts/bench.py [--out FILE] LABEL=SRC [LABEL=SRC ...]
 
 Times sphere ``analyze``, ``synthesize`` and ``laplacian`` at L = 127, the
-torus Laplacian at 256^2, one Ewald ``green_field`` at 256^2, one damped
+torus Laplacian at 256^2, one theta-form ``green_field`` at 256^2, one damped
 coupled Newton step (``newton_step``) at 256^2: the first step of the
 continuation of ``scripts/configs/sweep_torus256.json`` at eps = 0.1, at
 alpha = 0.0625/16 from the decoupled state, one CG ``solve_helmholtz`` at
@@ -41,7 +41,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 REPEATS = 20      # timed calls per micro-benchmark in each round
-SLOW_REPEATS = 3  # the same for green_field and the Newton step (~0.5 s each)
+SLOW_REPEATS = 3  # the same for green_field (~60 ms) and the Newton step (~0.2 s)
 ROUNDS = 10       # alternating rounds per side
 CONFIGS = os.path.join(ROOT, "scripts", "configs")
 

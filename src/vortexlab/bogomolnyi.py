@@ -47,6 +47,11 @@ __all__ = [
     "SingularField",
 ]
 
+# lam = _LAM_SAFETY * lam_min when the config gives no lambda
+_LAM_SAFETY = 1.5
+# pointwise slack of the asserted monotone chain f_1 > f_2 > ... > w
+_CHAIN_SLACK = 1e-12
+
 
 # --- the scalar nonlinearity -------------------------------------------------
 
@@ -132,7 +137,7 @@ class EBProblem:
 
 
 def make_eb_problem(surface, divisor, alpha=None, tau=None, lam=None,
-                    sigma=None, delta=0.5):
+                    sigma=None):
     """Construct the c~ = 0 problem; one of alpha/tau fixes the other via
     a * tau = chi~ / (2 N~).
 
@@ -238,7 +243,7 @@ def _quintic_bump(surface, points, sigma):
     return np.clip(psi, 0.0, 1.0)
 
 
-def build_supersolution(problem, margin=0.5, lam_safety=1.5):
+def build_supersolution(problem, margin=0.5):
     """Construct (w, C_sigma, lam_min) with the strict supersolution
     inequality holding for every delta in (0, 1).
 
@@ -272,7 +277,7 @@ def build_supersolution(problem, margin=0.5, lam_safety=1.5):
         raise ConfigError("supersolution shift failed: F not negative off the disks")
     need = (N_tilde + rhs)[mask]  # lap w = rhs exactly
     lam_min = float(np.max(2.0 * need / (np.exp(-v0_1) * neg_F)[mask]))
-    lam = problem.lam if problem.lam is not None else lam_safety * max(lam_min, 0.0)
+    lam = problem.lam if problem.lam is not None else _LAM_SAFETY * max(lam_min, 0.0)
     if lam <= lam_min:
         raise ConfigError(
             f"lambda={lam} does not dominate the supersolution bound {lam_min:.6g}"
@@ -298,11 +303,11 @@ def eb_residual(problem, f, delta, lam):
 
 
 def monotone_iterate(problem, w, lam, delta, tol=1e-10, residual_target=None,
-                     max_iter=100_000, chain_slack=1e-12, log=None):
+                     max_iter=100_000, log=None):
     """Iterate downward from f_1 = (log tau - u0^d)/2; returns (f, info).
 
     The chain f_1 > f_2 > ... > w is asserted pointwise at every step with
-    the given slack; a violation signals a discretization or shift-constant
+    slack _CHAIN_SLACK; a violation signals a discretization or shift-constant
     bug and raises.  Stops when the sup change falls below tol; when a
     residual_target is set, iteration continues until the masked equation
     residual reaches it or plateaus (the change criterion alone leaves an
@@ -342,7 +347,7 @@ def monotone_iterate(problem, w, lam, delta, tol=1e-10, residual_target=None,
         gap_floor = float(np.min(f_next - w))
         min_gap_chain = min(min_gap_chain, gap_chain)
         min_gap_floor = min(min_gap_floor, gap_floor)
-        if gap_chain < -chain_slack or gap_floor < -chain_slack:
+        if gap_chain < -_CHAIN_SLACK or gap_floor < -_CHAIN_SLACK:
             raise ConvergenceFailure(
                 f"monotone chain violated at iteration {it}: "
                 f"descent gap {gap_chain:.3e}, floor gap {gap_floor:.3e}"
@@ -384,17 +389,16 @@ def monotone_iterate(problem, w, lam, delta, tol=1e-10, residual_target=None,
 class SingularField:
     """Grid sample plus symbolic singular factors (point, exponent on |s|^2).
 
-    values = exp(smooth_log + sum_i e_i * log|s_i|^2); the factor list keeps
+    values = exp(smooth part + sum_i e_i * log|s_i|^2); the factor list keeps
     the closed-form singular structure available to consumers.
     """
 
     values: np.ndarray
-    smooth_log: np.ndarray
     factors: list  # (point, exponent, log_field)
 
 
-def delta_ladder_and_assemble(problem, deltas=None, tol=1e-10, lam_safety=1.5,
-                              margin=0.5, log=None):
+def delta_ladder_and_assemble(problem, deltas=None, tol=1e-10, margin=0.5,
+                              log=None):
     """Run the regularization ladder and assemble the singular pair.
 
     Refuses (with the report) when the admissibility checker fails.  One
@@ -414,8 +418,7 @@ def delta_ladder_and_assemble(problem, deltas=None, tol=1e-10, lam_safety=1.5,
     if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
         raise ConfigError("regularization rungs must be strictly decreasing")
     s = problem.surface
-    w, C_sigma, lam_min, lam = build_supersolution(problem, margin=margin,
-                                                   lam_safety=lam_safety)
+    w, C_sigma, lam_min, lam = build_supersolution(problem, margin=margin)
     rungs = []
     infos = []
     sup_margins = []
@@ -439,13 +442,11 @@ def delta_ladder_and_assemble(problem, deltas=None, tol=1e-10, lam_safety=1.5,
     g_factors = [(tuple(p), -(1.0 - b), ls) for (p, b), ls in
                  zip(problem.fields.divisor.cone, problem.fields.log_s_sq)]
     g_log = g_smooth + sum(e * ls for _, e, ls in g_factors) if g_factors else g_smooth
-    g_density = SingularField(values=np.exp(g_log), smooth_log=g_smooth,
-                              factors=g_factors)
+    g_density = SingularField(values=np.exp(g_log), factors=g_factors)
     h_factors = [(tuple(p), ak, lt) for (p, ak), lt in
                  zip(problem.fields.divisor.parabolic, problem.fields.log_t_sq)]
     h_log = 2.0 * f + (sum(e * lt for _, e, lt in h_factors) if h_factors else 0.0)
-    h_factor = SingularField(values=np.exp(h_log), smooth_log=2.0 * f,
-                             factors=h_factors)
+    h_factor = SingularField(values=np.exp(h_log), factors=h_factors)
     report = {
         "deltas": deltas,
         "lam": lam,
@@ -461,10 +462,10 @@ def delta_ladder_and_assemble(problem, deltas=None, tol=1e-10, lam_safety=1.5,
     return f, g_density, h_factor, w, report
 
 
-def assembled_residual(problem, f, delta, lam, mask_radius=None):
+def assembled_residual(problem, f, delta, lam):
     """Residual of the assembled pair against the phase equation, computed
     through the assembled exponent algebra (independent route from
-    eb_residual's F-form); masked sup and weighted global norms."""
+    eb_residual's F-form); its sup off the 2 sigma-disks."""
     s = problem.surface
     u0d = problem.u0_delta(delta)
     Phi_h = np.exp(2.0 * f + u0d)
@@ -475,14 +476,5 @@ def assembled_residual(problem, f, delta, lam, mask_radius=None):
     rho_g = lam * np.exp(log_rho_g)
     R = (s.laplacian(f) + 0.5 * (Phi_h - problem.tau) * rho_g
          + problem.params.N_tilde)
-    pts = problem.marked_points()
-    if mask_radius is None:
-        mask_radius = 2.0 * problem.sigma
-    mask = mask_away_from_points(s, pts, mask_radius)
-    v0 = problem.v0_delta(delta)
-    weighted = np.abs(R) / (1.0 + lam * np.exp(-v0))
-    return {
-        "sup_masked": float(np.max(np.abs(R)[mask])),
-        "weighted_global": float(np.max(weighted)),
-        "mask_radius": mask_radius,
-    }
+    mask = mask_away_from_points(s, problem.marked_points(), 2.0 * problem.sigma)
+    return {"sup_masked": float(np.max(np.abs(R)[mask]))}

@@ -58,6 +58,8 @@ _TWIST_KEYS = {"b", "modes"}
 _TOL_KEYS = {"residual", "multistart", "assembled_residual"}
 # the smoothing ladders: a number, or a strictly decreasing list of numbers
 _LADDER_KEYS = {"sweep-eps": "epsilon", "solve-eb": "delta"}
+_NUMBER_KEYS = ("tau", "t", "lambda", "sigma", "margin")
+_BOOL_KEYS = ("fit", "lambda_pair")
 
 _COVERAGE = {
     "solve-vortex": "covered: twisted-vortex existence/uniqueness "
@@ -93,15 +95,28 @@ def validate_config(cfg, command):
         if key not in cfg:
             raise ConfigError(f"missing config key {key!r}")
     for key in ("resolution", "seed"):
-        value = cfg.get(key, 0)
-        if isinstance(value, bool) or not (
-                isinstance(value, int)
-                or isinstance(value, float) and value.is_integer()):
-            raise ConfigError(f"config key {key!r} must be an integer, "
-                              f"got {value!r}")
+        _check_integer(key, cfg.get(key, 0))
     for key in ("epsilon", "delta"):
         if key in cfg:
             _check_numbers(key, cfg[key], _LADDER_KEYS.get(command) == key)
+    for key in _NUMBER_KEYS:
+        if key in cfg:
+            _check_numbers(key, cfg[key], False)
+    for key in _BOOL_KEYS:
+        if not isinstance(cfg.get(key, False), bool):
+            raise ConfigError(f"config key {key!r} must be true or false, "
+                              f"got {cfg[key]!r}")
+    alpha = cfg.get("alpha", 0.0)
+    if isinstance(alpha, dict) and command != "solve-eb":
+        target = alpha.get("target", "alpha_star")
+        if target != "alpha_star":
+            _check_numbers("target", target, False)
+        steps = alpha.get("steps", 16)
+        _check_integer("steps", steps)
+        if steps < 1:
+            raise ConfigError(f"config key 'steps' must be positive, got {steps!r}")
+    else:
+        _check_numbers("alpha", alpha, False)
     div = cfg.get("divisor", {})
     if not isinstance(div, dict):
         raise ConfigError("divisor must be an object")
@@ -116,6 +131,11 @@ def validate_config(cfg, command):
             for key in e:
                 if key not in _POINT_KEYS[group]:
                     raise ConfigError(f"unknown key {key!r} in divisor {group!r}")
+            point = e.get("point")
+            if not (isinstance(point, list) and len(point) == 2
+                    and all(map(_is_number, point))):
+                raise ConfigError(f"divisor {group!r} key 'point' must be a "
+                                  f"list of 2 numbers, got {point!r}")
     twist = cfg.get("twist")
     if twist is not None:
         for key in twist:
@@ -126,14 +146,26 @@ def validate_config(cfg, command):
         for key in tol:
             if key not in _TOL_KEYS:
                 raise ConfigError(f"unknown tolerances key {key!r}")
+            _check_numbers(key, tol[key], False)
     return cfg
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_integer(key, value):
+    if isinstance(value, bool) or not (
+            isinstance(value, int)
+            or isinstance(value, float) and value.is_integer()):
+        raise ConfigError(f"config key {key!r} must be an integer, "
+                          f"got {value!r}")
 
 
 def _check_numbers(key, value, ladder):
     """A number, or for a ladder key a non-empty strictly decreasing list."""
     values = value if ladder and isinstance(value, list) else [value]
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-               for v in values):
+    if not all(map(_is_number, values)):
         kind = "a number or a list of numbers" if ladder else "a number"
         raise ConfigError(f"config key {key!r} must be {kind}, got {value!r}")
     if not values:

@@ -76,13 +76,12 @@ class SolveState:
         return max(float(np.max(np.abs(self.res1))), float(np.max(np.abs(self.res2))))
 
 
-def make_problem(surface, divisor, tau, eps, delta=0.5, lam=1.0, fields=None):
+def make_problem(surface, divisor, tau, eps, fields=None):
     """The problem at one smoothing level; ``fields`` are the divisor fields
     of (surface, divisor) if already built (they do not depend on eps)."""
     if fields is None:
         fields = build_divisor_fields(surface, divisor)
-    params = derive_params(divisor, surface, tau, alpha=0.0, epsilon=eps,
-                           delta=delta, lam=lam)
+    params = derive_params(divisor, surface, tau, alpha=0.0, epsilon=eps)
     return GVProblem(
         surface=surface,
         fields=fields,
@@ -275,7 +274,7 @@ def decoupled_state(problem, tol=RESIDUAL_TOL, log=None):
 
 
 def continue_alpha(problem, state0, alpha_target, n_steps=16, tol=RESIDUAL_TOL,
-                   min_step_frac=1.0 / 1024.0, callback=None):
+                   min_step_frac=1.0 / 1024.0):
     """Continuation from the accepted alpha=0 state to alpha_target.
 
     Fixed alpha grid with adaptive halving; the minimum step is
@@ -311,7 +310,5 @@ def continue_alpha(problem, state0, alpha_target, n_steps=16, tol=RESIDUAL_TOL,
                 )
             continue
         states.append(st)
-        if callback is not None:
-            callback(st)
         alpha, f, u = a_next, st.f_tilde, st.u
     return states

@@ -95,7 +95,6 @@ class ModelParams:
     tau: float
     alpha: float
     epsilon: float
-    delta: float
     lam: float
     N: int
     N_tilde: float
@@ -109,14 +108,12 @@ class ModelParams:
         return replace(self, alpha=alpha, c_tilde=c_tilde)
 
 
-def derive_params(divisor, surface, tau, alpha=0.0, epsilon=0.1, delta=0.5, lam=1.0):
+def derive_params(divisor, surface, tau, alpha=0.0, epsilon=0.1, lam=1.0):
     """Fill every derived scalar; flags (rather than rejects) tau <= 2*N_tilde."""
     if tau <= 0:
         raise ConfigError("tau must be positive")
     if not (0.0 < epsilon <= 1.0):
         raise ConfigError("epsilon must lie in (0, 1]")
-    if not (0.0 < delta < 1.0):
-        raise ConfigError("delta must lie in (0, 1)")
     if lam <= 0:
         raise ConfigError("lambda must be positive")
     if alpha < 0:
@@ -134,7 +131,6 @@ def derive_params(divisor, surface, tau, alpha=0.0, epsilon=0.1, delta=0.5, lam=
         tau=float(tau),
         alpha=float(alpha),
         epsilon=float(epsilon),
-        delta=float(delta),
         lam=float(lam),
         N=N,
         N_tilde=float(N_tilde),
@@ -145,7 +141,7 @@ def derive_params(divisor, surface, tau, alpha=0.0, epsilon=0.1, delta=0.5, lam=
     )
 
 
-def log_section_field(surface, points_weights, total_weight=None, normalize="sup"):
+def log_section_field(surface, points_weights, total_weight=None):
     """log of a squared section norm with prescribed zeros/weights.
 
     Returns (values, evaluator).  evaluator(point) gives the closed form at
@@ -168,7 +164,7 @@ def log_section_field(surface, points_weights, total_weight=None, normalize="sup
         g, g_eval = green_field(surface, p)
         vals += -4.0 * np.pi * w * g
         evaluators.append((p, w, g_eval))
-    const = -float(np.max(vals)) if normalize == "sup" else 0.0
+    const = -float(np.max(vals))
     vals = vals + const
 
     if surface.backend == "torus":
@@ -223,9 +219,7 @@ class DivisorFields:
     log_phi_sq: np.ndarray        # multiplicity-weighted, sup-normalized
     log_phi_sq_eval: object
     log_s_sq: list                # one per cone point
-    log_s_sq_eval: list
     log_t_sq: list                # one per parabolic point
-    log_t_sq_eval: list
 
     def weight_W(self, eps):
         """W = prod_j (|s_j|^2 + eps)^(beta_j - 1) = exp(-F_xi)."""
@@ -271,23 +265,13 @@ def build_divisor_fields(surface, divisor):
     else:
         log_phi = np.zeros(surface.shape)
         log_phi_eval = None
-    log_s, log_s_eval = [], []
-    for p, _ in divisor.cone:
-        v, ev = log_section_field(surface, [(p, 1.0)])
-        log_s.append(v)
-        log_s_eval.append(ev)
-    log_t, log_t_eval = [], []
-    for p, _ in divisor.parabolic:
-        v, ev = log_section_field(surface, [(p, 1.0)])
-        log_t.append(v)
-        log_t_eval.append(ev)
     return DivisorFields(
         surface=surface,
         divisor=divisor,
         log_phi_sq=log_phi,
         log_phi_sq_eval=log_phi_eval,
-        log_s_sq=log_s,
-        log_s_sq_eval=log_s_eval,
-        log_t_sq=log_t,
-        log_t_sq_eval=log_t_eval,
+        log_s_sq=[log_section_field(surface, [(p, 1.0)])[0]
+                  for p, _ in divisor.cone],
+        log_t_sq=[log_section_field(surface, [(p, 1.0)])[0]
+                  for p, _ in divisor.parabolic],
     )

@@ -1,11 +1,12 @@
 """Green's functions of the shifted Laplacian contract lap G(.,p) = delta_p - 1/Vol.
 
 The kernel is normalized to zero mean and carries the universal short-range
-behaviour G ~ -(1/2pi) log dist.  Torus evaluation uses an Ewald split
-(Gaussian-screened mode sum plus exponential-integral lattice images) whose
-zero-mean constant -1/(4 eta^2) is analytic; an independent Jacobi-theta
-closed form serves as cross-check oracle.  The sphere kernel is the classical
-rotation-invariant closed form.
+behaviour G ~ -(1/2pi) log dist.  The torus kernel is the Jacobi-theta closed
+form G = -(1/2pi)(log|theta1(pi z)| - pi (Im z)^2) + C with the analytic
+zero-mean constant C = log(eta(i))/2pi (Lin & Wang, Ann. Math. 2010); an
+Ewald split (Gaussian-screened mode sum plus exponential-integral lattice
+images) is kept as the independent oracle that tests compare it against.
+The sphere kernel is the classical rotation-invariant closed form.
 
 ``green_field`` materializes a grid sample (exactly de-meaned under the
 discrete quadrature); ``*_eval`` are the pointwise closed-form evaluators.
@@ -17,9 +18,9 @@ testable at 1e-8 without circular use of the spectral solver.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import exp1
 
 from .surface import VOL, Torus
 
@@ -37,6 +38,8 @@ _EWALD_RMAX = 2
 
 
 def _torus_green_ewald(dx, dy, eta=_EWALD_ETA, kmax=_EWALD_KMAX, rmax=_EWALD_RMAX):
+    from scipy.special import exp1
+
     dx = np.asarray(dx, dtype=np.float64)
     dy = np.asarray(dy, dtype=np.float64)
     out = np.full(dx.shape, -1.0 / (4.0 * eta**2))
@@ -60,7 +63,7 @@ def _torus_green_ewald(dx, dy, eta=_EWALD_ETA, kmax=_EWALD_KMAX, rmax=_EWALD_RMA
 
 
 def torus_green_eval(p, dx, dy=None):
-    """Closed-form torus kernel G(x, p) with x given by displacements.
+    """Ewald evaluation of the torus kernel G(x, p) (the oracle route).
 
     Call as torus_green_eval(p, X, Y) with absolute coordinates, or with
     p=None and precomputed displacements.
@@ -73,10 +76,11 @@ def torus_green_eval(p, dx, dy=None):
     return _torus_green_ewald(dx, dy)
 
 
-# --- theta-function oracle -------------------------------------------------
+# --- theta-function closed form ----------------------------------------------
 
 _THETA_Q = np.exp(-np.pi)
-_theta_const_cache = {}
+# zero-mean constant log(eta(i))/2pi, with eta(i) = Gamma(1/4) / (2 pi^(3/4))
+_THETA_CONST = math.log(math.gamma(0.25) / (2.0 * math.pi**0.75)) / (2.0 * math.pi)
 
 
 def _log_abs_theta1(z):
@@ -93,22 +97,17 @@ def _log_abs_theta1(z):
 
 
 def torus_green_theta_eval(p, x, y):
-    """Independent closed form: -(1/2pi)(log|theta1| - pi Im(z)^2) + C0.
+    """Torus kernel G(x, p) = -(1/2pi)(log|theta1| - pi Im(z)^2) + C.
 
-    The additive constant is calibrated once against the Ewald evaluation at
-    a single generic point; agreement at all other points is then a genuine
-    two-route check of the kernel shape.
+    Displacements are wrapped to [-1/2, 1/2), where the 8-term sine series
+    is accurate to rounding; C is the analytic zero-mean constant.
     """
-    key = "c0"
-    if key not in _theta_const_cache:
-        d0 = (0.293715, 0.416289)
-        raw = -(_log_abs_theta1(d0[0] + 1j * d0[1]) - np.pi * d0[1] ** 2) / (2 * np.pi)
-        _theta_const_cache[key] = float(_torus_green_ewald(d0[0], d0[1]) - raw)
     dx = np.asarray(x) - p[0]
     dy = np.asarray(y) - p[1]
+    dx = dx - np.floor(dx + 0.5)
+    dy = dy - np.floor(dy + 0.5)
     z = dx + 1j * dy
-    raw = -(_log_abs_theta1(z) - np.pi * dy**2) / (2.0 * np.pi)
-    return raw + _theta_const_cache[key]
+    return -(_log_abs_theta1(z) - np.pi * dy**2) / (2.0 * np.pi) + _THETA_CONST
 
 
 # --- sphere -----------------------------------------------------------------
@@ -133,9 +132,9 @@ def green_field(surface, p):
     closed form (torus: evaluator(X, Y); sphere: evaluator(cos_angle)).
     """
     if surface.backend == "torus":
-        vals = torus_green_eval(p, surface.X, surface.Y)
+        vals = torus_green_theta_eval(p, surface.X, surface.Y)
         shift = surface.integrate(vals) / VOL
-        evaluator = lambda X, Y, s=shift: torus_green_eval(p, X, Y) - s  # noqa: E731
+        evaluator = lambda X, Y, s=shift: torus_green_theta_eval(p, X, Y) - s  # noqa: E731
     else:
         vals = sphere_green_eval(surface.cos_angle_field(p))
         shift = surface.integrate(vals) / VOL
@@ -160,6 +159,9 @@ def green_pair_modes(surface, p, modes, laplacian=False):
 
 
 def _pair_torus(surface, p, modes, laplacian):
+    from scipy.integrate import quad
+    from scipy.special import exp1
+
     eta, kmax = _EWALD_ETA, _EWALD_KMAX
     # mode part: sum over screened k-lattice against the Fourier data of g
     total = 0.0
@@ -201,6 +203,8 @@ def _pair_torus(surface, p, modes, laplacian):
 
 
 def _pair_sphere(surface, p, modes, laplacian):
+    from scipy.integrate import quad
+
     r = surface.r
     u = surface.unit_point(p)
     # orthonormal frame perpendicular to u

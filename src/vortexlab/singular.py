@@ -198,8 +198,7 @@ def regular_point_slope(surface, state, point, r_in=None, r_out=None):
 
 
 def run_ladder(surface, divisor, tau, alpha, eps_list, n_steps=16,
-               rho_K="auto", tol=1e-9, gamma=0.25, seed=0, fit=True,
-               fields=None):
+               tol=1e-9, gamma=0.25, seed=0, fit=True, fields=None):
     """Drive the smoothing ladder; warm-start each rung from the previous.
 
     Rung 0 runs the full continuation from the decoupled endpoint; later
@@ -255,14 +254,11 @@ def run_ladder(surface, divisor, tau, alpha, eps_list, n_steps=16,
     # Cauchy distances between consecutive rungs on K
     for m in range(len(report.states) - 1):
         eps_fine = eps_list[m + 1]
-        if rho_K == "auto":
-            A = 1.0
-            if fields.log_s_sq:
-                A = _local_quadratic_coeff(surface, fields.log_s_sq[0],
-                                           divisor.cone[0][0])
-            radius = max(8.0 * surface.h, float(np.sqrt(eps_fine / A)))
-        else:
-            radius = float(rho_K)
+        A = 1.0
+        if fields.log_s_sq:
+            A = _local_quadratic_coeff(surface, fields.log_s_sq[0],
+                                       divisor.cone[0][0])
+        radius = max(8.0 * surface.h, float(np.sqrt(eps_fine / A)))
         mask = mask_away_from_points(surface, points, radius)
         if not np.any(mask):
             radius = 8.0 * surface.h

@@ -60,8 +60,7 @@ def solve_helmholtz(surface, V, rhs, rtol=1e-13, atol=1e-13, maxiter=400):
 
 
 def damped_newton_scalar(surface, residual_fn, lin_weight_fn, x0, tol=1e-10,
-                         max_iter=60, max_backtrack=30, guard=None, log=None,
-                         norm="inf"):
+                         max_iter=60, max_backtrack=30, guard=None, log=None):
     """Damped Newton for scalar problems with residual r(x) and linearization
     lap + diag(lin_weight(x)).
 

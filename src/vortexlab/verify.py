@@ -104,22 +104,15 @@ def holder_quotient(surface, values, gamma=0.25, npairs=1000, rng=None):
     return float(np.max(np.abs(flat[i[ok]] - flat[j[ok]]) / d[ok] ** gamma))
 
 
-_green_cache = {}
-
-
 def _green_stats(surface, p_star):
     """min G over the grid and the L^{p*} quadrature norm of |G| (one base
     point; both backends are point-transitive)."""
-    key = (surface.backend, surface.shape, round(p_star, 6))
-    if key not in _green_cache:
-        if surface.backend == "torus":
-            p0 = (0.5 + 0.371 * surface.h, 0.5 + 0.237 * surface.h)
-        else:
-            p0 = (0.31831, 2.71828)
-        g, _ = green_field(surface, p0)
-        norm = surface.integrate(np.abs(g) ** p_star) ** (1.0 / p_star)
-        _green_cache[key] = (float(np.min(g)), norm)
-    return _green_cache[key]
+    if surface.backend == "torus":
+        p0 = (0.5 + 0.371 * surface.h, 0.5 + 0.237 * surface.h)
+    else:
+        p0 = (0.31831, 2.71828)
+    g, _ = green_field(surface, p0)
+    return float(np.min(g)), surface.integrate(np.abs(g) ** p_star) ** (1.0 / p_star)
 
 
 def certify_phi_bound(state, tau, cert=None, tol=1e-8):

@@ -1,13 +1,15 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from vortexlab.cli import main
-from vortexlab import singular
+from vortexlab import greens, singular
 from vortexlab.errors import ConfigError, ConvergenceFailure
 from vortexlab.fieldio import MAGIC, read_field, write_field, write_pgm
 
@@ -152,7 +154,22 @@ def test_exit_codes(tmp_path, capsys):
                  ("solve-gv", dict(GV_CFG, epsilon=[0.1]), "epsilon"),
                  ("solve-eb", dict(EB_CFG, delta=[]), "delta"),
                  ("solve-eb", dict(EB_CFG, delta=[0.1, 0.3]), "delta"),
-                 ("solve-eb", dict(EB_CFG, delta=[0.3, True]), "delta")]
+                 ("solve-eb", dict(EB_CFG, delta=[0.3, True]), "delta"),
+                 ("solve-gv", dict(GV_CFG, tau="abc"), "tau"),
+                 ("solve-vortex", dict(VORTEX_CFG, t="x"), "t"),
+                 ("solve-vortex", dict(VORTEX_CFG, tolerances={"residual": "x"}),
+                  "residual"),
+                 ("solve-gv", dict(GV_CFG, alpha={"target": "x"}), "target"),
+                 ("solve-gv", dict(GV_CFG, alpha={"steps": "x"}), "steps"),
+                 ("sweep-eps", dict(SWEEP_CFG, alpha={"steps": 0}), "steps"),
+                 ("solve-vortex",
+                  dict(VORTEX_CFG, divisor={"zeros": [{"point": 0.3, "n": 1}]}),
+                  "point"),
+                 ("solve-eb", dict(EB_CFG, **{"lambda": "x"}), "lambda"),
+                 ("solve-eb", dict(EB_CFG, sigma="x"), "sigma"),
+                 ("solve-eb", dict(EB_CFG, margin="x"), "margin"),
+                 ("solve-eb", dict(EB_CFG, lambda_pair="yes"), "lambda_pair"),
+                 ("sweep-eps", dict(SWEEP_CFG, fit="no"), "fit")]
     for k, (command, bad, key) in enumerate(malformed):
         cfg = write_cfg(tmp_path, f"malformed{k}.json", bad)
         capsys.readouterr()
@@ -230,6 +247,28 @@ def test_truncated_ladder_reverifies(tmp_path, monkeypatch):
     assert [f["eps"] for f in ladder["failures"]] == [0.025]
     assert main(["verify", "--out", out, "--quiet"]) == 0
     assert json.load(open(os.path.join(out, "metadata.json")))["epsilon"] == 0.05
+
+
+def test_runtime_kernel_never_reaches_ewald(tmp_path, monkeypatch):
+    # the divisor fields, the solve and verify sample the theta form only
+    def no_ewald(*args, **kwargs):
+        raise AssertionError("runtime path reached the Ewald oracle")
+
+    monkeypatch.setattr(greens, "_torus_green_ewald", no_ewald)
+    cfg = write_cfg(tmp_path, "gv.json", GV_CFG)
+    out = str(tmp_path / "gv")
+    assert main(["solve-gv", "--config", cfg, "--out", out, "--quiet"]) == 0
+    assert main(["verify", "--out", out, "--quiet"]) == 0
+
+
+def test_cli_import_skips_scipy_special_and_integrate():
+    src = os.path.dirname(os.path.dirname(greens.__file__))
+    code = ("import sys, vortexlab.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.special', 'scipy.integrate'))))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "[]"
 
 
 def test_export_heatmap(tmp_path):

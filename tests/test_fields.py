@@ -11,7 +11,7 @@ from vortexlab.fields import (
     log_section_field,
     smoothed_weight,
 )
-from vortexlab.greens import torus_green_theta_eval
+from vortexlab.greens import torus_green_eval
 from vortexlab.surface import VOL, build_surface
 
 from conftest import P_CONE, P_PARA, P_ZERO
@@ -39,14 +39,14 @@ def test_log_section_normalization_and_oracle(torus64):
     # independent closed-form route at the farthest grid node
     ix, iy = torus64.farthest_grid_index(P_ZERO)
     x, y = torus64.X[ix, iy], torus64.Y[ix, iy]
-    alt = -4.0 * np.pi * torus_green_theta_eval(P_ZERO, np.array([x]),
-                                                np.array([y]))[0]
+    alt = -4.0 * np.pi * torus_green_eval(P_ZERO, np.array([x]),
+                                          np.array([y]))[0]
     alt_shift = alt + (vals[ix, iy] - alt)  # same additive normalization
     direct = ev(np.array([x]), np.array([y]))[0]
     assert abs(direct - vals[ix, iy]) < 1e-12
     # shape agreement of the two analytic routes at another node
     jx, jy = (ix + 7) % torus64.n, (iy + 3) % torus64.n
-    alt2 = -4.0 * np.pi * torus_green_theta_eval(
+    alt2 = -4.0 * np.pi * torus_green_eval(
         P_ZERO, np.array([torus64.X[jx, jy]]), np.array([torus64.Y[jx, jy]]))[0]
     assert abs((vals[jx, jy] - vals[ix, iy]) - (alt2 - alt)) < 1e-8
 

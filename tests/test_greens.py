@@ -54,6 +54,16 @@ def test_zero_mean_and_symmetry(torus64):
         assert abs(a - b) < 1e-10
 
 
+@pytest.mark.parametrize("p", [P, (0.99987, 0.00021)], ids=["generic", "corner"])
+def test_green_field_matches_ewald(torus64, p):
+    # the runtime theta kernel against the de-meaned Ewald oracle; the corner
+    # point makes most displacements wrap
+    g, _ = green_field(torus64, p)
+    e = torus_green_eval(p, torus64.X, torus64.Y)
+    e = e - torus64.integrate(e) / VOL
+    assert np.max(np.abs(g - e)) < 1e-13
+
+
 def test_log_singularity_coefficient(torus64):
     _, ev = green_field(torus64, P)
     vals = []
