@@ -18,13 +18,14 @@ source tree (the directory holding the ``vortexlab`` package). Every side is
 measured in its own fresh process, and the sides take turns over ROUNDS
 rounds so that a drift in CPU speed affects them alike. Each round takes
 REPEATS timed calls per micro-benchmark (SLOW_REPEATS for the two slow ones)
-after one warm-up call. The medians and quartiles over all rounds and the
+after one warm-up call. The medians and quartiles over all rounds, the
+GMRES iterations of the Newton step (``counts``) and the
 run record of ``perfbench/run.py`` (machine, Python, numpy, scipy and BLAS
 versions, BLAS thread setting, git commit) go to FILE (default: standard
 output) as JSON.
 
 Example, comparing a copy of another commit with this one:
-    python scripts/bench.py --out BENCH_4.json before=../parent/src after=src
+    python scripts/bench.py --out BENCH_7.json before=../parent/src after=src
 """
 
 from __future__ import annotations
@@ -135,7 +136,9 @@ def measure():
             fn(*args)
             samples.append(time.perf_counter() - t0)
         out[name] = samples
-    return out
+    # work counter: the GMRES iterations of the timed Newton step
+    counts = {"torus256.gv_newton_step.gmres_iterations": step(*step_args)[4]}
+    return {"seconds": out, "counts": counts}
 
 
 def environment():
@@ -167,10 +170,13 @@ def main(argv=None):
         parser.error("give one or more sides as LABEL=SRC")
     sides = dict(s.split("=", 1) for s in args.sides)
     samples = {label: {} for label in sides}
+    counts = {}
     order = list(sides)
     for rnd in range(ROUNDS):
         for label in order if rnd % 2 == 0 else order[::-1]:
-            for name, times in run_side(sides[label]).items():
+            result = run_side(sides[label])
+            counts[label] = result["counts"]
+            for name, times in result["seconds"].items():
                 samples[label].setdefault(name, []).extend(times)
     report = {
         "environment": environment(),
@@ -182,6 +188,7 @@ def main(argv=None):
             label: {name: 1e3 * statistics.median(times)
                     for name, times in per.items()}
             for label, per in samples.items()},
+        "counts": counts,
         "quartiles_ms": {
             label: {name: [1e3 * q for q in statistics.quantiles(times, n=4)]
                     for name, times in per.items()}

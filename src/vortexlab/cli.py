@@ -52,8 +52,8 @@ _ALLOWED_KEYS = {
 _REQUIRED_KEYS = {"solve-vortex": ("tau",), "solve-gv": ("tau",),
                   "sweep-eps": ("tau",)}
 _DIVISOR_KEYS = {"zeros", "cone", "parabolic"}
-_POINT_KEYS = {"zeros": {"point", "n"}, "cone": {"point", "beta"},
-               "parabolic": {"point", "alpha_k"}}
+# the weight key of each divisor group; every entry is {"point", weight}
+_WEIGHT_KEYS = {"zeros": "n", "cone": "beta", "parabolic": "alpha_k"}
 _TWIST_KEYS = {"b", "modes"}
 _TOL_KEYS = {"residual", "multistart", "assembled_residual"}
 # the smoothing ladders: a number, or a strictly decreasing list of numbers
@@ -117,37 +117,54 @@ def validate_config(cfg, command):
             raise ConfigError(f"config key 'steps' must be positive, got {steps!r}")
     else:
         _check_numbers("alpha", alpha, False)
-    div = cfg.get("divisor", {})
-    if not isinstance(div, dict):
-        raise ConfigError("divisor must be an object")
-    for key in div:
-        if key not in _DIVISOR_KEYS:
-            raise ConfigError(f"unknown divisor key {key!r}")
+    div = _check_object("divisor", cfg.get("divisor", {}), _DIVISOR_KEYS)
     for group, entries in div.items():
         if not (isinstance(entries, list)
                 and all(isinstance(e, dict) for e in entries)):
             raise ConfigError(f"divisor {group!r} must be a list of objects")
+        weight = _WEIGHT_KEYS[group]
         for e in entries:
             for key in e:
-                if key not in _POINT_KEYS[group]:
+                if key not in ("point", weight):
                     raise ConfigError(f"unknown key {key!r} in divisor {group!r}")
-            point = e.get("point")
+            for key in ("point", weight):
+                if key not in e:
+                    raise ConfigError(f"divisor {group!r} entry is missing "
+                                      f"key {key!r}")
+            point = e["point"]
             if not (isinstance(point, list) and len(point) == 2
                     and all(map(_is_number, point))):
                 raise ConfigError(f"divisor {group!r} key 'point' must be a "
                                   f"list of 2 numbers, got {point!r}")
-    twist = cfg.get("twist")
+            if group == "zeros":
+                _check_integer(weight, e[weight])
+            else:
+                _check_numbers(weight, e[weight], False)
+    twist = cfg.get("twist")  # null: no twist
     if twist is not None:
-        for key in twist:
-            if key not in _TWIST_KEYS:
-                raise ConfigError(f"unknown twist key {key!r}")
-    tol = cfg.get("tolerances")
-    if tol is not None:
-        for key in tol:
-            if key not in _TOL_KEYS:
-                raise ConfigError(f"unknown tolerances key {key!r}")
-            _check_numbers(key, tol[key], False)
+        _check_object("twist", twist, _TWIST_KEYS)
+        _check_numbers("b", twist.get("b", 0.0), False)
+        modes = twist.get("modes", [])
+        if not (isinstance(modes, list) and all(
+                isinstance(m, list) and len(m) == 4 and all(map(_is_number, m))
+                for m in modes)):
+            raise ConfigError(f"twist key 'modes' must be a list of 4-number "
+                              f"lists, got {modes!r}")
+    tol = _check_object("tolerances", cfg.get("tolerances", {}), _TOL_KEYS)
+    for key, value in tol.items():
+        _check_numbers(key, value, False)
     return cfg
+
+
+def _check_object(name, value, keys):
+    """A JSON object whose keys are all in ``keys``; returns it."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"config key {name!r} must be an object, "
+                          f"got {value!r}")
+    for key in value:
+        if key not in keys:
+            raise ConfigError(f"unknown {name} key {key!r}")
+    return value
 
 
 def _is_number(value):
@@ -206,8 +223,6 @@ def synthesize_twist(surface, twist_cfg):
         return b, None
     norm = []
     for m in modes:
-        if len(m) != 4:
-            raise ConfigError("twist modes must be 4-element lists")
         if surface.backend == "torus":
             kx, ky, a, c = m
             if (int(kx), int(ky)) == (0, 0):
@@ -449,12 +464,11 @@ def run_solve_gv(cfg, outdir, seed, quiet):
     path_log = [{"alpha": st.alpha, "c_tilde": st.c_tilde,
                  "residual": st.res_norm, "newton_steps": len(st.newton_log)}
                 for st in states]
-    art.write_jsonl("iterations.jsonl",
-                    path_log + [e for st in states for e in st.newton_log])
+    steps = [e for st in states for e in st.newton_log]
+    art.write_jsonl("iterations.jsonl", path_log + steps)
     phases.end("write")
-    profile = phases.profile(
-        divisor_field_builds=1,
-        newton_steps=sum(len(st.newton_log) for st in states))
+    profile = phases.profile(divisor_field_builds=1, newton_steps=len(steps),
+                             gmres_iterations=sum(e["krylov"] for e in steps))
     return art.finish(cert, extra={"alpha": final.alpha, "epsilon": problem.eps,
                                    "alpha_star": problem.params.alpha_star,
                                    "profile": profile})
@@ -506,7 +520,8 @@ def run_sweep_eps(cfg, outdir, seed, quiet):
                      for e, c in zip(report.eps_list, report.newton_counts)])
     phases.end("write")
     profile = phases.profile(divisor_field_builds=1,
-                             newton_steps=sum(report.newton_counts))
+                             newton_steps=sum(report.newton_counts),
+                             gmres_iterations=report.gmres_iterations)
     return art.finish(cert, extra={"alpha": final.alpha, "epsilon": problem.eps,
                                    "profile": profile})
 

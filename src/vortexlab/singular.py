@@ -58,6 +58,7 @@ class LadderReport:
     wp_integrals: list = field(default_factory=list)
     lp_exponent: float = 2.0
     newton_counts: list = field(default_factory=list)
+    gmres_iterations: int = 0  # over the Newton steps of newton_counts
     failures: list = field(default_factory=list)
     fits: list = field(default_factory=list)
     problem: object = None    # GVProblem of the last completed rung
@@ -224,25 +225,23 @@ def run_ladder(surface, divisor, tau, alpha, eps_list, n_steps=16,
                 st0 = decoupled_state(problem, tol=tol)
                 states = continue_alpha(problem, st0, alpha, n_steps=n_steps,
                                         tol=tol)
-                state = states[-1]
-                count = sum(len(s.newton_log) for s in states)
             else:
                 try:
-                    state = solve_at_alpha(problem, alpha, prev_state.f_tilde,
-                                           prev_state.u, tol=tol)
-                    count = len(state.newton_log)
+                    states = [solve_at_alpha(problem, alpha, prev_state.f_tilde,
+                                             prev_state.u, tol=tol)]
                 except ConvergenceFailure:
                     st0 = decoupled_state(problem, tol=tol)
                     states = continue_alpha(problem, st0, alpha,
                                             n_steps=n_steps, tol=tol)
-                    state = states[-1]
-                    count = sum(len(s.newton_log) for s in states)
         except ConvergenceFailure as exc:
             report.failures.append({"eps": eps, "error": str(exc)})
             break
+        state = states[-1]
+        steps = [e for s in states for e in s.newton_log]
         report.states.append(state)
         report.problem = problem
-        report.newton_counts.append(count)
+        report.newton_counts.append(len(steps))
+        report.gmres_iterations += sum(e["krylov"] for e in steps)
         report.holder_f.append(holder_quotient(surface, state.f_tilde, gamma,
                                                1000, np.random.default_rng(seed)))
         report.holder_u.append(holder_quotient(surface, state.u, gamma,

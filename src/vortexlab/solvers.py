@@ -3,8 +3,11 @@
 All linearized operators here have the form  lap + diag(V)  with V >= 0
 (pointwise), solved matrix-free by preconditioned CG with the spectral
 inverse (lap + mean V)^-1 as preconditioner.  The coupled 2x2 system is
-nonsymmetric and goes through restarted GMRES with a blockwise
-(lap + 1)^-1 preconditioner; small grids fall back to a dense solve whose
+nonsymmetric and goes through restarted GMRES (classical Gram-Schmidt with
+one re-orthogonalization) with a spectral block preconditioner, to the
+relative tolerance the caller passes: the coupled Newton step passes a
+forcing term that follows its residual, so the Krylov solve is only as
+tight as the step can use.  Small grids fall back to a dense solve whose
 matrix is bounded by DENSE_MAX_BYTES.
 """
 
@@ -13,7 +16,6 @@ from __future__ import annotations
 import time
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import ConvergenceFailure
 
@@ -34,7 +36,6 @@ def solve_helmholtz(surface, V, rhs, rtol=1e-13, atol=1e-13, maxiter=400):
     tolerance in the package.
     """
     shape = surface.shape
-    size = rhs.size
     V = np.broadcast_to(V, shape)
     vbar = float(np.mean(V))
     if vbar < 0:
@@ -51,12 +52,38 @@ def solve_helmholtz(surface, V, rhs, rtol=1e-13, atol=1e-13, maxiter=400):
     def apply_pre(x):
         return surface.solve_shifted(vbar, x.reshape(shape)).ravel()
 
-    A = LinearOperator((size, size), matvec=apply_op)
-    M = LinearOperator((size, size), matvec=apply_pre)
-    x, info = cg(A, rhs.ravel(), rtol=rtol, atol=atol, maxiter=maxiter, M=M)
+    x, info = _pcg(apply_op, apply_pre, rhs.ravel(), rtol, atol, maxiter)
     if info != 0:
         raise ConvergenceFailure(f"CG failed to converge (info={info})")
     return x.reshape(shape)
+
+
+def _pcg(apply_op, apply_pre, b, rtol, atol, maxiter):
+    """Preconditioned CG from x = 0; returns (x, info) with info = 0 on
+    convergence, else maxiter.
+
+    The loop is scipy's ``cg`` (1.17) operation for operation, so that the
+    iterates and the artifacts built on them are bit-identical to it.
+    """
+    x = np.zeros_like(b)
+    atol = max(float(atol), float(rtol) * float(np.linalg.norm(b)))
+    r = b.copy()
+    for iteration in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x, 0
+        z = apply_pre(r)
+        rho = np.dot(r, z)
+        if iteration > 0:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p = z.copy()
+        q = apply_op(p)
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x, maxiter
 
 
 def damped_newton_scalar(surface, residual_fn, lin_weight_fn, x0, tol=1e-10,
@@ -192,9 +219,14 @@ def _gmres_left(matvec, prevec, b, rtol, atol, restart, max_krylov):
         for j in range(m):
             total += 1
             w = prevec(matvec(V[j]))
-            for i in range(j + 1):
-                H[i, j] = w @ V[i]
-                w -= H[i, j] * V[i]
+            # CGS2: classical Gram-Schmidt plus one re-orthogonalization
+            # pass keeps the basis orthogonal to working precision (Giraud,
+            # Langou & Rozloznik 2005) with two matrix products per pass
+            h = V[: j + 1] @ w
+            w -= h @ V[: j + 1]
+            h2 = V[: j + 1] @ w
+            w -= h2 @ V[: j + 1]
+            H[: j + 1, j] = h + h2
             H[j + 1, j] = np.linalg.norm(w)
             breakdown = H[j + 1, j] < 1e-300
             if not breakdown:

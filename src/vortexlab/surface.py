@@ -72,6 +72,7 @@ class Torus:
         kxf[self.n // 2] = 0.0
         kyf[self.n // 2] = 0.0
         self._dz_mult = np.pi * (kyf[None, :] + 1j * kxf[:, None])
+        self._block_memo = None  # (coefficients, symbol) of _block_inverse
 
     # -- quadrature and spectral calculus -------------------------------
     def integrate(self, values):
@@ -101,7 +102,7 @@ class Torus:
     def solve_block_model(self, m, r1, r2):
         """Exact inverse of the constant-coefficient model system
         [[lap + m1, m2*lap], [m3, lap + m4]] per Fourier mode."""
-        x1, x2 = _block_inverse(m, np.fft.rfft2(r1), np.fft.rfft2(r2),
+        x1, x2 = _block_inverse(self, m, np.fft.rfft2(r1), np.fft.rfft2(r2),
                                 self._eig_r)
         return (
             np.fft.irfft2(x1, s=self.shape),
@@ -191,6 +192,7 @@ class Sphere:
         self.theta = np.arccos(mu)
         self.phi = 2.0 * np.pi * np.arange(self.nlon) / self.nlon
         self._eig = 2.0 * np.arange(self.L + 1) * (np.arange(self.L + 1) + 1.0)
+        self._block_memo = None  # (coefficients, symbol) of _block_inverse
         self._plm = _legendre_table(self.L, self.mu)  # (L+1, nlat, L+1)
         # analysis tensor with a first-order Gram correction folded in:
         # quadrature rounding leaves analyze(synthesize) = I + E with
@@ -255,7 +257,7 @@ class Sphere:
     def solve_block_model(self, m, r1, r2):
         """Exact inverse of the constant-coefficient model system
         [[lap + m1, m2*lap], [m3, lap + m4]] per spherical-harmonic degree."""
-        x1, x2 = _block_inverse(m, self.analyze(r1), self.analyze(r2),
+        x1, x2 = _block_inverse(self, m, self.analyze(r1), self.analyze(r2),
                                 self._eig[:, None])
         return self.synthesize(x1), self.synthesize(x2)
 
@@ -343,14 +345,25 @@ def _shifted_inverse(surface, c, rhs, coeffs, eig):
     return coeffs / (eig + c)
 
 
-def _block_inverse(m, a1, a2, lam):
+def _block_inverse(surface, m, a1, a2, lam):
     """Per-mode solve of [[lam + m1, m2*lam], [m3, lam + m4]] (x1, x2) = (a1, a2)
-    for the coefficients a1, a2 of modes with Laplacian eigenvalue lam."""
+    for the coefficients a1, a2 of modes with Laplacian eigenvalue lam.
+
+    GMRES applies one model system many times per Newton step, so the
+    surface keeps the symbol of the last coefficients it saw.
+    """
+    key = tuple(m)
+    if surface._block_memo is None or surface._block_memo[0] != key:
+        surface._block_memo = (key, _block_symbol(key, lam))
+    i11, i12, i21, i22 = surface._block_memo[1]
+    return i11 * a1 + i12 * a2, i21 * a1 + i22 * a2
+
+
+def _block_symbol(m, lam):
+    """The four per-mode entries of [[lam + m1, m2*lam], [m3, lam + m4]]^-1."""
     m1, m2, m3, m4 = m
     det = (lam + m1) * (lam + m4) - m2 * lam * m3
-    x1 = ((lam + m4) * a1 - m2 * lam * a2) / det
-    x2 = (-m3 * a1 + (lam + m1) * a2) / det
-    return x1, x2
+    return (lam + m4) / det, -m2 * lam / det, -m3 / det, (lam + m1) / det
 
 
 def _as_pairs(c):

@@ -169,7 +169,27 @@ def test_exit_codes(tmp_path, capsys):
                  ("solve-eb", dict(EB_CFG, sigma="x"), "sigma"),
                  ("solve-eb", dict(EB_CFG, margin="x"), "margin"),
                  ("solve-eb", dict(EB_CFG, lambda_pair="yes"), "lambda_pair"),
-                 ("sweep-eps", dict(SWEEP_CFG, fit="no"), "fit")]
+                 ("sweep-eps", dict(SWEEP_CFG, fit="no"), "fit"),
+                 ("solve-vortex",
+                  dict(VORTEX_CFG, divisor={"zeros": [{"point": [0.31, 0.57]}]}),
+                  "n"),
+                 ("solve-gv",
+                  dict(GV_CFG, divisor={"zeros": GV_CFG["divisor"]["zeros"],
+                                        "cone": [{"point": [0.67411, 0.29517],
+                                                  "beta": "x"}]}),
+                  "beta"),
+                 ("sweep-eps",
+                  dict(SWEEP_CFG, divisor=dict(
+                      GV_CFG["divisor"],
+                      parabolic=[{"point": [0.41871, 0.79213],
+                                  "alpha_k": "x"}])),
+                  "alpha_k"),
+                 ("solve-vortex", dict(VORTEX_CFG, tolerances=5),
+                  "tolerances"),
+                 ("solve-vortex", dict(VORTEX_CFG, twist={"b": "x"}), "b"),
+                 ("solve-vortex",
+                  dict(VORTEX_CFG, twist={"modes": [[1, "x", 0.3, 0.0]]}),
+                  "modes")]
     for k, (command, bad, key) in enumerate(malformed):
         cfg = write_cfg(tmp_path, f"malformed{k}.json", bad)
         capsys.readouterr()
@@ -223,6 +243,7 @@ def test_solve_then_verify(tmp_path, command, base):
         assert sum(profile["seconds"].values()) <= meta["runtime_seconds"]
         assert profile["counts"]["divisor_field_builds"] == 1
         assert profile["counts"]["newton_steps"] > 0
+        assert profile["counts"]["gmres_iterations"] > 0
 
 
 def test_truncated_ladder_reverifies(tmp_path, monkeypatch):
@@ -262,9 +283,10 @@ def test_runtime_kernel_never_reaches_ewald(tmp_path, monkeypatch):
 
 
 def test_cli_import_skips_scipy_special_and_integrate():
+    # no scipy module at all: the runtime path is numpy only
     src = os.path.dirname(os.path.dirname(greens.__file__))
     code = ("import sys, vortexlab.cli; print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.special', 'scipy.integrate'))))")
+            "if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src)).stdout

@@ -13,7 +13,8 @@ from vortexlab.coupled import (
 )
 from vortexlab.errors import ConfigError, ConvergenceFailure
 from vortexlab.fields import DivisorData
-from vortexlab.solvers import _dense_block_solve, solve_block_newton_step
+from vortexlab.solvers import (_dense_block_solve, _gmres_left,
+                               solve_block_newton_step)
 from vortexlab.surface import VOL, build_surface
 from vortexlab.verify import fd_jacobian_gap
 
@@ -120,6 +121,45 @@ def test_quadratic_convergence(gv_problem64, gv_final, torus64):
     # r_{k+1} <= C r_k^2 with a uniform C (measured well below 1 here)
     assert norms[1] <= 1.0 * norms[0] ** 2
     assert norms[2] <= 1.0 * norms[1] ** 2 + 1e-12
+
+
+def test_forcing_term_saves_krylov_iterations(gv_problem64, gv_final, torus64,
+                                             monkeypatch):
+    # the first step of test_quadratic_convergence: a Krylov tolerance that
+    # follows the residual takes fewer GMRES iterations than eta = 1e-12
+    # and still lands inside the quadratic bound
+    rng = np.random.default_rng(3)
+    bump, _ = torus64.random_bandlimited(rng, kmax=3, amp=2e-3)
+    f, u, alpha = gv_final.f_tilde + bump, gv_final.u, gv_final.alpha
+    S1, S2 = residual(gv_problem64, alpha, f, u)
+    r0 = max(np.max(np.abs(S1)), np.max(np.abs(S2)))
+    _, _, (T1, T2), _, nk = newton_step(gv_problem64, alpha, f, u)
+    monkeypatch.setattr(coupled, "_FORCING", 0.0)
+    nk_tight = newton_step(gv_problem64, alpha, f, u)[4]
+    assert nk < nk_tight
+    assert max(np.max(np.abs(T1)), np.max(np.abs(T2))) <= r0**2
+
+
+def test_gmres_left_restarted_matches_dense():
+    # a well-conditioned nonsymmetric system that needs several restarts
+    rng = np.random.default_rng(12)
+    n, restart = 300, 8
+    A = 3.0 * np.eye(n) + rng.normal(size=(n, n)) / np.sqrt(n)
+    b = rng.normal(size=n)
+    calls = []
+
+    def matvec(v):
+        calls.append(v.copy())
+        return A @ v
+
+    x, niter, converged = _gmres_left(matvec, lambda v: v, b, rtol=1e-14,
+                                      atol=0.0, restart=restart,
+                                      max_krylov=500)
+    assert converged and niter > 2 * restart
+    assert np.max(np.abs(x - np.linalg.solve(A, b))) < 1e-10
+    # the matvecs of the first cycle are its Krylov basis (after A @ x0)
+    basis = np.array(calls[1:restart + 1])
+    assert np.max(np.abs(basis @ basis.T - np.eye(restart))) < 1e-12
 
 
 def test_positivity_guard_damps(gv_problem64, gv_final, monkeypatch):
