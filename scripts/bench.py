@@ -4,7 +4,8 @@
 Usage:
     python scripts/bench.py [--out FILE] LABEL=SRC [LABEL=SRC ...]
 
-Times sphere ``analyze``, ``synthesize`` and ``laplacian`` at L = 127, the
+Times the construction of the L = 127 sphere (its Legendre tensors), sphere
+``analyze``, ``synthesize`` and ``laplacian`` at L = 127, the
 torus Laplacian at 256^2, one theta-form ``green_field`` at 256^2, one damped
 coupled Newton step (``newton_step``) at 256^2: the first step of the
 continuation of ``scripts/configs/sweep_torus256.json`` at eps = 0.1, at
@@ -17,7 +18,7 @@ and one monotone-iteration step at L = 127: the spectral solve
 source tree (the directory holding the ``vortexlab`` package). Every side is
 measured in its own fresh process, and the sides take turns over ROUNDS
 rounds so that a drift in CPU speed affects them alike. Each round takes
-REPEATS timed calls per micro-benchmark (SLOW_REPEATS for the two slow ones)
+REPEATS timed calls per micro-benchmark (SLOW_REPEATS for the three slow ones)
 after one warm-up call. The medians and quartiles over all rounds, the
 GMRES iterations of the Newton step (``counts``) and the
 run record of ``perfbench/run.py`` (machine, Python, numpy, scipy and BLAS
@@ -25,7 +26,7 @@ versions, BLAS thread setting, git commit) go to FILE (default: standard
 output) as JSON.
 
 Example, comparing a copy of another commit with this one:
-    python scripts/bench.py --out BENCH_7.json before=../parent/src after=src
+    python scripts/bench.py --out BENCH_8.json before=../parent/src after=src
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 REPEATS = 20      # timed calls per micro-benchmark in each round
-SLOW_REPEATS = 3  # the same for green_field (~60 ms) and the Newton step (~0.2 s)
+SLOW_REPEATS = 3  # the same for the sphere build, green_field (~60 ms) and
+                  # the Newton step (~0.2 s)
 ROUNDS = 10       # alternating rounds per side
 CONFIGS = os.path.join(ROOT, "scripts", "configs")
 
@@ -116,6 +118,7 @@ def measure():
     cg, cg_args = helmholtz_case(torus, load_config("vortex_torus256.json"))
     mono, mono_args = monotone_step_case(sphere, load_config("eb_sphere127.json"))
     cases = {
+        "sphere127.build": (build_surface, ("sphere", 127), SLOW_REPEATS),
         "sphere127.analyze": (sphere.analyze, (grid,), REPEATS),
         "sphere127.synthesize": (sphere.synthesize, (coeffs,), REPEATS),
         "sphere127.laplacian": (sphere.laplacian, (grid,), REPEATS),

@@ -528,6 +528,7 @@ def run_sweep_eps(cfg, outdir, seed, quiet):
 
 def run_solve_eb(cfg, outdir, seed, quiet):
     t_start = time.perf_counter()
+    phases = _Phases(t_start)
     surface, divisor = build_setup(cfg)
     deltas = cfg.get("delta", [0.1 * 0.5**k for k in range(7)])
     deltas = [float(d) for d in (deltas if isinstance(deltas, list) else [deltas])]
@@ -541,28 +542,38 @@ def run_solve_eb(cfg, outdir, seed, quiet):
         art.finalize(extra={"refused": True})
         raise AssumptionNotSatisfied(
             "admissibility inequalities fail; see na_report.json", na)
+    phases.end("setup")
     log = []
     f, g_density, h_factor, w, report = delta_ladder_and_assemble(
         problem, deltas=deltas, tol=tol, margin=margin, log=log)
+    iterations = sum(report["iterations"])
+    lambda_pair = bool(cfg.get("lambda_pair", False))
+    if lambda_pair:
+        lam2 = 2.0 * report["lam"]
+        prob2 = make_eb_problem(surface, divisor, alpha=problem.alpha,
+                                lam=lam2, sigma=problem.sigma)
+        f2, _, _, _, report2 = delta_ladder_and_assemble(
+            prob2, deltas=deltas[-1:], tol=tol, margin=margin)
+        iterations += sum(report2["iterations"])
+    phases.end("ladder")
+    cert = _certify_eb(cfg, problem, seed, f, w, report)
+    phases.end("certify")
     art.field("f_tilde", f, surface)
     art.field("supersolution_w", w, surface)
     art.field("metric_density", g_density.values, surface)
     art.field("hermitian_factor", h_factor.values, surface)
-    cert = _certify_eb(cfg, problem, seed, f, w, report)
     art.write_json("ladder.json", report)
     art.write_jsonl("iterations.jsonl", log)
-    if bool(cfg.get("lambda_pair", False)):
-        lam2 = 2.0 * report["lam"]
-        prob2 = make_eb_problem(surface, divisor, alpha=problem.alpha,
-                                lam=lam2, sigma=problem.sigma)
-        f2 = delta_ladder_and_assemble(prob2, deltas=deltas[-1:], tol=tol,
-                                       margin=margin)[0]
+    if lambda_pair:
         art.field("f_tilde_lam2", f2, surface)
         art.write_json("lambda_dependence.json", {
             "lam_pair": [report["lam"], lam2],
             "sup_difference": float(np.max(np.abs(f - f2))),
         })
-    return art.finish(cert, extra={"alpha": problem.alpha, "tau": problem.tau})
+    phases.end("write")
+    return art.finish(cert, extra={"alpha": problem.alpha, "tau": problem.tau,
+                                   "profile": phases.profile(
+                                       monotone_iterations=iterations)})
 
 
 _RUNNERS = {

@@ -232,7 +232,7 @@ def newton_step(problem, alpha, f_tilde, u, c_tilde=None, max_backtrack=30,
 
 
 def solve_at_alpha(problem, alpha, f_init, u_init, tol=RESIDUAL_TOL,
-                   max_newton=40, log=None):
+                   max_newton=40):
     """Newton loop at fixed alpha from the given initial pair."""
     c_tilde = problem.c_tilde(alpha)
     f, u = f_init, u_init
@@ -243,8 +243,6 @@ def solve_at_alpha(problem, alpha, f_init, u_init, tol=RESIDUAL_TOL,
         if rn < tol:
             Phi = _phi(problem, f)
             params = problem.params.with_alpha(alpha)
-            if log is not None:
-                log.extend(step_log)
             return SolveState(alpha=alpha, c_tilde=c_tilde, f_tilde=f, u=u,
                               Phi=Phi, res1=S1, res2=S2, params=params,
                               newton_log=step_log)
@@ -302,7 +300,6 @@ def continue_alpha(problem, state0, alpha_target, n_steps=16, tol=RESIDUAL_TOL,
     if state0.res_norm >= tol:
         raise ConfigError("starting state is not residual-accepted")
     states = [state0]
-    log = []
     alpha = state0.alpha
     step = (alpha_target - alpha) / n_steps
     min_step = astar * min_step_frac
@@ -310,7 +307,7 @@ def continue_alpha(problem, state0, alpha_target, n_steps=16, tol=RESIDUAL_TOL,
     while alpha < alpha_target - 1e-14:
         a_next = min(alpha_target, alpha + step)
         try:
-            st = solve_at_alpha(problem, a_next, f, u, tol=tol, log=log)
+            st = solve_at_alpha(problem, a_next, f, u, tol=tol)
         except ConvergenceFailure:
             step *= 0.5
             if step < min_step:

@@ -193,18 +193,8 @@ class Sphere:
         self.phi = 2.0 * np.pi * np.arange(self.nlon) / self.nlon
         self._eig = 2.0 * np.arange(self.L + 1) * (np.arange(self.L + 1) + 1.0)
         self._block_memo = None  # (coefficients, symbol) of _block_inverse
-        self._plm = _legendre_table(self.L, self.mu)  # (L+1, nlat, L+1)
-        # analysis tensor with a first-order Gram correction folded in:
-        # quadrature rounding leaves analyze(synthesize) = I + E with
-        # ||E|| ~ 1e-12 at high degree, and the Laplacian amplifies E by the
-        # top eigenvalue; (2I - G) knocks the defect down to O(E^2 + eps)
-        self._plm_w = np.zeros_like(self._plm)
-        for m in range(self.L + 1):
-            Pm = self._plm[m][:, m:]
-            WPm = w[:, None] * Pm
-            G = Pm.T @ WPm
-            corr = 2.0 * np.eye(G.shape[0]) - G
-            self._plm_w[m][:, m:] = WPm @ corr.T
+        self._pfold, self._pfold_w, self._fold, self._src, self._dst = \
+            _folded_legendre(self.L, mu, w, self.nlon // 2 + 1)
         st = np.sin(self.theta)
         self._xyz = np.stack(
             [
@@ -218,22 +208,29 @@ class Sphere:
     # -- transforms -------------------------------------------------------
     def analyze(self, values):
         """Forward transform to coefficients a[l, m] for m >= 0."""
-        # one real GEMM per order m, applied to (Re, Im) pairs viewed as a
-        # float64 (..., 2) array: a complex product would upcast the whole
-        # float64 Legendre tensor to complex on every call
-        F = np.fft.rfft(values, axis=1)[:, : self.L + 1]
-        c = np.ascontiguousarray(F.T) * (np.sqrt(2.0 * np.pi) / self.nlon)
-        a = self._plm_w.transpose(0, 2, 1) @ _as_pairs(c)
-        return a.view(np.complex128)[..., 0].T
+        nn = self._pfold.shape[2]
+        north, south = values[self.nlat - nn:], values[nn - 1::-1]
+        F = np.fft.rfft(np.stack((north + south, north - south), axis=1),
+                        norm="forward")
+        r = self._pfold_w @ np.take(F, self._fold).view(np.float64)
+        a = np.zeros((self.L + 1, self.L + 1), dtype=np.complex128)
+        np.put(a.view(np.float64), self._dst, np.take(r, self._src))
+        return a
 
     def synthesize(self, coeffs):
         """Inverse transform of coefficients a[l, m] to grid values."""
-        c = np.ascontiguousarray(np.asarray(coeffs, dtype=np.complex128).T)
-        g = self._plm @ _as_pairs(c)
-        F = np.zeros((self.nlat, self.nlon // 2 + 1), dtype=np.complex128)
-        F[:, : self.L + 1] = g.view(np.complex128)[..., 0].T * (
-            self.nlon / np.sqrt(2.0 * np.pi))
-        return np.fft.irfft(F, n=self.nlon, axis=1)
+        nn = self._pfold.shape[2]
+        c = np.ascontiguousarray(coeffs, dtype=np.complex128)
+        x = np.zeros(self._pfold.shape[:2] + (8,))
+        np.put(x, self._src, np.take(c.view(np.float64), self._dst))
+        F = np.zeros((nn, 2, self.nlon // 2 + 1), dtype=np.complex128)
+        np.put(F, self._fold,
+               (self._pfold.transpose(0, 2, 1) @ x).view(np.complex128))
+        g = np.fft.irfft(F, n=self.nlon, norm="forward")
+        out = np.empty(self.shape)
+        out[self.nlat - nn:] = g[:, 0] + g[:, 1]
+        out[nn - 1::-1] = g[:, 0] - g[:, 1]
+        return out
 
     def integrate(self, values):
         return float(
@@ -366,35 +363,105 @@ def _block_symbol(m, lam):
     return (lam + m4) / det, -m2 * lam / det, -m3 / det, (lam + m1) / det
 
 
-def _as_pairs(c):
-    """View a C-contiguous complex (m, k) array as float64 (m, k, 2) pairs."""
-    return c.view(np.float64).reshape(c.shape + (2,))
+def _folded_legendre(L, mu, w, nfreq):
+    """Legendre tensors of the sphere transforms, folded at the equator and
+    packed in blocks; returns (P, PW, fold, src, dst).
+
+    P_lm(-mu) = (-1)^(l+m) P_lm(mu) on the symmetric Gauss nodes, so both
+    tensors hold the nn = ceil(nlat/2) northern nodes only, and the
+    transforms work on north+south sums (even l+m) and differences (odd).
+    Block b packs order b (degrees l = b..L, rows 0..L-b) and order L-b
+    (rows L+1-b..L+1): P[b] is (L+2, nn), with zero rows in place of the
+    second order when L is even and b = L/2. Blocks multiply 8 real
+    columns, (Re, Im) of the sum and the difference for each of the two
+    orders.
+    - PW is the analysis tensor, with the quadrature weights, a halved
+      equator row (its sum is twice its value) and the (2I - G) Gram
+      correction of each order and parity folded in.
+    - P and PW carry the 1/sqrt(2 pi) of the orthonormal harmonics, so the
+      FFTs run with norm="forward".
+    - fold[b, i, 2 * half + parity] is the flat index into the (nn, 2,
+      nfreq) north+south / north-south spectra of the column that block b
+      takes for node i. A missing second order maps to frequency L+1: its
+      rows are zero, so analysis ignores what it reads there and synthesis
+      writes zeros.
+    - src and dst are matching flat indices of the (Re, Im) parts of every
+      l >= m in the (nb, L+2, 8) block products and in the (L+1, L+1)
+      coefficient array.
+    """
+    nlat = len(mu)
+    nn = (nlat + 1) // 2
+    nb = L // 2 + 1
+    orders = np.arange(L + 1)
+    upper = orders > L - orders  # order m sits in the second half of its block
+    block = np.minimum(orders, L - orders)
+    base = block * (L + 2) + np.where(upper, orders + 1, 0)  # row of l = m
+    P = np.zeros((nb * (L + 2), nn))
+    for k, row in _legendre_diagonals(L, mu[nlat - nn:]):
+        P[base[: L + 1 - k] + k] = row
+    P = P.reshape(nb, L + 2, nn)
+    # quadrature rounding leaves analyze(synthesize) = I + E with ||E|| ~
+    # 1e-12 at high degree, and the Laplacian amplifies E by the top
+    # eigenvalue; (2I - G) per order and parity knocks the defect down to
+    # O(E^2 + eps)
+    half_w = w[nlat - nn:].copy()
+    if nlat % 2:
+        half_w[0] *= 0.5
+    PW = P * half_w
+    l, m = np.tril_indices(L + 1)
+    group = np.full(nb * (L + 2), -1)
+    group[base[m] + l - m] = 2 * upper[m] + (l - m) % 2
+    group = group.reshape(nb, L + 2)
+    G = 2.0 * (PW @ P.transpose(0, 2, 1))
+    G *= group[:, :, None] == group[:, None, :]
+    PW = (2.0 * np.eye(L + 2) - G) @ PW * np.sqrt(2.0 * np.pi)
+    P /= np.sqrt(2.0 * np.pi)
+    half_order = np.full((nb, 2), L + 1)
+    half_order[block, upper.astype(int)] = orders
+    spectrum_row = (2 * np.arange(nn)[:, None] + np.arange(2)) * nfreq
+    fold = spectrum_row[:, None, :] + half_order[:, None, :, None]
+    col = 4 * upper[m] + 2 * ((l + m) % 2)
+    src = ((8 * (base[m] + l - m) + col)[:, None] + [0, 1]).ravel()
+    dst = ((2 * (l * (L + 1) + m))[:, None] + [0, 1]).ravel()
+    return P, PW, fold.reshape(nb, nn, 4), src, dst
 
 
-def _legendre_table(L, mu):
-    """Normalized associated Legendre tensor P[m, i, l] with unit L2 norm on
-    [-1, 1]; zero entries for l < m.
+def _legendre_diagonals(L, mu):
+    """Yield (k, D) for k = 0..L, D[m, i] = P_{m+k}^m(mu_i) for m = 0..L-k,
+    in the normalization of ``_legendre_table``.
 
     The recurrence runs in extended precision: float64 accumulation leaves
     ~1e-14 cross-talk in the quadrature Gram matrix, which the top Laplacian
     eigenvalue amplifies into an O(L^2 * 1e-14) noise floor."""
-    nlat = len(mu)
     mu = np.asarray(mu, dtype=np.longdouble)
-    P = np.zeros((L + 1, nlat, L + 1), dtype=np.longdouble)
     s = np.sqrt(np.clip(1.0 - mu**2, 0.0, None))
-    pmm = np.full(nlat, 1.0 / np.sqrt(np.longdouble(2.0)))
-    for m in range(L + 1):
-        P[m, :, m] = pmm
-        if m < L:
-            P[m, :, m + 1] = np.sqrt(np.longdouble(2 * m + 3)) * mu * pmm
-        for l in range(m + 2, L + 1):
-            a = np.sqrt(np.longdouble(4 * l * l - 1) / (l * l - m * m))
-            b = np.sqrt(np.longdouble((l - 1) ** 2 - m * m)
-                        / (4 * (l - 1) ** 2 - 1))
-            P[m, :, l] = a * (mu * P[m, :, l - 1] - b * P[m, :, l - 2])
-        if m < L:
-            pmm = pmm * (-np.sqrt(np.longdouble(2 * m + 3) / (2 * m + 2))) * s
-    return P.astype(np.float64)
+    pmm = np.empty((L + 1, len(mu)), dtype=np.longdouble)
+    pmm[0] = 1.0 / np.sqrt(np.longdouble(2.0))
+    for m in range(L):
+        pmm[m + 1] = (pmm[m] * (-np.sqrt(np.longdouble(2 * m + 3) / (2 * m + 2)))
+                      * s)
+    yield 0, pmm
+    m = np.arange(L)
+    prev, cur = pmm, np.sqrt(np.longdouble(2 * m + 3))[:, None] * mu * pmm[:L]
+    for k in range(2, L + 1):
+        yield k - 1, cur
+        m = np.arange(L + 1 - k)
+        l = m + k
+        a = np.sqrt(np.longdouble(4 * l * l - 1) / (l * l - m * m))[:, None]
+        b = np.sqrt(np.longdouble((l - 1) ** 2 - m * m)
+                    / (4 * (l - 1) ** 2 - 1))[:, None]
+        prev, cur = cur, a * (mu * cur[: L + 1 - k] - b * prev[: L + 1 - k])
+    yield L, cur
+
+
+def _legendre_table(L, mu):
+    """Normalized associated Legendre tensor P[m, i, l] with unit L2 norm on
+    [-1, 1]; zero entries for l < m."""
+    P = np.zeros((L + 1, len(mu), L + 1))
+    for k, row in _legendre_diagonals(L, mu):
+        m = np.arange(L + 1 - k)
+        P[m, :, m + k] = row
+    return P
 
 
 def _legendre_point(l, m, mu):

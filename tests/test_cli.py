@@ -244,6 +244,15 @@ def test_solve_then_verify(tmp_path, command, base):
         assert profile["counts"]["divisor_field_builds"] == 1
         assert profile["counts"]["newton_steps"] > 0
         assert profile["counts"]["gmres_iterations"] > 0
+    if command == "solve-eb":
+        meta = json.load(open(os.path.join(out, "metadata.json")))
+        ladder = json.load(open(os.path.join(out, "ladder.json")))
+        profile = meta["profile"]
+        assert set(profile["seconds"]) == {"setup", "ladder", "certify", "write"}
+        assert sum(profile["seconds"].values()) <= meta["runtime_seconds"]
+        assert profile["counts"] == {
+            "monotone_iterations": sum(ladder["iterations"])}
+        assert profile["counts"]["monotone_iterations"] > 0
 
 
 def test_truncated_ladder_reverifies(tmp_path, monkeypatch):

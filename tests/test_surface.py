@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from vortexlab.errors import ConfigError
-from vortexlab.surface import VOL, build_surface, gradient_pairing
+from vortexlab.surface import (VOL, _legendre_point, _legendre_table,
+                               build_surface, gradient_pairing)
 
 
 def test_build_validation():
@@ -162,23 +163,40 @@ def test_sht_roundtrip_and_point_eval(sphere31):
     assert abs(v - f[4, 9]) < 1e-12
 
 
-def _einsum_analyze(s, values):
+def _reference_tensors(s):
+    # the dense (m, i, l) tensors the folded transforms replaced: the table on
+    # every node, and its analysis form with the (2I - G) Gram correction of
+    # each order taken over all nodes
+    P = _legendre_table(s.L, s.mu)
+    PW = np.zeros_like(P)
+    for m in range(s.L + 1):
+        Pm = P[m][:, m:]
+        WPm = s.glweights[:, None] * Pm
+        G = Pm.T @ WPm
+        PW[m][:, m:] = WPm @ (2.0 * np.eye(G.shape[0]) - G).T
+    return P, PW
+
+
+def _einsum_analyze(s, ref, values):
     # reference: the complex einsum the GEMM transforms replaced
     F = np.fft.rfft(values, axis=1)[:, : s.L + 1]
     c = F * (np.sqrt(2.0 * np.pi) / s.nlon)
-    return np.einsum("mil,im->lm", s._plm_w, c, optimize=True)
+    return np.einsum("mil,im->lm", ref[1], c, optimize=True)
 
 
-def _einsum_synthesize(s, coeffs):
-    c = np.einsum("mil,lm->im", s._plm, coeffs, optimize=True)
+def _einsum_synthesize(s, ref, coeffs):
+    c = np.einsum("mil,lm->im", ref[0], coeffs, optimize=True)
     F = np.zeros((s.nlat, s.nlon // 2 + 1), dtype=np.complex128)
     F[:, : s.L + 1] = c * (s.nlon / np.sqrt(2.0 * np.pi))
     return np.fft.irfft(F, n=s.nlon, axis=1)
 
 
-@pytest.mark.parametrize("L", [15, 17, 31])  # L = 17 has odd nlat = 27
+# L = 16 leaves the middle order unpaired, L = 17 has an equator node
+# (nlat = 27), L = 22 both (nlat = 35)
+@pytest.mark.parametrize("L", [15, 16, 17, 22, 31])
 def test_sht_matches_einsum_reference(L):
     s = build_surface("sphere", L)
+    ref = _reference_tensors(s)
     rng = np.random.default_rng(L)
     # full-spectrum inputs with O(1) grid values, so every order m is exercised
     values = rng.normal(size=s.shape)
@@ -188,16 +206,34 @@ def test_sht_matches_einsum_reference(L):
     wide[::2, ::2] = values
     cases_a = [values, np.asfortranarray(values), wide[::2, ::2]]
     for v in cases_a:
-        assert np.max(np.abs(s.analyze(v) - _einsum_analyze(s, values))) < 1e-15
+        assert np.max(np.abs(s.analyze(v) - _einsum_analyze(s, ref, values))) < 1e-15
     cases_s = [coeffs, np.asfortranarray(coeffs),
                np.repeat(coeffs, 2, axis=1)[:, ::2], s.analyze(values)]
-    refs = [_einsum_synthesize(s, c) for c in cases_s]
+    refs = [_einsum_synthesize(s, ref, c) for c in cases_s]
     assert np.max(np.abs(refs[0])) < 10.0
-    for c, ref in zip(cases_s, refs):
-        assert np.max(np.abs(s.synthesize(c) - ref)) < 1e-14
+    for c, want in zip(cases_s, refs):
+        assert np.max(np.abs(s.synthesize(c) - want)) < 1e-14
     # real-valued coefficients are accepted as before
     real = coeffs.real.copy()
-    assert np.max(np.abs(s.synthesize(real) - _einsum_synthesize(s, real))) < 1e-14
+    assert np.max(np.abs(s.synthesize(real) - _einsum_synthesize(s, ref, real))) < 1e-14
+
+
+def test_legendre_table_matches_point_recurrence(sphere31):
+    # the table's recurrence runs over all orders at once in extended
+    # precision; _legendre_point runs one (l, m) at a time in float64
+    s = sphere31
+    P = _legendre_table(s.L, s.mu)
+    for m in range(s.L + 1):
+        assert np.all(P[m, :, :m] == 0.0)
+        for l in range(m, s.L + 1):
+            assert np.max(np.abs(P[m, :, l] - _legendre_point(l, m, s.mu))) < 1e-13
+
+
+def test_sphere_keeps_no_dense_tensors():
+    # the dense analysis and synthesis tensors took 2 (L+1)^2 nlat float64
+    s = build_surface("sphere", 127)
+    held = sum(v.nbytes for v in vars(s).values() if isinstance(v, np.ndarray))
+    assert held <= 2 * (s.L + 1) ** 2 * s.nlat * 8 / 3
 
 
 def test_torus_mode_eval_consistency(torus32):
