@@ -157,16 +157,16 @@ def make_eb_problem(surface, divisor, alpha=None, tau=None, lam=None,
         )
     if (alpha is None) == (tau is None):
         raise ConfigError("specify exactly one of alpha, tau")
+    if (tau if alpha is None else alpha) <= 0:
+        raise ConfigError("alpha and tau must be positive")
     if alpha is None:
         alpha = chi_tilde / (2.0 * tau * N_tilde)
     else:
         tau = chi_tilde / (2.0 * alpha * N_tilde)
-    if alpha <= 0 or tau <= 0:
-        raise ConfigError("alpha and tau must come out positive")
+    if lam is not None and lam <= 0:
+        raise ConfigError("lambda must be positive")
     fields = build_divisor_fields(surface, divisor)
-    params = derive_params(divisor, surface, tau, alpha=alpha,
-                           lam=lam if lam is not None else 1.0)
-    params = params.with_alpha(alpha)
+    params = derive_params(divisor, surface, tau, alpha=alpha).with_alpha(alpha)
     if abs(params.c_tilde) > 1e-12:
         raise ConfigError(f"c~ = {params.c_tilde} not zero at the phase lock")
     if sigma is None:
@@ -415,8 +415,9 @@ def delta_ladder_and_assemble(problem, deltas=None, tol=1e-10, margin=0.5,
     if deltas is None:
         deltas = [0.1 * 0.5**k for k in range(7)]
     deltas = list(deltas)
-    if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
-        raise ConfigError("regularization rungs must be strictly decreasing")
+    if deltas[-1] <= 0 or any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
+        raise ConfigError("regularization rungs must be positive and "
+                          "strictly decreasing")
     s = problem.surface
     w, C_sigma, lam_min, lam = build_supersolution(problem, margin=margin)
     rungs = []

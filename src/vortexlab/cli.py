@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import sys
@@ -39,27 +40,99 @@ from .surface import build_surface, check_field
 from .verify import Certificate, certify_state, certify_tke, certify_vortex
 from .vortex import make_vortex_problem, solve_twisted_ke, solve_vortex
 
-_COMMON_KEYS = {"backend", "resolution", "divisor", "seed", "label", "tolerances"}
-_ALLOWED_KEYS = {
-    "solve-vortex": _COMMON_KEYS | {"tau", "twist", "t"},
-    "solve-tke": _COMMON_KEYS | {"epsilon", "t"},
-    "solve-gv": _COMMON_KEYS | {"tau", "alpha", "epsilon"},
-    "sweep-eps": _COMMON_KEYS | {"tau", "alpha", "epsilon", "fit"},
-    "solve-eb": _COMMON_KEYS | {"tau", "alpha", "delta", "lambda", "sigma",
-                                "margin", "lambda_pair"},
+# The config schema: each command maps its keys to a kind.
+# - A string names a kind of _KINDS; a trailing "!" marks a required key.
+# - A dict is a nested table of keys; a list [kind] is a list whose entries
+#   are all of that kind; a tuple lists alternatives.
+_DIVISOR = {"zeros": [{"point": "point!", "n": "integer!"}],
+            "cone": [{"point": "point!", "beta": "number!"}],
+            "parabolic": [{"point": "point!", "alpha_k": "number!"}]}
+_COMMON = {"backend": "any!", "resolution": "integer!", "divisor": _DIVISOR,
+           "seed": "count", "label": "any",
+           "tolerances": {"residual": "tolerance", "multistart": "number",
+                          "assembled_residual": "tolerance"}}
+_PATH = ("number", {"target": ("number", "alpha_star"), "steps": "positive"})
+_SCHEMA = {
+    "solve-vortex": dict(_COMMON, tau="number!", t="number",
+                         twist=("null", {"b": "number", "modes": ["mode"]})),
+    "solve-tke": dict(_COMMON, epsilon="number", t="number"),
+    "solve-gv": dict(_COMMON, tau="number!", alpha=_PATH, epsilon="number"),
+    "sweep-eps": dict(_COMMON, tau="number!", alpha=_PATH, epsilon="ladder",
+                      fit="boolean"),
+    "solve-eb": dict(_COMMON, tau="number", alpha="number", delta="ladder",
+                     sigma="number", margin="number", lambda_pair="boolean",
+                     **{"lambda": "number"}),
 }
-# keys a runner reads with cfg[...], beyond backend and resolution
-_REQUIRED_KEYS = {"solve-vortex": ("tau",), "solve-gv": ("tau",),
-                  "sweep-eps": ("tau",)}
-_DIVISOR_KEYS = {"zeros", "cone", "parabolic"}
-# the weight key of each divisor group; every entry is {"point", weight}
-_WEIGHT_KEYS = {"zeros": "n", "cone": "beta", "parabolic": "alpha_k"}
-_TWIST_KEYS = {"b", "modes"}
-_TOL_KEYS = {"residual", "multistart", "assembled_residual"}
-# the smoothing ladders: a number, or a strictly decreasing list of numbers
-_LADDER_KEYS = {"sweep-eps": "epsilon", "solve-eb": "delta"}
-_NUMBER_KEYS = ("tau", "t", "lambda", "sigma", "margin")
-_BOOL_KEYS = ("fit", "lambda_pair")
+
+
+def _is_number(v):
+    return type(v) is int or type(v) is float and math.isfinite(v)
+
+
+def _is_integer(v):
+    return type(v) is int or _is_number(v) and v.is_integer()
+
+
+def _numbers(v):
+    return isinstance(v, list) and v != [] and all(map(_is_number, v))
+
+
+# name: (test, description)
+_KINDS = {
+    "number": (_is_number, "a finite number"),
+    "integer": (_is_integer, "an integer"),
+    "count": (lambda v: _is_integer(v) and v >= 0, "a non-negative integer"),
+    "positive": (lambda v: _is_integer(v) and v >= 1, "a positive integer"),
+    "tolerance": (lambda v: _is_number(v) and v > 0, "a positive number"),
+    "boolean": (lambda v: type(v) is bool, "true or false"),
+    "ladder": (lambda v: _is_number(v) or _numbers(v) and all(
+        b < a for a, b in zip(v, v[1:])),
+        "a number or a non-empty strictly decreasing list of numbers"),
+    "point": (lambda v: _numbers(v) and len(v) == 2, "a list of 2 numbers"),
+    "mode": (lambda v: _numbers(v) and len(v) == 4, "a list of 4 numbers"),
+    "null": (lambda v: v is None, "null"),
+    "alpha_star": (lambda v: v == "alpha_star", '"alpha_star"'),
+    "any": (lambda v: True, "anything"),
+}
+
+
+def _check(key, value, kind):
+    """Check the value of config key ``key`` against a schema kind; a
+    mismatch raises ConfigError naming the innermost key at fault."""
+    if isinstance(kind, tuple):
+        for alt in kind:
+            try:
+                return _check(key, value, alt)
+            except ConfigError:
+                if isinstance(alt, dict) and isinstance(value, dict):
+                    raise
+    elif isinstance(kind, dict) and isinstance(value, dict):
+        for k in value:
+            if k not in kind:
+                raise ConfigError(f"unknown config key {k!r} in {key!r}")
+        for k, sub in kind.items():
+            required = isinstance(sub, str) and sub.endswith("!")
+            if k in value:
+                _check(k, value[k], sub[:-1] if required else sub)
+            elif required:
+                raise ConfigError(f"missing config key {k!r} in {key!r}")
+        return
+    elif isinstance(kind, list) and isinstance(value, list):
+        for v in value:
+            _check(key, v, kind[0])
+        return
+    elif isinstance(kind, str) and _KINDS[kind][0](value):
+        return
+    raise ConfigError(f"{key!r} must be {_describe(kind)}, got {value!r}")
+
+
+def _describe(kind):
+    if isinstance(kind, tuple):
+        return " or ".join(map(_describe, kind))
+    if isinstance(kind, str):
+        return _KINDS[kind][1]
+    return "an object" if isinstance(kind, dict) else "a list"
+
 
 _COVERAGE = {
     "solve-vortex": "covered: twisted-vortex existence/uniqueness "
@@ -85,111 +158,8 @@ def load_config(path):
 
 
 def validate_config(cfg, command):
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    allowed = _ALLOWED_KEYS[command]
-    for key in cfg:
-        if key not in allowed:
-            raise ConfigError(f"unknown config key {key!r} for {command}")
-    for key in ("backend", "resolution") + _REQUIRED_KEYS.get(command, ()):
-        if key not in cfg:
-            raise ConfigError(f"missing config key {key!r}")
-    for key in ("resolution", "seed"):
-        _check_integer(key, cfg.get(key, 0))
-    for key in ("epsilon", "delta"):
-        if key in cfg:
-            _check_numbers(key, cfg[key], _LADDER_KEYS.get(command) == key)
-    for key in _NUMBER_KEYS:
-        if key in cfg:
-            _check_numbers(key, cfg[key], False)
-    for key in _BOOL_KEYS:
-        if not isinstance(cfg.get(key, False), bool):
-            raise ConfigError(f"config key {key!r} must be true or false, "
-                              f"got {cfg[key]!r}")
-    alpha = cfg.get("alpha", 0.0)
-    if isinstance(alpha, dict) and command != "solve-eb":
-        target = alpha.get("target", "alpha_star")
-        if target != "alpha_star":
-            _check_numbers("target", target, False)
-        steps = alpha.get("steps", 16)
-        _check_integer("steps", steps)
-        if steps < 1:
-            raise ConfigError(f"config key 'steps' must be positive, got {steps!r}")
-    else:
-        _check_numbers("alpha", alpha, False)
-    div = _check_object("divisor", cfg.get("divisor", {}), _DIVISOR_KEYS)
-    for group, entries in div.items():
-        if not (isinstance(entries, list)
-                and all(isinstance(e, dict) for e in entries)):
-            raise ConfigError(f"divisor {group!r} must be a list of objects")
-        weight = _WEIGHT_KEYS[group]
-        for e in entries:
-            for key in e:
-                if key not in ("point", weight):
-                    raise ConfigError(f"unknown key {key!r} in divisor {group!r}")
-            for key in ("point", weight):
-                if key not in e:
-                    raise ConfigError(f"divisor {group!r} entry is missing "
-                                      f"key {key!r}")
-            point = e["point"]
-            if not (isinstance(point, list) and len(point) == 2
-                    and all(map(_is_number, point))):
-                raise ConfigError(f"divisor {group!r} key 'point' must be a "
-                                  f"list of 2 numbers, got {point!r}")
-            if group == "zeros":
-                _check_integer(weight, e[weight])
-            else:
-                _check_numbers(weight, e[weight], False)
-    twist = cfg.get("twist")  # null: no twist
-    if twist is not None:
-        _check_object("twist", twist, _TWIST_KEYS)
-        _check_numbers("b", twist.get("b", 0.0), False)
-        modes = twist.get("modes", [])
-        if not (isinstance(modes, list) and all(
-                isinstance(m, list) and len(m) == 4 and all(map(_is_number, m))
-                for m in modes)):
-            raise ConfigError(f"twist key 'modes' must be a list of 4-number "
-                              f"lists, got {modes!r}")
-    tol = _check_object("tolerances", cfg.get("tolerances", {}), _TOL_KEYS)
-    for key, value in tol.items():
-        _check_numbers(key, value, False)
+    _check(command, cfg, _SCHEMA[command])
     return cfg
-
-
-def _check_object(name, value, keys):
-    """A JSON object whose keys are all in ``keys``; returns it."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"config key {name!r} must be an object, "
-                          f"got {value!r}")
-    for key in value:
-        if key not in keys:
-            raise ConfigError(f"unknown {name} key {key!r}")
-    return value
-
-
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _check_integer(key, value):
-    if isinstance(value, bool) or not (
-            isinstance(value, int)
-            or isinstance(value, float) and value.is_integer()):
-        raise ConfigError(f"config key {key!r} must be an integer, "
-                          f"got {value!r}")
-
-
-def _check_numbers(key, value, ladder):
-    """A number, or for a ladder key a non-empty strictly decreasing list."""
-    values = value if ladder and isinstance(value, list) else [value]
-    if not all(map(_is_number, values)):
-        kind = "a number or a list of numbers" if ladder else "a number"
-        raise ConfigError(f"config key {key!r} must be {kind}, got {value!r}")
-    if not values:
-        raise ConfigError(f"config key {key!r} must not be an empty list")
-    if any(b >= a for a, b in zip(values, values[1:])):
-        raise ConfigError(f"config key {key!r} must be strictly decreasing, "
-                          f"got {value!r}")
 
 
 def build_divisor(cfg):
@@ -202,15 +172,10 @@ def build_divisor(cfg):
 
 
 def build_setup(cfg):
+    """The surface and the divisor; build_divisor_fields refuses marked
+    points on grid nodes."""
     surface = build_surface(cfg["backend"], int(cfg["resolution"]))
-    divisor = build_divisor(cfg)
-    for p in divisor.all_points():
-        if not surface.point_off_grid(p):
-            raise ConfigError(
-                f"marked point {list(p)} coincides with a grid node; "
-                "perturb it off-grid"
-            )
-    return surface, divisor
+    return surface, build_divisor(cfg)
 
 
 def synthesize_twist(surface, twist_cfg):
@@ -221,32 +186,21 @@ def synthesize_twist(surface, twist_cfg):
     modes = twist_cfg.get("modes", [])
     if not modes:
         return b, None
-    norm = []
-    for m in modes:
-        if surface.backend == "torus":
-            kx, ky, a, c = m
-            if (int(kx), int(ky)) == (0, 0):
-                raise ConfigError("twist mode (0,0) is not mean-free")
-            norm.append((int(kx), int(ky), float(a), float(c)))
-        else:
-            l, mm, a, c = m
-            if int(l) == 0:
-                raise ConfigError("twist mode l=0 is not mean-free")
-            norm.append((int(l), int(mm), float(a), float(c)))
+    norm = [(int(k1), int(k2), float(a), float(c)) for k1, k2, a, c in modes]
     if surface.backend == "torus":
-        F = surface.eval_modes(norm, surface.X, surface.Y)
-    else:
-        F = surface.eval_modes_grid(norm)
-    return b, F
+        if any(k[:2] == (0, 0) for k in norm):
+            raise ConfigError("twist mode (0,0) is not mean-free")
+        return b, surface.eval_modes(norm, surface.X, surface.Y)
+    if not all(0 < l <= surface.L and 0 <= m <= l for l, m, _, _ in norm):
+        raise ConfigError(f"sphere twist modes (l, m) need 0 <= m <= l and "
+                          f"0 < l <= {surface.L} (l = 0 is not mean-free)")
+    return b, surface.eval_modes_grid(norm)
 
 
 def run_sequence(cfg):
     """Alpha target and step count for continuation commands."""
-    a = cfg.get("alpha", {"target": "alpha_star", "steps": 16})
+    a = cfg.get("alpha", {})
     if isinstance(a, dict):
-        extra = set(a) - {"target", "steps"}
-        if extra:
-            raise ConfigError(f"unknown alpha key {extra.pop()!r}")
         return a.get("target", "alpha_star"), int(a.get("steps", 16))
     return float(a), 16
 
@@ -280,11 +234,11 @@ class ArtifactWriter:
         write_jsonl(os.path.join(self.outdir, relpath), records)
         self._register(relpath)
 
-    def field(self, name, values, surface, extra=None):
+    def field(self, name, values, surface):
         rel = os.path.join("fields", name + ".vfield")
         write_field(os.path.join(self.outdir, rel), values, surface.backend,
                     surface.n if surface.backend == "torus" else surface.L,
-                    name, extra)
+                    name)
         self._register(rel)
 
     def finalize(self, extra=None):
@@ -345,6 +299,8 @@ def _certify_vortex(cfg, problem, seed, f):
 def _tke_problem(cfg, surface, divisor):
     """(chi~, F_xi) of the twisted Kaehler-Einstein equation."""
     eps = float(cfg.get("epsilon", 0.1))
+    if eps < 0:
+        raise ConfigError(f"epsilon must be non-negative, got {eps}")
     fields = build_divisor_fields(surface, divisor)
     return surface.euler_char - divisor.sum_one_minus_beta, fields.F_xi(eps)
 
@@ -723,6 +679,8 @@ def main(argv=None):
         if args.verify_only:
             return run_verify(args.out, quiet=args.quiet)
         cfg = validate_config(load_config(args.config), args.command)
+        if args.seed is not None:
+            _check("--seed", args.seed, "count")
         seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
         return _RUNNERS[args.command](cfg, args.out, seed, args.quiet)
     except AssumptionNotSatisfied as exc:

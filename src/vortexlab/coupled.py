@@ -31,6 +31,7 @@ __all__ = ["GVProblem", "SolveState", "Linearization", "make_problem",
            "solve_at_alpha", "decoupled_state", "continue_alpha"]
 
 RESIDUAL_TOL = 1e-9
+MAX_NEWTON = 40  # Newton iterations per alpha before the step is halved
 
 # inexact Newton forcing term: each step's Krylov solve runs to the relative
 # tolerance eta = min(_ETA_MAX, max(_ETA_MIN, _FORCING * ||S||_inf)), which
@@ -231,14 +232,13 @@ def newton_step(problem, alpha, f_tilde, u, c_tilde=None, max_backtrack=30,
     )
 
 
-def solve_at_alpha(problem, alpha, f_init, u_init, tol=RESIDUAL_TOL,
-                   max_newton=40):
+def solve_at_alpha(problem, alpha, f_init, u_init, tol=RESIDUAL_TOL):
     """Newton loop at fixed alpha from the given initial pair."""
     c_tilde = problem.c_tilde(alpha)
     f, u = f_init, u_init
     S1, S2 = residual(problem, alpha, f, u, c_tilde)
     step_log = []
-    for _ in range(max_newton):
+    for _ in range(MAX_NEWTON):
         rn = max(float(np.max(np.abs(S1))), float(np.max(np.abs(S2))))
         if rn < tol:
             Phi = _phi(problem, f)
@@ -249,7 +249,7 @@ def solve_at_alpha(problem, alpha, f_init, u_init, tol=RESIDUAL_TOL,
         f, u, (S1, S2), _, _ = newton_step(problem, alpha, f, u, c_tilde,
                                            log=step_log, res=(S1, S2))
     raise ConvergenceFailure(f"no convergence at alpha={alpha} "
-                             f"after {max_newton} Newton iterations")
+                             f"after {MAX_NEWTON} Newton iterations")
 
 
 def decoupled_state(problem, tol=RESIDUAL_TOL, log=None):
@@ -281,8 +281,7 @@ def decoupled_state(problem, tol=RESIDUAL_TOL, log=None):
     return state
 
 
-def continue_alpha(problem, state0, alpha_target, n_steps=16, tol=RESIDUAL_TOL,
-                   min_step_frac=1.0 / 1024.0):
+def continue_alpha(problem, state0, alpha_target, n_steps=16, tol=RESIDUAL_TOL):
     """Continuation from the accepted alpha=0 state to alpha_target.
 
     Fixed alpha grid with adaptive halving; the minimum step is
@@ -302,7 +301,7 @@ def continue_alpha(problem, state0, alpha_target, n_steps=16, tol=RESIDUAL_TOL,
     states = [state0]
     alpha = state0.alpha
     step = (alpha_target - alpha) / n_steps
-    min_step = astar * min_step_frac
+    min_step = astar / 1024.0
     f, u = state0.f_tilde, state0.u
     while alpha < alpha_target - 1e-14:
         a_next = min(alpha_target, alpha + step)

@@ -75,7 +75,7 @@ def write_jsonl(path, records):
             fh.write(json.dumps(rec, sort_keys=True, default=float) + "\n")
 
 
-def write_pgm(path, values, sidecar=True):
+def write_pgm(path, values):
     """8-bit binary PGM (P5) with linear min-max scaling; sidecar JSON
     records the scaling so the image is invertible."""
     values = np.asarray(values, dtype=np.float64)
@@ -94,7 +94,6 @@ def write_pgm(path, values, sidecar=True):
         fh.write(f"P5\n{w} {h}\n255\n".encode())
         fh.write(img.tobytes())
     meta = {"min": vmin, "max": vmax, "shape": [h, w], "scaling": "linear"}
-    if sidecar:
-        with open(str(path) + ".json", "w") as fh:
-            json.dump(meta, fh, sort_keys=True, indent=1)
+    with open(str(path) + ".json", "w") as fh:
+        json.dump(meta, fh, sort_keys=True, indent=1)
     return meta

@@ -95,7 +95,6 @@ class ModelParams:
     tau: float
     alpha: float
     epsilon: float
-    lam: float
     N: int
     N_tilde: float
     chi_tilde: float
@@ -108,14 +107,12 @@ class ModelParams:
         return replace(self, alpha=alpha, c_tilde=c_tilde)
 
 
-def derive_params(divisor, surface, tau, alpha=0.0, epsilon=0.1, lam=1.0):
+def derive_params(divisor, surface, tau, alpha=0.0, epsilon=0.1):
     """Fill every derived scalar; flags (rather than rejects) tau <= 2*N_tilde."""
     if tau <= 0:
         raise ConfigError("tau must be positive")
     if not (0.0 < epsilon <= 1.0):
         raise ConfigError("epsilon must lie in (0, 1]")
-    if lam <= 0:
-        raise ConfigError("lambda must be positive")
     if alpha < 0:
         raise ConfigError("alpha must be nonnegative")
     N = divisor.N
@@ -131,7 +128,6 @@ def derive_params(divisor, surface, tau, alpha=0.0, epsilon=0.1, lam=1.0):
         tau=float(tau),
         alpha=float(alpha),
         epsilon=float(epsilon),
-        lam=float(lam),
         N=N,
         N_tilde=float(N_tilde),
         chi_tilde=float(chi_tilde),
@@ -158,9 +154,8 @@ def log_section_field(surface, points_weights, total_weight=None):
     evaluators = []
     for p, w in points_weights:
         if not surface.point_off_grid(p):
-            raise ConfigError(
-                f"marked point {p} coincides with a grid node; perturb it off-grid"
-            )
+            raise ConfigError(f"marked point {list(p)} is not resolvably off "
+                              "the grid nodes; perturb it off-grid")
         g, g_eval = green_field(surface, p)
         vals += -4.0 * np.pi * w * g
         evaluators.append((p, w, g_eval))

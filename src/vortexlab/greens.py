@@ -37,13 +37,13 @@ _EWALD_KMAX = 8
 _EWALD_RMAX = 2
 
 
-def _torus_green_ewald(dx, dy, eta=_EWALD_ETA, kmax=_EWALD_KMAX, rmax=_EWALD_RMAX):
+def _torus_green_ewald(dx, dy, eta=_EWALD_ETA):
     from scipy.special import exp1
 
     dx = np.asarray(dx, dtype=np.float64)
     dy = np.asarray(dy, dtype=np.float64)
     out = np.full(dx.shape, -1.0 / (4.0 * eta**2))
-    ks = np.arange(-kmax, kmax + 1)
+    ks = np.arange(-_EWALD_KMAX, _EWALD_KMAX + 1)
     for kx in ks:
         for ky in ks:
             k2 = kx * kx + ky * ky
@@ -55,8 +55,8 @@ def _torus_green_ewald(dx, dy, eta=_EWALD_ETA, kmax=_EWALD_KMAX, rmax=_EWALD_RMA
             out += (damp / (4.0 * np.pi**2 * k2)) * np.cos(
                 2.0 * np.pi * (kx * dx + ky * dy)
             )
-    for rx in range(-rmax, rmax + 1):
-        for ry in range(-rmax, rmax + 1):
+    for rx in range(-_EWALD_RMAX, _EWALD_RMAX + 1):
+        for ry in range(-_EWALD_RMAX, _EWALD_RMAX + 1):
             r2 = (dx - rx) ** 2 + (dy - ry) ** 2
             out += exp1(eta**2 * r2) / (4.0 * np.pi)
     return out

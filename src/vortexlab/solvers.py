@@ -2,7 +2,8 @@
 
 All linearized operators here have the form  lap + diag(V)  with V >= 0
 (pointwise), solved matrix-free by preconditioned CG with the spectral
-inverse (lap + mean V)^-1 as preconditioner.  The coupled 2x2 system is
+inverse (lap + mean V)^-1 as preconditioner, in the quadrature inner
+product in which both are symmetric.  The coupled 2x2 system is
 nonsymmetric and goes through restarted GMRES (classical Gram-Schmidt with
 one re-orthogonalization) with a spectral block preconditioner, to the
 relative tolerance the caller passes: the coupled Newton step passes a
@@ -27,8 +28,13 @@ __all__ = ["solve_helmholtz", "solve_block_newton_step", "damped_newton_scalar"]
 DENSE_MAX_BYTES = 32 * 2**20
 
 
-def solve_helmholtz(surface, V, rhs, rtol=1e-13, atol=1e-13, maxiter=400):
+def solve_helmholtz(surface, V, rhs, rtol=1e-13, atol=1e-13):
     """Solve (lap + V) x = rhs with pointwise V >= 0 (not identically 0).
+
+    lap + V is symmetric in the quadrature inner product, not in the
+    Euclidean one on the sphere, so CG weighs its dot products by the Gauss
+    row weights there (normalized to mean 1); on the torus the weight is
+    the scalar 1.0 and the products are plain dots.
 
     The absolute floor keeps CG from grinding past the floating-point floor
     on near-zero right-hand sides (where the recursion coefficients turn
@@ -52,34 +58,42 @@ def solve_helmholtz(surface, V, rhs, rtol=1e-13, atol=1e-13, maxiter=400):
     def apply_pre(x):
         return surface.solve_shifted(vbar, x.reshape(shape)).ravel()
 
-    x, info = _pcg(apply_op, apply_pre, rhs.ravel(), rtol, atol, maxiter)
+    weight = 1.0 if surface.backend == "torus" else np.repeat(
+        surface.glweights / np.mean(surface.glweights), surface.nlon)
+    x, info = _pcg(apply_op, apply_pre, rhs.ravel(), weight, rtol, atol)
     if info != 0:
         raise ConvergenceFailure(f"CG failed to converge (info={info})")
     return x.reshape(shape)
 
 
-def _pcg(apply_op, apply_pre, b, rtol, atol, maxiter):
-    """Preconditioned CG from x = 0; returns (x, info) with info = 0 on
-    convergence, else maxiter.
+def _pcg(apply_op, apply_pre, b, weight, rtol, atol):
+    """Preconditioned CG from x = 0 in the inner product <a, c> =
+    sum(weight * a * c); returns (x, info) with info = 0 on convergence,
+    else the 400 iterations it gave up after.
 
-    The loop is scipy's ``cg`` (1.17) operation for operation, so that the
-    iterates and the artifacts built on them are bit-identical to it.
+    With weight 1.0 the loop is scipy's ``cg`` (1.17) operation for
+    operation, so that the iterates and the artifacts built on them are
+    bit-identical to it.
     """
+    def dot(a, c):
+        return np.dot(weight * a, c)
+
+    maxiter = 400
     x = np.zeros_like(b)
-    atol = max(float(atol), float(rtol) * float(np.linalg.norm(b)))
+    atol = max(float(atol), float(rtol) * np.sqrt(dot(b, b)))
     r = b.copy()
     for iteration in range(maxiter):
-        if np.linalg.norm(r) < atol:
+        if np.sqrt(dot(r, r)) < atol:
             return x, 0
         z = apply_pre(r)
-        rho = np.dot(r, z)
+        rho = dot(r, z)
         if iteration > 0:
             p *= rho / rho_prev
             p += z
         else:
             p = z.copy()
         q = apply_op(p)
-        alpha = rho / np.dot(p, q)
+        alpha = rho / dot(p, q)
         x += alpha * p
         r -= alpha * q
         rho_prev = rho

@@ -132,10 +132,13 @@ class Torus:
         return np.unravel_index(np.argmax(d), self.shape)
 
     def point_off_grid(self, p, tol=1e-6):
-        # offsets measured in cell units; a node hit needs both near zero
-        dx = abs(p[0] * self.n - round(p[0] * self.n))
-        dy = abs(p[1] * self.n - round(p[1] * self.n))
-        return max(dx, dy) > tol
+        # offsets measured in cell units, of coordinates wrapped into [0, 1);
+        # a node hit needs both near 0. A coordinate whose float spacing
+        # exceeds the tolerance (|x| > ~1e8) has no position on the torus.
+        if np.spacing(max(map(abs, p))) * self.n > tol:
+            return False
+        x, y = p[0] % 1.0 * self.n, p[1] % 1.0 * self.n
+        return max(abs(x - round(x)), abs(y - round(y))) > tol
 
     # -- band-limited test fields ----------------------------------------
     def random_bandlimited(self, rng, kmax=6, nmodes=8, amp=1.0):

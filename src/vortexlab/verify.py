@@ -228,7 +228,7 @@ def certify_logy_bounds(problem, state, cert=None, gamma=0.25, npairs=1000,
     return cert
 
 
-def kernel_identity(problem, state, seed=0, cert=None, kmax=5):
+def kernel_identity(problem, state, seed=0, cert=None):
     """Energy identity of the linearized operator at a solution (torus only).
 
     Both sides are computed independently: the left side pairs random
@@ -246,8 +246,8 @@ def kernel_identity(problem, state, seed=0, cert=None, kmax=5):
         cert.checks.append(c)
         return cert
     rng = np.random.default_rng(seed)
-    df, _ = s.random_bandlimited(rng, kmax=kmax, nmodes=6, amp=0.3)
-    dv, _ = s.random_bandlimited(rng, kmax=kmax, nmodes=6, amp=0.3)
+    df, _ = s.random_bandlimited(rng, kmax=5, nmodes=6, amp=0.3)
+    dv, _ = s.random_bandlimited(rng, kmax=5, nmodes=6, amp=0.3)
 
     a, tau, ct = state.alpha, problem.tau, state.c_tilde
     f, u, Phi = state.f_tilde, state.u, state.Phi

@@ -126,12 +126,11 @@ def vortex_residual(problem, f, t=None):
     )
 
 
-def solve_vortex(problem, f_init=None, tol=1e-10, homotopy_step=0.25,
-                 min_step=1.0 / 64.0):
+def solve_vortex(problem, f_init=None, tol=1e-10):
     """Solve the twist path at t = problem.t.
 
-    Direct damped Newton first; on stagnation, homotopy in t with step
-    halving.  Returns f with ||residual||_inf < tol.
+    Direct damped Newton first; on stagnation, homotopy in t from steps of
+    1/4, halved down to 1/64.  Returns f with ||residual||_inf < tol.
     """
     if not problem.existence_ok:
         raise NoSolutionExpected(
@@ -152,7 +151,7 @@ def solve_vortex(problem, f_init=None, tol=1e-10, homotopy_step=0.25,
         return solve_at(problem.t, f0)
     except ConvergenceFailure:
         pass
-    t, f, step = 0.0, np.zeros(s.shape), homotopy_step
+    t, f, step = 0.0, np.zeros(s.shape), 0.25
     while t < problem.t - 1e-14:
         t_next = min(problem.t, t + step)
         try:
@@ -160,7 +159,7 @@ def solve_vortex(problem, f_init=None, tol=1e-10, homotopy_step=0.25,
             t = t_next
         except ConvergenceFailure:
             step *= 0.5
-            if step < min_step:
+            if step < 1.0 / 64.0:
                 raise
     return f
 
@@ -169,13 +168,12 @@ def solve_twisted_ke(surface, chi_tilde, F_xi, t=1.0, u_init=None, tol=1e-10,
                      log=None):
     """Solve the conformal-potential equation 1 - lap u = e^{-2 t chi~ u - t F}.
 
-    Requires chi~ < 0 (strict, for a definite linearization); the solution
-    keeps 1 - lap u > 0 (checked; damping rejects violating steps).
+    Requires chi~ < 0 and t >= 0 (for a nonnegative linearization); the
+    solution keeps 1 - lap u > 0 (checked; damping rejects violating steps).
     """
-    if chi_tilde >= 0.0:
-        raise ConfigError(
-            f"twisted KE solve requires chi_tilde < 0, got {chi_tilde}"
-        )
+    if chi_tilde >= 0.0 or t < 0.0:
+        raise ConfigError("twisted KE solve requires chi_tilde < 0 and "
+                          f"t >= 0, got chi_tilde = {chi_tilde}, t = {t}")
 
     def residual(u):
         return (

@@ -1,8 +1,11 @@
+import copy
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -189,13 +192,55 @@ def test_exit_codes(tmp_path, capsys):
                  ("solve-vortex", dict(VORTEX_CFG, twist={"b": "x"}), "b"),
                  ("solve-vortex",
                   dict(VORTEX_CFG, twist={"modes": [[1, "x", 0.3, 0.0]]}),
-                  "modes")]
+                  "modes"),
+                 ("solve-vortex", dict(VORTEX_CFG, tau=math.nan), "tau"),
+                 ("solve-vortex", dict(VORTEX_CFG, tau=math.inf), "tau"),
+                 ("solve-vortex",
+                  dict(VORTEX_CFG, divisor={"zeros": [{"point": [math.nan, 0.2],
+                                                       "n": 1}]}),
+                  "point"),
+                 ("solve-vortex",
+                  dict(VORTEX_CFG, tolerances={"residual": math.nan}),
+                  "residual"),
+                 ("solve-vortex", dict(VORTEX_CFG, seed=-1), "seed")]
     for k, (command, bad, key) in enumerate(malformed):
         cfg = write_cfg(tmp_path, f"malformed{k}.json", bad)
         capsys.readouterr()
         assert main([command, "--config", cfg, "--out",
                      str(tmp_path / f"m{k}"), "--quiet"]) == 2
         assert repr(key) in capsys.readouterr().err
+    # a negative --seed: exit 2 naming the option
+    cfg = write_cfg(tmp_path, "seed.json", VORTEX_CFG)
+    assert main(["solve-vortex", "--config", cfg, "--out", str(tmp_path / "s"),
+                 "--seed", "-1", "--quiet"]) == 2
+    assert "'--seed'" in capsys.readouterr().err
+    # values outside a parameter's range, each once a traceback (exit 1) or
+    # a solver failure (exit 3): exit 2
+    sphere_twist = dict(VORTEX_CFG, backend="sphere", resolution=15,
+                        twist={"modes": [[40, 0, 0.3, 0.0]]})
+    out_of_range = [("solve-vortex", dict(VORTEX_CFG, divisor={"zeros": [
+                         {"point": [1e308, 0.2], "n": 1}]})),
+                    ("solve-vortex", sphere_twist),
+                    ("solve-tke", dict(TKE_CFG, t=-1.0)),
+                    ("solve-tke", dict(TKE_CFG, epsilon=-1.0)),
+                    ("solve-eb", dict(EB_CFG, alpha=0.0)),
+                    ("solve-eb", dict(EB_CFG, delta=[0.3, 0.0])),
+                    ("solve-eb", dict(EB_CFG, tolerances={"residual": 0.0}))]
+    for k, (command, bad) in enumerate(out_of_range):
+        cfg = write_cfg(tmp_path, f"range{k}.json", bad)
+        assert main([command, "--config", cfg, "--out",
+                     str(tmp_path / f"r{k}"), "--quiet"]) == 2, bad
+
+
+def test_sphere_vortex_weighted_cg(tmp_path):
+    # lap + V is symmetric only in the Gauss-weighted inner product on the
+    # sphere; CG with Euclidean dots stalled at 400 iterations here
+    cfg = write_cfg(tmp_path, "s.json", {
+        "backend": "sphere", "resolution": 23, "tau": 5.0,
+        "divisor": {"zeros": [{"point": [0.17137, 0.23731], "n": 1}]}})
+    out = str(tmp_path / "s")
+    assert main(["solve-vortex", "--config", cfg, "--out", out, "--quiet"]) == 0
+    assert main(["verify", "--out", out, "--quiet"]) == 0
 
 
 def test_gv_and_verify_tamper(tmp_path):
@@ -360,3 +405,46 @@ def test_field_io_roundtrip(seed):
         assert np.array_equal(back, vals)
         assert header["field"] == "f" and header["note"] == "x"
         assert open(p, "rb").read(16) == MAGIC
+
+
+# the CLI contract: a config with one key replaced at any depth, or one key
+# added, exits 0, 2, 3 or 4 and never raises
+SOLVE_CFGS = {"solve-vortex": VORTEX_CFG, "solve-tke": TKE_CFG,
+              "solve-gv": GV_CFG, "sweep-eps": SWEEP_CFG, "solve-eb": EB_CFG}
+ODD_VALUES = [None, True, False, "", "x", [], {}, [1, 2], -1, 0, 1, 2, 3, 0.5,
+              math.nan, math.inf, -math.inf]
+
+
+def _key_paths(value, path=()):
+    """Paths to every dict key and list entry below ``value``, and a path to
+    a new key in every dict."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    if isinstance(value, dict):
+        yield path + ("unknown_key",)
+    for key, sub in items:
+        yield path + (key,)
+        yield from _key_paths(sub, path + (key,))
+
+
+def _mutations(command):
+    paths = st.sampled_from(list(_key_paths(SOLVE_CFGS[command])))
+    return st.tuples(st.just(command), paths, st.sampled_from(ODD_VALUES))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from(sorted(SOLVE_CFGS)).flatmap(_mutations))
+def test_malformed_configs_exit_with_a_code(mutation):
+    command, path, value = mutation
+    cfg = copy.deepcopy(SOLVE_CFGS[command])
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as d:
+        cfg_path = os.path.join(d, "cfg.json")
+        with open(cfg_path, "w") as fh:
+            json.dump(cfg, fh)
+        code = main([command, "--config", cfg_path,
+                     "--out", os.path.join(d, "art"), "--quiet"])
+    assert code in (0, 2, 3, 4)
