@@ -51,7 +51,8 @@ _COMMON = {"backend": "any!", "resolution": "integer!", "divisor": _DIVISOR,
            "seed": "count", "label": "any",
            "tolerances": {"residual": "tolerance", "multistart": "number",
                           "assembled_residual": "tolerance"}}
-_PATH = ("number", {"target": ("number", "alpha_star"), "steps": "positive"})
+_PATH = ("nonnegative", {"target": ("nonnegative", "alpha_star"),
+                         "steps": "positive"})
 _SCHEMA = {
     "solve-vortex": dict(_COMMON, tau="number!", t="number",
                          twist=("null", {"b": "number", "modes": ["mode"]})),
@@ -81,6 +82,7 @@ def _numbers(v):
 _KINDS = {
     "number": (_is_number, "a finite number"),
     "integer": (_is_integer, "an integer"),
+    "nonnegative": (lambda v: _is_number(v) and v >= 0, "a non-negative number"),
     "count": (lambda v: _is_integer(v) and v >= 0, "a non-negative integer"),
     "positive": (lambda v: _is_integer(v) and v >= 1, "a positive integer"),
     "tolerance": (lambda v: _is_number(v) and v > 0, "a positive number"),

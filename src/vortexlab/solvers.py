@@ -33,8 +33,8 @@ def solve_helmholtz(surface, V, rhs, rtol=1e-13, atol=1e-13):
 
     lap + V is symmetric in the quadrature inner product, not in the
     Euclidean one on the sphere, so CG weighs its dot products by the Gauss
-    row weights there (normalized to mean 1); on the torus the weight is
-    the scalar 1.0 and the products are plain dots.
+    row weights there (normalized to mean 1); on the torus, with its equal
+    cell areas, they are plain dots.
 
     The absolute floor keeps CG from grinding past the floating-point floor
     on near-zero right-hand sides (where the recursion coefficients turn
@@ -58,7 +58,7 @@ def solve_helmholtz(surface, V, rhs, rtol=1e-13, atol=1e-13):
     def apply_pre(x):
         return surface.solve_shifted(vbar, x.reshape(shape)).ravel()
 
-    weight = 1.0 if surface.backend == "torus" else np.repeat(
+    weight = None if surface.backend == "torus" else np.repeat(
         surface.glweights / np.mean(surface.glweights), surface.nlon)
     x, info = _pcg(apply_op, apply_pre, rhs.ravel(), weight, rtol, atol)
     if info != 0:
@@ -68,15 +68,15 @@ def solve_helmholtz(surface, V, rhs, rtol=1e-13, atol=1e-13):
 
 def _pcg(apply_op, apply_pre, b, weight, rtol, atol):
     """Preconditioned CG from x = 0 in the inner product <a, c> =
-    sum(weight * a * c); returns (x, info) with info = 0 on convergence,
-    else the 400 iterations it gave up after.
+    sum(weight * a * c), or the Euclidean one for weight None; returns
+    (x, info) with info = 0 on convergence, else the 400 iterations it gave
+    up after.
 
-    With weight 1.0 the loop is scipy's ``cg`` (1.17) operation for
+    With weight None the loop is scipy's ``cg`` (1.17) operation for
     operation, so that the iterates and the artifacts built on them are
     bit-identical to it.
     """
-    def dot(a, c):
-        return np.dot(weight * a, c)
+    dot = np.dot if weight is None else lambda a, c: np.dot(weight * a, c)
 
     maxiter = 400
     x = np.zeros_like(b)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vortexlab.cli import main
+from vortexlab.cli import _SCHEMA, main
 from vortexlab import greens, singular
 from vortexlab.errors import ConfigError, ConvergenceFailure
 from vortexlab.fieldio import MAGIC, read_field, write_field, write_pgm
@@ -225,7 +225,9 @@ def test_exit_codes(tmp_path, capsys):
                     ("solve-tke", dict(TKE_CFG, epsilon=-1.0)),
                     ("solve-eb", dict(EB_CFG, alpha=0.0)),
                     ("solve-eb", dict(EB_CFG, delta=[0.3, 0.0])),
-                    ("solve-eb", dict(EB_CFG, tolerances={"residual": 0.0}))]
+                    ("solve-eb", dict(EB_CFG, tolerances={"residual": 0.0})),
+                    ("solve-gv", dict(GV_CFG, alpha=-1)),
+                    ("sweep-eps", dict(SWEEP_CFG, alpha={"target": -1}))]
     for k, (command, bad) in enumerate(out_of_range):
         cfg = write_cfg(tmp_path, f"range{k}.json", bad)
         assert main([command, "--config", cfg, "--out",
@@ -407,44 +409,59 @@ def test_field_io_roundtrip(seed):
         assert open(p, "rb").read(16) == MAGIC
 
 
-# the CLI contract: a config with one key replaced at any depth, or one key
-# added, exits 0, 2, 3 or 4 and never raises
-SOLVE_CFGS = {"solve-vortex": VORTEX_CFG, "solve-tke": TKE_CFG,
-              "solve-gv": GV_CFG, "sweep-eps": SWEEP_CFG, "solve-eb": EB_CFG}
+# the CLI contract: a config with one key replaced at any depth, one optional
+# key of the schema added, or one unknown key added, exits 0, 2, 3 or 4 and
+# never raises
+SOLVE_CFGS = [("solve-vortex", VORTEX_CFG),
+              ("solve-vortex", dict(VORTEX_CFG, backend="sphere", resolution=23)),
+              ("solve-tke", TKE_CFG), ("solve-gv", GV_CFG),
+              ("sweep-eps", SWEEP_CFG), ("solve-eb", EB_CFG)]
 ODD_VALUES = [None, True, False, "", "x", [], {}, [1, 2], -1, 0, 1, 2, 3, 0.5,
               math.nan, math.inf, -math.inf]
 
 
-def _key_paths(value, path=()):
-    """Paths to every dict key and list entry below ``value``, and a path to
-    a new key in every dict."""
-    items = (value.items() if isinstance(value, dict)
-             else enumerate(value) if isinstance(value, list) else ())
-    if isinstance(value, dict):
+def _key_paths(value, kind, path=()):
+    """Paths to every entry below ``value``, to every key of its schema
+    ``kind`` (at any depth, present or not) and to a new key in every
+    table."""
+    tables = [k for k in (kind if isinstance(kind, tuple) else (kind,))
+              if isinstance(k, dict)]
+    if isinstance(value, dict) and tables:
         yield path + ("unknown_key",)
-    for key, sub in items:
-        yield path + (key,)
-        yield from _key_paths(sub, path + (key,))
+        for key, sub in tables[0].items():
+            yield path + (key,)
+            yield from _key_paths(value.get(key, {}), sub, path + (key,))
+    elif isinstance(value, list):
+        for i, sub in enumerate(value):
+            yield path + (i,)
+            yield from _key_paths(sub, kind[0] if isinstance(kind, list)
+                                  else None, path + (i,))
 
 
-def _mutations(command):
-    paths = st.sampled_from(list(_key_paths(SOLVE_CFGS[command])))
-    return st.tuples(st.just(command), paths, st.sampled_from(ODD_VALUES))
+def _mutations(case):
+    command, base = SOLVE_CFGS[case]
+    paths = st.sampled_from(list(_key_paths(base, _SCHEMA[command])))
+    return st.tuples(st.just(case), paths, st.sampled_from(ODD_VALUES))
 
 
-@settings(deadline=None, max_examples=200)
-@given(st.sampled_from(sorted(SOLVE_CFGS)).flatmap(_mutations))
-def test_malformed_configs_exit_with_a_code(mutation):
-    command, path, value = mutation
-    cfg = copy.deepcopy(SOLVE_CFGS[command])
+def _mutate(base, path, value):
+    cfg = copy.deepcopy(base)
     parent = cfg
     for key in path[:-1]:
-        parent = parent[key]
+        parent = parent.setdefault(key, {}) if isinstance(parent, dict) else parent[key]
     parent[path[-1]] = value
+    return cfg
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(0, len(SOLVE_CFGS) - 1).flatmap(_mutations))
+def test_malformed_configs_exit_with_a_code(mutation):
+    case, path, value = mutation
+    command, base = SOLVE_CFGS[case]
     with tempfile.TemporaryDirectory() as d:
         cfg_path = os.path.join(d, "cfg.json")
         with open(cfg_path, "w") as fh:
-            json.dump(cfg, fh)
+            json.dump(_mutate(base, path, value), fh)
         code = main([command, "--config", cfg_path,
                      "--out", os.path.join(d, "art"), "--quiet"])
     assert code in (0, 2, 3, 4)
