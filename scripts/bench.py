@@ -20,13 +20,13 @@ measured in its own fresh process, and the sides take turns over ROUNDS
 rounds so that a drift in CPU speed affects them alike. Each round takes
 REPEATS timed calls per micro-benchmark (SLOW_REPEATS for the three slow ones)
 after one warm-up call. The medians and quartiles over all rounds, the
-GMRES iterations of the Newton step (``counts``) and the
+GMRES iterations and 2-D FFTs of the Newton step (``counts``) and the
 run record of ``perfbench/run.py`` (machine, Python, numpy, scipy and BLAS
 versions, BLAS thread setting, git commit) go to FILE (default: standard
 output) as JSON.
 
 Example, comparing a copy of another commit with this one:
-    python scripts/bench.py --out BENCH_8.json before=../parent/src after=src
+    python scripts/bench.py --out BENCH_10.json before=../parent/src after=src
 """
 
 from __future__ import annotations
@@ -139,9 +139,36 @@ def measure():
             fn(*args)
             samples.append(time.perf_counter() - t0)
         out[name] = samples
-    # work counter: the GMRES iterations of the timed Newton step
-    counts = {"torus256.gv_newton_step.gmres_iterations": step(*step_args)[4]}
+    # work counters: the GMRES iterations and 2-D FFTs of the timed Newton step
+    result, transforms = count_transforms(step, step_args)
+    counts = {"torus256.gv_newton_step.gmres_iterations": result[4],
+              "torus256.gv_newton_step.transforms": transforms}
     return {"seconds": out, "counts": counts}
+
+
+def count_transforms(fn, args):
+    """fn(*args) and the number of 2-D real FFTs (``np.fft.rfft2`` and
+    ``irfft2``, one per 2-D slice of a batched input) that it made."""
+    import numpy as np
+
+    count = 0
+    originals = {name: getattr(np.fft, name) for name in ("rfft2", "irfft2")}
+
+    def counted(fft):
+        def call(a, *rest, **kwargs):
+            nonlocal count
+            count += int(np.prod(np.shape(a)[:-2]))
+            return fft(a, *rest, **kwargs)
+        return call
+
+    for name, fft in originals.items():
+        setattr(np.fft, name, counted(fft))
+    try:
+        result = fn(*args)
+    finally:
+        for name, fft in originals.items():
+            setattr(np.fft, name, fft)
+    return result, count
 
 
 def environment():

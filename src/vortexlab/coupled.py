@@ -26,8 +26,8 @@ from .fields import build_divisor_fields, derive_params
 from .solvers import solve_block_newton_step
 from .vortex import solve_twisted_ke, solve_vortex_on_metric
 
-__all__ = ["GVProblem", "SolveState", "Linearization", "make_problem",
-           "residual", "linearize", "jacobian_vp", "newton_step",
+__all__ = ["GVProblem", "SolveState", "Residual", "Linearization",
+           "make_problem", "residual", "linearize", "jacobian_vp", "newton_step",
            "solve_at_alpha", "decoupled_state", "continue_alpha"]
 
 RESIDUAL_TOL = 1e-9
@@ -112,6 +112,18 @@ def _exp_factor(problem, alpha, c_tilde, f_tilde, u, Phi):
     )
 
 
+class Residual(tuple):
+    """The pair (S1, S2) at an iterate, carrying the frozen linearization
+    there (``lin``): its Phi, rho = 1 - lap u and E are the residual's own
+    intermediates, so a Newton step from this iterate computes none of them
+    again."""
+
+    def __new__(cls, S1, S2, lin):
+        res = super().__new__(cls, (S1, S2))
+        res.lin = lin
+        return res
+
+
 def residual(problem, alpha, f_tilde, u, c_tilde=None):
     """(S1, S2) at the given alpha; c~ recomputed from its formula."""
     if c_tilde is None:
@@ -122,16 +134,14 @@ def residual(problem, alpha, f_tilde, u, c_tilde=None):
 
 def _residual(problem, alpha, f_tilde, u, c_tilde, lap_u):
     """(S1, S2) given lap u."""
-    s = problem.surface
-    Phi = _phi(problem, f_tilde)
-    rho = 1.0 - lap_u
+    lin = _linearization(problem, alpha, f_tilde, u, c_tilde, lap_u)
     S1 = (
-        s.laplacian(f_tilde)
-        + 0.5 * (Phi - problem.tau) * rho
+        problem.surface.laplacian(f_tilde)
+        + 0.5 * (lin.Phi - problem.tau) * lin.rho
         + problem.params.N_tilde
     )
-    S2 = lap_u + _exp_factor(problem, alpha, c_tilde, f_tilde, u, Phi) - 1.0
-    return S1, S2
+    S2 = lap_u + lin.E - 1.0
+    return Residual(S1, S2, lin)
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,6 +171,18 @@ class Linearization:
         )
         return dS1, dS2
 
+    def pointwise(self, df, du, lap_du):
+        """K (df, du) given lap du, where J = diag(lap, lap) + K: the part
+        of ``apply`` that is not a Laplacian, which GMRES evaluates on the
+        grid."""
+        tau = self.problem.tau
+        k1 = self.Phi * self.rho * df
+        k1 += 0.5 * (tau - self.Phi) * lap_du
+        k2 = 4.0 * self.alpha * (tau - self.Phi) * df
+        k2 -= 2.0 * self.c_tilde * du
+        k2 *= self.E
+        return k1, k2
+
     def model_coeffs(self):
         """Means of the four coefficients: the constant-coefficient model
         system whose spectral inverse preconditions GMRES."""
@@ -177,10 +199,14 @@ def linearize(problem, alpha, f_tilde, u, c_tilde=None):
     """The frozen Jacobian of (S1, S2) at (f~, u)."""
     if c_tilde is None:
         c_tilde = problem.c_tilde(alpha)
+    return _linearization(problem, alpha, f_tilde, u, c_tilde,
+                          problem.surface.laplacian(u))
+
+
+def _linearization(problem, alpha, f_tilde, u, c_tilde, lap_u):
     Phi = _phi(problem, f_tilde)
-    rho = 1.0 - problem.surface.laplacian(u)
     E = _exp_factor(problem, alpha, c_tilde, f_tilde, u, Phi)
-    return Linearization(problem, alpha, c_tilde, Phi, rho, E)
+    return Linearization(problem, alpha, c_tilde, Phi, 1.0 - lap_u, E)
 
 
 def jacobian_vp(problem, alpha, f_tilde, u, df, du, c_tilde=None):
@@ -192,8 +218,9 @@ def newton_step(problem, alpha, f_tilde, u, c_tilde=None, max_backtrack=30,
                 log=None, res=None):
     """One damped Newton step preserving 1 - lap u > 0.
 
-    ``res`` is the residual pair at (f~, u) if the caller already has it.
-    Returns (f~', u', residual_pair', step_size, krylov_iterations).
+    ``res`` is the residual pair at (f~, u) if the caller already has it;
+    a Residual also brings the linearization there. Returns (f~', u',
+    residual', step_size, krylov_iterations), residual' a Residual.
     """
     s = problem.surface
     if c_tilde is None:
@@ -203,8 +230,10 @@ def newton_step(problem, alpha, f_tilde, u, c_tilde=None, max_backtrack=30,
     S1, S2 = res
     rn = max(float(np.max(np.abs(S1))), float(np.max(np.abs(S2))))
     eta = min(_ETA_MAX, max(_ETA_MIN, _FORCING * rn))
-    lin = linearize(problem, alpha, f_tilde, u, c_tilde)
-    df, du, nk = solve_block_newton_step(s, lin.apply, -S1, -S2, rtol=eta,
+    lin = (res.lin if isinstance(res, Residual)
+           else linearize(problem, alpha, f_tilde, u, c_tilde))
+    df, du, nk = solve_block_newton_step(s, lin.pointwise, -S1, -S2,
+                                         rtol=eta,
                                          model_coeffs=lin.model_coeffs())
     phi0 = float(s.integrate(S1 * S1 + S2 * S2))
     step = 1.0
@@ -214,7 +243,8 @@ def newton_step(problem, alpha, f_tilde, u, c_tilde=None, max_backtrack=30,
         if float(np.min(1.0 - lap_ut)) <= 0.0:
             step *= 0.5
             continue
-        T1, T2 = _residual(problem, alpha, ft, ut, c_tilde, lap_ut)
+        trial = _residual(problem, alpha, ft, ut, c_tilde, lap_ut)
+        T1, T2 = trial
         phit = float(s.integrate(T1 * T1 + T2 * T2))
         if phit <= (1.0 - 1e-4 * step) * phi0 or phit < (RESIDUAL_TOL * 1e-2) ** 2:
             if log is not None:
@@ -224,7 +254,7 @@ def newton_step(problem, alpha, f_tilde, u, c_tilde=None, max_backtrack=30,
                                         float(np.max(np.abs(T2)))),
                     "time": time.perf_counter(),
                 })
-            return ft, ut, (T1, T2), step, nk
+            return ft, ut, trial, step, nk
         step *= 0.5
     raise ConvergenceFailure(
         "Newton step rejected: positivity or descent unrecoverable after "
@@ -236,9 +266,10 @@ def solve_at_alpha(problem, alpha, f_init, u_init, tol=RESIDUAL_TOL):
     """Newton loop at fixed alpha from the given initial pair."""
     c_tilde = problem.c_tilde(alpha)
     f, u = f_init, u_init
-    S1, S2 = residual(problem, alpha, f, u, c_tilde)
+    res = residual(problem, alpha, f, u, c_tilde)
     step_log = []
     for _ in range(MAX_NEWTON):
+        S1, S2 = res
         rn = max(float(np.max(np.abs(S1))), float(np.max(np.abs(S2))))
         if rn < tol:
             Phi = _phi(problem, f)
@@ -246,8 +277,8 @@ def solve_at_alpha(problem, alpha, f_init, u_init, tol=RESIDUAL_TOL):
             return SolveState(alpha=alpha, c_tilde=c_tilde, f_tilde=f, u=u,
                               Phi=Phi, res1=S1, res2=S2, params=params,
                               newton_log=step_log)
-        f, u, (S1, S2), _, _ = newton_step(problem, alpha, f, u, c_tilde,
-                                           log=step_log, res=(S1, S2))
+        f, u, res, _, _ = newton_step(problem, alpha, f, u, c_tilde,
+                                      log=step_log, res=res)
     raise ConvergenceFailure(f"no convergence at alpha={alpha} "
                              f"after {MAX_NEWTON} Newton iterations")
 

@@ -5,11 +5,15 @@ All linearized operators here have the form  lap + diag(V)  with V >= 0
 inverse (lap + mean V)^-1 as preconditioner, in the quadrature inner
 product in which both are symmetric.  The coupled 2x2 system is
 nonsymmetric and goes through restarted GMRES (classical Gram-Schmidt with
-one re-orthogonalization) with a spectral block preconditioner, to the
-relative tolerance the caller passes: the coupled Newton step passes a
-forcing term that follows its residual, so the Krylov solve is only as
-tight as the step can use.  Small grids fall back to a dense solve whose
-matrix is bounded by DENSE_MAX_BYTES.
+one re-orthogonalization) on the Parseval-scaled spectral coefficients of
+the two fields: there the Laplacians and the block preconditioner (the
+inverse symbol of the frozen-coefficient model system) are per-mode
+multiplies, and only the pointwise part of the Jacobian goes through the
+grid, at three inverse and two forward transforms per iteration.  GMRES
+runs to the relative tolerance the caller passes: the coupled Newton step
+passes a forcing term that follows its residual, so the Krylov solve is
+only as tight as the step can use.  Small grids fall back to a dense solve
+in grid coordinates whose matrix is bounded by DENSE_MAX_BYTES.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import time
 import numpy as np
 
 from .errors import ConvergenceFailure
+from .surface import _block_symbol
 
 __all__ = ["solve_helmholtz", "solve_block_newton_step", "damped_newton_scalar"]
 
@@ -151,23 +156,29 @@ def damped_newton_scalar(surface, residual_fn, lin_weight_fn, x0, tol=1e-10,
     )
 
 
-def solve_block_newton_step(surface, apply_jac, rhs1, rhs2, rtol=1e-12,
+def solve_block_newton_step(surface, pointwise, rhs1, rhs2, rtol=1e-12,
                             atol=1e-13, restart=50, max_krylov=500,
                             model_coeffs=None):
-    """Solve the linearized 2x2 system J (df, du) = (rhs1, rhs2).
+    """Solve the linearized 2x2 system J (df, du) = (rhs1, rhs2), where
+    J = diag(lap, lap) + K and ``pointwise(df, du, lap_du)`` returns the
+    pointwise part K (df, du).
 
-    apply_jac maps a pair of fields to a pair of fields.  GMRES,
-    preconditioned by the exact spectral inverse of the frozen-coefficient
-    model system when ``model_coeffs`` (m1, m2, m3, m4) is supplied and
-    stays definite, else by blockwise (lap+1)^-1.  When Krylov stalls and
-    the dense Jacobian fits in DENSE_MAX_BYTES, a direct solve takes over.
+    GMRES runs on the spectral coefficients of (df, du) (``to_coeffs``), in
+    which lap multiplies each coefficient by its ``coeff_eig`` and the
+    Euclidean norm is the grid norm, so rtol and atol are grid-norm
+    tolerances; only K goes through the grid. The preconditioner is the
+    per-mode inverse of the frozen-coefficient model system when
+    ``model_coeffs`` (m1, m2, m3, m4) is supplied and stays definite, else
+    blockwise (lap+1)^-1. When Krylov stalls and the dense grid Jacobian
+    fits in DENSE_MAX_BYTES, a direct solve takes over.
     """
-    shape = surface.shape
-    size = rhs1.size
+    eig = surface.coeff_eig
+    size = 2 * eig.size  # a field's coefficients as (Re, Im) pairs
 
-    def matvec(x):
-        a, b = apply_jac(x[:size].reshape(shape), x[size:].reshape(shape))
-        return np.concatenate([a.ravel(), b.ravel()])
+    def modes(x):
+        """The complex coefficients of the two fields in x."""
+        z = x.view(np.complex128)
+        return z[:eig.size], z[eig.size:]
 
     use_model = False
     if model_coeffs is not None:
@@ -177,32 +188,52 @@ def solve_block_newton_step(surface, apply_jac, rhs1, rhs2, rtol=1e-12,
             use_model = True
 
     if use_model:
+        i11, i12, i21, i22 = _block_symbol(model_coeffs, eig)
 
-        def prevec(x):
-            a, b = surface.solve_block_model(
-                model_coeffs, x[:size].reshape(shape), x[size:].reshape(shape)
-            )
-            return np.concatenate([a.ravel(), b.ravel()])
+        def prevec(y):
+            a, b = modes(y)
+            return np.concatenate([i11 * a + i12 * b,
+                                   i21 * a + i22 * b]).view(np.float64)
 
     else:
+        shifted = 1.0 / (eig + 1.0)
 
-        def prevec(x):
-            a = surface.solve_shifted(1.0, x[:size].reshape(shape))
-            b = surface.solve_shifted(1.0, x[size:].reshape(shape))
-            return np.concatenate([a.ravel(), b.ravel()])
+        def prevec(y):
+            a, b = modes(y)
+            return np.concatenate([shifted * a, shifted * b]).view(np.float64)
 
-    b = np.concatenate([rhs1.ravel(), rhs2.ravel()])
+    def matvec(x):
+        zf, zu = modes(x)
+        lap_zu = eig * zu
+        k1, k2 = pointwise(surface.from_coeffs(x[:size]),
+                           surface.from_coeffs(x[size:]),
+                           surface.from_coeffs(lap_zu.view(np.float64)))
+        y = np.concatenate([surface.to_coeffs(k1), surface.to_coeffs(k2)])
+        yf, yu = modes(y)
+        yf += eig * zf
+        yu += lap_zu
+        return y
+
+    b = np.concatenate([surface.to_coeffs(rhs1), surface.to_coeffs(rhs2)])
     x, niter, converged = _gmres_left(matvec, prevec, b, rtol=rtol, atol=atol,
                                       restart=restart, max_krylov=max_krylov)
-    if not converged:
-        dense_bytes = b.size ** 2 * b.itemsize
-        if dense_bytes <= DENSE_MAX_BYTES:
-            x = _dense_block_solve(size, matvec, b)
-        else:
-            raise ConvergenceFailure(
-                f"GMRES failed after {niter} iterations"
-            )
-    return x[:size].reshape(shape), x[size:].reshape(shape), niter
+    if converged:
+        df, du = surface.from_coeffs(x[:size]), surface.from_coeffs(x[size:])
+        return df, du, niter
+    shape, n = surface.shape, rhs1.size
+    if (2 * n) ** 2 * 8 > DENSE_MAX_BYTES:
+        raise ConvergenceFailure(f"GMRES failed after {niter} iterations")
+
+    def grid_jac(x):
+        df, du = x[:n].reshape(shape), x[n:].reshape(shape)
+        lap_du = surface.laplacian(du)
+        k1, k2 = pointwise(df, du, lap_du)
+        return np.concatenate([(surface.laplacian(df) + k1).ravel(),
+                               (lap_du + k2).ravel()])
+
+    x = _dense_block_solve(n, grid_jac,
+                           np.concatenate([rhs1.ravel(), rhs2.ravel()]))
+    return x[:n].reshape(shape), x[n:].reshape(shape), niter
 
 
 def _gmres_left(matvec, prevec, b, rtol, atol, restart, max_krylov):
@@ -211,11 +242,12 @@ def _gmres_left(matvec, prevec, b, rtol, atol, restart, max_krylov):
     well-preconditioned system (the unpreconditioned norm bottoms out at
     eps * lambda_max and cannot certify tight relative tolerances)."""
     x = np.zeros_like(b)
-    mb = prevec(b)
-    target = max(rtol * np.linalg.norm(mb), atol)
+    r = prevec(b)  # the residual at x = 0
+    target = max(rtol * np.linalg.norm(r), atol)
     total = 0
-    for _ in range(max(1, int(np.ceil(max_krylov / restart)))):
-        r = prevec(b - matvec(x))
+    for cycle in range(max(1, int(np.ceil(max_krylov / restart)))):
+        if cycle:
+            r = prevec(b - matvec(x))
         beta = np.linalg.norm(r)
         if beta <= target:
             return x, total, True

@@ -15,9 +15,16 @@ spherical harmonic is l*(l+1)/r^2 = 2*l*(l+1).
 
 All operations act on plain float64 arrays shaped like the surface grid;
 ``check_field`` enforces the shape/finiteness contract at module boundaries.
+``to_coeffs``/``from_coeffs`` map a field to a flat real vector of its
+complex spectral coefficients, (Re, Im) interleaved, and back, scaled so
+that the vector's Euclidean norm is the field's grid norm (weighted by cell
+area, normalized to mean 1); ``coeff_eig`` is the Laplacian eigenvalue of
+each coefficient, one per (Re, Im) pair.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -25,8 +32,13 @@ from .errors import ConfigError
 
 VOL = 2.0 * np.pi
 
+# largest surface build: the torus grid arrays, the sphere's folded Legendre
+# tensors; a larger resolution is refused before anything is allocated
+BUILD_MAX_BYTES = 2**30
+
 __all__ = [
     "VOL",
+    "BUILD_MAX_BYTES",
     "Torus",
     "Sphere",
     "build_surface",
@@ -72,7 +84,13 @@ class Torus:
         kxf[self.n // 2] = 0.0
         kyf[self.n // 2] = 0.0
         self._dz_mult = np.pi * (kyf[None, :] + 1j * kxf[:, None])
-        self._block_memo = None  # (coefficients, symbol) of _block_inverse
+        # Parseval scale of the rfft2 half spectrum: the columns ky = 0 and
+        # n/2 count once, every other column also for its conjugate
+        weight = np.full(self.n // 2 + 1, np.sqrt(2.0))
+        weight[[0, -1]] = 1.0
+        self._coeff_scale = weight / self.n
+        self._coeff_unscale = self.n / weight
+        self.coeff_eig = self._eig_r.ravel()
 
     # -- quadrature and spectral calculus -------------------------------
     def integrate(self, values):
@@ -90,6 +108,16 @@ class Torus:
         out = _shifted_inverse(self, c, rhs, np.fft.rfft2(rhs), self._eig_r)
         return np.fft.irfft2(out, s=self.shape)
 
+    def to_coeffs(self, values):
+        """Parseval-scaled rfft2 coefficients, (Re, Im) interleaved."""
+        coeffs = np.fft.rfft2(values) * self._coeff_scale
+        return coeffs.view(np.float64).ravel()
+
+    def from_coeffs(self, coeffs):
+        """The field of a coefficient vector of ``to_coeffs``."""
+        half = coeffs.view(np.complex128).reshape(self.n, self.n // 2 + 1)
+        return np.fft.irfft2(half * self._coeff_unscale, s=self.shape)
+
     def dz(self, values):
         """d/dz = (d/dx - i d/dy)/2 of a real field (complex output)."""
         vk = np.fft.fft2(values)
@@ -102,7 +130,7 @@ class Torus:
     def solve_block_model(self, m, r1, r2):
         """Exact inverse of the constant-coefficient model system
         [[lap + m1, m2*lap], [m3, lap + m4]] per Fourier mode."""
-        x1, x2 = _block_inverse(self, m, np.fft.rfft2(r1), np.fft.rfft2(r2),
+        x1, x2 = _block_inverse(m, np.fft.rfft2(r1), np.fft.rfft2(r2),
                                 self._eig_r)
         return (
             np.fft.irfft2(x1, s=self.shape),
@@ -195,7 +223,6 @@ class Sphere:
         self.theta = np.arccos(mu)
         self.phi = 2.0 * np.pi * np.arange(self.nlon) / self.nlon
         self._eig = 2.0 * np.arange(self.L + 1) * (np.arange(self.L + 1) + 1.0)
-        self._block_memo = None  # (coefficients, symbol) of _block_inverse
         self._pfold, self._pfold_w, self._fold, self._src, self._dst = \
             _folded_legendre(self.L, mu, w, self.nlon // 2 + 1)
         st = np.sin(self.theta)
@@ -235,6 +262,36 @@ class Sphere:
         out[nn - 1::-1] = g[:, 0] - g[:, 1]
         return out
 
+    def to_coeffs(self, values):
+        """Quadrature-scaled a[l, m] for l >= m, (Re, Im) interleaved."""
+        index, scale = self._coeff_map[:2]
+        return (np.take(self.analyze(values), index) * scale).view(np.float64)
+
+    def from_coeffs(self, coeffs):
+        """The field of a coefficient vector of ``to_coeffs``."""
+        index, scale = self._coeff_map[:2]
+        a = np.zeros((self.L + 1, self.L + 1), dtype=np.complex128)
+        np.put(a, index, coeffs.view(np.complex128) / scale)
+        return self.synthesize(a)
+
+    @property
+    def coeff_eig(self):
+        """Laplacian eigenvalue of each coefficient of ``to_coeffs``."""
+        return self._coeff_map[2]
+
+    @cached_property
+    def _coeff_map(self):
+        """(flat index l (L + 1) + m, scale, Laplacian eigenvalue) of each
+        coefficient of ``to_coeffs``; built on first use. a[l, m] of order
+        m > 0 stands also for a[l, -m], so it counts twice in the quadrature
+        norm, which the Gauss weights normalized to mean 1 put on the scale
+        of the torus's grid norm."""
+        index = self._dst[::2] // 2
+        l, m = np.divmod(index, self.L + 1)
+        scale = (np.where(m > 0, np.sqrt(2.0), 1.0)
+                 * np.sqrt(self.nlat * self.nlon / (4.0 * np.pi)))
+        return index, scale, self._eig[l]
+
     def integrate(self, values):
         return float(
             self.r**2
@@ -257,7 +314,7 @@ class Sphere:
     def solve_block_model(self, m, r1, r2):
         """Exact inverse of the constant-coefficient model system
         [[lap + m1, m2*lap], [m3, lap + m4]] per spherical-harmonic degree."""
-        x1, x2 = _block_inverse(self, m, self.analyze(r1), self.analyze(r2),
+        x1, x2 = _block_inverse(m, self.analyze(r1), self.analyze(r2),
                                 self._eig[:, None])
         return self.synthesize(x1), self.synthesize(x2)
 
@@ -345,17 +402,10 @@ def _shifted_inverse(surface, c, rhs, coeffs, eig):
     return coeffs / (eig + c)
 
 
-def _block_inverse(surface, m, a1, a2, lam):
+def _block_inverse(m, a1, a2, lam):
     """Per-mode solve of [[lam + m1, m2*lam], [m3, lam + m4]] (x1, x2) = (a1, a2)
-    for the coefficients a1, a2 of modes with Laplacian eigenvalue lam.
-
-    GMRES applies one model system many times per Newton step, so the
-    surface keeps the symbol of the last coefficients it saw.
-    """
-    key = tuple(m)
-    if surface._block_memo is None or surface._block_memo[0] != key:
-        surface._block_memo = (key, _block_symbol(key, lam))
-    i11, i12, i21, i22 = surface._block_memo[1]
+    for the coefficients a1, a2 of modes with Laplacian eigenvalue lam."""
+    i11, i12, i21, i22 = _block_symbol(m, lam)
     return i11 * a1 + i12 * a2, i21 * a1 + i22 * a2
 
 
@@ -487,12 +537,26 @@ def _legendre_point(l, m, mu):
 
 
 def build_surface(backend, resolution):
-    """Construct a surface; torus needs even n >= 16, sphere needs L >= 15."""
+    """Construct a surface; torus needs even n >= 16, sphere needs L >= 15,
+    and neither may take more than BUILD_MAX_BYTES to build."""
+    if backend not in ("torus", "sphere"):
+        raise ConfigError(f"unknown backend {backend!r}")
+    if build_bytes(backend, resolution) > BUILD_MAX_BYTES:
+        raise ConfigError(f"'resolution' {resolution} would take more than "
+                          f"{BUILD_MAX_BYTES} bytes to build")
+    return Torus(resolution) if backend == "torus" else Sphere(resolution)
+
+
+def build_bytes(backend, resolution):
+    """Bytes of the largest arrays a surface build makes: on the torus five
+    float64 grids (coordinates, eigenvalues, the complex d/dz multiplier),
+    on the sphere the folded Legendre tensors and their Gram blocks."""
+    n = int(resolution)
     if backend == "torus":
-        return Torus(resolution)
-    if backend == "sphere":
-        return Sphere(resolution)
-    raise ConfigError(f"unknown backend {backend!r}")
+        return 5 * 8 * n * n
+    nlat = (3 * (n + 1) + 1) // 2
+    nb, rows, nn = n // 2 + 1, n + 2, (nlat + 1) // 2
+    return 8 * nb * rows * (2 * nn + rows)
 
 
 def gradient_pairing(surface, f, g):

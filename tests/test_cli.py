@@ -227,7 +227,10 @@ def test_exit_codes(tmp_path, capsys):
                     ("solve-eb", dict(EB_CFG, delta=[0.3, 0.0])),
                     ("solve-eb", dict(EB_CFG, tolerances={"residual": 0.0})),
                     ("solve-gv", dict(GV_CFG, alpha=-1)),
-                    ("sweep-eps", dict(SWEEP_CFG, alpha={"target": -1}))]
+                    ("sweep-eps", dict(SWEEP_CFG, alpha={"target": -1})),
+                    ("solve-vortex", dict(VORTEX_CFG, resolution=10**6)),
+                    ("solve-vortex", dict(VORTEX_CFG, backend="sphere",
+                                          resolution=10**6))]
     for k, (command, bad) in enumerate(out_of_range):
         cfg = write_cfg(tmp_path, f"range{k}.json", bad)
         assert main([command, "--config", cfg, "--out",

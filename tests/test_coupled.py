@@ -157,8 +157,9 @@ def test_gmres_left_restarted_matches_dense():
                                       max_krylov=500)
     assert converged and niter > 2 * restart
     assert np.max(np.abs(x - np.linalg.solve(A, b))) < 1e-10
-    # the matvecs of the first cycle are its Krylov basis (after A @ x0)
-    basis = np.array(calls[1:restart + 1])
+    # the matvecs of the first cycle are its Krylov basis (x0 = 0 needs no
+    # matvec for its residual)
+    basis = np.array(calls[:restart])
     assert np.max(np.abs(basis @ basis.T - np.eye(restart))) < 1e-12
 
 
@@ -227,23 +228,28 @@ def test_dense_block_fallback():
 def _stiff_block_system(surface):
     # a stiff variable-coefficient block system: GMRES needs far more than
     # a starved budget of 6 iterations
+    # a starved budget of 6 iterations; returns the Jacobian, its pointwise
+    # part and the right-hand side
     rng = np.random.default_rng(7)
     V1 = 1.0 + 0.9 * np.cos(2 * np.pi * 5 * surface.X) ** 2
     V2 = 2.0 + np.sin(2 * np.pi * 4 * surface.Y) ** 2
 
+    def pointwise(df, du, lap_du):
+        return V1 * df + 40.0 * du, V2 * du - 35.0 * df
+
     def apply_jac(df, du):
-        return (surface.laplacian(df) + V1 * df + 40.0 * du,
-                surface.laplacian(du) + V2 * du - 35.0 * df)
+        k1, k2 = pointwise(df, du, None)
+        return surface.laplacian(df) + k1, surface.laplacian(du) + k2
 
     r1, _ = surface.random_bandlimited(rng, kmax=5)
     r2, _ = surface.random_bandlimited(rng, kmax=5)
-    return apply_jac, r1, r2
+    return apply_jac, pointwise, r1, r2
 
 
 def test_gmres_fallback_on_small_grid(torus32):
     # under a starved Krylov budget small grids fall back to the dense route
-    apply_jac, r1, r2 = _stiff_block_system(torus32)
-    df, du, _ = solve_block_newton_step(torus32, apply_jac, r1, r2,
+    apply_jac, pointwise, r1, r2 = _stiff_block_system(torus32)
+    df, du, _ = solve_block_newton_step(torus32, pointwise, r1, r2,
                                         restart=3, max_krylov=6)
     a, b = apply_jac(df, du)
     assert np.max(np.abs(a - r1)) < 1e-8
@@ -259,7 +265,112 @@ def test_gmres_no_dense_fallback_above_memory_bound(torus64, monkeypatch):
         raise AssertionError("dense fallback called above the memory bound")
 
     monkeypatch.setattr(solvers, "_dense_block_solve", no_dense)
-    apply_jac, r1, r2 = _stiff_block_system(torus64)
+    _, pointwise, r1, r2 = _stiff_block_system(torus64)
     with pytest.raises(ConvergenceFailure):
-        solve_block_newton_step(torus64, apply_jac, r1, r2, restart=3,
+        solve_block_newton_step(torus64, pointwise, r1, r2, restart=3,
                                 max_krylov=6)
+
+
+def _variable_block_system(surface):
+    # a variable-coefficient block system shaped like the coupled Jacobian,
+    # with band-limited coefficients and right-hand side; returns its
+    # pointwise part, the means of its coefficients and the right-hand side
+    rng = np.random.default_rng(21)
+    k1 = 3.0 + surface.random_bandlimited(rng, kmax=3, amp=0.3)[0]
+    k2 = 0.4 + surface.random_bandlimited(rng, kmax=3, amp=0.05)[0]
+    k3 = -0.5 + surface.random_bandlimited(rng, kmax=3, amp=0.1)[0]
+    k4 = 2.0 + surface.random_bandlimited(rng, kmax=3, amp=0.2)[0]
+
+    def pointwise(df, du, lap_du):
+        return k1 * df + k2 * lap_du, k3 * df + k4 * du
+
+    means = tuple(float(np.mean(k)) for k in (k1, k2, k3, k4))
+    r1, _ = surface.random_bandlimited(rng, kmax=5)
+    r2, _ = surface.random_bandlimited(rng, kmax=5)
+    return pointwise, means, r1, r2
+
+
+def test_block_step_matches_dense_grid_solve():
+    # the coefficient-space GMRES solves the grid system: against a dense
+    # solve of the grid Jacobian, column by column
+    s = build_surface("torus", 16)
+    pointwise, means, r1, r2 = _variable_block_system(s)
+    size = r1.size
+
+    def grid_jac(x):
+        df, du = x[:size].reshape(s.shape), x[size:].reshape(s.shape)
+        lap_du = s.laplacian(du)
+        k1, k2 = pointwise(df, du, lap_du)
+        return np.concatenate([(s.laplacian(df) + k1).ravel(),
+                               (lap_du + k2).ravel()])
+
+    want = _dense_block_solve(size, grid_jac,
+                              np.concatenate([r1.ravel(), r2.ravel()]))
+    df, du, _ = solve_block_newton_step(s, pointwise, r1, r2, rtol=1e-12,
+                                        model_coeffs=means)
+    assert np.max(np.abs(df.ravel() - want[:size])) < 1e-10
+    assert np.max(np.abs(du.ravel() - want[size:])) < 1e-10
+
+
+def test_block_step_matches_grid_gmres_on_sphere(sphere15):
+    # on the sphere the unknowns are the harmonics of degree <= L: the
+    # reference is grid-space GMRES on the same system, each field and each
+    # pointwise product projected onto those harmonics, preconditioned by
+    # the grid-space model solve
+    s = sphere15
+    pointwise, means, r1, r2 = _variable_block_system(s)
+    size = r1.size
+
+    def band(f):
+        return s.synthesize(s.analyze(f))
+
+    def matvec(x):
+        df, du = band(x[:size].reshape(s.shape)), band(x[size:].reshape(s.shape))
+        lap_du = s.laplacian(du)
+        k1, k2 = pointwise(df, du, lap_du)
+        return np.concatenate([(s.laplacian(df) + band(k1)).ravel(),
+                               (lap_du + band(k2)).ravel()])
+
+    def prevec(y):
+        a, b = s.solve_block_model(means, y[:size].reshape(s.shape),
+                                   y[size:].reshape(s.shape))
+        return np.concatenate([a.ravel(), b.ravel()])
+
+    want, _, converged = _gmres_left(
+        matvec, prevec, np.concatenate([band(r1).ravel(), band(r2).ravel()]),
+        rtol=1e-13, atol=0.0, restart=50, max_krylov=500)
+    assert converged
+    df, du, _ = solve_block_newton_step(s, pointwise, r1, r2, rtol=1e-12,
+                                        model_coeffs=means)
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(df.ravel() - want[:size])) < 1e-10 * scale
+    assert np.max(np.abs(du.ravel() - want[size:])) < 1e-10 * scale
+
+
+def test_newton_step_transforms_per_krylov_iteration(torus32, gv_divisor,
+                                                    monkeypatch):
+    # GMRES keeps its vectors as coefficients: per iteration three inverse
+    # 2-D FFTs (df, du, lap du) and two forward ones (the pointwise part),
+    # on top of a fixed number per step
+    problem = make_problem(torus32, gv_divisor, tau=4.0, eps=0.1)
+    state = coupled.decoupled_state(problem)
+    alpha = problem.params.alpha_star / 16
+    count = [0]
+    for name in ("rfft2", "irfft2"):
+        def counted(a, *args, _fft=getattr(np.fft, name), **kwargs):
+            count[0] += int(np.prod(np.shape(a)[:-2]))
+            return _fft(a, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    runs = []
+    for forcing in (coupled._FORCING, 0.0):
+        monkeypatch.setattr(coupled, "_FORCING", forcing)
+        count[0] = 0
+        _, _, _, step, nk = newton_step(problem, alpha, state.f_tilde, state.u)
+        assert step == 1.0
+        runs.append((count[0], nk))
+    (loose, nk_loose), (tight, nk_tight) = runs
+    assert nk_tight > nk_loose
+    assert tight - loose <= 5 * (nk_tight - nk_loose)
+    # fixed: the residual at the iterate (lap u, lap f), the right-hand
+    # sides, the solution fields, the residual at the full step
+    assert loose <= 5 * nk_loose + 12

@@ -4,8 +4,9 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from vortexlab.errors import ConfigError
-from vortexlab.surface import (VOL, _legendre_point, _legendre_table,
-                               build_surface, gradient_pairing)
+from vortexlab.surface import (BUILD_MAX_BYTES, VOL, _legendre_point,
+                               _legendre_table, build_bytes, build_surface,
+                               gradient_pairing)
 
 
 def test_build_validation():
@@ -244,6 +245,57 @@ def test_torus_mode_eval_consistency(torus32):
     assert abs(v - f[3, 7]) < 1e-12
     lap = s.eval_modes(modes, s.X, s.Y, laplacian=True)
     assert np.max(np.abs(lap - s.laplacian(f))) < 1e-9
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_torus_coeff_map_isometry(n):
+    # the Parseval-scaled rfft2 coefficients keep the grid norm, map back to
+    # the field and carry the Laplacian as a per-entry multiply
+    s = build_surface("torus", n)
+    rng = np.random.default_rng(n)
+    f = rng.normal(size=s.shape)
+    c = s.to_coeffs(f)
+    assert c.shape == (2 * s.coeff_eig.size,)
+    assert abs(np.linalg.norm(c) - np.linalg.norm(f)) < 1e-14 * np.linalg.norm(f)
+    assert np.max(np.abs(s.from_coeffs(c) - f)) < 1e-14 * np.max(np.abs(f))
+    _assert_laplacian_per_mode(s, f, c)
+
+
+@pytest.mark.parametrize("L", [15, 16])
+def test_sphere_coeff_map_isometry(L):
+    # on a band-limited field (every degree l <= L and order m) the
+    # coefficient norm is the quadrature norm, with the Gauss weights
+    # normalized to mean 1
+    s = build_surface("sphere", L)
+    rng = np.random.default_rng(L)
+    a = np.tril(rng.normal(size=(L + 1, L + 1))
+                + 1j * rng.normal(size=(L + 1, L + 1)))
+    a[:, 0] = a[:, 0].real
+    f = s.synthesize(a)
+    c = s.to_coeffs(f)
+    assert c.shape == (2 * s.coeff_eig.size,)
+    weight = s.glweights / np.mean(s.glweights)
+    quad = np.sqrt(np.sum(weight[:, None] * f * f))
+    assert abs(np.linalg.norm(c) - quad) < 1e-14 * quad
+    assert np.max(np.abs(s.from_coeffs(c) - f)) < 1e-13 * np.max(np.abs(f))
+    _assert_laplacian_per_mode(s, f, c)
+
+
+def _assert_laplacian_per_mode(s, f, c):
+    # each complex coefficient of lap f is coeff_eig times that of f
+    want = s.coeff_eig * c.view(np.complex128)
+    got = s.to_coeffs(s.laplacian(f)).view(np.complex128)
+    assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
+def test_build_bytes_bound():
+    # a resolution whose build would exceed the bound is refused before any
+    # array is made; the default resolutions are far inside it
+    assert build_bytes("torus", 256) < BUILD_MAX_BYTES / 100
+    assert build_bytes("sphere", 127) < BUILD_MAX_BYTES / 10
+    for backend in ("torus", "sphere"):
+        with pytest.raises(ConfigError, match="'resolution'"):
+            build_surface(backend, 10**6)
 
 
 @pytest.mark.parametrize("name", ["torus32", "sphere15"])
