@@ -218,9 +218,9 @@ def newton_step(problem, alpha, f_tilde, u, c_tilde=None, max_backtrack=30,
                 log=None, res=None):
     """One damped Newton step preserving 1 - lap u > 0.
 
-    ``res`` is the residual pair at (f~, u) if the caller already has it;
-    a Residual also brings the linearization there. Returns (f~', u',
-    residual', step_size, krylov_iterations), residual' a Residual.
+    ``res`` is the Residual at (f~, u) if the caller already has it; it
+    brings the linearization there. Returns (f~', u', residual',
+    step_size, krylov_iterations), residual' a Residual.
     """
     s = problem.surface
     if c_tilde is None:
@@ -230,8 +230,7 @@ def newton_step(problem, alpha, f_tilde, u, c_tilde=None, max_backtrack=30,
     S1, S2 = res
     rn = max(float(np.max(np.abs(S1))), float(np.max(np.abs(S2))))
     eta = min(_ETA_MAX, max(_ETA_MIN, _FORCING * rn))
-    lin = (res.lin if isinstance(res, Residual)
-           else linearize(problem, alpha, f_tilde, u, c_tilde))
+    lin = res.lin
     df, du, nk = solve_block_newton_step(s, lin.pointwise, -S1, -S2,
                                          rtol=eta,
                                          model_coeffs=lin.model_coeffs())

@@ -465,9 +465,14 @@ def _folded_legendre(L, mu, w, nfreq):
     group = np.full(nb * (L + 2), -1)
     group[base[m] + l - m] = 2 * upper[m] + (l - m) % 2
     group = group.reshape(nb, L + 2)
-    G = 2.0 * (PW @ P.transpose(0, 2, 1))
+    # in place where it can be, so the build peaks at P, PW, G and the
+    # corrected PW (see build_bytes)
+    G = PW @ P.transpose(0, 2, 1)
+    G *= 2.0
     G *= group[:, :, None] == group[:, None, :]
-    PW = (2.0 * np.eye(L + 2) - G) @ PW * np.sqrt(2.0 * np.pi)
+    np.subtract(2.0 * np.eye(L + 2), G, out=G)
+    PW = G @ PW
+    PW *= np.sqrt(2.0 * np.pi)
     P /= np.sqrt(2.0 * np.pi)
     half_order = np.full((nb, 2), L + 1)
     half_order[block, upper.astype(int)] = orders
@@ -548,15 +553,17 @@ def build_surface(backend, resolution):
 
 
 def build_bytes(backend, resolution):
-    """Bytes of the largest arrays a surface build makes: on the torus five
-    float64 grids (coordinates, eigenvalues, the complex d/dz multiplier),
-    on the sphere the folded Legendre tensors and their Gram blocks."""
+    """Bytes a surface build holds at its peak, rounded up: on the torus
+    five float64 grids (coordinates, eigenvalues, the complex d/dz
+    multiplier), on the sphere three folded Legendre tensors (P, PW and
+    the corrected PW, alive together), the Gram blocks and the O(L^2)
+    index arrays."""
     n = int(resolution)
     if backend == "torus":
         return 5 * 8 * n * n
     nlat = (3 * (n + 1) + 1) // 2
     nb, rows, nn = n // 2 + 1, n + 2, (nlat + 1) // 2
-    return 8 * nb * rows * (2 * nn + rows)
+    return 8 * nb * rows * (3 * nn + rows) + 32 * rows * rows
 
 
 def gradient_pairing(surface, f, g):

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -227,7 +230,6 @@ def test_dense_block_fallback():
 
 def _stiff_block_system(surface):
     # a stiff variable-coefficient block system: GMRES needs far more than
-    # a starved budget of 6 iterations
     # a starved budget of 6 iterations; returns the Jacobian, its pointwise
     # part and the right-hand side
     rng = np.random.default_rng(7)
@@ -347,6 +349,16 @@ def test_block_step_matches_grid_gmres_on_sphere(sphere15):
     assert np.max(np.abs(du.ravel() - want[size:])) < 1e-10 * scale
 
 
+def _bench_module():
+    # scripts/bench.py, whose FFT counter is the one rule for what counts
+    # as a 2-D transform
+    path = Path(__file__).resolve().parents[1] / "scripts" / "bench.py"
+    spec = importlib.util.spec_from_file_location("bench", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return bench
+
+
 def test_newton_step_transforms_per_krylov_iteration(torus32, gv_divisor,
                                                     monkeypatch):
     # GMRES keeps its vectors as coefficients: per iteration three inverse
@@ -355,19 +367,14 @@ def test_newton_step_transforms_per_krylov_iteration(torus32, gv_divisor,
     problem = make_problem(torus32, gv_divisor, tau=4.0, eps=0.1)
     state = coupled.decoupled_state(problem)
     alpha = problem.params.alpha_star / 16
-    count = [0]
-    for name in ("rfft2", "irfft2"):
-        def counted(a, *args, _fft=getattr(np.fft, name), **kwargs):
-            count[0] += int(np.prod(np.shape(a)[:-2]))
-            return _fft(a, *args, **kwargs)
-        monkeypatch.setattr(np.fft, name, counted)
+    count_transforms = _bench_module().count_transforms
     runs = []
     for forcing in (coupled._FORCING, 0.0):
         monkeypatch.setattr(coupled, "_FORCING", forcing)
-        count[0] = 0
-        _, _, _, step, nk = newton_step(problem, alpha, state.f_tilde, state.u)
+        (_, _, _, step, nk), count = count_transforms(
+            newton_step, (problem, alpha, state.f_tilde, state.u))
         assert step == 1.0
-        runs.append((count[0], nk))
+        runs.append((count, nk))
     (loose, nk_loose), (tight, nk_tight) = runs
     assert nk_tight > nk_loose
     assert tight - loose <= 5 * (nk_tight - nk_loose)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -296,6 +298,22 @@ def test_build_bytes_bound():
     for backend in ("torus", "sphere"):
         with pytest.raises(ConfigError, match="'resolution'"):
             build_surface(backend, 10**6)
+
+
+@pytest.mark.parametrize("backend,resolution", [("torus", 1024),
+                                                ("sphere", 127)])
+def test_build_bytes_covers_build_peak(backend, resolution):
+    # the bound is on the peak of the build, temporaries included, not only
+    # on the arrays the surface keeps; a small build first does the lazy
+    # imports, so that the trace counts the build's arrays only
+    build_surface(backend, 16)
+    tracemalloc.start()
+    try:
+        build_surface(backend, resolution)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= build_bytes(backend, resolution)
 
 
 @pytest.mark.parametrize("name", ["torus32", "sphere15"])
