@@ -26,7 +26,7 @@ from .bogomolnyi import (
     make_eb_problem,
     supersolution_margin,
 )
-from .coupled import SolveState, continue_alpha, decoupled_state, make_problem, residual
+from .coupled import accepted_state, continue_alpha, decoupled_state, make_problem
 from .errors import (
     AssumptionNotSatisfied,
     ConfigError,
@@ -571,12 +571,8 @@ def _recertify_gv(cfg, surface, divisor, art):
                           "predates it); solve again to verify")
     problem = make_problem(surface, divisor, tau=float(cfg["tau"]),
                            eps=float(art.meta["epsilon"]))
-    alpha = float(art.meta["alpha"])
-    f, u = art.field("f_tilde", surface), art.field("u", surface)
-    S1, S2 = residual(problem, alpha, f, u)
-    state = SolveState(alpha=alpha, c_tilde=problem.c_tilde(alpha),
-                       f_tilde=f, u=u, Phi=problem.weight_t * np.exp(2.0 * f),
-                       res1=S1, res2=S2, params=problem.params.with_alpha(alpha))
+    state = accepted_state(problem, float(art.meta["alpha"]),
+                           art.field("f_tilde", surface), art.field("u", surface))
     return certify_state(problem, state, seed=art.seed)
 
 

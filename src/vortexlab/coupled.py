@@ -23,12 +23,12 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceFailure, PathStalled
 from .fields import build_divisor_fields, derive_params
-from .solvers import solve_block_newton_step
+from .solvers import grid_jacobian, solve_block_newton_step
 from .vortex import solve_twisted_ke, solve_vortex_on_metric
 
 __all__ = ["GVProblem", "SolveState", "Residual", "Linearization",
-           "make_problem", "residual", "linearize", "jacobian_vp", "newton_step",
-           "solve_at_alpha", "decoupled_state", "continue_alpha"]
+           "make_problem", "residual", "jacobian_vp", "newton_step",
+           "accepted_state", "solve_at_alpha", "decoupled_state", "continue_alpha"]
 
 RESIDUAL_TOL = 1e-9
 MAX_NEWTON = 40  # Newton iterations per alpha before the step is halved
@@ -102,10 +102,6 @@ def make_problem(surface, divisor, tau, eps, fields=None):
     )
 
 
-def _phi(problem, f_tilde):
-    return problem.weight_t * np.exp(2.0 * f_tilde)
-
-
 def _exp_factor(problem, alpha, c_tilde, f_tilde, u, Phi):
     return problem.W * np.exp(
         4.0 * alpha * problem.tau * f_tilde - 2.0 * alpha * Phi - 2.0 * c_tilde * u
@@ -158,23 +154,14 @@ class Linearization:
     E: np.ndarray
 
     def apply(self, df, du):
-        """Directional derivative of (S1, S2) in direction (df, du)."""
-        s, tau = self.problem.surface, self.problem.tau
-        lap_du = s.laplacian(du)
-        dS1 = (
-            s.laplacian(df)
-            + self.Phi * self.rho * df
-            - 0.5 * (self.Phi - tau) * lap_du
-        )
-        dS2 = lap_du + self.E * (
-            4.0 * self.alpha * (tau - self.Phi) * df - 2.0 * self.c_tilde * du
-        )
-        return dS1, dS2
+        """Directional derivative of (S1, S2) in direction (df, du): the
+        Laplacians plus the ``pointwise`` part that GMRES runs."""
+        return grid_jacobian(self.problem.surface, self.pointwise, df, du)
 
     def pointwise(self, df, du, lap_du):
         """K (df, du) given lap du, where J = diag(lap, lap) + K: the part
-        of ``apply`` that is not a Laplacian, which GMRES evaluates on the
-        grid."""
+        of the Jacobian that is not a Laplacian, which GMRES evaluates on
+        the grid."""
         tau = self.problem.tau
         k1 = self.Phi * self.rho * df
         k1 += 0.5 * (tau - self.Phi) * lap_du
@@ -195,23 +182,19 @@ class Linearization:
         )
 
 
-def linearize(problem, alpha, f_tilde, u, c_tilde=None):
-    """The frozen Jacobian of (S1, S2) at (f~, u)."""
-    if c_tilde is None:
-        c_tilde = problem.c_tilde(alpha)
-    return _linearization(problem, alpha, f_tilde, u, c_tilde,
-                          problem.surface.laplacian(u))
-
-
 def _linearization(problem, alpha, f_tilde, u, c_tilde, lap_u):
-    Phi = _phi(problem, f_tilde)
+    Phi = problem.weight_t * np.exp(2.0 * f_tilde)
     E = _exp_factor(problem, alpha, c_tilde, f_tilde, u, Phi)
     return Linearization(problem, alpha, c_tilde, Phi, 1.0 - lap_u, E)
 
 
 def jacobian_vp(problem, alpha, f_tilde, u, df, du, c_tilde=None):
     """Directional derivative of (S1, S2) at (f~, u) in direction (df, du)."""
-    return linearize(problem, alpha, f_tilde, u, c_tilde).apply(df, du)
+    if c_tilde is None:
+        c_tilde = problem.c_tilde(alpha)
+    lin = _linearization(problem, alpha, f_tilde, u, c_tilde,
+                         problem.surface.laplacian(u))
+    return lin.apply(df, du)
 
 
 def newton_step(problem, alpha, f_tilde, u, c_tilde=None, max_backtrack=30,
@@ -261,6 +244,19 @@ def newton_step(problem, alpha, f_tilde, u, c_tilde=None, max_backtrack=30,
     )
 
 
+def accepted_state(problem, alpha, f_tilde, u, res=None, newton_log=None):
+    """The SolveState of (f~, u) at alpha, built by the solve and the
+    ``verify`` path alike; ``res`` is the Residual there if the caller has
+    it. Phi and c~ are those of the residual's linearization."""
+    if res is None:
+        res = residual(problem, alpha, f_tilde, u)
+    S1, S2 = res
+    return SolveState(alpha=alpha, c_tilde=res.lin.c_tilde, f_tilde=f_tilde,
+                      u=u, Phi=res.lin.Phi, res1=S1, res2=S2,
+                      params=problem.params.with_alpha(alpha),
+                      newton_log=[] if newton_log is None else newton_log)
+
+
 def solve_at_alpha(problem, alpha, f_init, u_init, tol=RESIDUAL_TOL):
     """Newton loop at fixed alpha from the given initial pair."""
     c_tilde = problem.c_tilde(alpha)
@@ -271,11 +267,7 @@ def solve_at_alpha(problem, alpha, f_init, u_init, tol=RESIDUAL_TOL):
         S1, S2 = res
         rn = max(float(np.max(np.abs(S1))), float(np.max(np.abs(S2))))
         if rn < tol:
-            Phi = _phi(problem, f)
-            params = problem.params.with_alpha(alpha)
-            return SolveState(alpha=alpha, c_tilde=c_tilde, f_tilde=f, u=u,
-                              Phi=Phi, res1=S1, res2=S2, params=params,
-                              newton_log=step_log)
+            return accepted_state(problem, alpha, f, u, res, step_log)
         f, u, res, _, _ = newton_step(problem, alpha, f, u, c_tilde,
                                       log=step_log, res=res)
     raise ConvergenceFailure(f"no convergence at alpha={alpha} "
@@ -300,10 +292,7 @@ def decoupled_state(problem, tol=RESIDUAL_TOL, log=None):
     rho = 1.0 - s.laplacian(u)
     f = solve_vortex_on_metric(s, problem.weight_t, problem.tau, rho,
                                problem.params.N_tilde, tol=tol * 0.1, log=ke_log)
-    S1, S2 = residual(problem, 0.0, f, u)
-    state = SolveState(alpha=0.0, c_tilde=problem.params.chi_tilde, f_tilde=f,
-                       u=u, Phi=_phi(problem, f), res1=S1, res2=S2,
-                       params=problem.params.with_alpha(0.0))
+    state = accepted_state(problem, 0.0, f, u)
     if state.res_norm >= tol:
         raise ConvergenceFailure(
             f"decoupled endpoint residual {state.res_norm:.2e} above {tol:g}"

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coupled import continue_alpha, decoupled_state, make_problem, solve_at_alpha
-from .errors import ConvergenceFailure
+from .errors import ConfigError, ConvergenceFailure
 from .fields import build_divisor_fields
 from .verify import holder_quotient
 
@@ -211,7 +211,7 @@ def run_ladder(surface, divisor, tau, alpha, eps_list, n_steps=16,
     """
     eps_list = list(eps_list)
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
-        raise ConvergenceFailure("smoothing rungs must be strictly decreasing")
+        raise ConfigError("smoothing rungs must be strictly decreasing")
     report = LadderReport(eps_list=eps_list, states=[],
                           lp_exponent=divisor.lp_exponent)
     points = list(divisor.all_points())

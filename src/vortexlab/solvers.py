@@ -23,9 +23,9 @@ import time
 import numpy as np
 
 from .errors import ConvergenceFailure
-from .surface import _block_symbol
 
-__all__ = ["solve_helmholtz", "solve_block_newton_step", "damped_newton_scalar"]
+__all__ = ["solve_helmholtz", "solve_block_newton_step", "damped_newton_scalar",
+           "block_symbol", "grid_jacobian"]
 
 # largest dense float64 matrix the direct fallback may build: 32 MiB takes a
 # torus of side 32 (2048^2 entries) and refuses side 64 (512 MiB) and every
@@ -74,8 +74,9 @@ def solve_helmholtz(surface, V, rhs, rtol=1e-13, atol=1e-13):
 def _pcg(apply_op, apply_pre, b, weight, rtol, atol):
     """Preconditioned CG from x = 0 in the inner product <a, c> =
     sum(weight * a * c), or the Euclidean one for weight None; returns
-    (x, info) with info = 0 on convergence, else the 400 iterations it gave
-    up after.
+    (x, info) with info = 0 on convergence, -1 on breakdown (rho =
+    <r, M^-1 r> = 0: the preconditioner annihilates the residual, so no
+    search direction is left), else the 400 iterations it gave up after.
 
     With weight None the loop is scipy's ``cg`` (1.17) operation for
     operation, so that the iterates and the artifacts built on them are
@@ -92,6 +93,8 @@ def _pcg(apply_op, apply_pre, b, weight, rtol, atol):
             return x, 0
         z = apply_pre(r)
         rho = dot(r, z)
+        if rho == 0:
+            return x, -1
         if iteration > 0:
             p *= rho / rho_prev
             p += z
@@ -167,10 +170,11 @@ def solve_block_newton_step(surface, pointwise, rhs1, rhs2, rtol=1e-12,
     which lap multiplies each coefficient by its ``coeff_eig`` and the
     Euclidean norm is the grid norm, so rtol and atol are grid-norm
     tolerances; only K goes through the grid. The preconditioner is the
-    per-mode inverse of the frozen-coefficient model system when
+    ``block_symbol`` of the frozen-coefficient model system when
     ``model_coeffs`` (m1, m2, m3, m4) is supplied and stays definite, else
-    blockwise (lap+1)^-1. When Krylov stalls and the dense grid Jacobian
-    fits in DENSE_MAX_BYTES, a direct solve takes over.
+    that of (1, 0, 0, 1), blockwise (lap+1)^-1. When Krylov stalls and the
+    dense grid Jacobian fits in DENSE_MAX_BYTES, a direct solve of
+    ``grid_jacobian`` takes over.
     """
     eig = surface.coeff_eig
     size = 2 * eig.size  # a field's coefficients as (Re, Im) pairs
@@ -180,27 +184,18 @@ def solve_block_newton_step(surface, pointwise, rhs1, rhs2, rtol=1e-12,
         z = x.view(np.complex128)
         return z[:eig.size], z[eig.size:]
 
-    use_model = False
+    model = (1.0, 0.0, 0.0, 1.0)
     if model_coeffs is not None:
         m1, m2, m3, m4 = model_coeffs
         # det(lam) = lam^2 + (m1 + m4 - m2 m3) lam + m1 m4 must stay positive
         if m1 * m4 > 0 and (m1 + m4 - m2 * m3) > -2.0 * np.sqrt(m1 * m4) * 0.9:
-            use_model = True
+            model = model_coeffs
+    i11, i12, i21, i22 = block_symbol(model, eig)
 
-    if use_model:
-        i11, i12, i21, i22 = _block_symbol(model_coeffs, eig)
-
-        def prevec(y):
-            a, b = modes(y)
-            return np.concatenate([i11 * a + i12 * b,
-                                   i21 * a + i22 * b]).view(np.float64)
-
-    else:
-        shifted = 1.0 / (eig + 1.0)
-
-        def prevec(y):
-            a, b = modes(y)
-            return np.concatenate([shifted * a, shifted * b]).view(np.float64)
+    def prevec(y):
+        a, b = modes(y)
+        return np.concatenate([i11 * a + i12 * b,
+                               i21 * a + i22 * b]).view(np.float64)
 
     def matvec(x):
         zf, zu = modes(x)
@@ -225,15 +220,29 @@ def solve_block_newton_step(surface, pointwise, rhs1, rhs2, rtol=1e-12,
         raise ConvergenceFailure(f"GMRES failed after {niter} iterations")
 
     def grid_jac(x):
-        df, du = x[:n].reshape(shape), x[n:].reshape(shape)
-        lap_du = surface.laplacian(du)
-        k1, k2 = pointwise(df, du, lap_du)
-        return np.concatenate([(surface.laplacian(df) + k1).ravel(),
-                               (lap_du + k2).ravel()])
+        return np.concatenate([y.ravel() for y in grid_jacobian(
+            surface, pointwise, x[:n].reshape(shape), x[n:].reshape(shape))])
 
     x = _dense_block_solve(n, grid_jac,
                            np.concatenate([rhs1.ravel(), rhs2.ravel()]))
     return x[:n].reshape(shape), x[n:].reshape(shape), niter
+
+
+def block_symbol(m, lam):
+    """The four per-mode entries of [[lam + m1, m2*lam], [m3, lam + m4]]^-1,
+    the inverse of the constant-coefficient model system with coefficients
+    m = (m1, m2, m3, m4) on modes of Laplacian eigenvalue lam."""
+    m1, m2, m3, m4 = m
+    det = (lam + m1) * (lam + m4) - m2 * lam * m3
+    return (lam + m4) / det, -m2 * lam / det, -m3 / det, (lam + m1) / det
+
+
+def grid_jacobian(surface, pointwise, df, du):
+    """J (df, du) = (lap df, lap du) + K (df, du) on the grid, where
+    ``pointwise(df, du, lap_du)`` returns K (df, du)."""
+    lap_du = surface.laplacian(du)
+    k1, k2 = pointwise(df, du, lap_du)
+    return surface.laplacian(df) + k1, lap_du + k2
 
 
 def _gmres_left(matvec, prevec, b, rtol, atol, restart, max_krylov):

@@ -127,16 +127,6 @@ class Torus:
         vk = np.fft.fft2(values)
         return np.fft.ifft2(vk * self._dz_mult**2)
 
-    def solve_block_model(self, m, r1, r2):
-        """Exact inverse of the constant-coefficient model system
-        [[lap + m1, m2*lap], [m3, lap + m4]] per Fourier mode."""
-        x1, x2 = _block_inverse(m, np.fft.rfft2(r1), np.fft.rfft2(r2),
-                                self._eig_r)
-        return (
-            np.fft.irfft2(x1, s=self.shape),
-            np.fft.irfft2(x2, s=self.shape),
-        )
-
     # -- geometry --------------------------------------------------------
     def wrap_displacement(self, p):
         """Min-image displacement (dx, dy) from p to every grid node."""
@@ -311,13 +301,6 @@ class Sphere:
         out = _shifted_inverse(self, c, rhs, self.analyze(rhs), self._eig[:, None])
         return self.synthesize(out)
 
-    def solve_block_model(self, m, r1, r2):
-        """Exact inverse of the constant-coefficient model system
-        [[lap + m1, m2*lap], [m3, lap + m4]] per spherical-harmonic degree."""
-        x1, x2 = _block_inverse(m, self.analyze(r1), self.analyze(r2),
-                                self._eig[:, None])
-        return self.synthesize(x1), self.synthesize(x2)
-
     # -- geometry ----------------------------------------------------------
     def unit_point(self, p):
         """(lat, lon) in radians -> unit vector."""
@@ -400,20 +383,6 @@ def _shifted_inverse(surface, c, rhs, coeffs, eig):
         np.divide(coeffs, eig + c, out=out, where=eig > 0)
         return out
     return coeffs / (eig + c)
-
-
-def _block_inverse(m, a1, a2, lam):
-    """Per-mode solve of [[lam + m1, m2*lam], [m3, lam + m4]] (x1, x2) = (a1, a2)
-    for the coefficients a1, a2 of modes with Laplacian eigenvalue lam."""
-    i11, i12, i21, i22 = _block_symbol(m, lam)
-    return i11 * a1 + i12 * a2, i21 * a1 + i22 * a2
-
-
-def _block_symbol(m, lam):
-    """The four per-mode entries of [[lam + m1, m2*lam], [m3, lam + m4]]^-1."""
-    m1, m2, m3, m4 = m
-    det = (lam + m1) * (lam + m4) - m2 * lam * m3
-    return (lam + m4) / det, -m2 * lam / det, -m3 / det, (lam + m1) / det
 
 
 def _folded_legendre(L, mu, w, nfreq):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vortexlab.cli import _SCHEMA, main
+from vortexlab.cli import _COVERAGE, _SCHEMA, main
 from vortexlab import greens, singular
 from vortexlab.errors import ConfigError, ConvergenceFailure
 from vortexlab.fieldio import MAGIC, read_field, write_field, write_pgm
@@ -74,7 +74,7 @@ def test_solve_vortex_roundtrip(tmp_path):
     assert main(["solve-vortex", "--config", cfg, "--out", out,
                  "--verify-only", "--quiet"]) == 0
     meta = json.load(open(os.path.join(out, "metadata.json")))
-    assert "coverage" not in meta or True
+    assert meta["theorem_coverage"] == _COVERAGE["solve-vortex"]
     # no --seed given: the config's "seed": 7 takes effect
     assert meta["seed"] == 7
     assert meta["theorem_coverage"].startswith("covered")

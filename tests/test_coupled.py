@@ -1,4 +1,5 @@
 import importlib.util
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,6 @@ import vortexlab.coupled as coupled
 from vortexlab.coupled import (
     continue_alpha,
     jacobian_vp,
-    linearize,
     make_problem,
     newton_step,
     residual,
@@ -16,8 +16,9 @@ from vortexlab.coupled import (
 )
 from vortexlab.errors import ConfigError, ConvergenceFailure
 from vortexlab.fields import DivisorData
-from vortexlab.solvers import (_dense_block_solve, _gmres_left,
-                               solve_block_newton_step)
+from vortexlab.solvers import (_dense_block_solve, _gmres_left, block_symbol,
+                               grid_jacobian, solve_block_newton_step,
+                               solve_helmholtz)
 from vortexlab.surface import VOL, build_surface
 from vortexlab.verify import fd_jacobian_gap
 
@@ -79,13 +80,14 @@ def test_jacobian_decouples_at_alpha_zero(gv_problem64, gv_state0, torus64):
 
 
 def test_linearization_matches_jacobian_vp(gv_problem64, gv_final, torus64):
-    # the frozen linearization of a Newton step is the same arithmetic as
-    # jacobian_vp, so the GMRES matvec must agree with it bit for bit
+    # the linearization a residual hands to the next Newton step, whose
+    # pointwise part GMRES runs, is the one jacobian_vp applies (and
+    # fd_jacobian_gap checks against finite differences): bit for bit
     st = gv_final
     rng = np.random.default_rng(11)
     df, _ = torus64.random_bandlimited(rng, kmax=5, amp=0.1)
     du, _ = torus64.random_bandlimited(rng, kmax=5, amp=0.01)
-    lin = linearize(gv_problem64, st.alpha, st.f_tilde, st.u, st.c_tilde)
+    lin = residual(gv_problem64, st.alpha, st.f_tilde, st.u, st.c_tilde).lin
     want = jacobian_vp(gv_problem64, st.alpha, st.f_tilde, st.u, df, du,
                        st.c_tilde)
     for got, ref in zip(lin.apply(df, du), want):
@@ -273,6 +275,24 @@ def test_gmres_no_dense_fallback_above_memory_bound(torus64, monkeypatch):
                                 max_krylov=6)
 
 
+def test_cg_breakdown_fails_at_once(monkeypatch):
+    # a preconditioner that annihilates the residual leaves rho = <r, M^-1 r>
+    # = 0 and no search direction: CG must fail before it divides by rho,
+    # without a warning and without applying the operator once
+    s = build_surface("torus", 16)
+    monkeypatch.setattr(s, "solve_shifted", lambda c, rhs: np.zeros_like(rhs))
+    applied = []
+    laplacian = s.laplacian
+    monkeypatch.setattr(s, "laplacian",
+                        lambda v: applied.append(1) or laplacian(v))
+    rhs, _ = s.random_bandlimited(np.random.default_rng(0), kmax=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceFailure):
+            solve_helmholtz(s, np.ones(s.shape), rhs)
+    assert not applied
+
+
 def _variable_block_system(surface):
     # a variable-coefficient block system shaped like the coupled Jacobian,
     # with band-limited coefficients and right-hand side; returns its
@@ -300,11 +320,8 @@ def test_block_step_matches_dense_grid_solve():
     size = r1.size
 
     def grid_jac(x):
-        df, du = x[:size].reshape(s.shape), x[size:].reshape(s.shape)
-        lap_du = s.laplacian(du)
-        k1, k2 = pointwise(df, du, lap_du)
-        return np.concatenate([(s.laplacian(df) + k1).ravel(),
-                               (lap_du + k2).ravel()])
+        return np.concatenate([y.ravel() for y in grid_jacobian(
+            s, pointwise, x[:size].reshape(s.shape), x[size:].reshape(s.shape))])
 
     want = _dense_block_solve(size, grid_jac,
                               np.concatenate([r1.ravel(), r2.ravel()]))
@@ -318,7 +335,7 @@ def test_block_step_matches_grid_gmres_on_sphere(sphere15):
     # on the sphere the unknowns are the harmonics of degree <= L: the
     # reference is grid-space GMRES on the same system, each field and each
     # pointwise product projected onto those harmonics, preconditioned by
-    # the grid-space model solve
+    # the model system's symbol applied to the fields' coefficients
     s = sphere15
     pointwise, means, r1, r2 = _variable_block_system(s)
     size = r1.size
@@ -333,10 +350,14 @@ def test_block_step_matches_grid_gmres_on_sphere(sphere15):
         return np.concatenate([(s.laplacian(df) + band(k1)).ravel(),
                                (lap_du + band(k2)).ravel()])
 
+    i11, i12, i21, i22 = block_symbol(means, s.coeff_eig)
+
     def prevec(y):
-        a, b = s.solve_block_model(means, y[:size].reshape(s.shape),
-                                   y[size:].reshape(s.shape))
-        return np.concatenate([a.ravel(), b.ravel()])
+        a, b = (s.to_coeffs(z.reshape(s.shape)).view(np.complex128)
+                for z in (y[:size], y[size:]))
+        return np.concatenate([
+            s.from_coeffs((i11 * a + i12 * b).view(np.float64)).ravel(),
+            s.from_coeffs((i21 * a + i22 * b).view(np.float64)).ravel()])
 
     want, _, converged = _gmres_left(
         matvec, prevec, np.concatenate([band(r1).ravel(), band(r2).ravel()]),

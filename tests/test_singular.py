@@ -4,7 +4,7 @@ import pytest
 import vortexlab.coupled as coupled
 import vortexlab.singular as singular
 from vortexlab.coupled import make_problem
-from vortexlab.errors import ConvergenceFailure
+from vortexlab.errors import ConfigError, ConvergenceFailure
 from vortexlab.fields import DivisorData, build_divisor_fields
 from vortexlab.singular import (
     conical_fit,
@@ -81,6 +81,14 @@ def test_single_rung_no_distances(torus64):
     r = run_ladder(torus64, DD3, tau=4.0, alpha=0.03125, eps_list=[0.1],
                    n_steps=4)
     assert len(r.states) == 1 and r.d_f == [] and r.d_u == []
+
+
+@pytest.mark.parametrize("eps_list", [[0.1, 0.1], [0.05, 0.1]])
+def test_non_decreasing_rungs_are_a_config_error(torus32, eps_list):
+    # the same input the delta ladder refuses as a config error (exit 2);
+    # it is refused before any rung is solved
+    with pytest.raises(ConfigError, match="strictly decreasing"):
+        run_ladder(torus32, DD3, tau=4.0, alpha=0.0, eps_list=eps_list)
 
 
 def test_rung_failure_truncates(torus64, monkeypatch):
