@@ -18,7 +18,7 @@ and one monotone-iteration step at L = 127: the spectral solve
 source tree (the directory holding the ``vortexlab`` package). Every side is
 measured in its own fresh process, and the sides take turns over ROUNDS
 rounds so that a drift in CPU speed affects them alike. Each round takes
-REPEATS timed calls per micro-benchmark (SLOW_REPEATS for the three slow ones)
+REPEATS timed calls per micro-benchmark (SLOW_REPEATS for the two slow ones)
 after one warm-up call. The medians and quartiles over all rounds, the
 GMRES iterations and 2-D FFTs of the Newton step (``counts``) and the
 run record of ``perfbench/run.py`` (machine, Python, numpy, scipy and BLAS
@@ -26,7 +26,7 @@ versions, BLAS thread setting, git commit) go to FILE (default: standard
 output) as JSON.
 
 Example, comparing a copy of another commit with this one:
-    python scripts/bench.py --out BENCH_10.json before=../parent/src after=src
+    python scripts/bench.py --out BENCH_12.json before=../parent/src after=src
 """
 
 from __future__ import annotations
@@ -43,8 +43,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 REPEATS = 20      # timed calls per micro-benchmark in each round
-SLOW_REPEATS = 3  # the same for the sphere build, green_field (~60 ms) and
-                  # the Newton step (~0.2 s)
+SLOW_REPEATS = 3  # the same for the sphere build and the Newton step (~0.2 s)
 ROUNDS = 10       # alternating rounds per side
 CONFIGS = os.path.join(ROOT, "scripts", "configs")
 
@@ -124,8 +123,7 @@ def measure():
         "sphere127.laplacian": (sphere.laplacian, (grid,), REPEATS),
         "torus256.laplacian": (torus.laplacian, (rng.normal(size=torus.shape),),
                                REPEATS),
-        "torus256.green_field": (green_field, (torus, cone_point),
-                                 SLOW_REPEATS),
+        "torus256.green_field": (green_field, (torus, cone_point), REPEATS),
         "torus256.gv_newton_step": (step, step_args, SLOW_REPEATS),
         "torus256.helmholtz_cg": (cg, cg_args, REPEATS),
         "sphere127.monotone_step": (mono, mono_args, REPEATS),

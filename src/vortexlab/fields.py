@@ -200,6 +200,11 @@ def smoothed_weight(surface, log_fields, exponents, eps):
     return np.exp(out)
 
 
+def _log_eps(eps):
+    """log eps, and -inf at eps = 0 (no smoothing) without a divide warning."""
+    return np.log(eps) if eps > 0 else -np.inf
+
+
 def higgs_squared(fields, eps, f_tilde):
     """Phi = |phi|^2 * prod_k (|t_k|^2 + eps)^(alpha_k) * exp(2 f_tilde)."""
     return fields.higgs_weight(eps) * np.exp(2.0 * f_tilde)
@@ -229,21 +234,21 @@ class DivisorFields:
         """F_xi = sum_j (1 - beta_j) log(|s_j|^2 + eps)."""
         out = np.zeros(self.surface.shape)
         for (_, b), ls in zip(self.divisor.cone, self.log_s_sq):
-            out += (1.0 - b) * np.logaddexp(ls, np.log(eps))
+            out += (1.0 - b) * np.logaddexp(ls, _log_eps(eps))
         return out
 
     def F_eta(self, eps):
         """F_eta = -sum_k alpha_k log(|t_k|^2 + eps)."""
         out = np.zeros(self.surface.shape)
         for (_, ak), lt in zip(self.divisor.parabolic, self.log_t_sq):
-            out -= ak * np.logaddexp(lt, np.log(eps))
+            out -= ak * np.logaddexp(lt, _log_eps(eps))
         return out
 
     def higgs_weight(self, eps):
         """|phi|^2 * prod_k (|t_k|^2 + eps)^(alpha_k); Phi = weight * e^{2 f}."""
         log_w = self.log_phi_sq.copy()
         for (_, ak), lt in zip(self.divisor.parabolic, self.log_t_sq):
-            log_w += ak * np.logaddexp(lt, np.log(eps))
+            log_w += ak * np.logaddexp(lt, _log_eps(eps))
         return np.exp(log_w)
 
     def b_xi(self):

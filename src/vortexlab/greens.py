@@ -3,9 +3,10 @@
 The kernel is normalized to zero mean and carries the universal short-range
 behaviour G ~ -(1/2pi) log dist.  The torus kernel is the Jacobi-theta closed
 form G = -(1/2pi)(log|theta1(pi z)| - pi (Im z)^2) + C with the analytic
-zero-mean constant C = log(eta(i))/2pi (Lin & Wang, Ann. Math. 2010); an
-Ewald split (Gaussian-screened mode sum plus exponential-integral lattice
-images) is kept as the independent oracle that tests compare it against.
+zero-mean constant C = log(eta(i))/2pi (Lin & Wang, Ann. Math. 2010), its
+sine series (DLMF 20.2) evaluated separably from 1-D factor tables; an Ewald
+split (Gaussian-screened mode sum plus exponential-integral lattice images)
+is kept as the independent oracle that tests compare it against.
 The sphere kernel is the classical rotation-invariant closed form.
 
 ``green_field`` materializes a grid sample (exactly de-meaned under the
@@ -78,36 +79,35 @@ def torus_green_eval(p, dx, dy=None):
 
 # --- theta-function closed form ----------------------------------------------
 
-_THETA_Q = np.exp(-np.pi)
+_THETA_N = np.arange(8)
+_THETA_A = (2 * _THETA_N + 1) * np.pi
+_THETA_C = 2.0 * (-1.0) ** _THETA_N * np.exp(-np.pi) ** ((_THETA_N + 0.5) ** 2)
 # zero-mean constant log(eta(i))/2pi, with eta(i) = Gamma(1/4) / (2 pi^(3/4))
 _THETA_CONST = math.log(math.gamma(0.25) / (2.0 * math.pi**0.75)) / (2.0 * math.pi)
 
 
-def _log_abs_theta1(z):
-    """log |theta1(pi z, q=e^-pi)| by its (rapidly convergent) sine series."""
-    z = np.asarray(z, dtype=np.complex128)
-    total = np.zeros(z.shape, dtype=np.complex128)
-    for n in range(8):
-        total += ((-1) ** n) * _THETA_Q ** ((n + 0.5) ** 2) * np.sin(
-            (2 * n + 1) * np.pi * z
-        )
-    total *= 2.0
-    mag = np.abs(total)
+def _log_abs_theta1(dx, dy):
+    """log |theta1(pi (dx + i dy), q=e^-pi)| by its 8-term sine series.  Each
+    term splits as sin(ax) cosh(ay) + i cos(ax) sinh(ay) into factor tables of
+    shapes dx.shape + (8,) and dy.shape + (8,); einsum, not BLAS, sums them."""
+    ax = np.multiply.outer(dx, _THETA_A)
+    ay = np.multiply.outer(dy, _THETA_A)
+    re = np.einsum("...k,...k->...", np.sin(ax), _THETA_C * np.cosh(ay))
+    im = np.einsum("...k,...k->...", np.cos(ax), _THETA_C * np.sinh(ay))
+    mag = np.hypot(re, im)
     return np.log(np.where(mag == 0.0, np.finfo(float).tiny, mag))
 
 
 def torus_green_theta_eval(p, x, y):
     """Torus kernel G(x, p) = -(1/2pi)(log|theta1| - pi Im(z)^2) + C.
 
-    Displacements are wrapped to [-1/2, 1/2), where the 8-term sine series
-    is accurate to rounding; C is the analytic zero-mean constant.
+    x and y broadcast: grid axes (n, 1) and (1, n) give the (n, n) field from
+    4*8*n transcendentals.  Displacements are wrapped to [-1/2, 1/2), where
+    the 8-term series is accurate to rounding; C is the zero-mean constant.
     """
-    dx = np.asarray(x) - p[0]
-    dy = np.asarray(y) - p[1]
-    dx = dx - np.floor(dx + 0.5)
-    dy = dy - np.floor(dy + 0.5)
-    z = dx + 1j * dy
-    return -(_log_abs_theta1(z) - np.pi * dy**2) / (2.0 * np.pi) + _THETA_CONST
+    dx, dy = np.asarray(x) - p[0], np.asarray(y) - p[1]
+    dx, dy = dx - np.floor(dx + 0.5), dy - np.floor(dy + 0.5)
+    return -(_log_abs_theta1(dx, dy) - np.pi * dy**2) / (2.0 * np.pi) + _THETA_CONST
 
 
 # --- sphere -----------------------------------------------------------------
@@ -132,7 +132,7 @@ def green_field(surface, p):
     closed form (torus: evaluator(X, Y); sphere: evaluator(cos_angle)).
     """
     if surface.backend == "torus":
-        vals = torus_green_theta_eval(p, surface.X, surface.Y)
+        vals = torus_green_theta_eval(p, surface.X[:, :1], surface.Y[:1, :])
         shift = surface.integrate(vals) / VOL
         evaluator = lambda X, Y, s=shift: torus_green_theta_eval(p, X, Y) - s  # noqa: E731
     else:

@@ -237,6 +237,15 @@ def test_exit_codes(tmp_path, capsys):
                      str(tmp_path / f"r{k}"), "--quiet"]) == 2, bad
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tke_without_smoothing(tmp_path):
+    # eps = 0 is a valid solve-tke config: log eps is -inf, with no warning
+    cfg = write_cfg(tmp_path, "tke0.json", dict(TKE_CFG, epsilon=0))
+    out = str(tmp_path / "tke0")
+    assert main(["solve-tke", "--config", cfg, "--out", out, "--quiet"]) == 0
+    assert main(["verify", "--out", out, "--quiet"]) == 0
+
+
 def test_sphere_vortex_weighted_cg(tmp_path):
     # lap + V is symmetric only in the Gauss-weighted inner product on the
     # sphere; CG with Euclidean dots stalled at 400 iterations here

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import vortexlab
 from vortexlab.greens import (
     _torus_green_ewald,
     green_field,
@@ -12,6 +17,7 @@ from vortexlab.greens import (
 from vortexlab.surface import VOL, build_surface
 
 P = (0.31415926, 0.27182818)
+CORNER = (0.99987, 0.00021)  # most displacements from it wrap
 XS = np.array([0.72, 0.11, 0.55])
 YS = np.array([0.40, 0.83, 0.07])
 
@@ -54,7 +60,7 @@ def test_zero_mean_and_symmetry(torus64):
         assert abs(a - b) < 1e-10
 
 
-@pytest.mark.parametrize("p", [P, (0.99987, 0.00021)], ids=["generic", "corner"])
+@pytest.mark.parametrize("p", [P, CORNER], ids=["generic", "corner"])
 def test_green_field_matches_ewald(torus64, p):
     # the runtime theta kernel against the de-meaned Ewald oracle; the corner
     # point makes most displacements wrap
@@ -62,6 +68,51 @@ def test_green_field_matches_ewald(torus64, p):
     e = torus_green_eval(p, torus64.X, torus64.Y)
     e = e - torus64.integrate(e) / VOL
     assert np.max(np.abs(g - e)) < 1e-13
+
+
+@pytest.mark.parametrize("p", [P, CORNER], ids=["generic", "corner"])
+def test_green_field_is_the_pointwise_kernel(torus64, p):
+    # the separable grid route (axes (n, 1) and (1, n)) against the pointwise
+    # evaluator on the full coordinate arrays, de-meaned alike
+    g, _ = green_field(torus64, p)
+    t = torus_green_theta_eval(p, torus64.X, torus64.Y)
+    t = t - torus64.integrate(t) / VOL
+    assert np.max(np.abs(g - t)) <= 1e-15
+
+
+@pytest.mark.parametrize("p", [P, CORNER], ids=["generic", "corner"])
+def test_green_field_matches_ewald_256(p):
+    # sampled rows of the 256^2 field against the de-meaned Ewald oracle; the
+    # shift needs the oracle's grid mean, so it is evaluated on the whole grid
+    torus = build_surface("torus", 256)
+    g, _ = green_field(torus, p)
+    e = torus_green_eval(p, torus.X, torus.Y)
+    e = e - torus.integrate(e) / VOL
+    rows = [0, 1, 97, 128, 255]
+    assert np.max(np.abs(g[rows] - e[rows])) < 1e-13
+    # a node whose x and y displacements from p both wrap
+    i, j = (int(256 * (c + 0.6 if c < 0.4 else c - 0.6)) for c in p)
+    assert min(abs(torus.X[i, j] - p[0]), abs(torus.Y[i, j] - p[1])) > 0.5
+    assert abs(g[i, j] - e[i, j]) < 1e-13
+
+
+def test_green_field_bytes_independent_of_blas_threads():
+    # the term axis is contracted without BLAS, so the field is the same
+    # bytes under any BLAS thread count
+    src = os.path.dirname(os.path.dirname(vortexlab.__file__))
+    code = ("import hashlib; from vortexlab.greens import green_field; "
+            "from vortexlab.surface import build_surface; "
+            "t = build_surface('torus', 256); "
+            f"print([hashlib.sha256(green_field(t, p)[0].tobytes()).hexdigest() "
+            f"for p in {[P, CORNER]}])")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        digests.append(subprocess.run([sys.executable, "-c", code], env=env,
+                                      check=True, capture_output=True,
+                                      text=True).stdout)
+    assert digests[0] == digests[1]
 
 
 def test_log_singularity_coefficient(torus64):
