@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .surface import VOL
 
 __all__ = [
     "EBProblem",
+    "Rung",
     "NAReport",
     "make_eb_problem",
     "F_nonlinearity",
@@ -59,10 +61,19 @@ _CHAIN_SLACK = 1e-12
 def F_nonlinearity(t, alpha, tau):
     """F(t) = e^{2 a tau t - 2 a e^t} (e^t - tau), overflow-safe."""
     t = np.asarray(t, dtype=np.float64)
+    # two buffers for the seven passes; the monotone iteration calls this
+    # on the whole grid once per step
+    g, out = np.empty_like(t), np.empty_like(t)
     with np.errstate(over="ignore"):
-        et = np.exp(t)
-        g = 2.0 * alpha * tau * t - 2.0 * alpha * et
-        return np.exp(g + t) - tau * np.exp(g)
+        np.multiply(2.0 * alpha * tau, t, out=g)
+        np.exp(t, out=out)
+        out *= 2.0 * alpha
+        g -= out  # g = 2 a tau t - 2 a e^t
+        np.exp(np.add(g, t, out=out), out=out)
+        np.exp(g, out=g)
+        g *= tau
+        out -= g
+    return out[()]
 
 
 def F_prime(t, alpha, tau):
@@ -107,6 +118,13 @@ def F_prime_sup(alpha, tau):
 # --- problem setup -----------------------------------------------------------
 
 
+class Rung(NamedTuple):
+    """The fields of one delta rung: u0^d and e^{-v0^d}."""
+
+    u0: np.ndarray
+    ev: np.ndarray
+
+
 @dataclass
 class EBProblem:
     surface: object
@@ -125,12 +143,19 @@ class EBProblem:
             out = out + ak * np.logaddexp(lt, np.log(delta))
         return out
 
-    def v0_delta(self, delta):
+    def v0_delta(self, delta, u0=None):
+        """v0^d, from u0 = u0^d when the caller has it."""
         f = self.fields
-        out = 2.0 * self.alpha * self.tau * self.u0_delta(delta)
+        if u0 is None:
+            u0 = self.u0_delta(delta)
+        out = 2.0 * self.alpha * self.tau * u0
         for (_, b), ls in zip(f.divisor.cone, f.log_s_sq):
             out = out + (1.0 - b) * np.logaddexp(ls, np.log(delta))
         return out
+
+    def rung(self, delta):
+        u0 = self.u0_delta(delta)
+        return Rung(u0, np.exp(-self.v0_delta(delta, u0)))
 
     def marked_points(self):
         return list(self.fields.divisor.all_points())
@@ -271,7 +296,7 @@ def build_supersolution(problem, margin=0.5):
         raise ConfigError(
             "the sigma-disks cover the whole surface; shrink sigma"
         )
-    v0_1 = problem.v0_delta(1.0)
+    v0_1 = problem.v0_delta(1.0, u0_1)
     neg_F = -F_nonlinearity(2.0 * w + u0_1, problem.alpha, problem.tau)
     if float(np.min(neg_F[mask])) <= 0.0:
         raise ConfigError("supersolution shift failed: F not negative off the disks")
@@ -285,25 +310,26 @@ def build_supersolution(problem, margin=0.5):
     return w, float(C_sigma), float(lam_min), lam
 
 
-def supersolution_margin(problem, w, lam, delta):
+def supersolution_margin(problem, w, lam, delta, rung=None):
     """min over the grid of -(lap w + (1/2) lam e^{-v0^d} F(2w+u0^d) + N~);
-    positive iff the strict supersolution inequality holds pointwise."""
-    return -float(np.max(eb_residual(problem, w, delta, lam)))
+    positive iff the strict supersolution inequality holds pointwise.
+    ``rung`` is ``problem.rung(delta)`` if the caller has it."""
+    return -float(np.max(eb_residual(problem, w, delta, lam, rung)))
 
 
 # --- monotone iteration -------------------------------------------------------
 
 
-def eb_residual(problem, f, delta, lam):
-    s = problem.surface
-    v0 = problem.v0_delta(delta)
-    Ft = F_nonlinearity(2.0 * f + problem.u0_delta(delta), problem.alpha,
-                        problem.tau)
-    return s.laplacian(f) + 0.5 * lam * np.exp(-v0) * Ft + problem.params.N_tilde
+def eb_residual(problem, f, delta, lam, rung=None):
+    if rung is None:
+        rung = problem.rung(delta)
+    Ft = F_nonlinearity(2.0 * f + rung.u0, problem.alpha, problem.tau)
+    return (problem.surface.laplacian(f) + 0.5 * lam * rung.ev * Ft
+            + problem.params.N_tilde)
 
 
 def monotone_iterate(problem, w, lam, delta, tol=1e-10, residual_target=None,
-                     max_iter=100_000, log=None):
+                     max_iter=100_000, log=None, rung=None):
     """Iterate downward from f_1 = (log tau - u0^d)/2; returns (f, info).
 
     The chain f_1 > f_2 > ... > w is asserted pointwise at every step with
@@ -311,14 +337,16 @@ def monotone_iterate(problem, w, lam, delta, tol=1e-10, residual_target=None,
     bug and raises.  Stops when the sup change falls below tol; when a
     residual_target is set, iteration continues until the masked equation
     residual reaches it or plateaus (the change criterion alone leaves an
-    O(C_d * tol) residual behind).
+    O(C_d * tol) residual behind).  ``rung`` is ``problem.rung(delta)`` if
+    the caller has it.
     """
     s = problem.surface
-    u0 = problem.u0_delta(delta)
-    v0 = problem.v0_delta(delta)
-    ev = np.exp(-v0)
-    C_delta = 1.0 + lam * float(np.max(ev)) * F_prime_sup(problem.alpha,
-                                                          problem.tau)
+    if rung is None:
+        rung = problem.rung(delta)
+    u0 = rung.u0
+    C_delta = 1.0 + lam * float(np.max(rung.ev)) * F_prime_sup(problem.alpha,
+                                                               problem.tau)
+    source = -0.5 * lam * rung.ev
     N_tilde = problem.params.N_tilde
     mask = None
     if residual_target is not None:
@@ -339,11 +367,15 @@ def monotone_iterate(problem, w, lam, delta, tol=1e-10, residual_target=None,
                 f"monotone iteration exceeded {max_iter} iterations "
                 f"(last change {change:.3e})"
             )
-        rhs = (-0.5 * lam * ev * F_nonlinearity(2.0 * f + u0, problem.alpha,
-                                                problem.tau)
-               + C_delta * f - N_tilde)
+        rhs = 2.0 * f
+        rhs += u0
+        rhs = F_nonlinearity(rhs, problem.alpha, problem.tau)
+        rhs *= source
+        rhs += C_delta * f
+        rhs -= N_tilde
         f_next = s.solve_shifted(C_delta, rhs)
-        gap_chain = float(np.min(f - f_next))
+        step = f - f_next
+        gap_chain = float(np.min(step))
         gap_floor = float(np.min(f_next - w))
         min_gap_chain = min(min_gap_chain, gap_chain)
         min_gap_floor = min(min_gap_floor, gap_floor)
@@ -352,7 +384,7 @@ def monotone_iterate(problem, w, lam, delta, tol=1e-10, residual_target=None,
                 f"monotone chain violated at iteration {it}: "
                 f"descent gap {gap_chain:.3e}, floor gap {gap_floor:.3e}"
             )
-        change = float(np.max(np.abs(f_next - f)))
+        change = float(np.max(np.abs(step, out=step)))
         f = f_next
         if log is not None and (it < 10 or it % 50 == 0):
             log.append({"iter": it, "change": change, "C_delta": C_delta,
@@ -361,7 +393,7 @@ def monotone_iterate(problem, w, lam, delta, tol=1e-10, residual_target=None,
             if residual_target is None:
                 break
             if it % 50 == 0 or res_masked == np.inf:
-                res = eb_residual(problem, f, delta, lam)
+                res = eb_residual(problem, f, delta, lam, rung)
                 new_res = float(np.max(np.abs(res)[mask]))
                 # plateau: spectral floor of the grid reached, stop honestly
                 if new_res > 0.95 * res_masked and new_res > residual_target:
@@ -424,11 +456,14 @@ def delta_ladder_and_assemble(problem, deltas=None, tol=1e-10, margin=0.5,
     infos = []
     sup_margins = []
     for d in deltas:
-        m = supersolution_margin(problem, w, lam, d)
+        rung = problem.rung(d)
+        m = supersolution_margin(problem, w, lam, d, rung)
         if m <= 0:
             raise ConfigError(f"supersolution inequality fails at delta={d}")
         sup_margins.append(m)
-        f, info = monotone_iterate(problem, w, lam, d, tol=tol, log=log)
+        f, info = monotone_iterate(problem, w, lam, d, tol=tol, log=log,
+                                   rung=rung)
+        del rung  # one rung's fields alive at a time
         rungs.append(f)
         infos.append(info)
     pts = problem.marked_points()

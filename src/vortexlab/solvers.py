@@ -2,8 +2,9 @@
 
 All linearized operators here have the form  lap + diag(V)  with V >= 0
 (pointwise), solved matrix-free by preconditioned CG with the spectral
-inverse (lap + mean V)^-1 as preconditioner, in the quadrature inner
-product in which both are symmetric.  The coupled 2x2 system is
+inverse (lap + mean V)^-1 as preconditioner (``precondition``: on the sphere
+it takes the grid part above the harmonic degree L as 1 / mean V), in the
+quadrature inner product in which both are symmetric.  The coupled 2x2 system is
 nonsymmetric and goes through restarted GMRES (classical Gram-Schmidt with
 one re-orthogonalization) on the Parseval-scaled spectral coefficients of
 the two fields: there the Laplacians and the block preconditioner (the
@@ -61,7 +62,7 @@ def solve_helmholtz(surface, V, rhs, rtol=1e-13, atol=1e-13):
         return (surface.laplacian(f) + V * f).ravel()
 
     def apply_pre(x):
-        return surface.solve_shifted(vbar, x.reshape(shape)).ravel()
+        return surface.precondition(vbar, x.reshape(shape)).ravel()
 
     weight = None if surface.backend == "torus" else np.repeat(
         surface.glweights / np.mean(surface.glweights), surface.nlon)

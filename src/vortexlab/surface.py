@@ -20,6 +20,14 @@ complex spectral coefficients, (Re, Im) interleaved, and back, scaled so
 that the vector's Euclidean norm is the field's grid norm (weighted by cell
 area, normalized to mean 1); ``coeff_eig`` is the Laplacian eigenvalue of
 each coefficient, one per (Re, Im) pair.
+
+On the sphere one private pair of transforms, ``_blocks`` (grid to the
+folded Legendre block products) and ``_grid`` (back), carries every
+spectral operation: ``laplacian``, ``solve_shifted`` and ``precondition``
+multiply each block slot by its degree's factor, and the coefficient maps
+gather and scatter the slots that hold coefficients. ``analyze`` and
+``synthesize`` wrap the same pair for callers that want the (L+1, L+1)
+coefficient array.
 """
 
 from __future__ import annotations
@@ -107,6 +115,9 @@ class Torus:
         """
         out = _shifted_inverse(self, c, rhs, np.fft.rfft2(rhs), self._eig_r)
         return np.fft.irfft2(out, s=self.shape)
+
+    # CG's preconditioner (lap + c)^-1: the FFT spectrum spans the whole grid
+    precondition = solve_shifted
 
     def to_coeffs(self, values):
         """Parseval-scaled rfft2 coefficients, (Re, Im) interleaved."""
@@ -215,8 +226,14 @@ class Sphere:
         self._eig = 2.0 * np.arange(self.L + 1) * (np.arange(self.L + 1) + 1.0)
         self._pfold, self._pfold_w, self._fold, self._src, self._dst = \
             _folded_legendre(self.L, mu, w, self.nlon // 2 + 1)
+        # degree of every (block, row, order half, parity) slot of the block
+        # products that holds a coefficient; L + 1 marks the slots that hold
+        # none (the other parity, the unpaired middle order at even L)
+        slots = np.full(self._pfold.shape[:2] + (4,), self.L + 1, np.int16)
+        slots.flat[self._src[::2] // 2] = self._dst[::2] // 2 // (self.L + 1)
+        self._slot_degree = slots
         st = np.sin(self.theta)
-        self._xyz = np.stack(
+        self.xyz = np.stack(
             [
                 st[:, None] * np.cos(self.phi)[None, :],
                 st[:, None] * np.sin(self.phi)[None, :],
@@ -226,61 +243,87 @@ class Sphere:
         )
 
     # -- transforms -------------------------------------------------------
-    def analyze(self, values):
-        """Forward transform to coefficients a[l, m] for m >= 0."""
+    def _blocks(self, values):
+        """Grid -> the (nb, L+2, 8) folded block products PW @ take(F, fold)
+        of the north +- south spectra F; the (Re, Im) of a[l, m] sit at src,
+        and the slots whose ``_slot_degree`` is L + 1 hold no coefficient."""
         nn = self._pfold.shape[2]
         north, south = values[self.nlat - nn:], values[nn - 1::-1]
-        F = np.fft.rfft(np.stack((north + south, north - south), axis=1),
-                        norm="forward")
-        r = self._pfold_w @ np.take(F, self._fold).view(np.float64)
+        folded = np.empty((nn, 2, self.nlon))
+        np.add(north, south, out=folded[:, 0])
+        np.subtract(north, south, out=folded[:, 1])
+        F = np.fft.rfft(folded, norm="forward")
+        return self._pfold_w @ np.take(F, self._fold).view(np.float64)
+
+    def _grid(self, blocks):
+        """Folded block products -> grid; the inverse of ``_blocks`` on
+        slots that hold coefficients, which must be 0 elsewhere."""
+        nn = self._pfold.shape[2]
+        G = (self._pfold.transpose(0, 2, 1) @ blocks).view(np.complex128)
+        # block b holds order b, and order L - b for b < (L + 1) // 2, as
+        # (north + south, north - south) spectra at every northern node
+        L, paired = self.L, (self.L + 1) // 2
+        F = np.empty((nn, 2, self.nlon // 2 + 1), dtype=np.complex128)
+        F[:, :, :len(G)] = G[:, :, :2].transpose(1, 2, 0)
+        F[:, :, L:L - paired:-1] = G[:paired, :, 2:].transpose(1, 2, 0)
+        F[:, :, L + 1:] = 0.0
+        g = np.fft.irfft(F, n=self.nlon, norm="forward")
+        out = np.empty(self.shape)
+        np.add(g[:, 0], g[:, 1], out=out[self.nlat - nn:])
+        np.subtract(g[:, 0], g[:, 1], out=out[nn - 1::-1])
+        return out
+
+    def _scaled(self, values, factor):
+        """The field whose degree-l coefficients are factor[l] times those
+        of values, without leaving the block layout."""
+        blocks = self._blocks(values)
+        slots = blocks.view(np.complex128)  # (Re, Im) of one slot
+        slots *= np.take(np.append(factor, 0.0), self._slot_degree)
+        return self._grid(blocks)
+
+    def analyze(self, values):
+        """Forward transform to coefficients a[l, m] for m >= 0."""
         a = np.zeros((self.L + 1, self.L + 1), dtype=np.complex128)
-        np.put(a.view(np.float64), self._dst, np.take(r, self._src))
+        np.put(a.view(np.float64), self._dst,
+               np.take(self._blocks(values), self._src))
         return a
 
     def synthesize(self, coeffs):
         """Inverse transform of coefficients a[l, m] to grid values."""
-        nn = self._pfold.shape[2]
         c = np.ascontiguousarray(coeffs, dtype=np.complex128)
-        x = np.zeros(self._pfold.shape[:2] + (8,))
-        np.put(x, self._src, np.take(c.view(np.float64), self._dst))
-        F = np.zeros((nn, 2, self.nlon // 2 + 1), dtype=np.complex128)
-        np.put(F, self._fold,
-               (self._pfold.transpose(0, 2, 1) @ x).view(np.complex128))
-        g = np.fft.irfft(F, n=self.nlon, norm="forward")
-        out = np.empty(self.shape)
-        out[self.nlat - nn:] = g[:, 0] + g[:, 1]
-        out[nn - 1::-1] = g[:, 0] - g[:, 1]
-        return out
+        blocks = np.zeros(self._pfold.shape[:2] + (8,))
+        np.put(blocks, self._src, np.take(c.view(np.float64), self._dst))
+        return self._grid(blocks)
 
     def to_coeffs(self, values):
         """Quadrature-scaled a[l, m] for l >= m, (Re, Im) interleaved."""
-        index, scale = self._coeff_map[:2]
-        return (np.take(self.analyze(values), index) * scale).view(np.float64)
+        blocks = self._blocks(values)
+        coeffs = np.take(blocks, self._src).view(np.complex128)
+        return (coeffs * self._coeff_map[0]).view(np.float64)
 
     def from_coeffs(self, coeffs):
         """The field of a coefficient vector of ``to_coeffs``."""
-        index, scale = self._coeff_map[:2]
-        a = np.zeros((self.L + 1, self.L + 1), dtype=np.complex128)
-        np.put(a, index, coeffs.view(np.complex128) / scale)
-        return self.synthesize(a)
+        blocks = np.zeros(self._pfold.shape[:2] + (8,))
+        a = coeffs.view(np.complex128) / self._coeff_map[0]
+        np.put(blocks, self._src, a.view(np.float64))
+        return self._grid(blocks)
 
     @property
     def coeff_eig(self):
         """Laplacian eigenvalue of each coefficient of ``to_coeffs``."""
-        return self._coeff_map[2]
+        return self._coeff_map[1]
 
     @cached_property
     def _coeff_map(self):
-        """(flat index l (L + 1) + m, scale, Laplacian eigenvalue) of each
-        coefficient of ``to_coeffs``; built on first use. a[l, m] of order
-        m > 0 stands also for a[l, -m], so it counts twice in the quadrature
-        norm, which the Gauss weights normalized to mean 1 put on the scale
-        of the torus's grid norm."""
-        index = self._dst[::2] // 2
-        l, m = np.divmod(index, self.L + 1)
+        """(scale, Laplacian eigenvalue) of each coefficient of
+        ``to_coeffs``, in the order of src; built on first use. a[l, m] of
+        order m > 0 stands also for a[l, -m], so it counts twice in the
+        quadrature norm, which the Gauss weights normalized to mean 1 put on
+        the scale of the torus's grid norm."""
+        l, m = np.divmod(self._dst[::2] // 2, self.L + 1)
         scale = (np.where(m > 0, np.sqrt(2.0), 1.0)
                  * np.sqrt(self.nlat * self.nlon / (4.0 * np.pi)))
-        return index, scale, self._eig[l]
+        return scale, self._eig[l]
 
     def integrate(self, values):
         return float(
@@ -293,13 +336,19 @@ class Sphere:
         # subtracting the mean kills the constant exactly; without it the
         # quadrature noise of the l=0 mode is amplified by the top eigenvalue
         vbar = self.integrate(values) / VOL
-        a = self.analyze(values - vbar)
-        return self.synthesize(a * self._eig[:, None])
+        return self._scaled(values - vbar, self._eig)
 
     def solve_shifted(self, c, rhs):
         """Solve (lap + c) f = rhs spectrally; c = 0 as on the torus."""
-        out = _shifted_inverse(self, c, rhs, self.analyze(rhs), self._eig[:, None])
-        return self.synthesize(out)
+        return self._scaled(rhs, _shifted_inverse(self, c, rhs, 1.0, self._eig))
+
+    def precondition(self, c, rhs):
+        """(lap + c)^-1 on degrees <= L and 1/c on the grid part above them,
+        for c > 0: symmetric positive definite in the quadrature inner
+        product on the whole grid, where ``solve_shifted`` drops that part."""
+        if c <= 0:
+            raise ConfigError("the preconditioner requires c > 0")
+        return self._scaled(rhs, 1.0 / (self._eig + c) - 1.0 / c) + rhs / c
 
     # -- geometry ----------------------------------------------------------
     def unit_point(self, p):
@@ -311,12 +360,12 @@ class Sphere:
 
     def distance_field(self, p):
         u = self.unit_point(p)
-        cosang = np.clip(self._xyz @ u, -1.0, 1.0)
+        cosang = np.clip(self.xyz @ u, -1.0, 1.0)
         return self.r * np.arccos(cosang)
 
     def cos_angle_field(self, p):
         u = self.unit_point(p)
-        return np.clip(self._xyz @ u, -1.0, 1.0)
+        return np.clip(self.xyz @ u, -1.0, 1.0)
 
     def distance_points(self, a, b):
         ca = float(np.clip(self.unit_point(a) @ self.unit_point(b), -1.0, 1.0))
@@ -368,8 +417,9 @@ class Sphere:
 
 
 def _shifted_inverse(surface, c, rhs, coeffs, eig):
-    """Coefficients of (lap + c)^-1 rhs, given the coefficients of rhs and
-    the Laplacian eigenvalue of each mode.
+    """Coefficients of (lap + c)^-1 rhs, given the coefficients of rhs (or
+    1.0, for the factor of each mode) and the Laplacian eigenvalue of each
+    mode.
 
     For c = 0 rhs must be mean-free, and the mean mode of the solution is 0.
     """
@@ -379,7 +429,7 @@ def _shifted_inverse(surface, c, rhs, coeffs, eig):
         mean = surface.integrate(rhs)
         if abs(mean) > 1e-9 * max(1.0, float(np.max(np.abs(rhs)))):
             raise ConfigError(f"c=0 solve needs mean-free rhs; integral = {mean:.3e}")
-        out = np.zeros_like(coeffs)
+        out = np.zeros(eig.shape, np.result_type(coeffs, eig))
         np.divide(coeffs, eig + c, out=out, where=eig > 0)
         return out
     return coeffs / (eig + c)
@@ -405,8 +455,7 @@ def _folded_legendre(L, mu, w, nfreq):
     - fold[b, i, 2 * half + parity] is the flat index into the (nn, 2,
       nfreq) north+south / north-south spectra of the column that block b
       takes for node i. A missing second order maps to frequency L+1: its
-      rows are zero, so analysis ignores what it reads there and synthesis
-      writes zeros.
+      rows are zero, so analysis ignores what it reads there.
     - src and dst are matching flat indices of the (Re, Im) parts of every
       l >= m in the (nb, L+2, 8) block products and in the (L+1, L+1)
       coefficient array.

@@ -97,7 +97,7 @@ def holder_quotient(surface, values, gamma=0.25, npairs=1000, rng=None):
         dy -= np.round(dy)
         d = np.hypot(dx, dy)
     else:
-        pts = surface._xyz.reshape(-1, 3)
+        pts = surface.xyz.reshape(-1, 3)
         cosang = np.clip(np.sum(pts[i] * pts[j], axis=1), -1.0, 1.0)
         d = surface.r * np.arccos(cosang)
     ok = d > 0

@@ -257,6 +257,20 @@ def test_sphere_vortex_weighted_cg(tmp_path):
     assert main(["verify", "--out", out, "--quiet"]) == 0
 
 
+@pytest.mark.parametrize("point", [VORTEX_CFG["divisor"]["zeros"][0]["point"],
+                                   [1, 2]], ids=["config-point", "point-1-2"])
+def test_sphere15_vortex_cg_converges(tmp_path, point):
+    # the grid holds about 4.5 times as many nodes as there are harmonics of
+    # degree <= 15; a CG preconditioner that dropped the part above that
+    # degree broke down here (exit 3, "CG failed to converge (info=-1)")
+    cfg = write_cfg(tmp_path, "s15.json", dict(
+        VORTEX_CFG, backend="sphere", resolution=15,
+        divisor={"zeros": [{"point": point, "n": 1}]}))
+    out = str(tmp_path / "s15")
+    assert main(["solve-vortex", "--config", cfg, "--out", out, "--quiet"]) == 0
+    assert main(["verify", "--out", out, "--quiet"]) == 0
+
+
 def test_gv_and_verify_tamper(tmp_path):
     cfg = write_cfg(tmp_path, "gv.json", GV_CFG)
     out = str(tmp_path / "gv")

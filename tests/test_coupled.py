@@ -280,7 +280,7 @@ def test_cg_breakdown_fails_at_once(monkeypatch):
     # = 0 and no search direction: CG must fail before it divides by rho,
     # without a warning and without applying the operator once
     s = build_surface("torus", 16)
-    monkeypatch.setattr(s, "solve_shifted", lambda c, rhs: np.zeros_like(rhs))
+    monkeypatch.setattr(s, "precondition", lambda c, rhs: np.zeros_like(rhs))
     applied = []
     laplacian = s.laplacian
     monkeypatch.setattr(s, "laplacian",

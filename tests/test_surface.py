@@ -222,6 +222,77 @@ def test_sht_matches_einsum_reference(L):
     assert np.max(np.abs(s.synthesize(real) - _einsum_synthesize(s, ref, real))) < 1e-14
 
 
+def _by_degree(s, values, factor):
+    # reference: through the (L + 1)^2 coefficient array, as the parent
+    # solve divided and the Laplacian multiplied there
+    return s.synthesize(s.analyze(values) * factor[:, None])
+
+
+# the per-degree multiplies run on the folded block products and must give
+# the bytes of analyze -> scale each degree -> synthesize; at L = 16 the
+# middle block has zero rows in place of its second order
+@pytest.mark.parametrize("L", [15, 16, 31])
+def test_sphere_block_path_matches_coefficient_path(L):
+    s = build_surface("sphere", L)
+    rng = np.random.default_rng(100 + L)
+    values = rng.normal(size=s.shape)
+    eig = 2.0 * np.arange(L + 1) * (np.arange(L + 1) + 1.0)
+    for c in (0.7, 25.0):
+        want = s.synthesize(s.analyze(values) / (eig[:, None] + c))
+        assert np.array_equal(s.solve_shifted(c, values), want)
+    mean_free = values - s.integrate(values) / VOL
+    a = s.analyze(mean_free)
+    out = np.zeros_like(a)
+    np.divide(a, eig[:, None], out=out, where=eig[:, None] > 0)
+    assert np.array_equal(s.solve_shifted(0.0, mean_free), s.synthesize(out))
+    assert np.array_equal(s.laplacian(values), _by_degree(s, mean_free, eig))
+    # the coefficient map: Parseval-scaled a[l, m], l >= m, degree-major
+    l, m = np.tril_indices(L + 1)
+    scale = (np.where(m > 0, np.sqrt(2.0), 1.0)
+             * np.sqrt(s.nlat * s.nlon / (4.0 * np.pi)))
+    coeffs = s.to_coeffs(values)
+    assert np.array_equal(coeffs,
+                          (s.analyze(values)[l, m] * scale).view(np.float64))
+    a = np.zeros((L + 1, L + 1), dtype=np.complex128)
+    a[l, m] = coeffs.view(np.complex128) / scale
+    assert np.array_equal(s.from_coeffs(coeffs), s.synthesize(a))
+    with pytest.raises(ConfigError, match="mean-free"):
+        s.solve_shifted(0.0, values + 1.0)
+    for c in (-1e-3, -5.0):
+        with pytest.raises(ConfigError, match="c >= 0"):
+            s.solve_shifted(c, mean_free)
+
+
+@pytest.mark.parametrize("L", [15, 16])
+def test_sphere_preconditioner_spans_the_grid(L):
+    # CG's preconditioner is (lap + c)^-1 on degrees <= L and 1/c on the grid
+    # part above them: symmetric and positive definite in the quadrature
+    # inner product, where solve_shifted maps that part to zero
+    s = build_surface("sphere", L)
+    rng = np.random.default_rng(L)
+    x, y = rng.normal(size=(2,) + s.shape)
+    c = 3.0
+    eig = 2.0 * np.arange(L + 1) * (np.arange(L + 1) + 1.0)
+    assert np.array_equal(s.precondition(c, x),
+                          _by_degree(s, x, 1.0 / (eig + c) - 1.0 / c) + x / c)
+    high = x - s.synthesize(s.analyze(x))
+    assert np.max(np.abs(s.solve_shifted(c, high))) < 1e-12 * np.max(np.abs(high))
+    assert np.max(np.abs(s.precondition(c, high) - high / c)) \
+        < 1e-12 * np.max(np.abs(high))
+    xy, yx = s.integrate(x * s.precondition(c, y)), s.integrate(s.precondition(c, x) * y)
+    assert abs(xy - yx) < 1e-12 * abs(xy)
+    for f in (x, high):
+        assert s.integrate(f * s.precondition(c, f)) > 0.0
+    with pytest.raises(ConfigError, match="c > 0"):
+        s.precondition(0.0, x)
+
+
+def test_torus_preconditioner_is_the_shifted_solve(torus32):
+    rhs = np.random.default_rng(0).normal(size=torus32.shape)
+    assert np.array_equal(torus32.precondition(2.0, rhs),
+                          torus32.solve_shifted(2.0, rhs))
+
+
 def test_legendre_table_matches_point_recurrence(sphere31):
     # the table's recurrence runs over all orders at once in extended
     # precision; _legendre_point runs one (l, m) at a time in float64
