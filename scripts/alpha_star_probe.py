@@ -30,8 +30,9 @@ def run(resolution=64, overshoots=(1.0, 1.05, 1.25, 1.5, 2.0)):
     problem = make_problem(surf, dd, tau=4.0, eps=0.1)
     astar = problem.params.alpha_star
     print(f"alpha_star = {astar}")
-    state = continue_alpha(problem, decoupled_state(problem), astar,
-                           n_steps=8)[-1]
+    for state in continue_alpha(problem, decoupled_state(problem), astar,
+                                n_steps=8):
+        pass
     f, u = state.f_tilde, state.u
     for s in overshoots:
         alpha = s * astar

@@ -88,8 +88,7 @@ def monotone_step_case(sphere, cfg):
     problem = _eb_problem(cfg, sphere, build_divisor(cfg))
     lam = build_supersolution(problem)[3]
     delta = cfg["delta"][0]
-    u0 = problem.u0_delta(delta)
-    ev = np.exp(-problem.v0_delta(delta))
+    u0, ev = problem.rung(delta)
     c_delta = 1.0 + lam * float(np.max(ev)) * F_prime_sup(problem.alpha,
                                                           problem.tau)
     f = 0.5 * (np.log(problem.tau) - u0)

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import AssumptionNotSatisfied, ConfigError, ConvergenceFailure
-from .fields import build_divisor_fields, derive_params
+from .fields import build_divisor_fields, derive_params, smoothed_log
 from .singular import mask_away_from_points
 from .surface import VOL
 
@@ -134,28 +134,18 @@ class EBProblem:
     tau: float
     lam: float | None
     sigma: float
-    u0: np.ndarray          # log|phi|^2 + sum alpha_k log|t_k|^2 (delta = 0)
-
-    def u0_delta(self, delta):
-        f = self.fields
-        out = np.logaddexp(f.log_phi_sq, np.log(delta))
-        for (_, ak), lt in zip(f.divisor.parabolic, f.log_t_sq):
-            out = out + ak * np.logaddexp(lt, np.log(delta))
-        return out
-
-    def v0_delta(self, delta, u0=None):
-        """v0^d, from u0 = u0^d when the caller has it."""
-        f = self.fields
-        if u0 is None:
-            u0 = self.u0_delta(delta)
-        out = 2.0 * self.alpha * self.tau * u0
-        for (_, b), ls in zip(f.divisor.cone, f.log_s_sq):
-            out = out + (1.0 - b) * np.logaddexp(ls, np.log(delta))
-        return out
+    u0: np.ndarray          # log|phi|^2 - F_eta(0) (delta = 0)
 
     def rung(self, delta):
-        u0 = self.u0_delta(delta)
-        return Rung(u0, np.exp(-self.v0_delta(delta, u0)))
+        """u0^d = log(|phi|^2 + d) - F_eta(d) and e^{-v0^d} with
+        v0^d = 2 a tau u0^d + F_xi(d)."""
+        f = self.fields
+        u0 = smoothed_log(f.log_phi_sq, delta)
+        u0 -= f.F_eta(delta)
+        ev = f.F_xi(delta)
+        ev += 2.0 * self.alpha * self.tau * u0
+        np.negative(ev, out=ev)
+        return Rung(u0, np.exp(ev, out=ev))
 
     def marked_points(self):
         return list(self.fields.divisor.all_points())
@@ -207,12 +197,10 @@ def make_eb_problem(surface, divisor, alpha=None, tau=None, lam=None,
             f"cutoff radius sigma={sigma:.3g} is below the grid scale "
             f"{surface.h:.3g}; increase the resolution or separate the points"
         )
-    u0 = fields.log_phi_sq.copy()
-    for (_, ak), lt in zip(divisor.parabolic, fields.log_t_sq):
-        u0 = u0 + ak * lt
     return EBProblem(surface=surface, fields=fields, params=params,
                      alpha=float(alpha), tau=float(tau), lam=lam,
-                     sigma=float(sigma), u0=u0)
+                     sigma=float(sigma),
+                     u0=fields.log_phi_sq - fields.F_eta(0.0))
 
 
 # --- admissibility -----------------------------------------------------------
@@ -283,7 +271,7 @@ def build_supersolution(problem, margin=0.5):
     C_sigma = (4.0 * np.pi * N_tilde / VOL**2) * s.integrate(psi)
     rhs = -(4.0 * np.pi * N_tilde / VOL) * psi + C_sigma
     w = s.solve_shifted(0.0, rhs)
-    u0_1 = problem.u0_delta(1.0)
+    u0_1, ev_1 = problem.rung(1.0)
     shift = 0.5 * (np.log(problem.tau) - 2.0 * margin - float(np.max(2.0 * w + u0_1)))
     w = w + shift
     if C_sigma >= N_tilde:
@@ -296,12 +284,11 @@ def build_supersolution(problem, margin=0.5):
         raise ConfigError(
             "the sigma-disks cover the whole surface; shrink sigma"
         )
-    v0_1 = problem.v0_delta(1.0, u0_1)
     neg_F = -F_nonlinearity(2.0 * w + u0_1, problem.alpha, problem.tau)
     if float(np.min(neg_F[mask])) <= 0.0:
         raise ConfigError("supersolution shift failed: F not negative off the disks")
     need = (N_tilde + rhs)[mask]  # lap w = rhs exactly
-    lam_min = float(np.max(2.0 * need / (np.exp(-v0_1) * neg_F)[mask]))
+    lam_min = float(np.max(2.0 * need / (ev_1 * neg_F)[mask]))
     lam = problem.lam if problem.lam is not None else _LAM_SAFETY * max(lam_min, 0.0)
     if lam <= lam_min:
         raise ConfigError(
@@ -503,12 +490,11 @@ def assembled_residual(problem, f, delta, lam):
     through the assembled exponent algebra (independent route from
     eb_residual's F-form); its sup off the 2 sigma-disks."""
     s = problem.surface
-    u0d = problem.u0_delta(delta)
-    Phi_h = np.exp(2.0 * f + u0d)
+    Phi_h = np.exp(2.0 * f + problem.rung(delta).u0)
     log_rho_g = (4.0 * problem.alpha * problem.tau * f
                  - 2.0 * problem.alpha * Phi_h)
     for (_, b), ls in zip(problem.fields.divisor.cone, problem.fields.log_s_sq):
-        log_rho_g = log_rho_g + (b - 1.0) * np.logaddexp(ls, np.log(delta))
+        log_rho_g = log_rho_g + (b - 1.0) * smoothed_log(ls, delta)
     rho_g = lam * np.exp(log_rho_g)
     R = (s.laplacian(f) + 0.5 * (Phi_h - problem.tau) * rho_g
          + problem.params.N_tilde)

@@ -9,6 +9,7 @@ verification failure, 4 admissibility refusal.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -284,12 +285,12 @@ def _tol(cfg, key, default):
     return float(cfg.get("tolerances", {}).get(key, default))
 
 
-def _vortex_problem(cfg, surface, divisor):
+def _vortex_problem(cfg, surface, divisor, log=None):
     tau = float(cfg["tau"])
     b, F = synthesize_twist(surface, cfg.get("twist"))
     weight = np.exp(build_divisor_fields(surface, divisor).log_phi_sq)
     return make_vortex_problem(surface, weight, tau, divisor.N, b=b, F=F,
-                               t=float(cfg.get("t", 1.0)))
+                               t=float(cfg.get("t", 1.0)), log=log)
 
 
 def _certify_vortex(cfg, problem, seed, f):
@@ -353,13 +354,14 @@ def _certify_eb(cfg, problem, seed, f, w, ladder):
 def run_solve_vortex(cfg, outdir, seed, quiet):
     t_start = time.perf_counter()
     surface, divisor = build_setup(cfg)
-    problem = _vortex_problem(cfg, surface, divisor)
-    f = solve_vortex(problem, tol=_tol(cfg, "residual", 1e-9) * 0.1)
+    log = []
+    problem = _vortex_problem(cfg, surface, divisor, log)
+    f = solve_vortex(problem, tol=_tol(cfg, "residual", 1e-9) * 0.1, log=log)
     cert = _certify_vortex(cfg, problem, seed, f)
     art = ArtifactWriter(outdir, "solve-vortex", cfg, seed, quiet, started=t_start)
     art.field("f_tilde", f, surface)
     art.field("Phi", problem.phi0_sq * np.exp(2.0 * f), surface)
-    art.write_jsonl("iterations.jsonl", problem.log)
+    art.write_jsonl("iterations.jsonl", log)
     return art.finish(cert)
 
 
@@ -408,10 +410,13 @@ def run_solve_gv(cfg, outdir, seed, quiet):
     problem = make_problem(surface, divisor, tau=tau, eps=eps, fields=fields)
     if target == "alpha_star":
         target = problem.params.alpha_star
-    state0 = decoupled_state(problem, tol=tol)
-    states = continue_alpha(problem, state0, float(target), n_steps=steps,
-                            tol=tol)
-    final = states[-1]
+    path_log, newton = [], []
+    for final in continue_alpha(problem, decoupled_state(problem, tol=tol),
+                                float(target), n_steps=steps, tol=tol):
+        path_log.append({"alpha": final.alpha, "c_tilde": final.c_tilde,
+                         "residual": final.res_norm,
+                         "newton_steps": len(final.newton_log)})
+        newton += final.newton_log
     phases.end("solve")
     cert = certify_state(problem, final, seed=seed)
     phases.end("certify")
@@ -419,14 +424,10 @@ def run_solve_gv(cfg, outdir, seed, quiet):
     art.field("f_tilde", final.f_tilde, surface)
     art.field("u", final.u, surface)
     art.field("Phi", final.Phi, surface)
-    path_log = [{"alpha": st.alpha, "c_tilde": st.c_tilde,
-                 "residual": st.res_norm, "newton_steps": len(st.newton_log)}
-                for st in states]
-    steps = [e for st in states for e in st.newton_log]
-    art.write_jsonl("iterations.jsonl", path_log + steps)
+    art.write_jsonl("iterations.jsonl", path_log + newton)
     phases.end("write")
-    profile = phases.profile(divisor_field_builds=1, newton_steps=len(steps),
-                             gmres_iterations=sum(e["krylov"] for e in steps))
+    profile = phases.profile(divisor_field_builds=1, newton_steps=len(newton),
+                             gmres_iterations=sum(e["krylov"] for e in newton))
     return art.finish(cert, extra={"alpha": final.alpha, "epsilon": problem.eps,
                                    "alpha_star": problem.params.alpha_star,
                                    "profile": profile})
@@ -508,10 +509,9 @@ def run_solve_eb(cfg, outdir, seed, quiet):
     lambda_pair = bool(cfg.get("lambda_pair", False))
     if lambda_pair:
         lam2 = 2.0 * report["lam"]
-        prob2 = make_eb_problem(surface, divisor, alpha=problem.alpha,
-                                lam=lam2, sigma=problem.sigma)
         f2, _, _, _, report2 = delta_ladder_and_assemble(
-            prob2, deltas=deltas[-1:], tol=tol, margin=margin)
+            dataclasses.replace(problem, lam=lam2), deltas=deltas[-1:],
+            tol=tol, margin=margin)
         iterations += sum(report2["iterations"])
     phases.end("ladder")
     cert = _certify_eb(cfg, problem, seed, f, w, report)

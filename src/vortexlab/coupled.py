@@ -5,8 +5,9 @@ Unknowns are the potentials (f~, u) of the second-order system
     S1 = lap f~ + (1/2)(Phi - tau)(1 - lap u) + N~            = 0
     S2 = lap u + W exp(4 a tau f~ - 2 a Phi - 2 c~ u) - 1     = 0
 
-with Phi = weight_t * e^{2 f~},  weight_t = |phi|^2 prod_k(|t_k|^2+eps)^a_k,
-W = prod_j(|s_j|^2+eps)^(beta_j - 1),  c~ = chi~ - 2 a tau N~.
+with Phi = weight_t * e^{2 f~},  weight_t = |phi|^2 e^{-F_eta},  W = e^{-F_xi}
+for the smoothed twisting forms F_xi = sum_j (1 - beta_j) log(|s_j|^2 + eps),
+F_eta = -sum_k a_k log(|t_k|^2 + eps),  and c~ = chi~ - 2 a tau N~.
 
 The alpha = 0 state decouples into a twisted-KE solve for u and a vortex
 solve for f~ over the metric density 1 - lap u; continuation then walks a
@@ -32,6 +33,7 @@ __all__ = ["GVProblem", "SolveState", "Residual", "Linearization",
 
 RESIDUAL_TOL = 1e-9
 MAX_NEWTON = 40  # Newton iterations per alpha before the step is halved
+_MAX_BACKTRACK = 30  # step halvings before a Newton step is rejected
 
 # inexact Newton forcing term: each step's Krylov solve runs to the relative
 # tolerance eta = min(_ETA_MAX, max(_ETA_MIN, _FORCING * ||S||_inf)), which
@@ -91,15 +93,11 @@ def make_problem(surface, divisor, tau, eps, fields=None):
     if fields is None:
         fields = build_divisor_fields(surface, divisor)
     params = derive_params(divisor, surface, tau, alpha=0.0, epsilon=eps)
-    return GVProblem(
-        surface=surface,
-        fields=fields,
-        params=params,
-        W=fields.weight_W(eps),
-        weight_t=fields.higgs_weight(eps),
-        F_xi=fields.F_xi(eps),
-        F_eta=fields.F_eta(eps),
-    )
+    F_xi, F_eta = fields.F_xi(eps), fields.F_eta(eps)
+    return GVProblem(surface=surface, fields=fields, params=params,
+                     W=np.exp(-F_xi),
+                     weight_t=np.exp(fields.log_phi_sq - F_eta),
+                     F_xi=F_xi, F_eta=F_eta)
 
 
 def _exp_factor(problem, alpha, c_tilde, f_tilde, u, Phi):
@@ -197,8 +195,7 @@ def jacobian_vp(problem, alpha, f_tilde, u, df, du, c_tilde=None):
     return lin.apply(df, du)
 
 
-def newton_step(problem, alpha, f_tilde, u, c_tilde=None, max_backtrack=30,
-                log=None, res=None):
+def newton_step(problem, alpha, f_tilde, u, c_tilde=None, log=None, res=None):
     """One damped Newton step preserving 1 - lap u > 0.
 
     ``res`` is the Residual at (f~, u) if the caller already has it; it
@@ -219,7 +216,7 @@ def newton_step(problem, alpha, f_tilde, u, c_tilde=None, max_backtrack=30,
                                          model_coeffs=lin.model_coeffs())
     phi0 = float(s.integrate(S1 * S1 + S2 * S2))
     step = 1.0
-    for _ in range(max_backtrack + 1):
+    for _ in range(_MAX_BACKTRACK + 1):
         ft, ut = f_tilde + step * df, u + step * du
         lap_ut = s.laplacian(ut)
         if float(np.min(1.0 - lap_ut)) <= 0.0:
@@ -240,7 +237,7 @@ def newton_step(problem, alpha, f_tilde, u, c_tilde=None, max_backtrack=30,
         step *= 0.5
     raise ConvergenceFailure(
         "Newton step rejected: positivity or descent unrecoverable after "
-        f"{max_backtrack} halvings"
+        f"{_MAX_BACKTRACK} halvings"
     )
 
 
@@ -274,7 +271,7 @@ def solve_at_alpha(problem, alpha, f_init, u_init, tol=RESIDUAL_TOL):
                              f"after {MAX_NEWTON} Newton iterations")
 
 
-def decoupled_state(problem, tol=RESIDUAL_TOL, log=None):
+def decoupled_state(problem, tol=RESIDUAL_TOL):
     """alpha = 0 state from the two decoupled solves.
 
     u solves the twisted-KE equation with twist F_xi; f~ solves the vortex
@@ -286,12 +283,10 @@ def decoupled_state(problem, tol=RESIDUAL_TOL, log=None):
             "decoupled endpoint needs chi_tilde < 0 "
             f"(got {problem.params.chi_tilde}); add cone weight"
         )
-    ke_log = [] if log is None else log
-    u = solve_twisted_ke(s, problem.params.chi_tilde, problem.F_xi, tol=tol * 0.1,
-                         log=ke_log)
+    u = solve_twisted_ke(s, problem.params.chi_tilde, problem.F_xi, tol=tol * 0.1)
     rho = 1.0 - s.laplacian(u)
     f = solve_vortex_on_metric(s, problem.weight_t, problem.tau, rho,
-                               problem.params.N_tilde, tol=tol * 0.1, log=ke_log)
+                               problem.params.N_tilde, tol=tol * 0.1)
     state = accepted_state(problem, 0.0, f, u)
     if state.res_norm >= tol:
         raise ConvergenceFailure(
@@ -304,20 +299,22 @@ def continue_alpha(problem, state0, alpha_target, n_steps=16, tol=RESIDUAL_TOL):
     """Continuation from the accepted alpha=0 state to alpha_target.
 
     Fixed alpha grid with adaptive halving; the minimum step is
-    alpha_star/1024.  Returns the list of accepted states (including the
-    start).  Raises PathStalled with the last good alpha on failure.
+    alpha_star/1024.  Yields each accepted state in turn (the start
+    first), so a caller holds one state, not the path; a refused target or
+    start raises before the first.  Raises PathStalled with the last good
+    alpha on failure.
     """
-    if alpha_target == 0.0:
-        return [state0]
     astar = problem.params.alpha_star
-    if not np.isfinite(astar) or alpha_target > astar + 1e-12:
+    if alpha_target != 0.0 and not (np.isfinite(astar)
+                                    and alpha_target <= astar + 1e-12):
         raise ConfigError(
             f"alpha_target {alpha_target} outside the certified range "
             f"(alpha_star = {astar})"
         )
-    if state0.res_norm >= tol:
+    if alpha_target != 0.0 and state0.res_norm >= tol:
         raise ConfigError("starting state is not residual-accepted")
-    states = [state0]
+    yield state0
+    res_norms = [state0.res_norm]
     alpha = state0.alpha
     step = (alpha_target - alpha) / n_steps
     min_step = astar / 1024.0
@@ -331,9 +328,9 @@ def continue_alpha(problem, state0, alpha_target, n_steps=16, tol=RESIDUAL_TOL):
             if step < min_step:
                 raise PathStalled(
                     f"continuation stalled at alpha={alpha:.6g}", alpha,
-                    [s.res_norm for s in states],
+                    res_norms,
                 )
             continue
-        states.append(st)
+        res_norms.append(st.res_norm)
         alpha, f, u = a_next, st.f_tilde, st.u
-    return states
+        yield st

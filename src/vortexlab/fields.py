@@ -25,8 +25,7 @@ __all__ = [
     "ModelParams",
     "DivisorFields",
     "log_section_field",
-    "smoothed_weight",
-    "higgs_squared",
+    "smoothed_log",
     "derive_params",
     "build_divisor_fields",
 ]
@@ -188,26 +187,10 @@ def log_section_field(surface, points_weights, total_weight=None):
     return vals, evaluate
 
 
-def smoothed_weight(surface, log_fields, exponents, eps):
-    """Pointwise product of (|s_j|^2 + eps)^(e_j) from the log fields."""
-    if eps <= 0:
-        raise ConfigError("smoothing parameter must be positive")
-    out = np.zeros(surface.shape)
-    for ls, e in zip(log_fields, exponents):
-        if e == 0.0:
-            continue
-        out += e * np.logaddexp(ls, np.log(eps))
-    return np.exp(out)
-
-
-def _log_eps(eps):
-    """log eps, and -inf at eps = 0 (no smoothing) without a divide warning."""
-    return np.log(eps) if eps > 0 else -np.inf
-
-
-def higgs_squared(fields, eps, f_tilde):
-    """Phi = |phi|^2 * prod_k (|t_k|^2 + eps)^(alpha_k) * exp(2 f_tilde)."""
-    return fields.higgs_weight(eps) * np.exp(2.0 * f_tilde)
+def smoothed_log(log_sq, eps):
+    """log(|s|^2 + eps) from log|s|^2: the smoothing of the twisting forms;
+    eps = 0 gives log|s|^2 back without a divide warning."""
+    return np.logaddexp(log_sq, np.log(eps) if eps > 0 else -np.inf)
 
 
 @dataclass
@@ -221,35 +204,19 @@ class DivisorFields:
     log_s_sq: list                # one per cone point
     log_t_sq: list                # one per parabolic point
 
-    def weight_W(self, eps):
-        """W = prod_j (|s_j|^2 + eps)^(beta_j - 1) = exp(-F_xi)."""
-        return smoothed_weight(
-            self.surface,
-            self.log_s_sq,
-            [b - 1.0 for _, b in self.divisor.cone],
-            eps,
-        )
-
     def F_xi(self, eps):
         """F_xi = sum_j (1 - beta_j) log(|s_j|^2 + eps)."""
         out = np.zeros(self.surface.shape)
         for (_, b), ls in zip(self.divisor.cone, self.log_s_sq):
-            out += (1.0 - b) * np.logaddexp(ls, _log_eps(eps))
+            out += (1.0 - b) * smoothed_log(ls, eps)
         return out
 
     def F_eta(self, eps):
         """F_eta = -sum_k alpha_k log(|t_k|^2 + eps)."""
         out = np.zeros(self.surface.shape)
         for (_, ak), lt in zip(self.divisor.parabolic, self.log_t_sq):
-            out -= ak * np.logaddexp(lt, _log_eps(eps))
+            out -= ak * smoothed_log(lt, eps)
         return out
-
-    def higgs_weight(self, eps):
-        """|phi|^2 * prod_k (|t_k|^2 + eps)^(alpha_k); Phi = weight * e^{2 f}."""
-        log_w = self.log_phi_sq.copy()
-        for (_, ak), lt in zip(self.divisor.parabolic, self.log_t_sq):
-            log_w += ak * np.logaddexp(lt, _log_eps(eps))
-        return np.exp(log_w)
 
     def b_xi(self):
         return self.divisor.sum_one_minus_beta

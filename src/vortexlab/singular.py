@@ -23,7 +23,7 @@ import numpy as np
 
 from .coupled import continue_alpha, decoupled_state, make_problem, solve_at_alpha
 from .errors import ConfigError, ConvergenceFailure
-from .fields import build_divisor_fields
+from .fields import build_divisor_fields, smoothed_log
 from .verify import holder_quotient
 
 __all__ = ["FitRecord", "LadderReport", "run_ladder", "mask_away_from_points",
@@ -119,29 +119,26 @@ def _slope_fit(surface, values, coord, point, r_in, r_out, d_resolve=None):
     return slope, n, True
 
 
-def _exponent_fit(surface, divisor, point, log_s, y, eps, annulus):
+def _exponent_fit(surface, divisor, point, log_s, y, eps):
     """Raw slope of y against the smoothed coordinate log(|s|^2 + eps) on the
     fit annulus at a marked point; returns (raw, npoints, resolved, r_in, r_out)."""
     others = [q for q in divisor.all_points() if q != tuple(point)]
     A = _local_quadratic_coeff(surface, log_s, point)
-    if annulus is None:
-        r_in, r_out = _fit_annulus(surface, point, others, eps, A)
-    else:
-        r_in, r_out = annulus
-    coord = np.logaddexp(log_s, np.log(eps))
+    r_in, r_out = _fit_annulus(surface, point, others, eps, A)
+    coord = smoothed_log(log_s, eps)
     raw, n, ok = _slope_fit(surface, y, coord, point, r_in, r_out,
                             d_resolve=2.0 * np.sqrt(eps / A))
     return raw, n, ok, r_in, r_out
 
 
-def conical_fit(surface, state, divisor_fields, j, eps, annulus=None):
+def conical_fit(surface, state, divisor_fields, j, eps):
     """Exponent fit of log(1 - lap u) at cone point j; target 2*beta - 2."""
     point, beta = divisor_fields.divisor.cone[j]
     log_s = divisor_fields.log_s_sq[j]
     rho = 1.0 - surface.laplacian(state.u)
     y = np.log(np.maximum(rho, 1e-300))
     raw, n, ok, r_in, r_out = _exponent_fit(surface, divisor_fields.divisor,
-                                            point, log_s, y, eps, annulus)
+                                            point, log_s, y, eps)
     slope = 2.0 * raw if ok else np.nan
     target = 2.0 * beta - 2.0
     # Hoelder-factor oscillation: log rho + (1 - beta) log|s|^2 on the annulus
@@ -155,7 +152,7 @@ def conical_fit(surface, state, divisor_fields, j, eps, annulus=None):
                      oscillation=osc)
 
 
-def parabolic_fit(surface, state, divisor_fields, k, eps, annulus=None):
+def parabolic_fit(surface, state, divisor_fields, k, eps):
     """Exponent fit of log Phi at parabolic point k.
 
     Isolated point: target 2*alpha_k.  Coincident with a Higgs zero of
@@ -173,7 +170,7 @@ def parabolic_fit(surface, state, divisor_fields, k, eps, annulus=None):
     if n_coincident:
         y = y - n_coincident * log_t
     raw, n, ok, r_in, r_out = _exponent_fit(surface, divisor_fields.divisor,
-                                            point, log_t, y, eps, annulus)
+                                            point, log_t, y, eps)
     slope = 2.0 * raw + 2.0 * n_coincident if ok else np.nan
     target = 2.0 * ak + 2.0 * n_coincident
     return FitRecord(point=tuple(point), kind="parabolic", weight=ak,
@@ -184,12 +181,10 @@ def parabolic_fit(surface, state, divisor_fields, k, eps, annulus=None):
                      note=f"coincident_zero_n={n_coincident}")
 
 
-def regular_point_slope(surface, state, point, r_in=None, r_out=None):
-    """Radial log-log slope of the metric density at a smooth point
-    (control: should vanish)."""
-    h = surface.h
-    r_in = 4.0 * h if r_in is None else r_in
-    r_out = 16.0 * h if r_out is None else r_out
+def regular_point_slope(surface, state, point):
+    """Radial log-log slope of the metric density on the annulus 4h..16h
+    around a smooth point (control: should vanish)."""
+    r_in, r_out = 4.0 * surface.h, 16.0 * surface.h
     rho = 1.0 - surface.laplacian(state.u)
     y = np.log(np.maximum(rho, 1e-300))
     d = surface.distance_field(point)
@@ -199,7 +194,7 @@ def regular_point_slope(surface, state, point, r_in=None, r_out=None):
 
 
 def run_ladder(surface, divisor, tau, alpha, eps_list, n_steps=16,
-               tol=1e-9, gamma=0.25, seed=0, fit=True, fields=None):
+               tol=1e-9, seed=0, fit=True, fields=None):
     """Drive the smoothing ladder; warm-start each rung from the previous.
 
     Rung 0 runs the full continuation from the decoupled endpoint; later
@@ -221,31 +216,30 @@ def run_ladder(surface, divisor, tau, alpha, eps_list, n_steps=16,
     for eps in eps_list:
         problem = make_problem(surface, divisor, tau=tau, eps=eps, fields=fields)
         try:
-            if prev_state is None:
-                st0 = decoupled_state(problem, tol=tol)
-                states = continue_alpha(problem, st0, alpha, n_steps=n_steps,
-                                        tol=tol)
-            else:
+            path = None
+            if prev_state is not None:
                 try:
-                    states = [solve_at_alpha(problem, alpha, prev_state.f_tilde,
-                                             prev_state.u, tol=tol)]
+                    path = [solve_at_alpha(problem, alpha, prev_state.f_tilde,
+                                           prev_state.u, tol=tol)]
                 except ConvergenceFailure:
-                    st0 = decoupled_state(problem, tol=tol)
-                    states = continue_alpha(problem, st0, alpha,
-                                            n_steps=n_steps, tol=tol)
+                    pass
+            if path is None:
+                path = continue_alpha(problem, decoupled_state(problem, tol=tol),
+                                      alpha, n_steps=n_steps, tol=tol)
+            steps = []
+            for state in path:
+                steps += state.newton_log
         except ConvergenceFailure as exc:
             report.failures.append({"eps": eps, "error": str(exc)})
             break
-        state = states[-1]
-        steps = [e for s in states for e in s.newton_log]
         report.states.append(state)
         report.problem = problem
         report.newton_counts.append(len(steps))
         report.gmres_iterations += sum(e["krylov"] for e in steps)
-        report.holder_f.append(holder_quotient(surface, state.f_tilde, gamma,
-                                               1000, np.random.default_rng(seed)))
-        report.holder_u.append(holder_quotient(surface, state.u, gamma,
-                                               1000, np.random.default_rng(seed)))
+        report.holder_f.append(holder_quotient(
+            surface, state.f_tilde, rng=np.random.default_rng(seed)))
+        report.holder_u.append(holder_quotient(
+            surface, state.u, rng=np.random.default_rng(seed)))
         report.wp_integrals.append(float(surface.integrate(
             problem.W ** report.lp_exponent)))
         prev_state = state

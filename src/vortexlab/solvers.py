@@ -33,8 +33,13 @@ __all__ = ["solve_helmholtz", "solve_block_newton_step", "damped_newton_scalar",
 # sphere (L = 15, the smallest, would need 40.5 MiB)
 DENSE_MAX_BYTES = 32 * 2**20
 
+# CG's relative tolerance and the absolute floor of the CG and GMRES stops
+_KRYLOV_TOL = 1e-13
+# iterations and step halvings of the scalar damped Newton
+_SCALAR_MAX_ITER, _SCALAR_MAX_BACKTRACK = 60, 30
 
-def solve_helmholtz(surface, V, rhs, rtol=1e-13, atol=1e-13):
+
+def solve_helmholtz(surface, V, rhs):
     """Solve (lap + V) x = rhs with pointwise V >= 0 (not identically 0).
 
     lap + V is symmetric in the quadrature inner product, not in the
@@ -66,13 +71,13 @@ def solve_helmholtz(surface, V, rhs, rtol=1e-13, atol=1e-13):
 
     weight = None if surface.backend == "torus" else np.repeat(
         surface.glweights / np.mean(surface.glweights), surface.nlon)
-    x, info = _pcg(apply_op, apply_pre, rhs.ravel(), weight, rtol, atol)
+    x, info = _pcg(apply_op, apply_pre, rhs.ravel(), weight)
     if info != 0:
         raise ConvergenceFailure(f"CG failed to converge (info={info})")
     return x.reshape(shape)
 
 
-def _pcg(apply_op, apply_pre, b, weight, rtol, atol):
+def _pcg(apply_op, apply_pre, b, weight):
     """Preconditioned CG from x = 0 in the inner product <a, c> =
     sum(weight * a * c), or the Euclidean one for weight None; returns
     (x, info) with info = 0 on convergence, -1 on breakdown (rho =
@@ -87,7 +92,7 @@ def _pcg(apply_op, apply_pre, b, weight, rtol, atol):
 
     maxiter = 400
     x = np.zeros_like(b)
-    atol = max(float(atol), float(rtol) * np.sqrt(dot(b, b)))
+    atol = max(_KRYLOV_TOL, _KRYLOV_TOL * np.sqrt(dot(b, b)))
     r = b.copy()
     for iteration in range(maxiter):
         if np.sqrt(dot(r, r)) < atol:
@@ -110,7 +115,7 @@ def _pcg(apply_op, apply_pre, b, weight, rtol, atol):
 
 
 def damped_newton_scalar(surface, residual_fn, lin_weight_fn, x0, tol=1e-10,
-                         max_iter=60, max_backtrack=30, guard=None, log=None):
+                         guard=None, log=None):
     """Damped Newton for scalar problems with residual r(x) and linearization
     lap + diag(lin_weight(x)).
 
@@ -121,7 +126,7 @@ def damped_newton_scalar(surface, residual_fn, lin_weight_fn, x0, tol=1e-10,
     x = x0.copy()
     r = residual_fn(x)
     history = []
-    for it in range(max_iter):
+    for it in range(_SCALAR_MAX_ITER):
         rn_inf = float(np.max(np.abs(r)))
         rn_l2 = float(np.sqrt(surface.integrate(r * r)))
         history.append(rn_inf)
@@ -135,7 +140,7 @@ def damped_newton_scalar(surface, residual_fn, lin_weight_fn, x0, tol=1e-10,
         phi0 = rn_l2**2
         s = 1.0
         accepted = False
-        for _ in range(max_backtrack + 1):
+        for _ in range(_SCALAR_MAX_BACKTRACK + 1):
             xt = x + s * d
             if guard is not None and not guard(xt):
                 s *= 0.5
@@ -154,24 +159,23 @@ def damped_newton_scalar(surface, residual_fn, lin_weight_fn, x0, tol=1e-10,
                 f"Newton stagnated at residual {rn_inf:.3e}", history
             )
     raise ConvergenceFailure(
-        f"Newton did not reach tol={tol:g} in {max_iter} iterations "
+        f"Newton did not reach tol={tol:g} in {_SCALAR_MAX_ITER} iterations "
         f"(residual {history[-1]:.3e})",
         history,
     )
 
 
 def solve_block_newton_step(surface, pointwise, rhs1, rhs2, rtol=1e-12,
-                            atol=1e-13, restart=50, max_krylov=500,
-                            model_coeffs=None):
+                            restart=50, max_krylov=500, model_coeffs=None):
     """Solve the linearized 2x2 system J (df, du) = (rhs1, rhs2), where
     J = diag(lap, lap) + K and ``pointwise(df, du, lap_du)`` returns the
     pointwise part K (df, du).
 
     GMRES runs on the spectral coefficients of (df, du) (``to_coeffs``), in
     which lap multiplies each coefficient by its ``coeff_eig`` and the
-    Euclidean norm is the grid norm, so rtol and atol are grid-norm
-    tolerances; only K goes through the grid. The preconditioner is the
-    ``block_symbol`` of the frozen-coefficient model system when
+    Euclidean norm is the grid norm, so rtol and the floor _KRYLOV_TOL are
+    grid-norm tolerances; only K goes through the grid. The preconditioner
+    is the ``block_symbol`` of the frozen-coefficient model system when
     ``model_coeffs`` (m1, m2, m3, m4) is supplied and stays definite, else
     that of (1, 0, 0, 1), blockwise (lap+1)^-1. When Krylov stalls and the
     dense grid Jacobian fits in DENSE_MAX_BYTES, a direct solve of
@@ -211,7 +215,8 @@ def solve_block_newton_step(surface, pointwise, rhs1, rhs2, rtol=1e-12,
         return y
 
     b = np.concatenate([surface.to_coeffs(rhs1), surface.to_coeffs(rhs2)])
-    x, niter, converged = _gmres_left(matvec, prevec, b, rtol=rtol, atol=atol,
+    x, niter, converged = _gmres_left(matvec, prevec, b, rtol=rtol,
+                                      atol=_KRYLOV_TOL,
                                       restart=restart, max_krylov=max_krylov)
     if converged:
         df, du = surface.from_coeffs(x[:size]), surface.from_coeffs(x[size:])

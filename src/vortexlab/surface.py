@@ -160,14 +160,14 @@ class Torus:
         d = self.distance_field(p)
         return np.unravel_index(np.argmax(d), self.shape)
 
-    def point_off_grid(self, p, tol=1e-6):
+    def point_off_grid(self, p):
         # offsets measured in cell units, of coordinates wrapped into [0, 1);
-        # a node hit needs both near 0. A coordinate whose float spacing
-        # exceeds the tolerance (|x| > ~1e8) has no position on the torus.
-        if np.spacing(max(map(abs, p))) * self.n > tol:
+        # a node hit needs both near 0 (within 1e-6). A coordinate whose
+        # float spacing exceeds that (|x| > ~1e8) has no position on the torus.
+        if np.spacing(max(map(abs, p))) * self.n > 1e-6:
             return False
         x, y = p[0] % 1.0 * self.n, p[1] % 1.0 * self.n
-        return max(abs(x - round(x)), abs(y - round(y))) > tol
+        return max(abs(x - round(x)), abs(y - round(y))) > 1e-6
 
     # -- band-limited test fields ----------------------------------------
     def random_bandlimited(self, rng, kmax=6, nmodes=8, amp=1.0):
@@ -371,9 +371,8 @@ class Sphere:
         ca = float(np.clip(self.unit_point(a) @ self.unit_point(b), -1.0, 1.0))
         return float(self.r * np.arccos(ca))
 
-    def point_off_grid(self, p, tol=1e-9):
-        d = self.distance_field(p)
-        return float(np.min(d)) > tol
+    def point_off_grid(self, p):
+        return float(np.min(self.distance_field(p))) > 1e-9
 
     # -- band-limited test fields ------------------------------------------
     def random_bandlimited(self, rng, kmax=6, nmodes=8, amp=1.0):
@@ -389,15 +388,14 @@ class Sphere:
             modes.append((l, m, float(rng.normal(0, amp)), float(rng.normal(0, amp))))
         return self.eval_modes_grid(modes), modes
 
-    def eval_modes_grid(self, modes, laplacian=False):
+    def eval_modes_grid(self, modes):
         coeffs = np.zeros((self.L + 1, self.L + 1), dtype=np.complex128)
         for l, m, a, b in modes:
-            scale = 2.0 * l * (l + 1.0) if laplacian else 1.0
             # a*Re(Ylm)+b*Im(Ylm) has coefficient (a - i b)/ (1 if m==0 else 2) * 2 ...
             if m == 0:
-                coeffs[l, 0] += scale * (a + 0j)
+                coeffs[l, 0] += a + 0j
             else:
-                coeffs[l, m] += scale * 0.5 * (a - 1j * b)
+                coeffs[l, m] += 0.5 * (a - 1j * b)
         return self.synthesize(coeffs)
 
     def eval_modes_points(self, modes, theta, phi, laplacian=False):

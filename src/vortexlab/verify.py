@@ -115,21 +115,20 @@ def _green_stats(surface, p_star):
     return float(np.min(g)), surface.integrate(np.abs(g) ** p_star) ** (1.0 / p_star)
 
 
-def certify_phi_bound(state, tau, cert=None, tol=1e-8):
+def certify_phi_bound(state, tau, cert=None):
     """max Phi <= tau for coupled states (nonpositive bundle twist)."""
     cert = Certificate() if cert is None else cert
-    cert.add("phi_upper_bound", float(np.max(state.Phi)), tau, tol=-tol)
+    cert.add("phi_upper_bound", float(np.max(state.Phi)), tau, tol=-1e-8)
     return cert
 
 
-def certify_vortex_phi_bound(surface, phi_field, tau, b, F, cert=None,
-                             tol=1e-8):
+def certify_vortex_phi_bound(surface, phi_field, tau, b, F, cert=None):
     """max Phi <= tau + 2b + ||lap F||_inf for a twisted vortex solution."""
     cert = Certificate() if cert is None else cert
     bound = tau + 2.0 * b
     if F is not None:
         bound += float(np.max(np.abs(surface.laplacian(F))))
-    cert.add("vortex_phi_bound", float(np.max(phi_field)), bound, tol=-tol)
+    cert.add("vortex_phi_bound", float(np.max(phi_field)), bound, tol=-1e-8)
     return cert
 
 
@@ -158,8 +157,7 @@ def certify_integral_estimates(problem, state, cert=None):
     return cert
 
 
-def certify_logy_bounds(problem, state, cert=None, gamma=0.25, npairs=1000,
-                        seed=0):
+def certify_logy_bounds(problem, state, cert=None, seed=0):
     """C0 bounds of log y = 4 a tau f~ - 2 c~ u with computed constants.
 
     C1 comes from the shifted-nonnegative kernel (shift = -min G) and the
@@ -187,9 +185,9 @@ def certify_logy_bounds(problem, state, cert=None, gamma=0.25, npairs=1000,
     ubar = s.integrate(state.u) / VOL
     C2 = max(
         float(np.max(np.abs(state.f_tilde - fbar)))
-        + holder_quotient(s, state.f_tilde - fbar, gamma, npairs, rng),
+        + holder_quotient(s, state.f_tilde - fbar, rng=rng),
         float(np.max(np.abs(state.u - ubar)))
-        + holder_quotient(s, state.u - ubar, gamma, npairs, rng),
+        + holder_quotient(s, state.u - ubar, rng=rng),
     )
     osc = float(np.max(logy) - np.min(logy))
     osc_bound = 2.0 * (4.0 * a * tau - 2.0 * ct) * C2
@@ -284,9 +282,9 @@ def kernel_identity(problem, state, seed=0, cert=None):
     return cert
 
 
-def fd_jacobian_gap(problem, alpha, f, u, seed=0, step=1e-6):
+def fd_jacobian_gap(problem, alpha, f, u, seed=0):
     """Relative gap between jacobian_vp and central finite differences."""
-    s = problem.surface
+    s, step = problem.surface, 1e-6
     rng = np.random.default_rng(seed)
     df, _ = s.random_bandlimited(rng, kmax=4, nmodes=5, amp=1.0)
     du, _ = s.random_bandlimited(rng, kmax=4, nmodes=5, amp=1.0)

@@ -13,7 +13,7 @@ Solvability requires integral of coeff*e^{2f} to balance -2*integral(Q) > 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,8 +49,8 @@ def solve_exp_scalar(surface, coeff, Q, f0=None, tol=1e-10, log=None):
     return damped_newton_scalar(surface, residual, weight, x0, tol=tol, log=log)
 
 
-def solve_vortex_on_metric(surface, weight, tau, rho, source, f0=None,
-                           tol=1e-10, log=None):
+def solve_vortex_on_metric(surface, weight, tau, rho, source, tol=1e-10,
+                           log=None):
     """Solve lap f + (1/2)(weight e^{2f} - tau) rho + source = 0.
 
     This is the vortex equation over the metric density rho (mean 1) with
@@ -61,7 +61,7 @@ def solve_vortex_on_metric(surface, weight, tau, rho, source, f0=None,
             f"existence condition violated: tau={tau} must exceed 2*{source}"
         )
     Q = -0.5 * tau * rho + source
-    return solve_exp_scalar(surface, weight * rho, Q, f0=f0, tol=tol, log=log)
+    return solve_exp_scalar(surface, weight * rho, Q, tol=tol, log=log)
 
 
 @dataclass
@@ -77,7 +77,6 @@ class VortexProblem:
     t: float = 1.0
     N: int = 0
     base_f0: np.ndarray | None = None
-    log: list = field(default_factory=list)
 
     @property
     def existence_ok(self):
@@ -91,11 +90,12 @@ class VortexProblem:
 
 
 def make_vortex_problem(surface, weight_raw, tau, N, b=0.0, F=None, t=1.0,
-                        tol=1e-10):
+                        log=None):
     """Solve the base vortex equation (twist bw only) and re-center.
 
     weight_raw is |phi|^2 under the constant-curvature reference metric.
     The returned problem has residual identically zero at f = 0, t = 0.
+    The base solve's Newton iterations go to ``log`` if given.
     """
     if tau <= 2.0 * (N - b):
         raise NoSolutionExpected(
@@ -106,14 +106,13 @@ def make_vortex_problem(surface, weight_raw, tau, N, b=0.0, F=None, t=1.0,
         fbar = surface.integrate(F) / VOL
         if abs(fbar) > 1e-10 * max(1.0, float(np.max(np.abs(F)))):
             raise ConfigError("twist potential F must be mean-free")
-    log = []
     f0 = solve_vortex_on_metric(
         surface, weight_raw, tau, np.ones(surface.shape), float(N - b),
-        tol=tol, log=log,
+        tol=1e-10, log=log,
     )
     phi0_sq = weight_raw * np.exp(2.0 * f0)
     return VortexProblem(surface=surface, phi0_sq=phi0_sq, tau=tau, b=b, F=F,
-                         t=t, N=N, base_f0=f0, log=log)
+                         t=t, N=N, base_f0=f0)
 
 
 def vortex_residual(problem, f, t=None):
@@ -126,11 +125,12 @@ def vortex_residual(problem, f, t=None):
     )
 
 
-def solve_vortex(problem, f_init=None, tol=1e-10):
+def solve_vortex(problem, f_init=None, tol=1e-10, log=None):
     """Solve the twist path at t = problem.t.
 
     Direct damped Newton first; on stagnation, homotopy in t from steps of
-    1/4, halved down to 1/64.  Returns f with ||residual||_inf < tol.
+    1/4, halved down to 1/64.  Returns f with ||residual||_inf < tol; the
+    Newton iterations go to ``log`` if given.
     """
     if not problem.existence_ok:
         raise NoSolutionExpected(
@@ -142,7 +142,7 @@ def solve_vortex(problem, f_init=None, tol=1e-10):
     def solve_at(t, f0):
         Q = -0.5 * problem.phi0_sq + problem.twist_term(t)
         return solve_exp_scalar(s, problem.phi0_sq, Q, f0=f0, tol=tol,
-                                log=problem.log)
+                                log=log)
 
     from .errors import ConvergenceFailure
 

@@ -53,8 +53,8 @@ def gv_state0(gv_problem64):
 
 @pytest.fixture(scope="session")
 def gv_path(gv_problem64, gv_state0):
-    return continue_alpha(gv_problem64, gv_state0,
-                          gv_problem64.params.alpha_star, n_steps=8)
+    return list(continue_alpha(gv_problem64, gv_state0,
+                               gv_problem64.params.alpha_star, n_steps=8))
 
 
 @pytest.fixture(scope="session")

@@ -73,7 +73,8 @@ def acc3(torus256):
     problem = make_problem(torus256, dd, tau=4.0, eps=0.1)
     t0 = time.time()
     st0 = decoupled_state(problem)
-    states = continue_alpha(problem, st0, problem.params.alpha_star, n_steps=16)
+    states = list(continue_alpha(problem, st0, problem.params.alpha_star,
+                                 n_steps=16))
     return problem, states, time.time() - t0
 
 

@@ -162,7 +162,7 @@ def test_supersolution_inequality(eb31, eb31_solution):
     w, lam, _, _ = eb31_solution
     for delta in (0.9, 0.5, 0.1):
         assert supersolution_margin(eb31, w, lam, delta) > 0.0
-        u0d = eb31.u0_delta(delta)
+        u0d = eb31.rung(delta).u0
         assert np.max(2.0 * w + u0d) < np.log(eb31.tau)
 
 
@@ -183,7 +183,7 @@ def test_monotone_chain(eb31, eb31_solution):
     assert info["min_gap_chain"] > -1e-12
     assert info["min_gap_floor"] > -1e-12
     # strict first-step decrease and the two-sided bound
-    u0 = eb31.u0_delta(0.2)
+    u0 = eb31.rung(0.2).u0
     f1 = 0.5 * (np.log(eb31.tau) - u0)
     assert np.all(f < f1 + 1e-12)
     assert np.all(f > w - 1e-12)
@@ -197,8 +197,8 @@ def test_monotone_rejects_bad_constant(eb31):
 
 
 def test_f1_monotone_in_delta(eb31):
-    f1a = 0.5 * (np.log(eb31.tau) - eb31.u0_delta(0.5))
-    f1b = 0.5 * (np.log(eb31.tau) - eb31.u0_delta(0.25))
+    f1a = 0.5 * (np.log(eb31.tau) - eb31.rung(0.5).u0)
+    f1b = 0.5 * (np.log(eb31.tau) - eb31.rung(0.25).u0)
     assert np.all(f1b >= f1a - 1e-14)  # u0^d increasing in d
 
 
@@ -206,7 +206,7 @@ def test_residual_forms_agree(eb31, eb31_solution):
     w, lam, f, _ = eb31_solution
     r1 = eb_residual(eb31, f, 0.2, lam)
     # assembled route must agree identically (same algebra, two codings)
-    u0d = eb31.u0_delta(0.2)
+    u0d = eb31.rung(0.2).u0
     Phi_h = np.exp(2.0 * f + u0d)
     log_rho = 4 * eb31.alpha * eb31.tau * f - 2 * eb31.alpha * Phi_h
     for (_, b), ls in zip(EB_DIVISOR.cone, eb31.fields.log_s_sq):

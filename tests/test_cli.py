@@ -80,6 +80,32 @@ def test_solve_vortex_roundtrip(tmp_path):
     assert meta["theorem_coverage"].startswith("covered")
 
 
+def test_vortex_iterations_are_the_solve_only(tmp_path):
+    # the certificate's multistart re-solves do not enter iterations.jsonl
+    lengths = []
+    for multistart in (0, 3):
+        cfg = write_cfg(tmp_path, f"v{multistart}.json",
+                        dict(VORTEX_CFG, tolerances={"multistart": multistart}))
+        out = str(tmp_path / f"art{multistart}")
+        assert main(["solve-vortex", "--config", cfg, "--out", out,
+                     "--quiet"]) == 0
+        with open(os.path.join(out, "iterations.jsonl")) as fh:
+            lengths.append(len(fh.readlines()))
+    assert lengths[0] == lengths[1] > 0
+
+
+def test_solve_eb_lambda_pair(tmp_path):
+    cfg = write_cfg(tmp_path, "eb.json", dict(EB_CFG, lambda_pair=True))
+    out = str(tmp_path / "art")
+    assert main(["solve-eb", "--config", cfg, "--out", out, "--quiet"]) == 0
+    assert os.path.exists(os.path.join(out, "fields", "f_tilde_lam2.vfield"))
+    with open(os.path.join(out, "lambda_dependence.json")) as fh:
+        dep = json.load(fh)
+    assert dep["lam_pair"][1] == 2.0 * dep["lam_pair"][0]
+    assert dep["sup_difference"] > 0.0
+    assert main(["verify", "--out", out, "--quiet"]) == 0
+
+
 def test_bit_reproducibility(tmp_path):
     cfg = write_cfg(tmp_path, "v.json", VORTEX_CFG)
     outs = []

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import warnings
 from pathlib import Path
@@ -187,7 +188,7 @@ def test_positivity_guard_damps(gv_problem64, gv_final, monkeypatch):
 
 def test_continue_alpha_paths(gv_problem64, gv_state0, gv_path):
     # alpha_target = 0 returns the input unchanged
-    states = continue_alpha(gv_problem64, gv_state0, 0.0)
+    states = list(continue_alpha(gv_problem64, gv_state0, 0.0))
     assert states == [gv_state0]
     # c~ strictly decreasing along the path
     cts = [st.c_tilde for st in gv_path]
@@ -197,8 +198,13 @@ def test_continue_alpha_paths(gv_problem64, gv_state0, gv_path):
         assert st.res_norm < 1e-9
         assert np.max(st.Phi) <= gv_problem64.tau + 1e-8
     with pytest.raises(ConfigError):
-        continue_alpha(gv_problem64, gv_state0,
-                       gv_problem64.params.alpha_star * 1.5)
+        next(continue_alpha(gv_problem64, gv_state0,
+                            gv_problem64.params.alpha_star * 1.5))
+    # a start that is not residual-accepted is refused before it is yielded
+    unaccepted = dataclasses.replace(gv_state0, res1=gv_state0.res1 + 1.0)
+    with pytest.raises(ConfigError):
+        next(continue_alpha(gv_problem64, unaccepted,
+                            gv_problem64.params.alpha_star))
 
 
 def test_path_stalled(gv_problem64, gv_state0, monkeypatch):
@@ -209,8 +215,8 @@ def test_path_stalled(gv_problem64, gv_state0, monkeypatch):
 
     monkeypatch.setattr(coupled, "solve_at_alpha", always_fail)
     with pytest.raises(PathStalled) as exc:
-        continue_alpha(gv_problem64, gv_state0,
-                       gv_problem64.params.alpha_star, n_steps=4)
+        list(continue_alpha(gv_problem64, gv_state0,
+                            gv_problem64.params.alpha_star, n_steps=4))
     assert exc.value.last_good_alpha == 0.0
 
 

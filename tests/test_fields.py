@@ -1,15 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vortexlab.coupled import make_problem, residual
 from vortexlab.errors import ConfigError
 from vortexlab.fields import (
     DivisorData,
     build_divisor_fields,
     derive_params,
-    higgs_squared,
     log_section_field,
-    smoothed_weight,
+    smoothed_log,
 )
 from vortexlab.greens import torus_green_eval
 from vortexlab.surface import VOL, build_surface
@@ -81,38 +83,49 @@ def test_log_section_errors(torus64):
         log_section_field(torus64, [((0.25, 0.5), 1.0)])  # on a grid node
 
 
-def test_smoothed_weight(torus64):
+def test_smoothed_weight(torus64, gv_divisor):
     ls, _ = log_section_field(torus64, [(P_ZERO, 1.0)])
-    w0 = smoothed_weight(torus64, [ls], [0.0], 0.5)
+    # no cone points: W = e^{-F_xi} = 1
+    flds = build_divisor_fields(torus64, DivisorData(zeros=((P_ZERO, 1),)))
+    w0 = make_problem(torus64, flds.divisor, tau=3.0, eps=0.5, fields=flds).W
     assert np.max(np.abs(w0 - 1.0)) < 1e-14
-    # near the marked point (|s|^2 + 1)^1 is close to 1
+    # near the marked point |s|^2 + 1 is close to 1
     d = torus64.distance_field(P_ZERO)
     i = np.unravel_index(np.argmin(d), torus64.shape)
-    w1 = smoothed_weight(torus64, [ls], [1.0], 1.0)
-    assert abs(w1[i] - 1.0) < 5e-3
+    assert abs(np.exp(smoothed_log(ls, 1.0)[i]) - 1.0) < 5e-3
+    # eps = 0 is no smoothing, without a divide warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(smoothed_log(ls, 0.0), ls)
+    # the coupled problem refuses it
     with pytest.raises(ConfigError):
-        smoothed_weight(torus64, [ls], [1.0], 0.0)
+        make_problem(torus64, gv_divisor, tau=4.0, eps=0.0)
 
 
 @settings(deadline=None, max_examples=20)
-@given(st.floats(0.05, 0.45), st.floats(-2.0, -0.1))
-def test_smoothed_weight_monotone_in_eps(eps, e):
+@given(st.floats(0.05, 0.45), st.floats(0.05, 0.95), st.floats(0.1, 2.0))
+def test_smoothed_weight_monotone_in_eps(eps, beta, ak):
+    # W = e^{-F_xi} decreases in eps, e^{-F_eta} increases
     s = build_surface("torus", 32)
-    ls, _ = log_section_field(s, [((0.31001, 0.47003), 1.0)])
-    w_small = smoothed_weight(s, [ls], [e], eps)
-    w_big = smoothed_weight(s, [ls], [e], 2.0 * eps)
-    assert np.all(w_small >= w_big - 1e-14)
+    flds = build_divisor_fields(s, DivisorData(
+        cone=(((0.31001, 0.47003), beta),),
+        parabolic=(((0.71003, 0.11517), ak),)))
+    assert np.all(np.exp(-flds.F_xi(eps)) >= np.exp(-flds.F_xi(2.0 * eps))
+                  - 1e-14)
+    assert np.all(np.exp(-flds.F_eta(eps)) <= np.exp(-flds.F_eta(2.0 * eps))
+                  + 1e-14)
 
 
 def test_smoothed_weight_limit(torus64):
     # away from the marked point the weight approaches the unsmoothed
     # product pointwise and monotonically for a one-signed exponent
-    ls, ev = log_section_field(torus64, [(P_ZERO, 1.0)])
+    flds = build_divisor_fields(torus64, DivisorData(cone=((P_ZERO, 0.5),)))
     ix, iy = torus64.farthest_grid_index(P_ZERO)
-    exact = np.exp(-0.5 * ls[ix, iy])
+    exact = np.exp(-0.5 * flds.log_s_sq[0][ix, iy])
+    assert np.exp(-flds.F_xi(0.0)[ix, iy]) == exact
     gaps = []
     for eps in (1e-2, 1e-4, 1e-6):
-        w = smoothed_weight(torus64, [ls], [-0.5], eps)
+        w = np.exp(-flds.F_xi(eps))
         gaps.append(abs(w[ix, iy] - exact))
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < 1e-6 * exact
@@ -120,10 +133,12 @@ def test_smoothed_weight_limit(torus64):
 
 def test_higgs_squared(torus64):
     dd = DivisorData(zeros=((P_ZERO, 1),))
-    flds = build_divisor_fields(torus64, dd)
-    Phi = higgs_squared(flds, 1.0, np.zeros(torus64.shape))
+    problem = make_problem(torus64, dd, tau=3.0, eps=1.0)
+    zero = np.zeros(torus64.shape)
+    Phi = residual(problem, 0.0, zero, zero).lin.Phi
     assert np.max(Phi) <= 1.0 + 1e-12  # sup-normalized section
     # vanishing at the marked point through the closed-form evaluator
+    flds = problem.fields
     at_p = flds.log_phi_sq_eval(np.array([P_ZERO[0]]), np.array([P_ZERO[1]]))[0]
     assert np.exp(at_p) == 0.0
 
@@ -134,11 +149,12 @@ def test_higgs_shift_covariance(c):
     s = build_surface("torus", 32)
     dd = DivisorData(zeros=(((0.31001, 0.47003), 1),),
                      parabolic=(((0.71003, 0.11517), 0.5),))
-    flds = build_divisor_fields(s, dd)
+    problem = make_problem(s, dd, tau=5.0, eps=0.3)
     rng = np.random.default_rng(4)
     f, _ = s.random_bandlimited(rng, kmax=3, amp=0.2)
-    a = higgs_squared(flds, 0.3, f + c)
-    b = np.exp(2.0 * c) * higgs_squared(flds, 0.3, f)
+    u = np.zeros(s.shape)
+    a = residual(problem, 0.0, f + c, u).lin.Phi
+    b = np.exp(2.0 * c) * residual(problem, 0.0, f, u).lin.Phi
     assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 
@@ -190,8 +206,11 @@ def test_ctilde_sign_on_certified_range(beta, n, frac):
 def test_divisor_fields_weights(torus64, gv_divisor):
     flds = build_divisor_fields(torus64, gv_divisor)
     eps = 0.1
-    W = flds.weight_W(eps)
+    W = make_problem(torus64, gv_divisor, tau=4.0, eps=eps, fields=flds).W
     assert np.all(W > 0) and np.all(np.isfinite(W))
-    assert np.max(np.abs(W - np.exp(-flds.F_xi(eps)))) < 1e-12
+    # the product formula prod_j (|s_j|^2 + eps)^(beta_j - 1)
+    (_, beta), = gv_divisor.cone
+    prod = (np.exp(flds.log_s_sq[0]) + eps) ** (beta - 1.0)
+    assert np.max(np.abs(W - prod)) < 1e-12 * np.max(W)
     assert abs(flds.b_xi() - 0.5) < 1e-15
     assert flds.b_eta() == 0.0

@@ -47,3 +47,67 @@ def test_no_module_reads_another_objects_private_attribute():
     found = [hit for path in sorted(SRC.glob("*.py"))
              for hit in _private_attributes(path)]
     assert found == []
+
+
+ROOT = SRC.parents[1]
+
+
+def _defaulted_parameters(path):
+    """(where, name, parameters, parameters with a default) of every
+    function in a module; ``self``/``cls`` dropped, ``__init__`` named
+    after its class."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    owner = {id(f): c for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+             for f in c.body if isinstance(f, ast.FunctionDef)}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        a = node.args
+        params = [p.arg for p in a.posonlyargs + a.args]
+        defaulted = params[len(params) - len(a.defaults):]
+        defaulted += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                      if d is not None]
+        if id(node) in owner and params[:1] in (["self"], ["cls"]):
+            params = params[1:]
+        name = node.name
+        if name == "__init__" and id(node) in owner:
+            name = owner[id(node)].name
+        if defaulted:
+            yield f"{path.name}:{node.lineno}", name, params, defaulted
+
+
+def _passed_arguments(paths):
+    """Per called name: the keywords passed and the most positional
+    arguments passed by any call (a ``*args`` call passes them all)."""
+    keywords, positional = {}, {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name) else
+                    func.attr if isinstance(func, ast.Attribute) else None)
+            if name is None:
+                continue
+            keywords.setdefault(name, set()).update(
+                k.arg for k in node.keywords if k.arg is not None)
+            n = (float("inf") if any(isinstance(a, ast.Starred)
+                                     for a in node.args) else len(node.args))
+            positional[name] = max(positional.get(name, 0), n)
+    return keywords, positional
+
+
+def test_every_default_is_passed_by_some_call():
+    """A parameter with a default that no call in src/, tests/ or scripts/
+    passes is a knob nobody turns: its value belongs in a constant."""
+    callers = [p for d in ("src", "tests", "scripts")
+               for p in sorted((ROOT / d).rglob("*.py"))]
+    keywords, positional = _passed_arguments(callers)
+    dead = [f"{where}: {name}({p})"
+            for path in sorted(SRC.glob("*.py"))
+            for where, name, params, defaulted in _defaulted_parameters(path)
+            for p in defaulted
+            if p not in keywords.get(name, ())
+            and not (p in params
+                     and params.index(p) < positional.get(name, 0))]
+    assert dead == []
