@@ -144,22 +144,29 @@ def measure():
 
 
 def count_transforms(fn, args):
-    """fn(*args) and the number of 2-D real FFTs (``np.fft.rfft2`` and
-    ``irfft2``, one per 2-D slice of a batched input) that it made."""
+    """fn(*args) and the number of 2-D real FFTs that it made: each
+    ``np.fft.rfft2`` and ``irfft2`` counts once per 2-D slice of its input,
+    and each ``np.fft.irfft`` of a 2-D array once, as the last half of an
+    inverse 2-D transform (the torus inverse runs ``ifft`` along x, then
+    ``irfft`` along y, as numpy's ``irfft2`` does)."""
     import numpy as np
 
     count = 0
-    originals = {name: getattr(np.fft, name) for name in ("rfft2", "irfft2")}
+    originals = {name: getattr(np.fft, name)
+                 for name in ("rfft2", "irfft2", "irfft")}
 
-    def counted(fft):
+    def counted(name, fft):
         def call(a, *rest, **kwargs):
             nonlocal count
-            count += int(np.prod(np.shape(a)[:-2]))
+            if name != "irfft":
+                count += int(np.prod(np.shape(a)[:-2]))
+            elif np.ndim(a) == 2:
+                count += 1
             return fft(a, *rest, **kwargs)
         return call
 
     for name, fft in originals.items():
-        setattr(np.fft, name, counted(fft))
+        setattr(np.fft, name, counted(name, fft))
     try:
         result = fn(*args)
     finally:

@@ -156,17 +156,27 @@ class Linearization:
         Laplacians plus the ``pointwise`` part that GMRES runs."""
         return grid_jacobian(self.problem.surface, self.pointwise, df, du)
 
-    def pointwise(self, df, du, lap_du):
+    def pointwise(self, df, du, lap_du, work):
         """K (df, du) given lap du, where J = diag(lap, lap) + K: the part
         of the Jacobian that is not a Laplacian, which GMRES evaluates on
-        the grid."""
-        tau = self.problem.tau
-        k1 = self.Phi * self.rho * df
-        k1 += 0.5 * (tau - self.Phi) * lap_du
-        k2 = 4.0 * self.alpha * (tau - self.Phi) * df
-        k2 -= 2.0 * self.c_tilde * du
-        k2 *= self.E
-        return k1, k2
+        the grid. It runs in the four given fields, which it overwrites,
+        and returns (k1, k2) in work and df."""
+        tau, Phi = self.problem.tau, self.Phi
+        # k1 = Phi rho df + (1/2)(tau - Phi) lap du
+        np.subtract(tau, Phi, out=work)
+        work *= 0.5
+        lap_du *= work
+        np.multiply(Phi, self.rho, out=work)
+        work *= df
+        work += lap_du
+        # k2 = (4 alpha (tau - Phi) df - 2 c~ du) E
+        np.subtract(tau, Phi, out=lap_du)
+        lap_du *= 4.0 * self.alpha
+        df *= lap_du
+        du *= 2.0 * self.c_tilde
+        df -= du
+        df *= self.E
+        return work, df
 
     def model_coeffs(self):
         """Means of the four coefficients: the constant-coefficient model
@@ -211,13 +221,16 @@ def newton_step(problem, alpha, f_tilde, u, c_tilde=None, log=None, res=None):
     rn = max(float(np.max(np.abs(S1))), float(np.max(np.abs(S2))))
     eta = min(_ETA_MAX, max(_ETA_MIN, _FORCING * rn))
     lin = res.lin
-    df, du, nk = solve_block_newton_step(s, lin.pointwise, -S1, -S2,
+    # GMRES solves J (df, du) = (S1, S2), the negated Newton correction:
+    # negation commutes exactly with every floating-point operation of the
+    # solve, so f~ - step df is the bits of f~ + step (-df)
+    df, du, nk = solve_block_newton_step(s, lin.pointwise, S1, S2,
                                          rtol=eta,
                                          model_coeffs=lin.model_coeffs())
     phi0 = float(s.integrate(S1 * S1 + S2 * S2))
     step = 1.0
     for _ in range(_MAX_BACKTRACK + 1):
-        ft, ut = f_tilde + step * df, u + step * du
+        ft, ut = f_tilde - step * df, u - step * du
         lap_ut = s.laplacian(ut)
         if float(np.min(1.0 - lap_ut)) <= 0.0:
             step *= 0.5

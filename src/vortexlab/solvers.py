@@ -15,6 +15,11 @@ runs to the relative tolerance the caller passes: the coupled Newton step
 passes a forcing term that follows its residual, so the Krylov solve is
 only as tight as the step can use.  Small grids fall back to a dense solve
 in grid coordinates whose matrix is bounded by DENSE_MAX_BYTES.
+
+The Krylov loops allocate no field per iteration: CG keeps its vectors
+for the solve, and the GMRES matvec runs in buffers made once per block
+solve, into which the surface maps write (``out=``), ``pointwise``
+computes K and the preconditioner runs in place.
 """
 
 from __future__ import annotations
@@ -62,12 +67,17 @@ def solve_helmholtz(surface, V, rhs):
         mean = surface.integrate(rhs) / (2.0 * np.pi)
         return surface.solve_shifted(0.0, rhs - mean)
 
-    def apply_op(x):
-        f = x.reshape(shape)
-        return (surface.laplacian(f) + V * f).ravel()
+    Vf = np.empty(shape)
 
-    def apply_pre(x):
-        return surface.precondition(vbar, x.reshape(shape)).ravel()
+    def apply_op(x, out):
+        f, lap = x.reshape(shape), out.reshape(shape)
+        surface.laplacian(f, out=lap)
+        lap += np.multiply(V, f, out=Vf)
+        return out
+
+    def apply_pre(x, out):
+        return surface.precondition(vbar, x.reshape(shape),
+                                    out=out.reshape(shape)).ravel()
 
     weight = None if surface.backend == "torus" else np.repeat(
         surface.glweights / np.mean(surface.glweights), surface.nlon)
@@ -83,12 +93,19 @@ def _pcg(apply_op, apply_pre, b, weight):
     (x, info) with info = 0 on convergence, -1 on breakdown (rho =
     <r, M^-1 r> = 0: the preconditioner annihilates the residual, so no
     search direction is left), else the 400 iterations it gave up after.
+    ``apply_op(x, out)`` and ``apply_pre(x, out)`` return A x and M^-1 x,
+    written into out or in an array of their own.
 
     With weight None the loop is scipy's ``cg`` (1.17) operation for
     operation, so that the iterates and the artifacts built on them are
     bit-identical to it.
     """
-    dot = np.dot if weight is None else lambda a, c: np.dot(weight * a, c)
+    tmp, z, q = (np.empty_like(b) for _ in range(3))
+    if weight is None:
+        dot = np.dot
+    else:
+        def dot(a, c):
+            return np.dot(np.multiply(weight, a, out=tmp), c)
 
     maxiter = 400
     x = np.zeros_like(b)
@@ -97,19 +114,19 @@ def _pcg(apply_op, apply_pre, b, weight):
     for iteration in range(maxiter):
         if np.sqrt(dot(r, r)) < atol:
             return x, 0
-        z = apply_pre(r)
-        rho = dot(r, z)
+        zr = apply_pre(r, z)
+        rho = dot(r, zr)
         if rho == 0:
             return x, -1
         if iteration > 0:
             p *= rho / rho_prev
-            p += z
+            p += zr
         else:
-            p = z.copy()
-        q = apply_op(p)
-        alpha = rho / dot(p, q)
-        x += alpha * p
-        r -= alpha * q
+            p = zr.copy()
+        qp = apply_op(p, q)
+        alpha = rho / dot(p, qp)
+        x += np.multiply(alpha, p, out=tmp)
+        r -= np.multiply(alpha, qp, out=tmp)
         rho_prev = rho
     return x, maxiter
 
@@ -168,8 +185,9 @@ def damped_newton_scalar(surface, residual_fn, lin_weight_fn, x0, tol=1e-10,
 def solve_block_newton_step(surface, pointwise, rhs1, rhs2, rtol=1e-12,
                             restart=50, max_krylov=500, model_coeffs=None):
     """Solve the linearized 2x2 system J (df, du) = (rhs1, rhs2), where
-    J = diag(lap, lap) + K and ``pointwise(df, du, lap_du)`` returns the
-    pointwise part K (df, du).
+    J = diag(lap, lap) + K and ``pointwise(df, du, lap_du, work)`` returns
+    the pointwise part K (df, du), computed in those four fields, which it
+    may overwrite (work is scratch).
 
     GMRES runs on the spectral coefficients of (df, du) (``to_coeffs``), in
     which lap multiplies each coefficient by its ``coeff_eig`` and the
@@ -179,10 +197,20 @@ def solve_block_newton_step(surface, pointwise, rhs1, rhs2, rtol=1e-12,
     ``model_coeffs`` (m1, m2, m3, m4) is supplied and stays definite, else
     that of (1, 0, 0, 1), blockwise (lap+1)^-1. When Krylov stalls and the
     dense grid Jacobian fits in DENSE_MAX_BYTES, a direct solve of
-    ``grid_jacobian`` takes over.
+    ``grid_jacobian`` takes over. The returned fields are new arrays.
     """
     eig = surface.coeff_eig
     size = 2 * eig.size  # a field's coefficients as (Re, Im) pairs
+    # the matvec's scratch: df, du, lap du and the scratch of pointwise on
+    # the grid, two complex coefficient fields and the output J x, as views
+    # of one array: numpy advises huge pages for an array of 4 MiB or more,
+    # which at 256^2 cuts the minor page faults of a `sweep-eps` by ~30 %
+    ncell = rhs1.size
+    block = np.empty(4 * (ncell + size))
+    fields = [block[i * ncell:(i + 1) * ncell].reshape(surface.shape)
+              for i in range(4)]
+    t1, t2 = np.split(block[4 * ncell:-2 * size].view(np.complex128), 2)
+    jx = block[-2 * size:]
 
     def modes(x):
         """The complex coefficients of the two fields in x."""
@@ -198,23 +226,33 @@ def solve_block_newton_step(surface, pointwise, rhs1, rhs2, rtol=1e-12,
     i11, i12, i21, i22 = block_symbol(model, eig)
 
     def prevec(y):
+        """The model inverse of y, in place."""
         a, b = modes(y)
-        return np.concatenate([i11 * a + i12 * b,
-                               i21 * a + i22 * b]).view(np.float64)
-
-    def matvec(x):
-        zf, zu = modes(x)
-        lap_zu = eig * zu
-        k1, k2 = pointwise(surface.from_coeffs(x[:size]),
-                           surface.from_coeffs(x[size:]),
-                           surface.from_coeffs(lap_zu.view(np.float64)))
-        y = np.concatenate([surface.to_coeffs(k1), surface.to_coeffs(k2)])
-        yf, yu = modes(y)
-        yf += eig * zf
-        yu += lap_zu
+        np.multiply(i21, a, out=t1)
+        np.multiply(i11, a, out=a)
+        a += np.multiply(i12, b, out=t2)
+        np.multiply(i22, b, out=b)
+        b += t1
         return y
 
-    b = np.concatenate([surface.to_coeffs(rhs1), surface.to_coeffs(rhs2)])
+    def matvec(x):
+        """J x, in jx."""
+        zf, zu = modes(x)
+        lap_zu = np.multiply(eig, zu, out=t1)
+        k1, k2 = pointwise(surface.from_coeffs(x[:size], out=fields[0]),
+                           surface.from_coeffs(x[size:], out=fields[1]),
+                           surface.from_coeffs(lap_zu.view(np.float64),
+                                               out=fields[2]), fields[3])
+        surface.to_coeffs(k1, out=jx[:size])
+        surface.to_coeffs(k2, out=jx[size:])
+        yf, yu = modes(jx)
+        yf += np.multiply(eig, zf, out=t2)
+        yu += lap_zu
+        return jx
+
+    b = np.empty(2 * size)
+    surface.to_coeffs(rhs1, out=b[:size])
+    surface.to_coeffs(rhs2, out=b[size:])
     x, niter, converged = _gmres_left(matvec, prevec, b, rtol=rtol,
                                       atol=_KRYLOV_TOL,
                                       restart=restart, max_krylov=max_krylov)
@@ -245,19 +283,24 @@ def block_symbol(m, lam):
 
 def grid_jacobian(surface, pointwise, df, du):
     """J (df, du) = (lap df, lap du) + K (df, du) on the grid, where
-    ``pointwise(df, du, lap_du)`` returns K (df, du)."""
-    lap_du = surface.laplacian(du)
-    k1, k2 = pointwise(df, du, lap_du)
-    return surface.laplacian(df) + k1, lap_du + k2
+    ``pointwise`` is that of ``solve_block_newton_step``; df and du are
+    left as they are."""
+    lap_df, lap_du = surface.laplacian(df), surface.laplacian(du)
+    k1, k2 = pointwise(df.copy(), du.copy(), lap_du.copy(), np.empty_like(df))
+    return lap_df + k1, lap_du + k2
 
 
 def _gmres_left(matvec, prevec, b, rtol, atol, restart, max_krylov):
     """Restarted GMRES with left preconditioning; convergence is tested on
     the preconditioned residual, whose floating-point floor is O(eps) for a
     well-preconditioned system (the unpreconditioned norm bottoms out at
-    eps * lambda_max and cannot certify tight relative tolerances)."""
+    eps * lambda_max and cannot certify tight relative tolerances).
+
+    ``matvec(v)`` returns A v in an array that GMRES may overwrite and that
+    need stay valid only until the next call; ``prevec(y)`` returns M^-1 y
+    and may overwrite y. b is left as it is."""
     x = np.zeros_like(b)
-    r = prevec(b)  # the residual at x = 0
+    r = prevec(b.copy())  # the residual at x = 0
     target = max(rtol * np.linalg.norm(r), atol)
     total = 0
     for cycle in range(max(1, int(np.ceil(max_krylov / restart)))):
@@ -275,23 +318,26 @@ def _gmres_left(matvec, prevec, b, rtol, atol, restart, max_krylov):
         sn = np.zeros(m)
         g = np.zeros(m + 1)
         g[0] = beta
-        V[0] = r / beta
+        np.divide(r, beta, out=V[0])
+        r = None
         j_used = 0
         for j in range(m):
             total += 1
             w = prevec(matvec(V[j]))
             # CGS2: classical Gram-Schmidt plus one re-orthogonalization
             # pass keeps the basis orthogonal to working precision (Giraud,
-            # Langou & Rozloznik 2005) with two matrix products per pass
-            h = V[: j + 1] @ w
-            w -= h @ V[: j + 1]
-            h2 = V[: j + 1] @ w
-            w -= h2 @ V[: j + 1]
+            # Langou & Rozloznik 2005) with two matrix products per pass;
+            # the products land in the row the next basis vector takes
+            basis, spare = V[: j + 1], V[j + 1]
+            h = basis @ w
+            w -= np.matmul(h, basis, out=spare)
+            h2 = basis @ w
+            w -= np.matmul(h2, basis, out=spare)
             H[: j + 1, j] = h + h2
             H[j + 1, j] = np.linalg.norm(w)
             breakdown = H[j + 1, j] < 1e-300
             if not breakdown:
-                V[j + 1] = w / H[j + 1, j]
+                np.divide(w, H[j + 1, j], out=spare)
             for i in range(j):
                 t = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
                 H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
@@ -307,7 +353,7 @@ def _gmres_left(matvec, prevec, b, rtol, atol, restart, max_krylov):
             if abs(g[j + 1]) <= target or breakdown or total >= max_krylov:
                 break
         y = np.linalg.solve(np.triu(H[:j_used, :j_used]), g[:j_used])
-        x = x + y @ V[:j_used]
+        x += np.matmul(y, V[:j_used], out=V[j_used])
         if abs(g[j_used]) <= target:
             return x, total, True
         if total >= max_krylov:

@@ -21,6 +21,13 @@ that the vector's Euclidean norm is the field's grid norm (weighted by cell
 area, normalized to mean 1); ``coeff_eig`` is the Laplacian eigenvalue of
 each coefficient, one per (Re, Im) pair.
 
+``laplacian``, ``solve_shifted``, ``precondition``, ``to_coeffs`` and
+``from_coeffs`` write their result into ``out=`` (a contiguous float64
+array that is not the input) and return it, with the bits of the call
+without it. On the torus such a call allocates no field: the transforms
+run through scratch spectra the surface owns, so a surface is not safe to
+share between threads.
+
 On the sphere one private pair of transforms, ``_blocks`` (grid to the
 folded Legendre block products) and ``_grid`` (back), carries every
 spectral operation: ``laplacian``, ``solve_shifted`` and ``precondition``
@@ -86,12 +93,10 @@ class Torus:
         kx = np.fft.fftfreq(self.n, d=1.0 / self.n)
         ky = np.fft.rfftfreq(self.n, d=1.0 / self.n)
         self._eig_r = 2.0 * np.pi * (kx[:, None] ** 2 + ky[None, :] ** 2)
-        # full-spectrum d/dz multiplier, Nyquist zeroed for odd derivatives
-        kxf = kx.copy()
-        kyf = np.fft.fftfreq(self.n, d=1.0 / self.n)
-        kxf[self.n // 2] = 0.0
-        kyf[self.n // 2] = 0.0
-        self._dz_mult = np.pi * (kyf[None, :] + 1j * kxf[:, None])
+        # scratch of the transforms: the half spectrum and the shifted
+        # eigenvalues of solve_shifted, overwritten by every call
+        self._spec = np.empty(self._eig_r.shape, np.complex128)
+        self._shifted = np.empty_like(self._eig_r)
         # Parseval scale of the rfft2 half spectrum: the columns ky = 0 and
         # n/2 count once, every other column also for its conjugate
         weight = np.full(self.n // 2 + 1, np.sqrt(2.0))
@@ -104,30 +109,53 @@ class Torus:
     def integrate(self, values):
         return float(VOL * np.mean(values))
 
-    def laplacian(self, values):
-        vk = np.fft.rfft2(values)
-        return np.fft.irfft2(vk * self._eig_r, s=self.shape)
+    def _inverse(self, spec, out):
+        """The field of a half spectrum, into out (a new array for None):
+        irfft2 as numpy runs it, ifft along x then irfft along y, with the
+        ifft in place in spec, which it overwrites."""
+        np.fft.ifft(spec, axis=0, out=spec)
+        return np.fft.irfft(spec, n=self.n, axis=1, out=out)
 
-    def solve_shifted(self, c, rhs):
+    def laplacian(self, values, out=None):
+        spec = np.fft.rfft2(values, out=self._spec)
+        spec *= self._eig_r
+        return self._inverse(spec, out)
+
+    def solve_shifted(self, c, rhs, out=None):
         """Solve (lap + c) f = rhs spectrally.
 
         c = 0 requires a mean-free rhs and returns the zero-mean solution.
         """
-        out = _shifted_inverse(self, c, rhs, np.fft.rfft2(rhs), self._eig_r)
-        return np.fft.irfft2(out, s=self.shape)
+        spec = np.fft.rfft2(rhs, out=self._spec)
+        _shifted_inverse(self, c, rhs, spec, self._eig_r, out=spec,
+                         shifted=self._shifted)
+        return self._inverse(spec, out)
 
     # CG's preconditioner (lap + c)^-1: the FFT spectrum spans the whole grid
     precondition = solve_shifted
 
-    def to_coeffs(self, values):
+    def to_coeffs(self, values, out=None):
         """Parseval-scaled rfft2 coefficients, (Re, Im) interleaved."""
-        coeffs = np.fft.rfft2(values) * self._coeff_scale
-        return coeffs.view(np.float64).ravel()
+        if out is None:
+            out = np.empty(2 * self._eig_r.size)
+        spec = out.view(np.complex128).reshape(self._eig_r.shape)
+        np.fft.rfft2(values, out=spec)
+        spec *= self._coeff_scale
+        return out
 
-    def from_coeffs(self, coeffs):
+    def from_coeffs(self, coeffs, out=None):
         """The field of a coefficient vector of ``to_coeffs``."""
-        half = coeffs.view(np.complex128).reshape(self.n, self.n // 2 + 1)
-        return np.fft.irfft2(half * self._coeff_unscale, s=self.shape)
+        half = coeffs.view(np.complex128).reshape(self._eig_r.shape)
+        return self._inverse(
+            np.multiply(half, self._coeff_unscale, out=self._spec), out)
+
+    @cached_property
+    def _dz_mult(self):
+        """Full-spectrum d/dz multiplier, Nyquist zeroed for odd
+        derivatives; built on first use (only ``verify`` takes dz)."""
+        kx = np.fft.fftfreq(self.n, d=1.0 / self.n)
+        kx[self.n // 2] = 0.0
+        return np.pi * (kx[None, :] + 1j * kx[:, None])
 
     def dz(self, values):
         """d/dz = (d/dx - i d/dy)/2 of a real field (complex output)."""
@@ -255,9 +283,10 @@ class Sphere:
         F = np.fft.rfft(folded, norm="forward")
         return self._pfold_w @ np.take(F, self._fold).view(np.float64)
 
-    def _grid(self, blocks):
-        """Folded block products -> grid; the inverse of ``_blocks`` on
-        slots that hold coefficients, which must be 0 elsewhere."""
+    def _grid(self, blocks, out=None):
+        """Folded block products -> grid, into out (a new array for None);
+        the inverse of ``_blocks`` on slots that hold coefficients, which
+        must be 0 elsewhere."""
         nn = self._pfold.shape[2]
         G = (self._pfold.transpose(0, 2, 1) @ blocks).view(np.complex128)
         # block b holds order b, and order L - b for b < (L + 1) // 2, as
@@ -268,18 +297,19 @@ class Sphere:
         F[:, :, L:L - paired:-1] = G[:paired, :, 2:].transpose(1, 2, 0)
         F[:, :, L + 1:] = 0.0
         g = np.fft.irfft(F, n=self.nlon, norm="forward")
-        out = np.empty(self.shape)
+        if out is None:
+            out = np.empty(self.shape)
         np.add(g[:, 0], g[:, 1], out=out[self.nlat - nn:])
         np.subtract(g[:, 0], g[:, 1], out=out[nn - 1::-1])
         return out
 
-    def _scaled(self, values, factor):
+    def _scaled(self, values, factor, out):
         """The field whose degree-l coefficients are factor[l] times those
-        of values, without leaving the block layout."""
+        of values, without leaving the block layout; into out as _grid."""
         blocks = self._blocks(values)
         slots = blocks.view(np.complex128)  # (Re, Im) of one slot
         slots *= np.take(np.append(factor, 0.0), self._slot_degree)
-        return self._grid(blocks)
+        return self._grid(blocks, out)
 
     def analyze(self, values):
         """Forward transform to coefficients a[l, m] for m >= 0."""
@@ -295,18 +325,20 @@ class Sphere:
         np.put(blocks, self._src, np.take(c.view(np.float64), self._dst))
         return self._grid(blocks)
 
-    def to_coeffs(self, values):
+    def to_coeffs(self, values, out=None):
         """Quadrature-scaled a[l, m] for l >= m, (Re, Im) interleaved."""
-        blocks = self._blocks(values)
-        coeffs = np.take(blocks, self._src).view(np.complex128)
-        return (coeffs * self._coeff_map[0]).view(np.float64)
+        if out is None:
+            out = np.empty(self._src.size)
+        coeffs = np.take(self._blocks(values), self._src).view(np.complex128)
+        np.multiply(coeffs, self._coeff_map[0], out=out.view(np.complex128))
+        return out
 
-    def from_coeffs(self, coeffs):
+    def from_coeffs(self, coeffs, out=None):
         """The field of a coefficient vector of ``to_coeffs``."""
         blocks = np.zeros(self._pfold.shape[:2] + (8,))
         a = coeffs.view(np.complex128) / self._coeff_map[0]
         np.put(blocks, self._src, a.view(np.float64))
-        return self._grid(blocks)
+        return self._grid(blocks, out)
 
     @property
     def coeff_eig(self):
@@ -332,23 +364,26 @@ class Sphere:
             * np.dot(self.glweights, np.sum(values, axis=1))
         )
 
-    def laplacian(self, values):
+    def laplacian(self, values, out=None):
         # subtracting the mean kills the constant exactly; without it the
         # quadrature noise of the l=0 mode is amplified by the top eigenvalue
         vbar = self.integrate(values) / VOL
-        return self._scaled(values - vbar, self._eig)
+        return self._scaled(values - vbar, self._eig, out)
 
-    def solve_shifted(self, c, rhs):
+    def solve_shifted(self, c, rhs, out=None):
         """Solve (lap + c) f = rhs spectrally; c = 0 as on the torus."""
-        return self._scaled(rhs, _shifted_inverse(self, c, rhs, 1.0, self._eig))
+        return self._scaled(rhs, _shifted_inverse(self, c, rhs, 1.0, self._eig),
+                            out)
 
-    def precondition(self, c, rhs):
+    def precondition(self, c, rhs, out=None):
         """(lap + c)^-1 on degrees <= L and 1/c on the grid part above them,
         for c > 0: symmetric positive definite in the quadrature inner
         product on the whole grid, where ``solve_shifted`` drops that part."""
         if c <= 0:
             raise ConfigError("the preconditioner requires c > 0")
-        return self._scaled(rhs, 1.0 / (self._eig + c) - 1.0 / c) + rhs / c
+        out = self._scaled(rhs, 1.0 / (self._eig + c) - 1.0 / c, out)
+        out += rhs / c
+        return out
 
     # -- geometry ----------------------------------------------------------
     def unit_point(self, p):
@@ -414,23 +449,28 @@ class Sphere:
         return out
 
 
-def _shifted_inverse(surface, c, rhs, coeffs, eig):
+def _shifted_inverse(surface, c, rhs, coeffs, eig, out=None, shifted=None):
     """Coefficients of (lap + c)^-1 rhs, given the coefficients of rhs (or
     1.0, for the factor of each mode) and the Laplacian eigenvalue of each
-    mode.
+    mode; into out, which may be coeffs, with eig + c in shifted (new arrays
+    for None).
 
     For c = 0 rhs must be mean-free, and the mean mode of the solution is 0.
     """
     if c < 0:
         raise ConfigError("shifted solve requires c >= 0")
+    shifted = np.add(eig, c, out=shifted)
     if c < 1e-12:  # mean-mode division is meaningless below roundoff
         mean = surface.integrate(rhs)
-        if abs(mean) > 1e-9 * max(1.0, float(np.max(np.abs(rhs)))):
+        if abs(mean) > 1e-9 * max(1.0, float(np.max(rhs)), -float(np.min(rhs))):
             raise ConfigError(f"c=0 solve needs mean-free rhs; integral = {mean:.3e}")
-        out = np.zeros(eig.shape, np.result_type(coeffs, eig))
-        np.divide(coeffs, eig + c, out=out, where=eig > 0)
+        if out is None:
+            out = np.zeros(eig.shape, np.result_type(coeffs, eig))
+        modes = eig > 0
+        np.divide(coeffs, shifted, out=out, where=modes)
+        out[~modes] = 0.0
         return out
-    return coeffs / (eig + c)
+    return np.divide(coeffs, shifted, out=out)
 
 
 def _folded_legendre(L, mu, w, nfreq):
@@ -570,10 +610,12 @@ def build_surface(backend, resolution):
 
 def build_bytes(backend, resolution):
     """Bytes a surface build holds at its peak, rounded up: on the torus
-    five float64 grids (coordinates, eigenvalues, the complex d/dz
-    multiplier), on the sphere three folded Legendre tensors (P, PW and
-    the corrected PW, alive together), the Gram blocks and the O(L^2)
-    index arrays."""
+    five float64 grids, where the build holds four (the two coordinate
+    grids and, on the rfft2 half grid, the eigenvalues, the shifted
+    eigenvalues and the complex spectrum, the last two scratch) and O(n)
+    vectors; on the sphere three folded Legendre tensors (P, PW and the
+    corrected PW, alive together), the Gram blocks and the O(L^2) index
+    arrays."""
     n = int(resolution)
     if backend == "torus":
         return 5 * 8 * n * n

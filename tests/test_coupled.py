@@ -175,7 +175,9 @@ def test_positivity_guard_damps(gv_problem64, gv_final, monkeypatch):
     bad_du = 0.2 * np.cos(2 * np.pi * surf.X)  # lap ~ 0.4 pi cos > 1 somewhere
 
     def fake_solve(surface, apply_jac, r1, r2, **kw):
-        return np.zeros_like(r1), bad_du, 1
+        # the block solve returns the negated correction: the step tried
+        # is u + bad_du
+        return np.zeros_like(r1), -bad_du, 1
 
     monkeypatch.setattr(coupled, "solve_block_newton_step", fake_solve)
     with pytest.raises(ConvergenceFailure):
@@ -244,11 +246,11 @@ def _stiff_block_system(surface):
     V1 = 1.0 + 0.9 * np.cos(2 * np.pi * 5 * surface.X) ** 2
     V2 = 2.0 + np.sin(2 * np.pi * 4 * surface.Y) ** 2
 
-    def pointwise(df, du, lap_du):
+    def pointwise(df, du, lap_du, work):
         return V1 * df + 40.0 * du, V2 * du - 35.0 * df
 
     def apply_jac(df, du):
-        k1, k2 = pointwise(df, du, None)
+        k1, k2 = pointwise(df, du, None, None)
         return surface.laplacian(df) + k1, surface.laplacian(du) + k2
 
     r1, _ = surface.random_bandlimited(rng, kmax=5)
@@ -286,11 +288,12 @@ def test_cg_breakdown_fails_at_once(monkeypatch):
     # = 0 and no search direction: CG must fail before it divides by rho,
     # without a warning and without applying the operator once
     s = build_surface("torus", 16)
-    monkeypatch.setattr(s, "precondition", lambda c, rhs: np.zeros_like(rhs))
+    monkeypatch.setattr(s, "precondition",
+                        lambda c, rhs, out: np.zeros_like(rhs))
     applied = []
     laplacian = s.laplacian
     monkeypatch.setattr(s, "laplacian",
-                        lambda v: applied.append(1) or laplacian(v))
+                        lambda v, out: applied.append(1) or laplacian(v, out=out))
     rhs, _ = s.random_bandlimited(np.random.default_rng(0), kmax=3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -309,7 +312,7 @@ def _variable_block_system(surface):
     k3 = -0.5 + surface.random_bandlimited(rng, kmax=3, amp=0.1)[0]
     k4 = 2.0 + surface.random_bandlimited(rng, kmax=3, amp=0.2)[0]
 
-    def pointwise(df, du, lap_du):
+    def pointwise(df, du, lap_du, work):
         return k1 * df + k2 * lap_du, k3 * df + k4 * du
 
     means = tuple(float(np.mean(k)) for k in (k1, k2, k3, k4))
@@ -352,7 +355,7 @@ def test_block_step_matches_grid_gmres_on_sphere(sphere15):
     def matvec(x):
         df, du = band(x[:size].reshape(s.shape)), band(x[size:].reshape(s.shape))
         lap_du = s.laplacian(du)
-        k1, k2 = pointwise(df, du, lap_du)
+        k1, k2 = pointwise(df, du, lap_du, None)
         return np.concatenate([(s.laplacian(df) + band(k1)).ravel(),
                                (lap_du + band(k2)).ravel()])
 

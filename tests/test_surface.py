@@ -404,3 +404,53 @@ def test_block_model_solve(name, request):
     back2 = m[2] * x1 + s.laplacian(x2) + m[3] * x2
     assert np.max(np.abs(back1 - r1)) < 1e-10
     assert np.max(np.abs(back2 - r2)) < 1e-10
+
+
+def _out_calls(s):
+    """Each method that takes out=, as (call(out), shape of its result), on
+    seeded fields of s; the c = 0 solve on a mean-free field."""
+    rng = np.random.default_rng(s.shape[0])
+    f = rng.normal(size=s.shape)
+    mean_free = f - s.integrate(f) / VOL
+    c = s.to_coeffs(f)
+    return {
+        "laplacian": (lambda out=None: s.laplacian(f, out=out), s.shape),
+        "solve_shifted": (lambda out=None: s.solve_shifted(0.7, f, out=out),
+                          s.shape),
+        "solve_shifted(0)": (
+            lambda out=None: s.solve_shifted(0.0, mean_free, out=out), s.shape),
+        "precondition": (lambda out=None: s.precondition(2.5, f, out=out),
+                         s.shape),
+        "to_coeffs": (lambda out=None: s.to_coeffs(f, out=out), c.shape),
+        "from_coeffs": (lambda out=None: s.from_coeffs(c, out=out), s.shape),
+    }
+
+
+@pytest.mark.parametrize("backend,resolution", [("torus", 32), ("torus", 256),
+                                                ("sphere", 15), ("sphere", 16)])
+def test_out_is_the_result_with_the_same_bits(backend, resolution):
+    # a method given out= writes its result there and returns out, with the
+    # bits of the call that allocates
+    s = build_surface(backend, resolution)
+    for name, (call, shape) in _out_calls(s).items():
+        out = np.full(shape, np.nan)
+        assert call(out) is out, name
+        assert np.array_equal(out, call()), name
+
+
+def test_torus_out_calls_allocate_no_field():
+    # with out= the torus transforms run in scratch the surface owns: a call
+    # allocates less than half a field (numpy's ufunc cast buffer, 128 KiB,
+    # is what remains), where the allocating call takes a field or more
+    s = build_surface("torus", 256)
+    field = 8 * s.n * s.n
+    for name, (call, shape) in _out_calls(s).items():
+        out = np.empty(shape)
+        call(out)
+        tracemalloc.start()
+        try:
+            call(out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < field / 2, name
