@@ -329,11 +329,14 @@ def _eb_problem(cfg, surface, divisor):
     )
 
 
-def _certify_eb(cfg, problem, seed, f, w, ladder):
+def _certify_eb(cfg, problem, seed, f, w, ladder, margins):
     """Supersolution margin on every delta rung, and the residual of the
-    assembled pair at the last rung, for the lam of the ladder report."""
+    assembled pair at the last rung, for the lam of the ladder report.
+    ``margins`` are the margins the ladder run computed, or None to
+    compute them from w (``verify`` trusts no stored margin)."""
     lam, deltas = ladder["lam"], ladder["deltas"]
-    margins = [supersolution_margin(problem, w, lam, d) for d in deltas]
+    if margins is None:
+        margins = [supersolution_margin(problem, w, lam, d) for d in deltas]
     res = assembled_residual(problem, f, deltas[-1], lam)
     cert = Certificate(seed=seed)
     cert.add("supersolution_margin_min", 0.0, min(margins), tol=0.0,
@@ -514,7 +517,7 @@ def run_solve_eb(cfg, outdir, seed, quiet):
             tol=tol, margin=margin)
         iterations += sum(report2["iterations"])
     phases.end("ladder")
-    cert = _certify_eb(cfg, problem, seed, f, w, report)
+    cert = _certify_eb(cfg, problem, seed, f, w, report, report["sup_margins"])
     phases.end("certify")
     art.field("f_tilde", f, surface)
     art.field("supersolution_w", w, surface)
@@ -587,7 +590,7 @@ _RECERTIFY = {
     "sweep-eps": _recertify_gv,
     "solve-eb": lambda cfg, s, d, art: _certify_eb(
         cfg, _eb_problem(cfg, s, d), art.seed, art.field("f_tilde", s),
-        art.field("supersolution_w", s), art.read_json("ladder.json")),
+        art.field("supersolution_w", s), art.read_json("ladder.json"), None),
 }
 
 

@@ -17,14 +17,14 @@ both residuals are below tolerance and the metric stays positive.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceFailure, PathStalled
+from .errors import ConfigError, ConvergenceFailure
 from .fields import build_divisor_fields, derive_params
-from .solvers import grid_jacobian, solve_block_newton_step
+from .solvers import (damped_step, grid_jacobian, merit, newton,
+                      solve_block_newton_step, sup_norm, walk)
 from .vortex import solve_twisted_ke, solve_vortex_on_metric
 
 __all__ = ["GVProblem", "SolveState", "Residual", "Linearization",
@@ -33,7 +33,7 @@ __all__ = ["GVProblem", "SolveState", "Residual", "Linearization",
 
 RESIDUAL_TOL = 1e-9
 MAX_NEWTON = 40  # Newton iterations per alpha before the step is halved
-_MAX_BACKTRACK = 30  # step halvings before a Newton step is rejected
+_MERIT_FLOOR = RESIDUAL_TOL * 1e-2  # a Newton trial below it needs no descent
 
 # inexact Newton forcing term: each step's Krylov solve runs to the relative
 # tolerance eta = min(_ETA_MAX, max(_ETA_MIN, _FORCING * ||S||_inf)), which
@@ -84,7 +84,7 @@ class SolveState:
 
     @property
     def res_norm(self):
-        return max(float(np.max(np.abs(self.res1))), float(np.max(np.abs(self.res2))))
+        return sup_norm((self.res1, self.res2))
 
 
 def make_problem(surface, divisor, tau, eps, fields=None):
@@ -205,53 +205,41 @@ def jacobian_vp(problem, alpha, f_tilde, u, df, du, c_tilde=None):
     return lin.apply(df, du)
 
 
-def newton_step(problem, alpha, f_tilde, u, c_tilde=None, log=None, res=None):
-    """One damped Newton step preserving 1 - lap u > 0.
+def _newton_system(problem, alpha):
+    """``solvers.newton``'s residual (a Residual, None where 1 - lap u > 0
+    fails) and correction on (f~, u) at alpha, and the list of the GMRES
+    iterations of each correction."""
+    s, c_tilde, krylov = problem.surface, problem.c_tilde(alpha), []
 
-    ``res`` is the Residual at (f~, u) if the caller already has it; it
-    brings the linearization there. Returns (f~', u', residual',
-    step_size, krylov_iterations), residual' a Residual.
-    """
-    s = problem.surface
-    if c_tilde is None:
-        c_tilde = problem.c_tilde(alpha)
+    def res_fn(x):
+        lap_u = s.laplacian(x[1])
+        if float(np.min(1.0 - lap_u)) <= 0.0:
+            return None
+        return _residual(problem, alpha, *x, c_tilde, lap_u)
+
+    def correct(x, res):
+        df, du, nk = solve_block_newton_step(
+            s, res.lin.pointwise, *res,
+            rtol=min(_ETA_MAX, max(_ETA_MIN, _FORCING * sup_norm(res))),
+            model_coeffs=res.lin.model_coeffs())
+        krylov.append(nk)
+        return df, du
+
+    return res_fn, correct, krylov
+
+
+def newton_step(problem, alpha, f_tilde, u, res=None):
+    """One damped Newton step (``solvers.damped_step``), keeping 1 - lap u > 0.
+    ``res`` is the Residual at (f~, u) if the caller already has it; it brings
+    the linearization there. Returns (f~', u', residual' (a Residual),
+    step_size, krylov_iterations)."""
+    res_fn, correct, krylov = _newton_system(problem, alpha)
     if res is None:
-        res = residual(problem, alpha, f_tilde, u, c_tilde)
-    S1, S2 = res
-    rn = max(float(np.max(np.abs(S1))), float(np.max(np.abs(S2))))
-    eta = min(_ETA_MAX, max(_ETA_MIN, _FORCING * rn))
-    lin = res.lin
-    # GMRES solves J (df, du) = (S1, S2), the negated Newton correction:
-    # negation commutes exactly with every floating-point operation of the
-    # solve, so f~ - step df is the bits of f~ + step (-df)
-    df, du, nk = solve_block_newton_step(s, lin.pointwise, S1, S2,
-                                         rtol=eta,
-                                         model_coeffs=lin.model_coeffs())
-    phi0 = float(s.integrate(S1 * S1 + S2 * S2))
-    step = 1.0
-    for _ in range(_MAX_BACKTRACK + 1):
-        ft, ut = f_tilde - step * df, u - step * du
-        lap_ut = s.laplacian(ut)
-        if float(np.min(1.0 - lap_ut)) <= 0.0:
-            step *= 0.5
-            continue
-        trial = _residual(problem, alpha, ft, ut, c_tilde, lap_ut)
-        T1, T2 = trial
-        phit = float(s.integrate(T1 * T1 + T2 * T2))
-        if phit <= (1.0 - 1e-4 * step) * phi0 or phit < (RESIDUAL_TOL * 1e-2) ** 2:
-            if log is not None:
-                log.append({
-                    "alpha": alpha, "step": step, "krylov": nk,
-                    "residual_inf": max(float(np.max(np.abs(T1))),
-                                        float(np.max(np.abs(T2)))),
-                    "time": time.perf_counter(),
-                })
-            return ft, ut, trial, step, nk
-        step *= 0.5
-    raise ConvergenceFailure(
-        "Newton step rejected: positivity or descent unrecoverable after "
-        f"{_MAX_BACKTRACK} halvings"
-    )
+        res = residual(problem, alpha, f_tilde, u)
+    (f, u), trial, _, step = damped_step(
+        problem.surface, res_fn, correct, (f_tilde, u), res,
+        merit(problem.surface, res), _MERIT_FLOOR, [sup_norm(res)])
+    return f, u, trial, step, krylov[0]
 
 
 def accepted_state(problem, alpha, f_tilde, u, res=None, newton_log=None):
@@ -268,20 +256,16 @@ def accepted_state(problem, alpha, f_tilde, u, res=None, newton_log=None):
 
 
 def solve_at_alpha(problem, alpha, f_init, u_init, tol=RESIDUAL_TOL):
-    """Newton loop at fixed alpha from the given initial pair."""
-    c_tilde = problem.c_tilde(alpha)
-    f, u = f_init, u_init
-    res = residual(problem, alpha, f, u, c_tilde)
-    step_log = []
-    for _ in range(MAX_NEWTON):
-        S1, S2 = res
-        rn = max(float(np.max(np.abs(S1))), float(np.max(np.abs(S2))))
-        if rn < tol:
-            return accepted_state(problem, alpha, f, u, res, step_log)
-        f, u, res, _, _ = newton_step(problem, alpha, f, u, c_tilde,
-                                      log=step_log, res=res)
-    raise ConvergenceFailure(f"no convergence at alpha={alpha} "
-                             f"after {MAX_NEWTON} Newton iterations")
+    """Newton loop (``solvers.newton``) at fixed alpha from the given
+    initial pair; the state's newton_log has one record per accepted step."""
+    res_fn, correct, krylov = _newton_system(problem, alpha)
+    log = []
+    (f, u), res = newton(problem.surface, res_fn, correct, (f_init, u_init),
+                         tol, MAX_NEWTON, _MERIT_FLOOR, log)
+    steps = [{"alpha": alpha, "step": a["step"], "krylov": nk,
+              "residual_inf": b["residual_inf"], "time": b["time"]}
+             for a, b, nk in zip(log, log[1:], krylov)]
+    return accepted_state(problem, alpha, f, u, res, steps)
 
 
 def decoupled_state(problem, tol=RESIDUAL_TOL):
@@ -309,7 +293,8 @@ def decoupled_state(problem, tol=RESIDUAL_TOL):
 
 
 def continue_alpha(problem, state0, alpha_target, n_steps=16, tol=RESIDUAL_TOL):
-    """Continuation from the accepted alpha=0 state to alpha_target.
+    """Continuation (``solvers.walk``) from the accepted alpha=0 state to
+    alpha_target.
 
     Fixed alpha grid with adaptive halving; the minimum step is
     alpha_star/1024.  Yields each accepted state in turn (the start
@@ -327,23 +312,10 @@ def continue_alpha(problem, state0, alpha_target, n_steps=16, tol=RESIDUAL_TOL):
     if alpha_target != 0.0 and state0.res_norm >= tol:
         raise ConfigError("starting state is not residual-accepted")
     yield state0
-    res_norms = [state0.res_norm]
-    alpha = state0.alpha
-    step = (alpha_target - alpha) / n_steps
-    min_step = astar / 1024.0
-    f, u = state0.f_tilde, state0.u
-    while alpha < alpha_target - 1e-14:
-        a_next = min(alpha_target, alpha + step)
-        try:
-            st = solve_at_alpha(problem, a_next, f, u, tol=tol)
-        except ConvergenceFailure:
-            step *= 0.5
-            if step < min_step:
-                raise PathStalled(
-                    f"continuation stalled at alpha={alpha:.6g}", alpha,
-                    res_norms,
-                )
-            continue
-        res_norms.append(st.res_norm)
-        alpha, f, u = a_next, st.f_tilde, st.u
+
+    def solve(alpha, st):
+        return solve_at_alpha(problem, alpha, st.f_tilde, st.u, tol=tol)
+
+    for _, st in walk(solve, state0.alpha, state0, alpha_target,
+                      (alpha_target - state0.alpha) / n_steps, astar / 1024.0):
         yield st

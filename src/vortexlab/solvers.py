@@ -1,5 +1,8 @@
 """Newton/Krylov building blocks shared by the scalar and coupled solves.
 
+Every Newton solve is ``newton`` over the Armijo step ``damped_step``, and
+every continuation path is the step-halving ``walk``.
+
 All linearized operators here have the form  lap + diag(V)  with V >= 0
 (pointwise), solved matrix-free by preconditioned CG with the spectral
 inverse (lap + mean V)^-1 as preconditioner (``precondition``: on the sphere
@@ -28,10 +31,10 @@ import time
 
 import numpy as np
 
-from .errors import ConvergenceFailure
+from .errors import ConvergenceFailure, PathStalled
 
-__all__ = ["solve_helmholtz", "solve_block_newton_step", "damped_newton_scalar",
-           "block_symbol", "grid_jacobian"]
+__all__ = ["solve_helmholtz", "solve_block_newton_step", "merit", "sup_norm",
+           "damped_step", "newton", "walk", "block_symbol", "grid_jacobian"]
 
 # largest dense float64 matrix the direct fallback may build: 32 MiB takes a
 # torus of side 32 (2048^2 entries) and refuses side 64 (512 MiB) and every
@@ -40,8 +43,8 @@ DENSE_MAX_BYTES = 32 * 2**20
 
 # CG's relative tolerance and the absolute floor of the CG and GMRES stops
 _KRYLOV_TOL = 1e-13
-# iterations and step halvings of the scalar damped Newton
-_SCALAR_MAX_ITER, _SCALAR_MAX_BACKTRACK = 60, 30
+# step halvings before a damped Newton step is rejected
+_MAX_BACKTRACK = 30
 
 
 def solve_helmholtz(surface, V, rhs):
@@ -131,55 +134,90 @@ def _pcg(apply_op, apply_pre, b, weight):
     return x, maxiter
 
 
-def damped_newton_scalar(surface, residual_fn, lin_weight_fn, x0, tol=1e-10,
-                         guard=None, log=None):
-    """Damped Newton for scalar problems with residual r(x) and linearization
-    lap + diag(lin_weight(x)).
+def merit(surface, r):
+    """The Armijo merit: the integral of sum r_i^2 over the residual fields."""
+    m = r[0] * r[0]
+    for ri in r[1:]:
+        m += ri * ri
+    return float(surface.integrate(m))
 
-    Armijo backtracking on ||r||_2^2 with factor 1/2; optional state guard
-    (e.g. metric positivity) rejects trial steps before evaluation.
-    Returns the solution; appends per-iteration dicts to ``log`` if given.
-    """
-    x = x0.copy()
-    r = residual_fn(x)
-    history = []
-    for it in range(_SCALAR_MAX_ITER):
-        rn_inf = float(np.max(np.abs(r)))
-        rn_l2 = float(np.sqrt(surface.integrate(r * r)))
-        history.append(rn_inf)
-        if log is not None:
-            log.append({"iter": it, "residual_inf": rn_inf, "residual_l2": rn_l2,
-                        "time": time.perf_counter()})
-        if rn_inf < tol:
-            return x
-        V = lin_weight_fn(x)
-        d = solve_helmholtz(surface, V, -r)
-        phi0 = rn_l2**2
+
+def sup_norm(r):
+    """The largest sup norm of the residual fields."""
+    return max(float(np.max(np.abs(ri))) for ri in r)
+
+
+def damped_step(surface, residual, correct, x, r, m, floor, history):
+    """One damped Newton step from the fields x, whose residual r has merit
+    m: for d = correct(x, r), which solves J d = r, accept the first x - s d,
+    s = 1, 1/2, ... (_MAX_BACKTRACK halvings), whose merit meets Armijo,
+    (1 - 1e-4 s) m, or is below floor^2; ``residual(x)`` is None outside
+    the domain, refusing the trial. Returns (x', r', m', s); a failure
+    carries ``history``, the residual sup norms of the solve up to x."""
+    try:
+        d = correct(x, r)
         s = 1.0
-        accepted = False
-        for _ in range(_SCALAR_MAX_BACKTRACK + 1):
-            xt = x + s * d
-            if guard is not None and not guard(xt):
-                s *= 0.5
-                continue
-            rt = residual_fn(xt)
-            phit = float(surface.integrate(rt * rt))
-            if phit <= (1.0 - 1e-4 * s) * phi0 or phit < tol**2:
-                x, r = xt, rt
-                accepted = True
-                if log is not None:
-                    log[-1]["step"] = s
-                break
+        for _ in range(_MAX_BACKTRACK + 1):
+            xt = tuple(xi - s * di for xi, di in zip(x, d))
+            rt = residual(xt)
+            if rt is not None:
+                mt = merit(surface, rt)
+                if mt <= (1.0 - 1e-4 * s) * m or mt < floor**2:
+                    return xt, rt, mt, s
             s *= 0.5
-        if not accepted:
-            raise ConvergenceFailure(
-                f"Newton stagnated at residual {rn_inf:.3e}", history
-            )
+        raise ConvergenceFailure(f"Newton stagnated at residual "
+                                 f"{history[-1]:.3e}: no descent in the domain")
+    except ConvergenceFailure as exc:
+        exc.history = history
+        raise
+
+
+def newton(surface, residual, correct, x, tol, max_iter, floor, log):
+    """Damped Newton (``damped_step``) from the fields x to a residual sup
+    norm below tol in at most max_iter steps; returns (x, residual). Appends
+    to ``log``, unless None, a record per iterate: iter, residual_inf,
+    residual_l2, time and the step taken. A failure carries the history."""
+    r = residual(x)
+    if r is None:
+        raise ConvergenceFailure("Newton start outside the domain", [np.inf])
+    m = merit(surface, r)
+    history = []
+    for it in range(max_iter):
+        rn = sup_norm(r)
+        history.append(rn)
+        if log is not None:
+            log.append({"iter": it, "residual_inf": rn,
+                        "residual_l2": float(np.sqrt(m)),
+                        "time": time.perf_counter()})
+        if rn < tol:
+            return x, r
+        x, r, m, s = damped_step(surface, residual, correct, x, r, m, floor,
+                                 history)
+        if log is not None:
+            log[-1]["step"] = s
     raise ConvergenceFailure(
-        f"Newton did not reach tol={tol:g} in {_SCALAR_MAX_ITER} iterations "
-        f"(residual {history[-1]:.3e})",
-        history,
-    )
+        f"Newton did not reach tol={tol:g} in {max_iter} iterations "
+        f"(residual {history[-1]:.3e})", history)
+
+
+def walk(solve, p, x, target, step, min_step):
+    """Natural-parameter continuation from the accepted state x at p to
+    target: yields each accepted (parameter, state), ``solve(p', x)`` giving
+    the state at p' from x. A ConvergenceFailure halves the step; below
+    min_step the walk raises PathStalled with the last good parameter and
+    the failed solve's history."""
+    while p < target - 1e-14:
+        p_next = min(target, p + step)
+        try:
+            x = solve(p_next, x)
+        except ConvergenceFailure as exc:
+            step *= 0.5
+            if step < min_step:
+                raise PathStalled(f"continuation stalled at {p:.6g}", p,
+                                  exc.history) from exc
+            continue
+        p = p_next
+        yield p, x
 
 
 def solve_block_newton_step(surface, pointwise, rhs1, rhs2, rtol=1e-12,

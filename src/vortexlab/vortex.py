@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NoSolutionExpected
-from .solvers import damped_newton_scalar
+from .errors import ConfigError, ConvergenceFailure, NoSolutionExpected
+from .solvers import newton, solve_helmholtz, walk
 from .surface import VOL
 
 __all__ = [
@@ -31,6 +31,8 @@ __all__ = [
     "solve_twisted_ke",
 ]
 
+_MAX_NEWTON = 60  # Newton iterations of a scalar solve
+
 
 def solve_exp_scalar(surface, coeff, Q, f0=None, tol=1e-10, log=None):
     """Damped Newton for lap f + (1/2) coeff e^{2f} + Q = 0 (coeff >= 0)."""
@@ -39,14 +41,15 @@ def solve_exp_scalar(surface, coeff, Q, f0=None, tol=1e-10, log=None):
             "no balancing mass: integral of the fixed part must be negative"
         )
 
-    def residual(f):
-        return surface.laplacian(f) + 0.5 * coeff * np.exp(2.0 * f) + Q
+    def residual(x):
+        return (surface.laplacian(x[0]) + 0.5 * coeff * np.exp(2.0 * x[0]) + Q,)
 
-    def weight(f):
-        return coeff * np.exp(2.0 * f)
+    def correct(x, r):
+        return (solve_helmholtz(surface, coeff * np.exp(2.0 * x[0]), r[0]),)
 
     x0 = np.zeros(surface.shape) if f0 is None else f0
-    return damped_newton_scalar(surface, residual, weight, x0, tol=tol, log=log)
+    return newton(surface, residual, correct, (x0,), tol, _MAX_NEWTON, tol,
+                  log)[0][0]
 
 
 def solve_vortex_on_metric(surface, weight, tau, rho, source, tol=1e-10,
@@ -128,9 +131,9 @@ def vortex_residual(problem, f, t=None):
 def solve_vortex(problem, f_init=None, tol=1e-10, log=None):
     """Solve the twist path at t = problem.t.
 
-    Direct damped Newton first; on stagnation, homotopy in t from steps of
-    1/4, halved down to 1/64.  Returns f with ||residual||_inf < tol; the
-    Newton iterations go to ``log`` if given.
+    Direct damped Newton first; on failure, a ``walk`` in t from 0 in
+    steps of 1/4, halved down to 1/64.  Returns f with ||residual||_inf <
+    tol; the Newton iterations go to ``log`` if given.
     """
     if not problem.existence_ok:
         raise NoSolutionExpected(
@@ -144,23 +147,12 @@ def solve_vortex(problem, f_init=None, tol=1e-10, log=None):
         return solve_exp_scalar(s, problem.phi0_sq, Q, f0=f0, tol=tol,
                                 log=log)
 
-    from .errors import ConvergenceFailure
-
-    f0 = np.zeros(s.shape) if f_init is None else f_init
     try:
-        return solve_at(problem.t, f0)
+        return solve_at(problem.t, f_init)
     except ConvergenceFailure:
+        f = np.zeros(s.shape)
+    for _, f in walk(solve_at, 0.0, f, problem.t, 0.25, 1.0 / 64.0):
         pass
-    t, f, step = 0.0, np.zeros(s.shape), 0.25
-    while t < problem.t - 1e-14:
-        t_next = min(problem.t, t + step)
-        try:
-            f = solve_at(t_next, f)
-            t = t_next
-        except ConvergenceFailure:
-            step *= 0.5
-            if step < 1.0 / 64.0:
-                raise
     return f
 
 
@@ -168,29 +160,23 @@ def solve_twisted_ke(surface, chi_tilde, F_xi, t=1.0, u_init=None, tol=1e-10,
                      log=None):
     """Solve the conformal-potential equation 1 - lap u = e^{-2 t chi~ u - t F}.
 
-    Requires chi~ < 0 and t >= 0 (for a nonnegative linearization); the
-    solution keeps 1 - lap u > 0 (checked; damping rejects violating steps).
+    Requires chi~ < 0 and t >= 0 (for a nonnegative linearization); every
+    iterate keeps 1 - lap u > 0 (the residual refuses the others).
     """
     if chi_tilde >= 0.0 or t < 0.0:
         raise ConfigError("twisted KE solve requires chi_tilde < 0 and "
                           f"t >= 0, got chi_tilde = {chi_tilde}, t = {t}")
 
-    def residual(u):
-        return (
-            surface.laplacian(u)
-            + np.exp(-2.0 * t * chi_tilde * u - t * F_xi)
-            - 1.0
-        )
+    def residual(x):
+        lap = surface.laplacian(x[0])
+        if float(np.min(1.0 - lap)) <= 0.0:
+            return None
+        return (lap + np.exp(-2.0 * t * chi_tilde * x[0] - t * F_xi) - 1.0,)
 
-    def weight(u):
-        return -2.0 * t * chi_tilde * np.exp(-2.0 * t * chi_tilde * u - t * F_xi)
-
-    def guard(u):
-        return float(np.min(1.0 - surface.laplacian(u))) > 0.0
+    def correct(x, r):
+        E = np.exp(-2.0 * t * chi_tilde * x[0] - t * F_xi)
+        return (solve_helmholtz(surface, -2.0 * t * chi_tilde * E, r[0]),)
 
     u0 = np.zeros(surface.shape) if u_init is None else u_init
-    u = damped_newton_scalar(surface, residual, weight, u0, tol=tol,
-                             guard=guard, log=log)
-    if float(np.min(1.0 - surface.laplacian(u))) <= 0.0:
-        raise ConfigError("metric positivity lost at the twisted KE solution")
-    return u
+    return newton(surface, residual, correct, (u0,), tol, _MAX_NEWTON, tol,
+                  log)[0][0]

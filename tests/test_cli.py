@@ -517,3 +517,19 @@ def test_malformed_configs_exit_with_a_code(mutation):
         code = main([command, "--config", cfg_path,
                      "--out", os.path.join(d, "art"), "--quiet"])
     assert code in (0, 2, 3, 4)
+
+
+@pytest.mark.parametrize("script, args", [
+    ("alpha_star_probe.py", ["32", "1.0", "1.05"]),
+    ("gv_pipeline_demo.py", ["{tmp}/demo", "32"]),
+])
+def test_script_runs(tmp_path, script, args):
+    # the scripts call continue_alpha, solve_at_alpha and the CLI directly;
+    # the demo's config file goes to TMPDIR
+    src = os.path.dirname(os.path.dirname(greens.__file__))
+    path = os.path.join(os.path.dirname(src), "scripts", script)
+    run = subprocess.run(
+        [sys.executable, path] + [a.format(tmp=tmp_path) for a in args],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src, TMPDIR=str(tmp_path)))
+    assert run.returncode == 0, run.stderr

@@ -411,3 +411,41 @@ def test_newton_step_transforms_per_krylov_iteration(torus32, gv_divisor,
     # fixed: the residual at the iterate (lap u, lap f), the right-hand
     # sides, the solution fields, the residual at the full step
     assert loose <= 5 * nk_loose + 12
+
+
+def test_coupled_failures_carry_history(gv_problem64, gv_state0, gv_final,
+                                        monkeypatch):
+    # one Newton iteration cannot reach the tolerance from the alpha = 0
+    # state: the failure carries the residual of the iterate it tried
+    monkeypatch.setattr(coupled, "MAX_NEWTON", 1)
+    with pytest.raises(ConvergenceFailure) as exc:
+        solve_at_alpha(gv_problem64, gv_final.alpha, gv_state0.f_tilde,
+                       gv_state0.u)
+    S1, S2 = residual(gv_problem64, gv_final.alpha, gv_state0.f_tilde,
+                      gv_state0.u)
+    assert exc.value.history == [max(np.max(np.abs(S1)), np.max(np.abs(S2)))]
+    # a correction of the wrong sign: the single step fails with a history
+    monkeypatch.setattr(coupled, "solve_block_newton_step",
+                        lambda s, pw, r1, r2, **kw: (-r1, -r2, 1))
+    with pytest.raises(ConvergenceFailure, match="stagnated") as exc:
+        newton_step(gv_problem64, gv_final.alpha, gv_final.f_tilde + 1e-3,
+                    gv_final.u)
+    assert len(exc.value.history) == 1
+
+    # so does a failed Krylov solve
+    def krylov_fails(*args, **kwargs):
+        raise ConvergenceFailure("GMRES failed after 500 iterations")
+
+    monkeypatch.setattr(coupled, "solve_block_newton_step", krylov_fails)
+    with pytest.raises(ConvergenceFailure, match="GMRES") as exc:
+        newton_step(gv_problem64, gv_final.alpha, gv_final.f_tilde,
+                    gv_final.u)
+    assert exc.value.history == [gv_final.res_norm]
+
+
+def test_coupled_start_outside_the_domain(gv_problem64, gv_final):
+    surf = gv_problem64.surface
+    u = gv_final.u + 0.2 * np.cos(2 * np.pi * surf.X)
+    assert np.min(1.0 - surf.laplacian(u)) <= 0.0
+    with pytest.raises(ConvergenceFailure, match="outside the domain"):
+        solve_at_alpha(gv_problem64, gv_final.alpha, gv_final.f_tilde, u)

@@ -1,0 +1,74 @@
+"""The shared damped Newton step, Newton loop and continuation walk."""
+
+import numpy as np
+import pytest
+
+from vortexlab import vortex
+from vortexlab.errors import ConvergenceFailure, PathStalled
+from vortexlab.solvers import damped_step, merit, walk
+from vortexlab.vortex import solve_exp_scalar, solve_twisted_ke
+
+
+def test_damped_step_halves_into_the_domain(torus32):
+    # r(x) = x - 1 with J = I, on the domain x < 0.3: the full step (x = 1)
+    # and the half step (x = 0.5) are refused before any merit is taken,
+    # the quarter step is inside and descends
+    asked = []
+
+    def residual(x):
+        asked.append(float(np.max(x[0])))
+        return None if np.max(x[0]) >= 0.3 else (x[0] - 1.0,)
+
+    x = (np.zeros(torus32.shape),)
+    r = residual(x)
+    xt, rt, mt, s = damped_step(torus32, residual, lambda x, r: r, x, r,
+                                merit(torus32, r), 0.0, [1.0])
+    assert s == 0.25 and asked[1:] == [1.0, 0.5, 0.25]
+    assert np.all(xt[0] == 0.25) and np.all(rt[0] == -0.75)
+    assert mt == merit(torus32, rt) < merit(torus32, r)
+
+
+def test_wrong_way_correction_fails_with_history(torus32, monkeypatch):
+    # a CG correction of the wrong sign makes every trial ascend: the step
+    # gives up after its halvings and the failure carries the residuals
+    solve = vortex.solve_helmholtz
+    monkeypatch.setattr(vortex, "solve_helmholtz",
+                        lambda s, V, rhs: -solve(s, V, rhs))
+    coeff = np.ones(torus32.shape)
+    Q = -0.5 + 0.1 * np.cos(2 * np.pi * torus32.X)
+    with pytest.raises(ConvergenceFailure, match="stagnated") as exc:
+        solve_exp_scalar(torus32, coeff, Q)
+    # the start f = 0 is the only iterate: its residual is 1/2 + Q
+    assert exc.value.history == [pytest.approx(0.1)]
+
+
+def test_start_outside_the_domain_is_named(torus32):
+    u = 0.2 * np.cos(2 * np.pi * torus32.X)  # 1 - lap u < 0 somewhere
+    assert np.min(1.0 - torus32.laplacian(u)) <= 0.0
+    with pytest.raises(ConvergenceFailure, match="outside the domain") as exc:
+        solve_twisted_ke(torus32, -1.0, np.zeros(torus32.shape), u_init=u)
+    assert exc.value.history
+
+
+def test_walk_yields_each_accepted_parameter():
+    calls = []
+
+    def solve(p, x):
+        calls.append(p)
+        if p == 0.5 and calls.count(0.5) == 1:
+            raise ConvergenceFailure("refused once", [1.0])
+        return x + 1
+
+    got = list(walk(solve, 0.0, 0, 1.0, 0.5, 0.1))
+    assert got == [(0.25, 1), (0.5, 2), (0.75, 3), (1.0, 4)]
+    assert calls == [0.5, 0.25, 0.5, 0.75, 1.0]
+
+
+def test_walk_stalls_with_the_last_good_parameter():
+    def solve(p, x):
+        raise ConvergenceFailure("never", [3.0, 2.0])
+
+    with pytest.raises(PathStalled) as exc:
+        list(walk(solve, 0.0, None, 1.0, 0.25, 1.0 / 64.0))
+    assert exc.value.last_good_alpha == 0.0
+    assert exc.value.history == [3.0, 2.0]

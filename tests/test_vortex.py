@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from vortexlab.errors import ConfigError, NoSolutionExpected
+from vortexlab import vortex
+from vortexlab.errors import ConfigError, ConvergenceFailure, NoSolutionExpected
 from vortexlab.fields import build_divisor_fields, DivisorData
 from vortexlab.surface import VOL, build_surface
 from vortexlab.vortex import (
@@ -154,3 +155,23 @@ def test_twisted_ke_requires_negative_constant(torus64):
         solve_twisted_ke(torus64, 0.0, np.zeros(torus64.shape))
     with pytest.raises(ConfigError):
         solve_twisted_ke(torus64, 0.3, np.zeros(torus64.shape))
+
+
+def test_vortex_walk_fallback(vortex_setup, monkeypatch):
+    # the direct solve at t = 1 fails once: the walk in t from the base
+    # solution reaches the same f
+    prob, f_direct = vortex_setup
+    solve = vortex.solve_exp_scalar
+    calls = []
+
+    def fail_first(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise ConvergenceFailure("injected", [1.0])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(vortex, "solve_exp_scalar", fail_first)
+    f = solve_vortex(prob)
+    assert len(calls) == 5  # the direct try, then t = 1/4, 1/2, 3/4, 1
+    assert np.max(np.abs(vortex_residual(prob, f))) < 1e-10
+    assert np.max(np.abs(f - f_direct)) < 1e-9
