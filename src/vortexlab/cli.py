@@ -661,7 +661,6 @@ def main(argv=None):
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--verify-only", action="store_true")
         p.add_argument("--quiet", action="store_true")
     pv = sub.add_parser("verify")
     pv.add_argument("--out", required=True)
@@ -677,8 +676,6 @@ def main(argv=None):
             return run_verify(args.out, quiet=args.quiet)
         if args.command == "export":
             return run_export(args.field, args.out, quiet=args.quiet)
-        if args.verify_only:
-            return run_verify(args.out, quiet=args.quiet)
         cfg = validate_config(load_config(args.config), args.command)
         if args.seed is not None:
             _check("--seed", args.seed, "count")

@@ -28,7 +28,7 @@ from .solvers import (damped_step, grid_jacobian, merit, newton,
 from .vortex import solve_twisted_ke, solve_vortex_on_metric
 
 __all__ = ["GVProblem", "SolveState", "Residual", "Linearization",
-           "make_problem", "residual", "jacobian_vp", "newton_step",
+           "make_problem", "residual", "newton_step",
            "accepted_state", "solve_at_alpha", "decoupled_state", "continue_alpha"]
 
 RESIDUAL_TOL = 1e-9
@@ -79,7 +79,6 @@ class SolveState:
     Phi: np.ndarray
     res1: np.ndarray
     res2: np.ndarray
-    params: object
     newton_log: list = field(default_factory=list)
 
     @property
@@ -118,11 +117,9 @@ class Residual(tuple):
         return res
 
 
-def residual(problem, alpha, f_tilde, u, c_tilde=None):
-    """(S1, S2) at the given alpha; c~ recomputed from its formula."""
-    if c_tilde is None:
-        c_tilde = problem.c_tilde(alpha)
-    return _residual(problem, alpha, f_tilde, u, c_tilde,
+def residual(problem, alpha, f_tilde, u):
+    """(S1, S2) at the given alpha, with c~ = problem.c_tilde(alpha)."""
+    return _residual(problem, alpha, f_tilde, u, problem.c_tilde(alpha),
                      problem.surface.laplacian(u))
 
 
@@ -196,15 +193,6 @@ def _linearization(problem, alpha, f_tilde, u, c_tilde, lap_u):
     return Linearization(problem, alpha, c_tilde, Phi, 1.0 - lap_u, E)
 
 
-def jacobian_vp(problem, alpha, f_tilde, u, df, du, c_tilde=None):
-    """Directional derivative of (S1, S2) at (f~, u) in direction (df, du)."""
-    if c_tilde is None:
-        c_tilde = problem.c_tilde(alpha)
-    lin = _linearization(problem, alpha, f_tilde, u, c_tilde,
-                         problem.surface.laplacian(u))
-    return lin.apply(df, du)
-
-
 def _newton_system(problem, alpha):
     """``solvers.newton``'s residual (a Residual, None where 1 - lap u > 0
     fails) and correction on (f~, u) at alpha, and the list of the GMRES
@@ -228,14 +216,11 @@ def _newton_system(problem, alpha):
     return res_fn, correct, krylov
 
 
-def newton_step(problem, alpha, f_tilde, u, res=None):
+def newton_step(problem, alpha, f_tilde, u):
     """One damped Newton step (``solvers.damped_step``), keeping 1 - lap u > 0.
-    ``res`` is the Residual at (f~, u) if the caller already has it; it brings
-    the linearization there. Returns (f~', u', residual' (a Residual),
-    step_size, krylov_iterations)."""
+    Returns (f~', u', residual' (a Residual), step_size, krylov_iterations)."""
     res_fn, correct, krylov = _newton_system(problem, alpha)
-    if res is None:
-        res = residual(problem, alpha, f_tilde, u)
+    res = residual(problem, alpha, f_tilde, u)
     (f, u), trial, _, step = damped_step(
         problem.surface, res_fn, correct, (f_tilde, u), res,
         merit(problem.surface, res), _MERIT_FLOOR, [sup_norm(res)])
@@ -251,7 +236,6 @@ def accepted_state(problem, alpha, f_tilde, u, res=None, newton_log=None):
     S1, S2 = res
     return SolveState(alpha=alpha, c_tilde=res.lin.c_tilde, f_tilde=f_tilde,
                       u=u, Phi=res.lin.Phi, res1=S1, res2=S2,
-                      params=problem.params.with_alpha(alpha),
                       newton_log=[] if newton_log is None else newton_log)
 
 

@@ -16,8 +16,7 @@ multiplies, and only the pointwise part of the Jacobian goes through the
 grid, at three inverse and two forward transforms per iteration.  GMRES
 runs to the relative tolerance the caller passes: the coupled Newton step
 passes a forcing term that follows its residual, so the Krylov solve is
-only as tight as the step can use.  Small grids fall back to a dense solve
-in grid coordinates whose matrix is bounded by DENSE_MAX_BYTES.
+only as tight as the step can use.
 
 The Krylov loops allocate no field per iteration: CG keeps its vectors
 for the solve, and the GMRES matvec runs in buffers made once per block
@@ -36,13 +35,11 @@ from .errors import ConvergenceFailure, PathStalled
 __all__ = ["solve_helmholtz", "solve_block_newton_step", "merit", "sup_norm",
            "damped_step", "newton", "walk", "block_symbol", "grid_jacobian"]
 
-# largest dense float64 matrix the direct fallback may build: 32 MiB takes a
-# torus of side 32 (2048^2 entries) and refuses side 64 (512 MiB) and every
-# sphere (L = 15, the smallest, would need 40.5 MiB)
-DENSE_MAX_BYTES = 32 * 2**20
-
 # CG's relative tolerance and the absolute floor of the CG and GMRES stops
 _KRYLOV_TOL = 1e-13
+# the coupled GMRES: iterations per restart cycle and in all
+_RESTART = 50
+_MAX_KRYLOV = 500
 # step halvings before a damped Newton step is rejected
 _MAX_BACKTRACK = 30
 
@@ -221,7 +218,7 @@ def walk(solve, p, x, target, step, min_step):
 
 
 def solve_block_newton_step(surface, pointwise, rhs1, rhs2, rtol=1e-12,
-                            restart=50, max_krylov=500, model_coeffs=None):
+                            model_coeffs=None):
     """Solve the linearized 2x2 system J (df, du) = (rhs1, rhs2), where
     J = diag(lap, lap) + K and ``pointwise(df, du, lap_du, work)`` returns
     the pointwise part K (df, du), computed in those four fields, which it
@@ -233,9 +230,9 @@ def solve_block_newton_step(surface, pointwise, rhs1, rhs2, rtol=1e-12,
     grid-norm tolerances; only K goes through the grid. The preconditioner
     is the ``block_symbol`` of the frozen-coefficient model system when
     ``model_coeffs`` (m1, m2, m3, m4) is supplied and stays definite, else
-    that of (1, 0, 0, 1), blockwise (lap+1)^-1. When Krylov stalls and the
-    dense grid Jacobian fits in DENSE_MAX_BYTES, a direct solve of
-    ``grid_jacobian`` takes over. The returned fields are new arrays.
+    that of (1, 0, 0, 1), blockwise (lap+1)^-1. GMRES that misses rtol in
+    _MAX_KRYLOV iterations raises ConvergenceFailure. The returned fields
+    are new arrays.
     """
     eig = surface.coeff_eig
     size = 2 * eig.size  # a field's coefficients as (Re, Im) pairs
@@ -292,22 +289,12 @@ def solve_block_newton_step(surface, pointwise, rhs1, rhs2, rtol=1e-12,
     surface.to_coeffs(rhs1, out=b[:size])
     surface.to_coeffs(rhs2, out=b[size:])
     x, niter, converged = _gmres_left(matvec, prevec, b, rtol=rtol,
-                                      atol=_KRYLOV_TOL,
-                                      restart=restart, max_krylov=max_krylov)
-    if converged:
-        df, du = surface.from_coeffs(x[:size]), surface.from_coeffs(x[size:])
-        return df, du, niter
-    shape, n = surface.shape, rhs1.size
-    if (2 * n) ** 2 * 8 > DENSE_MAX_BYTES:
+                                      atol=_KRYLOV_TOL, restart=_RESTART,
+                                      max_krylov=_MAX_KRYLOV)
+    if not converged:
         raise ConvergenceFailure(f"GMRES failed after {niter} iterations")
-
-    def grid_jac(x):
-        return np.concatenate([y.ravel() for y in grid_jacobian(
-            surface, pointwise, x[:n].reshape(shape), x[n:].reshape(shape))])
-
-    x = _dense_block_solve(n, grid_jac,
-                           np.concatenate([rhs1.ravel(), rhs2.ravel()]))
-    return x[:n].reshape(shape), x[n:].reshape(shape), niter
+    df, du = surface.from_coeffs(x[:size]), surface.from_coeffs(x[size:])
+    return df, du, niter
 
 
 def block_symbol(m, lam):
@@ -399,13 +386,3 @@ def _gmres_left(matvec, prevec, b, rtol, atol, restart, max_krylov):
     r = prevec(b - matvec(x))
     return x, total, bool(np.linalg.norm(r) <= max(10.0 * target, atol))
 
-
-def _dense_block_solve(size, matvec, b):
-    n = 2 * size
-    cols = np.empty((n, n))
-    e = np.zeros(n)
-    for j in range(n):
-        e[j] = 1.0
-        cols[:, j] = matvec(e)
-        e[j] = 0.0
-    return np.linalg.solve(cols, b)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coupled import jacobian_vp, residual
+from .coupled import residual
 from .greens import green_field
 from .surface import VOL
 from .vortex import solve_vortex, vortex_residual
@@ -283,14 +283,15 @@ def kernel_identity(problem, state, seed=0, cert=None):
 
 
 def fd_jacobian_gap(problem, alpha, f, u, seed=0):
-    """Relative gap between jacobian_vp and central finite differences."""
+    """Relative gap between the Residual's linearization (``lin.apply``,
+    whose pointwise part GMRES runs) and central finite differences."""
     s, step = problem.surface, 1e-6
     rng = np.random.default_rng(seed)
     df, _ = s.random_bandlimited(rng, kmax=4, nmodes=5, amp=1.0)
     du, _ = s.random_bandlimited(rng, kmax=4, nmodes=5, amp=1.0)
     df /= max(1e-30, float(np.max(np.abs(df))))
     du /= max(1e-30, float(np.max(np.abs(du))))
-    J1, J2 = jacobian_vp(problem, alpha, f, u, df, du)
+    J1, J2 = residual(problem, alpha, f, u).lin.apply(df, du)
     P1, P2 = residual(problem, alpha, f + step * df, u + step * du)
     M1, M2 = residual(problem, alpha, f - step * df, u - step * du)
     fd1 = (P1 - M1) / (2.0 * step)

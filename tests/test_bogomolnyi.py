@@ -19,6 +19,7 @@ from vortexlab.bogomolnyi import (
 )
 from vortexlab.errors import AssumptionNotSatisfied, ConfigError, ConvergenceFailure
 from vortexlab.fields import DivisorData
+from vortexlab.singular import mask_away_from_points
 
 from conftest import S_PARA, S_ZERO1, S_ZERO2
 
@@ -229,6 +230,23 @@ def test_delta_ladder_and_assembly(eb31):
     # ladder start ordering: f_1 decreases pointwise as delta decreases
     res = assembled_residual(eb31, f, 0.2, report["lam"])
     assert res["sup_masked"] < 1e-3  # spectral floor of the small test grid
+
+
+def test_assembled_residual_with_a_cone_point(sphere31):
+    # a conical singularity in the phase: the assembled route takes the
+    # cone's (beta - 1) log(|s|^2 + delta) into the metric factor, which
+    # the F-form of eb_residual carries as F_xi in e^{-v0^delta}
+    dd = DivisorData(zeros=EB_DIVISOR.zeros, cone=(((-0.2311, 0.8123), 0.7),),
+                     parabolic=EB_DIVISOR.parabolic)
+    prob = make_eb_problem(sphere31, dd, alpha=0.08)
+    assert check_numerical_assumption(prob).all_passed
+    assert prob.tau == pytest.approx(4.25)
+    w, _, _, lam = build_supersolution(prob)
+    f, _ = monotone_iterate(prob, w, lam, 0.2, tol=1e-10)
+    got = assembled_residual(prob, f, 0.2, lam)["sup_masked"]
+    mask = mask_away_from_points(sphere31, prob.marked_points(), 2.0 * prob.sigma)
+    want = float(np.max(np.abs(eb_residual(prob, f, 0.2, lam))[mask]))
+    assert abs(got - want) < 1e-9
 
 
 def test_refusal_with_report(sphere31):

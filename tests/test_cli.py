@@ -71,8 +71,11 @@ def test_solve_vortex_roundtrip(tmp_path):
                 "certificate.json", "iterations.jsonl", "metadata.json"):
         assert os.path.exists(os.path.join(out, rel))
     assert main(["verify", "--out", out, "--quiet"]) == 0
-    assert main(["solve-vortex", "--config", cfg, "--out", out,
-                 "--verify-only", "--quiet"]) == 0
+    # verify is the one way to re-certify: a solve command has no flag for it
+    with pytest.raises(SystemExit) as exc:
+        main(["solve-vortex", "--config", cfg, "--out", out, "--verify-only",
+              "--quiet"])
+    assert exc.value.code == 2
     meta = json.load(open(os.path.join(out, "metadata.json")))
     assert meta["theorem_coverage"] == _COVERAGE["solve-vortex"]
     # no --seed given: the config's "seed": 7 takes effect
@@ -313,6 +316,43 @@ def test_gv_and_verify_tamper(tmp_path):
     blob[-9] ^= 0xFF
     open(path, "wb").write(bytes(blob))
     assert main(["verify", "--out", out, "--quiet"]) == 3
+
+
+def test_verify_detects_a_changed_certificate(tmp_path, capsys):
+    # a certificate edited with its hash re-stamped passes the file check:
+    # the re-certification must still tell it apart from the fresh one
+    cfg = write_cfg(tmp_path, "tke.json", TKE_CFG)
+    out = str(tmp_path / "tke")
+    assert main(["solve-tke", "--config", cfg, "--out", out, "--quiet"]) == 0
+    cert_path = os.path.join(out, "certificate.json")
+    meta_path = os.path.join(out, "metadata.json")
+    stored = json.load(open(cert_path))
+
+    def restamp(cert):
+        with open(cert_path, "w") as fh:
+            json.dump(cert, fh)
+        meta = json.load(open(meta_path))
+        meta["files"]["certificate.json"] = hashlib.sha256(
+            open(cert_path, "rb").read()).hexdigest()
+        with open(meta_path, "w") as fh:
+            json.dump(meta, fh)
+
+    doubled = copy.deepcopy(stored)
+    check = next(c for c in doubled["checks"] if c["name"] == "tke_residual")
+    check["lhs"] *= 2.0
+    restamp(doubled)
+    capsys.readouterr()
+    assert main(["verify", "--out", out, "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert "re-certification differs" in err and "tke_residual.lhs" in err
+
+    dropped = copy.deepcopy(stored)
+    dropped["checks"] = [c for c in dropped["checks"]
+                         if c["name"] != "tke_residual"]
+    restamp(dropped)
+    assert main(["verify", "--out", out, "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert "check sets differ" in err and "tke_residual" in err
 
 
 def test_solve_eb_cli(tmp_path):

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import vortexlab.coupled as coupled
+import vortexlab.solvers as solvers
 from vortexlab.coupled import (
     continue_alpha,
-    jacobian_vp,
     make_problem,
     newton_step,
     residual,
@@ -17,9 +17,8 @@ from vortexlab.coupled import (
 )
 from vortexlab.errors import ConfigError, ConvergenceFailure
 from vortexlab.fields import DivisorData
-from vortexlab.solvers import (_dense_block_solve, _gmres_left, block_symbol,
-                               grid_jacobian, solve_block_newton_step,
-                               solve_helmholtz)
+from vortexlab.solvers import (_gmres_left, block_symbol, grid_jacobian,
+                               solve_block_newton_step, solve_helmholtz)
 from vortexlab.surface import VOL, build_surface
 from vortexlab.verify import fd_jacobian_gap
 
@@ -66,8 +65,8 @@ def test_jacobian_fd_ten_states(gv_problem64, torus64):
 
 def test_jacobian_zero_direction(gv_problem64, gv_final):
     z = np.zeros_like(gv_final.f_tilde)
-    d1, d2 = jacobian_vp(gv_problem64, gv_final.alpha, gv_final.f_tilde,
-                         gv_final.u, z, z)
+    d1, d2 = residual(gv_problem64, gv_final.alpha, gv_final.f_tilde,
+                      gv_final.u).lin.apply(z, z)
     assert np.max(np.abs(d1)) == 0.0 and np.max(np.abs(d2)) == 0.0
 
 
@@ -75,37 +74,9 @@ def test_jacobian_decouples_at_alpha_zero(gv_problem64, gv_state0, torus64):
     rng = np.random.default_rng(5)
     df, _ = torus64.random_bandlimited(rng, kmax=4)
     z = np.zeros_like(df)
-    _, dS2 = jacobian_vp(gv_problem64, 0.0, gv_state0.f_tilde, gv_state0.u,
-                         df, z)
+    _, dS2 = residual(gv_problem64, 0.0, gv_state0.f_tilde,
+                      gv_state0.u).lin.apply(df, z)
     assert np.max(np.abs(dS2)) < 1e-12  # no f-coupling at alpha = 0
-
-
-def test_linearization_matches_jacobian_vp(gv_problem64, gv_final, torus64):
-    # the linearization a residual hands to the next Newton step, whose
-    # pointwise part GMRES runs, is the one jacobian_vp applies (and
-    # fd_jacobian_gap checks against finite differences): bit for bit
-    st = gv_final
-    rng = np.random.default_rng(11)
-    df, _ = torus64.random_bandlimited(rng, kmax=5, amp=0.1)
-    du, _ = torus64.random_bandlimited(rng, kmax=5, amp=0.01)
-    lin = residual(gv_problem64, st.alpha, st.f_tilde, st.u, st.c_tilde).lin
-    want = jacobian_vp(gv_problem64, st.alpha, st.f_tilde, st.u, df, du,
-                       st.c_tilde)
-    for got, ref in zip(lin.apply(df, du), want):
-        assert np.array_equal(got, ref)
-
-
-def test_newton_step_given_residual(gv_problem64, gv_final, torus64):
-    # passing the residual at the iterate must not change the step
-    rng = np.random.default_rng(4)
-    bump, _ = torus64.random_bandlimited(rng, kmax=3, amp=2e-3)
-    f, u, alpha = gv_final.f_tilde + bump, gv_final.u, gv_final.alpha
-    res = residual(gv_problem64, alpha, f, u)
-    a = newton_step(gv_problem64, alpha, f, u)
-    b = newton_step(gv_problem64, alpha, f, u, res=res)
-    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-    assert all(np.array_equal(x, y) for x, y in zip(a[2], b[2]))
-    assert a[3:] == b[3:]
 
 
 def test_newton_fixed_point(gv_problem64, gv_final):
@@ -229,19 +200,10 @@ def test_decoupled_needs_negative_chi(torus64):
         coupled.decoupled_state(prob)
 
 
-def test_dense_block_fallback():
-    rng = np.random.default_rng(0)
-    n = 24
-    M = rng.normal(size=(2 * n, 2 * n)) + 6.0 * np.eye(2 * n)
-    b = rng.normal(size=2 * n)
-    x = _dense_block_solve(n, lambda v: M @ v, b)
-    assert np.max(np.abs(M @ x - b)) < 1e-9
-
-
 def _stiff_block_system(surface):
     # a stiff variable-coefficient block system: GMRES needs far more than
-    # a starved budget of 6 iterations; returns the Jacobian, its pointwise
-    # part and the right-hand side
+    # a starved budget of 6 iterations; returns its pointwise part and the
+    # right-hand side
     rng = np.random.default_rng(7)
     V1 = 1.0 + 0.9 * np.cos(2 * np.pi * 5 * surface.X) ** 2
     V2 = 2.0 + np.sin(2 * np.pi * 4 * surface.Y) ** 2
@@ -249,38 +211,21 @@ def _stiff_block_system(surface):
     def pointwise(df, du, lap_du, work):
         return V1 * df + 40.0 * du, V2 * du - 35.0 * df
 
-    def apply_jac(df, du):
-        k1, k2 = pointwise(df, du, None, None)
-        return surface.laplacian(df) + k1, surface.laplacian(du) + k2
-
     r1, _ = surface.random_bandlimited(rng, kmax=5)
     r2, _ = surface.random_bandlimited(rng, kmax=5)
-    return apply_jac, pointwise, r1, r2
+    return pointwise, r1, r2
 
 
-def test_gmres_fallback_on_small_grid(torus32):
-    # under a starved Krylov budget small grids fall back to the dense route
-    apply_jac, pointwise, r1, r2 = _stiff_block_system(torus32)
-    df, du, _ = solve_block_newton_step(torus32, pointwise, r1, r2,
-                                        restart=3, max_krylov=6)
-    a, b = apply_jac(df, du)
-    assert np.max(np.abs(a - r1)) < 1e-8
-    assert np.max(np.abs(b - r2)) < 1e-8
-
-
-def test_gmres_no_dense_fallback_above_memory_bound(torus64, monkeypatch):
-    # at side 64 the dense Jacobian would take 512 MiB: the same starved
-    # budget must fail without building it
-    import vortexlab.solvers as solvers
-
-    def no_dense(*args, **kwargs):
-        raise AssertionError("dense fallback called above the memory bound")
-
-    monkeypatch.setattr(solvers, "_dense_block_solve", no_dense)
-    _, pointwise, r1, r2 = _stiff_block_system(torus64)
-    with pytest.raises(ConvergenceFailure):
-        solve_block_newton_step(torus64, pointwise, r1, r2, restart=3,
-                                max_krylov=6)
+@pytest.mark.parametrize("grid", ["torus32", "torus64"])
+def test_gmres_failure_raises(grid, request, monkeypatch):
+    # GMRES is the one linear solver of the coupled step: under a starved
+    # Krylov budget it fails on every grid, the smallest included
+    surface = request.getfixturevalue(grid)
+    monkeypatch.setattr(solvers, "_RESTART", 3)
+    monkeypatch.setattr(solvers, "_MAX_KRYLOV", 6)
+    pointwise, r1, r2 = _stiff_block_system(surface)
+    with pytest.raises(ConvergenceFailure, match="GMRES failed"):
+        solve_block_newton_step(surface, pointwise, r1, r2)
 
 
 def test_cg_breakdown_fails_at_once(monkeypatch):
@@ -319,6 +264,17 @@ def _variable_block_system(surface):
     r1, _ = surface.random_bandlimited(rng, kmax=5)
     r2, _ = surface.random_bandlimited(rng, kmax=5)
     return pointwise, means, r1, r2
+
+
+def _dense_block_solve(size, matvec, b):
+    n = 2 * size
+    cols = np.empty((n, n))
+    e = np.zeros(n)
+    for j in range(n):
+        e[j] = 1.0
+        cols[:, j] = matvec(e)
+        e[j] = 0.0
+    return np.linalg.solve(cols, b)
 
 
 def test_block_step_matches_dense_grid_solve():

@@ -35,7 +35,7 @@ def test_inflated_state_fails_phi_bound(gv_problem64, gv_final):
     bad = SolveState(alpha=gv_final.alpha, c_tilde=gv_final.c_tilde,
                      f_tilde=gv_final.f_tilde + 1.0, u=gv_final.u,
                      Phi=gv_final.Phi * np.exp(2.0), res1=gv_final.res1,
-                     res2=gv_final.res2, params=gv_final.params)
+                     res2=gv_final.res2)
     cert = certify_phi_bound(bad, gv_problem64.tau)
     assert not cert.all_passed
 
@@ -58,7 +58,7 @@ def test_kernel_identity_skipped_on_sphere(sphere31):
                     f_tilde=np.zeros(sphere31.shape),
                     u=np.zeros(sphere31.shape),
                     Phi=prob.weight_t, res1=np.zeros(sphere31.shape),
-                    res2=np.zeros(sphere31.shape), params=prob.params)
+                    res2=np.zeros(sphere31.shape))
     cert = kernel_identity(prob, st)
     assert cert.checks[0].passed
     assert "skipped" in cert.checks[0].note
