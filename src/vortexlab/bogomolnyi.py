@@ -439,26 +439,26 @@ def delta_ladder_and_assemble(problem, deltas=None, tol=1e-10, margin=0.5,
                           "strictly decreasing")
     s = problem.surface
     w, C_sigma, lam_min, lam = build_supersolution(problem, margin=margin)
-    rungs = []
+    radius = max(8.0 * s.h, float(np.sqrt(deltas[-1])) * 0.5)
+    mask = mask_away_from_points(s, problem.marked_points(), radius)
     infos = []
     sup_margins = []
+    d_sup = []
+    f = None
     for d in deltas:
         rung = problem.rung(d)
         m = supersolution_margin(problem, w, lam, d, rung)
         if m <= 0:
             raise ConfigError(f"supersolution inequality fails at delta={d}")
         sup_margins.append(m)
+        prev = f
         f, info = monotone_iterate(problem, w, lam, d, tol=tol, log=log,
                                    rung=rung)
         del rung  # one rung's fields alive at a time
-        rungs.append(f)
+        if prev is not None:  # the Cauchy distance needs the rung before only
+            d_sup.append(float(np.max(np.abs(prev - f)[mask])))
         infos.append(info)
-    pts = problem.marked_points()
-    radius = max(8.0 * s.h, float(np.sqrt(deltas[-1])) * 0.5)
-    mask = mask_away_from_points(s, pts, radius)
-    d_sup = [float(np.max(np.abs(a - b)[mask])) for a, b in zip(rungs, rungs[1:])]
 
-    f = rungs[-1]
     Phi_h = np.exp(2.0 * f + problem.u0)
     g_smooth = (np.log(lam) + 4.0 * problem.alpha * problem.tau * f
                 - 2.0 * problem.alpha * Phi_h)

@@ -465,7 +465,7 @@ def run_sweep_eps(cfg, outdir, seed, quiet):
     art.field("f_tilde", final.f_tilde, surface)
     art.field("u", final.u, surface)
     art.write_json("ladder.json", {
-        "eps": report.eps_list[: len(report.states)],
+        "eps": report.eps_list[: len(report.newton_counts)],
         "d_f": report.d_f,
         "d_u": report.d_u,
         "rho_K": report.rho_K,

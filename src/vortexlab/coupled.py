@@ -282,9 +282,10 @@ def continue_alpha(problem, state0, alpha_target, n_steps=16, tol=RESIDUAL_TOL):
 
     Fixed alpha grid with adaptive halving; the minimum step is
     alpha_star/1024.  Yields each accepted state in turn (the start
-    first), so a caller holds one state, not the path; a refused target or
-    start raises before the first.  Raises PathStalled with the last good
-    alpha on failure.
+    first), so a caller holds one state, not the path: once the walk has
+    moved past a state it keeps no reference to it, the start included.
+    A refused target or start raises before the first.  Raises PathStalled
+    with the last good alpha on failure.
     """
     astar = problem.params.alpha_star
     if alpha_target != 0.0 and not (np.isfinite(astar)
@@ -295,11 +296,13 @@ def continue_alpha(problem, state0, alpha_target, n_steps=16, tol=RESIDUAL_TOL):
         )
     if alpha_target != 0.0 and state0.res_norm >= tol:
         raise ConfigError("starting state is not residual-accepted")
-    yield state0
 
     def solve(alpha, st):
         return solve_at_alpha(problem, alpha, st.f_tilde, st.u, tol=tol)
 
-    for _, st in walk(solve, state0.alpha, state0, alpha_target,
-                      (alpha_target - state0.alpha) / n_steps, astar / 1024.0):
+    path = walk(solve, state0.alpha, state0, alpha_target,
+                (alpha_target - state0.alpha) / n_steps, astar / 1024.0)
+    yield state0
+    del state0  # the walk holds its start until the first step lands
+    for _, st in path:
         yield st

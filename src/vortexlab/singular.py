@@ -17,11 +17,12 @@ be resolved against the grid or the neighbour separation are flagged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .coupled import continue_alpha, decoupled_state, make_problem, solve_at_alpha
+from .coupled import (accepted_state, continue_alpha, decoupled_state,
+                      make_problem, solve_at_alpha)
 from .errors import ConfigError, ConvergenceFailure
 from .fields import build_divisor_fields, smoothed_log
 from .verify import holder_quotient
@@ -49,7 +50,7 @@ class FitRecord:
 @dataclass
 class LadderReport:
     eps_list: list
-    states: list
+    states: list              # the rung before the last as (f~, u), the last
     d_f: list = field(default_factory=list)     # sup |f_m - f_{m+1}| on K
     d_u: list = field(default_factory=list)
     rho_K: list = field(default_factory=list)
@@ -203,6 +204,14 @@ def run_ladder(surface, divisor, tau, alpha, eps_list, n_steps=16,
     truncate the ladder and are recorded.  The divisor fields do not depend
     on eps: they are built once (or taken from ``fields``) and every rung
     adds only its eps-dependent weights.
+
+    A rung reads the last rung's (f~, u) only.  Its Cauchy distances to
+    that rung are taken as it lands, and before the next rung is solved it
+    is reduced to (f~, u) (Phi and residuals None) and its problem and the
+    rung before it are dropped.  So ``states`` ends with the rung before
+    the last as (f~, u) and the last rung in full, and a truncated ladder
+    builds its last completed rung's problem and state again
+    (``accepted_state``, as ``verify`` does).
     """
     eps_list = list(eps_list)
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
@@ -212,15 +221,24 @@ def run_ladder(surface, divisor, tau, alpha, eps_list, n_steps=16,
     points = list(divisor.all_points())
     if fields is None:
         fields = build_divisor_fields(surface, divisor)
-    prev_state = None
+    A = 1.0
+    if fields.log_s_sq:
+        A = _local_quadratic_coeff(surface, fields.log_s_sq[0],
+                                   divisor.cone[0][0])
     for eps in eps_list:
+        # the rung reads the last one's (f~, u) only: reduce the last rung to
+        # them, and drop the rung before it, its problem and every local
+        # that holds it in full
+        report.states[:] = [replace(st, Phi=None, res1=None, res2=None)
+                            for st in report.states[-1:]]
+        report.problem = problem = state = path = None
         problem = make_problem(surface, divisor, tau=tau, eps=eps, fields=fields)
         try:
-            path = None
-            if prev_state is not None:
+            if report.states:
+                last = report.states[-1]
                 try:
-                    path = [solve_at_alpha(problem, alpha, prev_state.f_tilde,
-                                           prev_state.u, tol=tol)]
+                    path = [solve_at_alpha(problem, alpha, last.f_tilde,
+                                           last.u, tol=tol)]
                 except ConvergenceFailure:
                     pass
             if path is None:
@@ -232,6 +250,17 @@ def run_ladder(surface, divisor, tau, alpha, eps_list, n_steps=16,
         except ConvergenceFailure as exc:
             report.failures.append({"eps": eps, "error": str(exc)})
             break
+        if report.states:
+            # Cauchy distances to the rung before, on K
+            radius = max(8.0 * surface.h, float(np.sqrt(eps / A)))
+            mask = mask_away_from_points(surface, points, radius)
+            if not np.any(mask):
+                radius = 8.0 * surface.h
+                mask = mask_away_from_points(surface, points, radius)
+            report.rho_K.append(radius)
+            report.d_f.append(float(np.max(
+                np.abs(last.f_tilde - state.f_tilde)[mask])))
+            report.d_u.append(float(np.max(np.abs(last.u - state.u)[mask])))
         report.states.append(state)
         report.problem = problem
         report.newton_counts.append(len(steps))
@@ -242,24 +271,12 @@ def run_ladder(surface, divisor, tau, alpha, eps_list, n_steps=16,
             surface, state.u, rng=np.random.default_rng(seed)))
         report.wp_integrals.append(float(surface.integrate(
             problem.W ** report.lp_exponent)))
-        prev_state = state
-
-    # Cauchy distances between consecutive rungs on K
-    for m in range(len(report.states) - 1):
-        eps_fine = eps_list[m + 1]
-        A = 1.0
-        if fields.log_s_sq:
-            A = _local_quadratic_coeff(surface, fields.log_s_sq[0],
-                                       divisor.cone[0][0])
-        radius = max(8.0 * surface.h, float(np.sqrt(eps_fine / A)))
-        mask = mask_away_from_points(surface, points, radius)
-        if not np.any(mask):
-            radius = 8.0 * surface.h
-            mask = mask_away_from_points(surface, points, radius)
-        report.rho_K.append(radius)
-        a, b = report.states[m], report.states[m + 1]
-        report.d_f.append(float(np.max(np.abs(a.f_tilde - b.f_tilde)[mask])))
-        report.d_u.append(float(np.max(np.abs(a.u - b.u)[mask])))
+    if report.states and report.problem is None:
+        last = report.states[-1]
+        report.problem = make_problem(surface, divisor, tau=tau, fields=fields,
+                                      eps=eps_list[len(report.newton_counts) - 1])
+        report.states[-1] = accepted_state(report.problem, last.alpha,
+                                           last.f_tilde, last.u)
 
     if fit and report.states:
         fin, eps = report.states[-1], report.problem.eps

@@ -521,13 +521,15 @@ def _folded_legendre(L, mu, w, nfreq):
     group = np.full(nb * (L + 2), -1)
     group[base[m] + l - m] = 2 * upper[m] + (l - m) % 2
     group = group.reshape(nb, L + 2)
-    # in place where it can be, so the build peaks at P, PW, G and the
-    # corrected PW (see build_bytes)
-    G = PW @ P.transpose(0, 2, 1)
-    G *= 2.0
-    G *= group[:, :, None] == group[:, None, :]
-    np.subtract(2.0 * np.eye(L + 2), G, out=G)
-    PW = G @ PW
+    # one block at a time and in place where it can be, so the build peaks
+    # at P, PW and one block of G and of the corrected PW (see build_bytes)
+    two_eye = 2.0 * np.eye(L + 2)
+    for b in range(nb):
+        G = PW[b] @ P[b].T
+        G *= 2.0
+        G *= group[b, :, None] == group[b, None, :]
+        np.subtract(two_eye, G, out=G)
+        PW[b] = G @ PW[b]
     PW *= np.sqrt(2.0 * np.pi)
     P /= np.sqrt(2.0 * np.pi)
     half_order = np.full((nb, 2), L + 1)
@@ -613,15 +615,17 @@ def build_bytes(backend, resolution):
     five float64 grids, where the build holds four (the two coordinate
     grids and, on the rfft2 half grid, the eigenvalues, the shifted
     eigenvalues and the complex spectrum, the last two scratch) and O(n)
-    vectors; on the sphere three folded Legendre tensors (P, PW and the
-    corrected PW, alive together), the Gram blocks and the O(L^2) index
-    arrays."""
+    vectors; on the sphere the two folded Legendre tensors P and PW (the
+    Gram correction runs one block at a time), six grids (the three
+    coordinate planes and ``xyz``, which stacks them) and the O(L^2) index
+    arrays and Gram blocks."""
     n = int(resolution)
     if backend == "torus":
         return 5 * 8 * n * n
     nlat = (3 * (n + 1) + 1) // 2
+    nlon = 3 * (n + 1) + (3 * (n + 1)) % 2
     nb, rows, nn = n // 2 + 1, n + 2, (nlat + 1) // 2
-    return 8 * nb * rows * (3 * nn + rows) + 32 * rows * rows
+    return 8 * (2 * nb * rows * nn + 6 * nlat * nlon) + 48 * rows * rows
 
 
 def gradient_pairing(surface, f, g):

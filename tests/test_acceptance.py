@@ -152,7 +152,7 @@ def test_criterion_5_epsilon_ladder(torus256):
                          parabolic=((P_PARA, 0.5),))
         report = run_ladder(torus256, dd, tau=4.0, alpha=0.0625,
                             eps_list=[0.1, 0.05, 0.025, 0.0125], n_steps=16)
-        assert len(report.states) == 4 and not report.failures
+        assert len(report.newton_counts) == 4 and not report.failures
         d = report.d_sup
         assert d[0] > d[1] > d[2]  # decreasing over the last three rungs
         # last-pair distance at the fixed 8h mask radius (recalibrated scale)

@@ -1,9 +1,11 @@
+import weakref
+
 import numpy as np
 import pytest
 
 import vortexlab.coupled as coupled
 import vortexlab.singular as singular
-from vortexlab.coupled import make_problem
+from vortexlab.coupled import continue_alpha, make_problem
 from vortexlab.errors import ConfigError, ConvergenceFailure
 from vortexlab.fields import DivisorData, build_divisor_fields
 from vortexlab.singular import (
@@ -29,7 +31,7 @@ def ladder64(torus64):
 
 def test_ladder_structure(ladder64):
     r = ladder64
-    assert len(r.states) == 3
+    assert len(r.newton_counts) == 3
     assert len(r.d_f) == 2 and len(r.d_u) == 2
     assert not r.failures
     # warm starts cheaper than the cold first rung
@@ -73,14 +75,14 @@ def test_ladder_builds_divisor_fields_once(torus32, monkeypatch):
     monkeypatch.setattr(coupled, "build_divisor_fields", build)
     r = run_ladder(torus32, DD3, tau=4.0, alpha=0.03125,
                    eps_list=[0.1, 0.05, 0.025], n_steps=4, fit=False)
-    assert len(r.states) == 3 and not r.failures
+    assert len(r.newton_counts) == 3 and not r.failures
     assert calls == {"green_field": 3, "build": 1}
 
 
 def test_single_rung_no_distances(torus64):
     r = run_ladder(torus64, DD3, tau=4.0, alpha=0.03125, eps_list=[0.1],
                    n_steps=4)
-    assert len(r.states) == 1 and r.d_f == [] and r.d_u == []
+    assert len(r.newton_counts) == 1 and r.d_f == [] and r.d_u == []
 
 
 @pytest.mark.parametrize("eps_list", [[0.1, 0.1], [0.05, 0.1]])
@@ -91,7 +93,63 @@ def test_non_decreasing_rungs_are_a_config_error(torus32, eps_list):
         run_ladder(torus32, DD3, tau=4.0, alpha=0.0, eps_list=eps_list)
 
 
+def _held_at_solve_starts(monkeypatch):
+    """Track every SolveState that solve_at_alpha and decoupled_state return
+    by weak reference; the returned list gets, at the start of each
+    solve_at_alpha, how many of them are alive and still hold Phi, S1 or
+    S2."""
+    refs, held = [], []
+
+    def holds(st):
+        return st is not None and any(
+            a is not None for a in (st.Phi, st.res1, st.res2))
+
+    def tracked(fn, count):
+        def wrapped(*args, **kwargs):
+            if count:
+                held.append(sum(holds(r()) for r in refs))
+            st = fn(*args, **kwargs)
+            refs.append(weakref.ref(st))
+            return st
+        return wrapped
+
+    solve = tracked(coupled.solve_at_alpha, True)
+    start = tracked(coupled.decoupled_state, False)
+    for mod in (coupled, singular):
+        monkeypatch.setattr(mod, "solve_at_alpha", solve)
+        monkeypatch.setattr(mod, "decoupled_state", start)
+    return held
+
+
+def test_ladder_keeps_what_the_next_rung_reads(torus32, monkeypatch):
+    # a rung's solve reads the last rung's (f~, u) only: when a solve
+    # starts, no state but the one the continuation of rung 0 stands on
+    # holds Phi and the residuals
+    held = _held_at_solve_starts(monkeypatch)
+    r = run_ladder(torus32, DD3, tau=4.0, alpha=0.03125,
+                   eps_list=[0.1, 0.05, 0.025, 0.0125], n_steps=4, fit=False)
+    assert len(r.newton_counts) == 4 and not r.failures
+    assert len(held) >= 7 and max(held) <= 1
+    assert [st.Phi is None for st in r.states] == [True, False]
+
+
+def test_walk_keeps_no_state_it_has_passed(torus32, monkeypatch):
+    # once the walk has moved past a state, the start included, it holds no
+    # reference to it: only the caller's loop variable keeps one
+    held = _held_at_solve_starts(monkeypatch)
+    problem = make_problem(torus32, DD3, tau=4.0, eps=0.1)
+    path = continue_alpha(problem, coupled.decoupled_state(problem),
+                          problem.params.alpha_star, n_steps=4)
+    for st in path:
+        pass
+    assert st.alpha == problem.params.alpha_star
+    assert len(held) >= 4 and max(held) <= 1
+
+
 def test_rung_failure_truncates(torus64, monkeypatch):
+    # the ladder that stops at rung 0 of its own accord
+    whole = run_ladder(torus64, DD3, tau=4.0, alpha=0.03125, eps_list=[0.1],
+                       n_steps=4)
     calls = {"n": 0}
     orig = singular.solve_at_alpha
 
@@ -110,8 +168,13 @@ def test_rung_failure_truncates(torus64, monkeypatch):
     monkeypatch.setattr(singular, "continue_alpha", failing_cont)
     r = run_ladder(torus64, DD3, tau=4.0, alpha=0.03125,
                    eps_list=[0.1, 0.05], n_steps=4)
-    assert len(r.states) == 1
+    assert len(r.newton_counts) == 1
     assert r.failures and r.failures[0]["eps"] == 0.05
+    # the truncated ladder builds its last rung's state again, bit for bit
+    for name in ("alpha", "c_tilde", "f_tilde", "u", "Phi", "res1", "res2"):
+        assert np.array_equal(getattr(r.states[-1], name),
+                              getattr(whole.states[-1], name))
+    assert r.problem.eps == 0.1
 
 
 def test_alpha_zero_ladder_reproduces_vortex(torus64):
@@ -137,9 +200,12 @@ def test_fit_records(ladder64, torus64):
             assert f.npoints >= 40
 
 
-def test_unresolved_on_coarse_smoothing(torus64, ladder64):
+def test_unresolved_on_coarse_smoothing(torus64):
+    # rung 0 of ladder64, which keeps only its last two rungs
+    rung0 = run_ladder(torus64, DD3, tau=4.0, alpha=0.0625, eps_list=[0.1],
+                       n_steps=8, fit=False)
     prob = make_problem(torus64, DD3, tau=4.0, eps=0.1)
-    rec = conical_fit(torus64, ladder64.states[0], prob.fields, 0, 0.1)
+    rec = conical_fit(torus64, rung0.states[-1], prob.fields, 0, 0.1)
     assert not rec.resolved  # smoothing radius beyond the neighbour guard
 
 
