@@ -38,7 +38,7 @@ def run(resolution=64, overshoots=(1.0, 1.05, 1.25, 1.5, 2.0)):
         alpha = s * astar
         try:
             st = solve_at_alpha(problem, alpha, f, u)
-            ct = problem.c_tilde(alpha)
+            ct = problem.params.c_tilde(alpha)
             print(f"alpha = {s:5.2f} * alpha_star: converged, "
                   f"residual {st.res_norm:.2e}, c~ = {ct:+.4f}, "
                   f"max Phi - tau = {float(np.max(st.Phi)) - problem.tau:+.3e}")

@@ -46,7 +46,6 @@ __all__ = [
     "monotone_iterate",
     "eb_residual",
     "delta_ladder_and_assemble",
-    "SingularField",
 ]
 
 # lam = _LAM_SAFETY * lam_min when the config gives no lambda
@@ -129,7 +128,7 @@ class Rung(NamedTuple):
 class EBProblem:
     surface: object
     fields: object          # DivisorFields
-    params: object          # ModelParams with c_tilde = 0
+    params: object          # ModelParams with c_tilde(alpha) = 0
     alpha: float
     tau: float
     lam: float | None
@@ -161,8 +160,7 @@ def make_eb_problem(surface, divisor, alpha=None, tau=None, lam=None,
     """
     if not divisor.zeros and not divisor.parabolic:
         raise ConfigError("the phase needs positive parabolic degree N~ > 0")
-    chi_tilde = surface.euler_char - divisor.sum_one_minus_beta
-    N_tilde = divisor.N + divisor.sum_alpha
+    chi_tilde, N_tilde = divisor.chi_tilde(surface), divisor.N_tilde
     if chi_tilde <= 0.0:
         raise ConfigError(
             "c~ = 0 requires chi~ > 0, got "
@@ -181,9 +179,9 @@ def make_eb_problem(surface, divisor, alpha=None, tau=None, lam=None,
     if lam is not None and lam <= 0:
         raise ConfigError("lambda must be positive")
     fields = build_divisor_fields(surface, divisor)
-    params = derive_params(divisor, surface, tau, alpha=alpha).with_alpha(alpha)
-    if abs(params.c_tilde) > 1e-12:
-        raise ConfigError(f"c~ = {params.c_tilde} not zero at the phase lock")
+    params = derive_params(divisor, surface, tau)
+    if abs(params.c_tilde(alpha)) > 1e-12:
+        raise ConfigError(f"c~ = {params.c_tilde(alpha)} not zero at the phase lock")
     if sigma is None:
         sigma = 16.0 * surface.h
     pts = list(divisor.all_points())
@@ -404,18 +402,6 @@ def monotone_iterate(problem, w, lam, delta, tol=1e-10, residual_target=None,
 # --- delta ladder and assembly -------------------------------------------------
 
 
-@dataclass
-class SingularField:
-    """Grid sample plus symbolic singular factors (point, exponent on |s|^2).
-
-    values = exp(smooth part + sum_i e_i * log|s_i|^2); the factor list keeps
-    the closed-form singular structure available to consumers.
-    """
-
-    values: np.ndarray
-    factors: list  # (point, exponent, log_field)
-
-
 def delta_ladder_and_assemble(problem, deltas=None, tol=1e-10, margin=0.5,
                               log=None):
     """Run the regularization ladder and assemble the singular pair.
@@ -424,7 +410,8 @@ def delta_ladder_and_assemble(problem, deltas=None, tol=1e-10, margin=0.5,
     supersolution/lam pair serves every rung (the d = 1 bound dominates);
     each rung re-runs the monotone iteration from its own f_1 so the chain
     property stays intact, and Cauchy sup-distances away from the marked
-    points are recorded.
+    points are recorded.  Returns (f, metric density, Hermitian factor, w,
+    report), the two assembled fields as grid arrays.
     """
     na = check_numerical_assumption(problem)
     if not na.all_passed:
@@ -462,14 +449,12 @@ def delta_ladder_and_assemble(problem, deltas=None, tol=1e-10, margin=0.5,
     Phi_h = np.exp(2.0 * f + problem.u0)
     g_smooth = (np.log(lam) + 4.0 * problem.alpha * problem.tau * f
                 - 2.0 * problem.alpha * Phi_h)
-    g_factors = [(tuple(p), -(1.0 - b), ls) for (p, b), ls in
-                 zip(problem.fields.divisor.cone, problem.fields.log_s_sq)]
-    g_log = g_smooth + sum(e * ls for _, e, ls in g_factors) if g_factors else g_smooth
-    g_density = SingularField(values=np.exp(g_log), factors=g_factors)
-    h_factors = [(tuple(p), ak, lt) for (p, ak), lt in
-                 zip(problem.fields.divisor.parabolic, problem.fields.log_t_sq)]
-    h_log = 2.0 * f + (sum(e * lt for _, e, lt in h_factors) if h_factors else 0.0)
-    h_factor = SingularField(values=np.exp(h_log), factors=h_factors)
+    # the singular factors |s_j|^{-2(1 - beta_j)} and |t_k|^{2 alpha_k}
+    divisor, flds = problem.fields.divisor, problem.fields
+    g_log = g_smooth + sum(-(1.0 - b) * ls for (_, b), ls in
+                           zip(divisor.cone, flds.log_s_sq))
+    h_log = 2.0 * f + sum(ak * lt for (_, ak), lt in
+                          zip(divisor.parabolic, flds.log_t_sq))
     report = {
         "deltas": deltas,
         "lam": lam,
@@ -482,7 +467,7 @@ def delta_ladder_and_assemble(problem, deltas=None, tol=1e-10, margin=0.5,
         "mask_radius": radius,
         "na_report": na.to_dict(),
     }
-    return f, g_density, h_factor, w, report
+    return f, np.exp(g_log), np.exp(h_log), w, report
 
 
 def assembled_residual(problem, f, delta, lam):

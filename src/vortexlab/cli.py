@@ -2,8 +2,8 @@
 persistence, verification, and heatmap export.
 
 Subcommands: solve-vortex, solve-tke, solve-gv, sweep-eps, solve-eb,
-verify, export.  Exit codes: 0 ok, 2 config/validation, 3 convergence or
-verification failure, 4 admissibility refusal.
+verify, export.  Exit codes: 0 ok, 2 config/validation or a bad file path,
+3 convergence or verification failure, 4 admissibility refusal.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ _PATH = ("nonnegative", {"target": ("nonnegative", "alpha_star"),
 _SCHEMA = {
     "solve-vortex": dict(_COMMON, tau="number!", t="number",
                          twist=("null", {"b": "number", "modes": ["mode"]})),
-    "solve-tke": dict(_COMMON, epsilon="number", t="number"),
+    "solve-tke": dict(_COMMON, epsilon="nonnegative", t="number"),
     "solve-gv": dict(_COMMON, tau="number!", alpha=_PATH, epsilon="number"),
     "sweep-eps": dict(_COMMON, tau="number!", alpha=_PATH, epsilon="ladder",
                       fit="boolean"),
@@ -150,14 +150,13 @@ _COVERAGE = {
 }
 
 
-def load_config(path):
+def read_json(path):
+    """A JSON file; one that is not UTF-8 JSON is a ConfigError naming it."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def validate_config(cfg, command):
@@ -301,11 +300,9 @@ def _certify_vortex(cfg, problem, seed, f):
 
 def _tke_problem(cfg, surface, divisor):
     """(chi~, F_xi) of the twisted Kaehler-Einstein equation."""
-    eps = float(cfg.get("epsilon", 0.1))
-    if eps < 0:
-        raise ConfigError(f"epsilon must be non-negative, got {eps}")
     fields = build_divisor_fields(surface, divisor)
-    return surface.euler_char - divisor.sum_one_minus_beta, fields.F_xi(eps)
+    return (divisor.chi_tilde(surface),
+            fields.F_xi(float(cfg.get("epsilon", 0.1))))
 
 
 def _certify_tke(cfg, surface, problem, u):
@@ -521,8 +518,8 @@ def run_solve_eb(cfg, outdir, seed, quiet):
     phases.end("certify")
     art.field("f_tilde", f, surface)
     art.field("supersolution_w", w, surface)
-    art.field("metric_density", g_density.values, surface)
-    art.field("hermitian_factor", h_factor.values, surface)
+    art.field("metric_density", g_density, surface)
+    art.field("hermitian_factor", h_factor, surface)
     art.write_json("ladder.json", report)
     art.write_jsonl("iterations.jsonl", log)
     if lambda_pair:
@@ -554,12 +551,20 @@ class _Stored:
 
     def __init__(self, outdir):
         self.outdir = outdir
-        self.meta = self.read_json("metadata.json")
-        self.seed = int(self.meta.get("seed", 0))
+        path = os.path.join(outdir, "metadata.json")
+        if not os.path.exists(path):
+            raise ConfigError(f"no artifact metadata in {outdir}")
+        meta = read_json(path)
+        if not (isinstance(meta, dict) and meta.get("command") in _RECERTIFY
+                and isinstance(meta.get("files", {}), dict)
+                and _KINDS["count"][0](meta.get("seed", 0))):
+            raise ConfigError(f"{path} is not the metadata of a solve: it "
+                              f"needs a 'command' of {sorted(_RECERTIFY)}, "
+                              "a 'files' table and a non-negative 'seed'")
+        self.meta, self.seed = meta, int(meta.get("seed", 0))
 
     def read_json(self, relpath):
-        with open(os.path.join(self.outdir, relpath)) as fh:
-            return json.load(fh)
+        return read_json(os.path.join(self.outdir, relpath))
 
     def field(self, name, surface):
         values, _ = read_field(os.path.join(self.outdir, "fields",
@@ -569,9 +574,10 @@ class _Stored:
 
 
 def _recertify_gv(cfg, surface, divisor, art):
-    if "epsilon" not in art.meta:
-        raise ConfigError("metadata.json records no 'epsilon' (the artifact "
-                          "predates it); solve again to verify")
+    for key in ("epsilon", "alpha"):
+        if not _is_number(art.meta.get(key)):
+            raise ConfigError(f"metadata.json records no number {key!r}; "
+                              "solve again to verify")
     problem = make_problem(surface, divisor, tau=float(cfg["tau"]),
                            eps=float(art.meta["epsilon"]))
     state = accepted_state(problem, float(art.meta["alpha"]),
@@ -595,16 +601,15 @@ _RECERTIFY = {
 
 
 def run_verify(outdir, quiet=False):
-    if not os.path.exists(os.path.join(outdir, "metadata.json")):
-        raise ConfigError(f"no artifact metadata in {outdir}")
     art = _Stored(outdir)
     for rel, digest in art.meta.get("files", {}).items():
-        if sha256_file(os.path.join(outdir, rel)) != digest:
+        path = os.path.join(outdir, rel)
+        if not os.path.isfile(path):
+            raise ConvergenceFailure(f"artifact file {rel} is missing")
+        if sha256_file(path) != digest:
             raise ConvergenceFailure(f"artifact file {rel} hash mismatch")
     command = art.meta["command"]
-    if command not in _RECERTIFY:
-        raise ConfigError(f"cannot verify artifacts of command {command!r}")
-    cfg = art.read_json("config.json")
+    cfg = validate_config(art.read_json("config.json"), command)
     surface, divisor = build_setup(cfg)
     cert = _RECERTIFY[command](cfg, surface, divisor, art)
     fresh = cert.to_dict()
@@ -676,7 +681,9 @@ def main(argv=None):
             return run_verify(args.out, quiet=args.quiet)
         if args.command == "export":
             return run_export(args.field, args.out, quiet=args.quiet)
-        cfg = validate_config(load_config(args.config), args.command)
+        cfg = validate_config(read_json(args.config), args.command)
+        if os.path.exists(args.out) and not os.path.isdir(args.out):
+            raise ConfigError(f"--out {args.out} is not a directory")
         if args.seed is not None:
             _check("--seed", args.seed, "count")
         seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
@@ -689,6 +696,9 @@ def main(argv=None):
         return 3
     except ConfigError as exc:
         print(f"[vortexlab] config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # names the file: a bad input or output path
+        print(f"[vortexlab] file error: {exc}", file=sys.stderr)
         return 2
     except VortexlabError as exc:
         print(f"[vortexlab] error: {exc}", file=sys.stderr)

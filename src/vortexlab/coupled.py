@@ -50,7 +50,7 @@ class GVProblem:
 
     surface: object
     fields: object                 # DivisorFields
-    params: object                 # ModelParams at alpha = 0
+    params: object                 # ModelParams
     W: np.ndarray                  # e^{-F_xi}
     weight_t: np.ndarray           # |phi|^2 e^{-F_eta}
     F_xi: np.ndarray
@@ -63,9 +63,6 @@ class GVProblem:
     @property
     def eps(self):
         return self.params.epsilon
-
-    def c_tilde(self, alpha):
-        return self.params.chi_tilde - 2.0 * alpha * self.tau * self.params.N_tilde
 
 
 @dataclass
@@ -91,7 +88,7 @@ def make_problem(surface, divisor, tau, eps, fields=None):
     of (surface, divisor) if already built (they do not depend on eps)."""
     if fields is None:
         fields = build_divisor_fields(surface, divisor)
-    params = derive_params(divisor, surface, tau, alpha=0.0, epsilon=eps)
+    params = derive_params(divisor, surface, tau, epsilon=eps)
     F_xi, F_eta = fields.F_xi(eps), fields.F_eta(eps)
     return GVProblem(surface=surface, fields=fields, params=params,
                      W=np.exp(-F_xi),
@@ -118,8 +115,8 @@ class Residual(tuple):
 
 
 def residual(problem, alpha, f_tilde, u):
-    """(S1, S2) at the given alpha, with c~ = problem.c_tilde(alpha)."""
-    return _residual(problem, alpha, f_tilde, u, problem.c_tilde(alpha),
+    """(S1, S2) at the given alpha, with c~ = problem.params.c_tilde(alpha)."""
+    return _residual(problem, alpha, f_tilde, u, problem.params.c_tilde(alpha),
                      problem.surface.laplacian(u))
 
 
@@ -197,7 +194,7 @@ def _newton_system(problem, alpha):
     """``solvers.newton``'s residual (a Residual, None where 1 - lap u > 0
     fails) and correction on (f~, u) at alpha, and the list of the GMRES
     iterations of each correction."""
-    s, c_tilde, krylov = problem.surface, problem.c_tilde(alpha), []
+    s, c_tilde, krylov = problem.surface, problem.params.c_tilde(alpha), []
 
     def res_fn(x):
         lap_u = s.laplacian(x[1])

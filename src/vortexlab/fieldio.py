@@ -21,7 +21,7 @@ __all__ = ["MAGIC", "write_field", "read_field", "sha256_file",
            "write_jsonl", "write_pgm"]
 
 
-def write_field(path, values, backend, resolution, name, extra=None):
+def write_field(path, values, backend, resolution, name):
     values = np.ascontiguousarray(values, dtype="<f8")
     header = {
         "backend": backend,
@@ -32,8 +32,6 @@ def write_field(path, values, backend, resolution, name, extra=None):
         "resolution": int(resolution),
         "shape": list(values.shape),
     }
-    if extra:
-        header.update(extra)
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     with open(path, "wb") as fh:
         fh.write(MAGIC)

@@ -13,7 +13,7 @@ points must avoid grid nodes so every sampled field stays finite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,6 +62,11 @@ class DivisorData:
         return int(sum(n for _, n in self.zeros))
 
     @property
+    def N_tilde(self):
+        """Parabolic degree N~ = N + sum_k alpha_k."""
+        return self.N + self.sum_alpha
+
+    @property
     def sum_alpha(self):
         return float(sum(a for _, a in self.parabolic))
 
@@ -76,6 +81,10 @@ class DivisorData:
             return 2.0
         return 0.5 * (1.0 + min(1.0 / (1.0 - b) for _, b in self.cone))
 
+    def chi_tilde(self, surface):
+        """Twisted Euler characteristic chi~ = chi - sum_j (1 - beta_j)."""
+        return surface.euler_char - self.sum_one_minus_beta
+
     def all_points(self):
         seen = {}
         for p, n in self.zeros:
@@ -89,102 +98,54 @@ class DivisorData:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Scalar parameters and the derived constants of the coupled system."""
+    """Scalar parameters and the derived constants of the coupled system;
+    alpha_star is NaN where tau <= 2 N~ (no certified range)."""
 
     tau: float
-    alpha: float
     epsilon: float
-    N: int
     N_tilde: float
     chi_tilde: float
-    c_tilde: float
     alpha_star: float
-    existence_ok: bool
 
-    def with_alpha(self, alpha):
-        c_tilde = self.chi_tilde - 2.0 * alpha * self.tau * self.N_tilde
-        return replace(self, alpha=alpha, c_tilde=c_tilde)
+    def c_tilde(self, alpha):
+        """c~ = chi~ - 2 alpha tau N~."""
+        return self.chi_tilde - 2.0 * alpha * self.tau * self.N_tilde
 
 
-def derive_params(divisor, surface, tau, alpha=0.0, epsilon=0.1):
+def derive_params(divisor, surface, tau, epsilon=0.1):
     """Fill every derived scalar; flags (rather than rejects) tau <= 2*N_tilde."""
     if tau <= 0:
         raise ConfigError("tau must be positive")
     if not (0.0 < epsilon <= 1.0):
         raise ConfigError("epsilon must lie in (0, 1]")
-    if alpha < 0:
-        raise ConfigError("alpha must be nonnegative")
-    N = divisor.N
-    N_tilde = N + divisor.sum_alpha
-    chi_tilde = surface.euler_char - divisor.sum_one_minus_beta
-    c_tilde = chi_tilde - 2.0 * alpha * tau * N_tilde
-    existence_ok = tau > 2.0 * N_tilde
-    if existence_ok and tau != 2.0 * N_tilde:
+    N_tilde = divisor.N_tilde
+    chi_tilde = divisor.chi_tilde(surface)
+    if tau > 2.0 * N_tilde:
         alpha_star = -chi_tilde / (tau * (tau - 2.0 * N_tilde))
     else:
         alpha_star = np.nan
     return ModelParams(
         tau=float(tau),
-        alpha=float(alpha),
         epsilon=float(epsilon),
-        N=N,
         N_tilde=float(N_tilde),
         chi_tilde=float(chi_tilde),
-        c_tilde=float(c_tilde),
         alpha_star=float(alpha_star),
-        existence_ok=existence_ok,
     )
 
 
-def log_section_field(surface, points_weights, total_weight=None):
-    """log of a squared section norm with prescribed zeros/weights.
-
-    Returns (values, evaluator).  evaluator(point) gives the closed form at
-    arbitrary points with the same additive constant (grid sup-normalized).
-    """
+def log_section_field(surface, points_weights):
+    """log of a squared section norm with prescribed zeros/weights,
+    sup-normalized to 0 on the grid."""
     pts = [tuple(p) for p, _ in points_weights]
     if len(set(pts)) != len(pts):
         raise ConfigError("coincident points within one section")
-    if total_weight is not None:
-        w = sum(w for _, w in points_weights)
-        if abs(w - total_weight) > 1e-12:
-            raise ConfigError(f"weights sum to {w}, expected {total_weight}")
     vals = np.zeros(surface.shape)
-    evaluators = []
     for p, w in points_weights:
         if not surface.point_off_grid(p):
             raise ConfigError(f"marked point {list(p)} is not resolvably off "
                               "the grid nodes; perturb it off-grid")
-        g, g_eval = green_field(surface, p)
-        vals += -4.0 * np.pi * w * g
-        evaluators.append((p, w, g_eval))
-    const = -float(np.max(vals))
-    vals = vals + const
-
-    if surface.backend == "torus":
-
-        def evaluate(x, y):
-            out = np.zeros_like(np.asarray(x, dtype=np.float64))
-            for p, w, g_eval in evaluators:
-                out += -4.0 * np.pi * w * g_eval(x, y)
-            return out + const
-
-    else:
-
-        def evaluate(points_lat, points_lon):
-            lat = np.asarray(points_lat, dtype=np.float64)
-            lon = np.asarray(points_lon, dtype=np.float64)
-            xyz = np.stack(
-                [np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon), np.sin(lat)],
-                axis=-1,
-            )
-            out = np.zeros(lat.shape)
-            for p, w, g_eval in evaluators:
-                u = surface.unit_point(p)
-                out += -4.0 * np.pi * w * g_eval(np.clip(xyz @ u, -1, 1))
-            return out + const
-
-    return vals, evaluate
+        vals += -4.0 * np.pi * w * green_field(surface, p)
+    return vals - float(np.max(vals))
 
 
 def smoothed_log(log_sq, eps):
@@ -200,7 +161,6 @@ class DivisorFields:
     surface: object
     divisor: DivisorData
     log_phi_sq: np.ndarray        # multiplicity-weighted, sup-normalized
-    log_phi_sq_eval: object
     log_s_sq: list                # one per cone point
     log_t_sq: list                # one per parabolic point
 
@@ -218,27 +178,16 @@ class DivisorFields:
             out -= ak * smoothed_log(lt, eps)
         return out
 
-    def b_xi(self):
-        return self.divisor.sum_one_minus_beta
-
-    def b_eta(self):
-        return -self.divisor.sum_alpha
-
 
 def build_divisor_fields(surface, divisor):
     """Construct all log section fields for a divisor on a surface."""
-    if divisor.zeros:
-        log_phi, log_phi_eval = log_section_field(surface, list(divisor.zeros))
-    else:
-        log_phi = np.zeros(surface.shape)
-        log_phi_eval = None
     return DivisorFields(
         surface=surface,
         divisor=divisor,
-        log_phi_sq=log_phi,
-        log_phi_sq_eval=log_phi_eval,
-        log_s_sq=[log_section_field(surface, [(p, 1.0)])[0]
+        log_phi_sq=(log_section_field(surface, list(divisor.zeros))
+                    if divisor.zeros else np.zeros(surface.shape)),
+        log_s_sq=[log_section_field(surface, [(p, 1.0)])
                   for p, _ in divisor.cone],
-        log_t_sq=[log_section_field(surface, [(p, 1.0)])[0]
+        log_t_sq=[log_section_field(surface, [(p, 1.0)])
                   for p, _ in divisor.parabolic],
     )

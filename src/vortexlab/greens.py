@@ -10,7 +10,8 @@ is kept as the independent oracle that tests compare it against.
 The sphere kernel is the classical rotation-invariant closed form.
 
 ``green_field`` materializes a grid sample (exactly de-meaned under the
-discrete quadrature); ``*_eval`` are the pointwise closed-form evaluators.
+discrete quadrature); ``*_eval`` are the pointwise closed forms, without
+that shift.
 ``green_pair_*`` evaluate integral G(p,.) g omega0 for band-limited g to
 near machine accuracy by splitting off the singular part and integrating it
 in polar coordinates; this is what makes the Green-representation identity
@@ -126,20 +127,12 @@ def sphere_green_eval(cos_angle):
 
 
 def green_field(surface, p):
-    """Sampled kernel G(., p), de-meaned exactly under discrete quadrature.
-
-    Returns (values, evaluator) where evaluator(x...) is the analytic
-    closed form (torus: evaluator(X, Y); sphere: evaluator(cos_angle)).
-    """
+    """Sampled kernel G(., p), de-meaned exactly under discrete quadrature."""
     if surface.backend == "torus":
         vals = torus_green_theta_eval(p, surface.X[:, :1], surface.Y[:1, :])
-        shift = surface.integrate(vals) / VOL
-        evaluator = lambda X, Y, s=shift: torus_green_theta_eval(p, X, Y) - s  # noqa: E731
     else:
         vals = sphere_green_eval(surface.cos_angle_field(p))
-        shift = surface.integrate(vals) / VOL
-        evaluator = lambda cosang, s=shift: sphere_green_eval(cosang) - s  # noqa: E731
-    return vals - shift, evaluator
+    return vals - surface.integrate(vals) / VOL
 
 
 # --- accurate pairing against band-limited fields ---------------------------

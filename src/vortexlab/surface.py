@@ -260,15 +260,12 @@ class Sphere:
         slots = np.full(self._pfold.shape[:2] + (4,), self.L + 1, np.int16)
         slots.flat[self._src[::2] // 2] = self._dst[::2] // 2 // (self.L + 1)
         self._slot_degree = slots
+        # the unit vectors of the nodes, each plane written in place
         st = np.sin(self.theta)
-        self.xyz = np.stack(
-            [
-                st[:, None] * np.cos(self.phi)[None, :],
-                st[:, None] * np.sin(self.phi)[None, :],
-                mu[:, None] * np.ones(self.nlon)[None, :],
-            ],
-            axis=-1,
-        )
+        self.xyz = np.empty(self.shape + (3,))
+        np.multiply.outer(st, np.cos(self.phi), out=self.xyz[..., 0])
+        np.multiply.outer(st, np.sin(self.phi), out=self.xyz[..., 1])
+        self.xyz[..., 2] = mu[:, None]
 
     # -- transforms -------------------------------------------------------
     def _blocks(self, values):
@@ -394,9 +391,7 @@ class Sphere:
         )
 
     def distance_field(self, p):
-        u = self.unit_point(p)
-        cosang = np.clip(self.xyz @ u, -1.0, 1.0)
-        return self.r * np.arccos(cosang)
+        return self.r * np.arccos(self.cos_angle_field(p))
 
     def cos_angle_field(self, p):
         u = self.unit_point(p)
@@ -616,16 +611,16 @@ def build_bytes(backend, resolution):
     grids and, on the rfft2 half grid, the eigenvalues, the shifted
     eigenvalues and the complex spectrum, the last two scratch) and O(n)
     vectors; on the sphere the two folded Legendre tensors P and PW (the
-    Gram correction runs one block at a time), six grids (the three
-    coordinate planes and ``xyz``, which stacks them) and the O(L^2) index
-    arrays and Gram blocks."""
+    Gram correction runs one block at a time), the three planes of ``xyz``
+    and the O(L^2) index arrays, Gram blocks and small temporaries (their
+    coefficient fitted to traced build peaks at L = 15-400)."""
     n = int(resolution)
     if backend == "torus":
         return 5 * 8 * n * n
     nlat = (3 * (n + 1) + 1) // 2
     nlon = 3 * (n + 1) + (3 * (n + 1)) % 2
     nb, rows, nn = n // 2 + 1, n + 2, (nlat + 1) // 2
-    return 8 * (2 * nb * rows * nn + 6 * nlat * nlon) + 48 * rows * rows
+    return 8 * (2 * nb * rows * nn + 3 * nlat * nlon) + 120 * rows * rows
 
 
 def gradient_pairing(surface, f, g):

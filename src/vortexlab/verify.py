@@ -111,7 +111,7 @@ def _green_stats(surface, p_star):
         p0 = (0.5 + 0.371 * surface.h, 0.5 + 0.237 * surface.h)
     else:
         p0 = (0.31831, 2.71828)
-    g, _ = green_field(surface, p0)
+    g = green_field(surface, p0)
     return float(np.min(g)), surface.integrate(np.abs(g) ** p_star) ** (1.0 / p_star)
 
 
@@ -157,15 +157,15 @@ def certify_integral_estimates(problem, state, cert=None):
     return cert
 
 
-def certify_logy_bounds(problem, state, cert=None, seed=0):
+def certify_logy_bounds(problem, state, cert, seed=0):
     """C0 bounds of log y = 4 a tau f~ - 2 c~ u with computed constants.
 
     C1 comes from the shifted-nonnegative kernel (shift = -min G) and the
     first integral estimate; the lower bound combines the integrated second
     equation with the oscillation bound through the sampled Hoelder constant
-    C2 (empirical-constant check).
+    C2 (empirical-constant check).  ``cert`` must hold the constants of
+    ``certify_integral_estimates``.
     """
-    cert = Certificate() if cert is None else cert
     s = problem.surface
     a, tau, ct = state.alpha, problem.tau, state.c_tilde
     chi_t = problem.params.chi_tilde
@@ -203,10 +203,7 @@ def certify_logy_bounds(problem, state, cert=None, seed=0):
              note="int W e^{...} = 2 pi")
     # C6 / C7 chain for f~ and u
     Ntil = problem.params.N_tilde
-    rhs2 = cert.constants.get("rhs_integral_estimate_2")
-    if rhs2 is None:
-        certify_integral_estimates(problem, state, cert)
-        rhs2 = cert.constants["rhs_integral_estimate_2"]
+    rhs2 = cert.constants["rhs_integral_estimate_2"]
     exp_p = s.integrate(np.exp(-problem.F_xi) ** p) ** (1.0 / p)
     C6 = (rhs2 + VOL * C3) / (2.0 * VOL) + 0.5 * tau * np.exp(C1) * gnorm * exp_p
     cert.add("f_upper_C6", float(np.max(state.f_tilde)), C6)
@@ -269,8 +266,9 @@ def kernel_identity(problem, state, seed=0, cert=None):
         np.abs(vz_up * dzPhi - df * Phi) ** 2 / Phi * rho))
     vzz = s.dz2(dv) - s.dz(np.log(rho)) * dzv
     T3 = (8.0 / VOL) * float(np.mean(np.abs(vzz) ** 2 / rho))
-    xi0 = problem.fields.b_xi() - 0.5 * s.laplacian(problem.F_xi)
-    eta0 = problem.fields.b_eta() - 0.5 * s.laplacian(problem.F_eta)
+    divisor = problem.fields.divisor
+    xi0 = divisor.sum_one_minus_beta - 0.5 * s.laplacian(problem.F_xi)
+    eta0 = -divisor.sum_alpha - 0.5 * s.laplacian(problem.F_eta)
     T4 = 4.0 * float(np.mean((xi0 - 2.0 * a * Phi * eta0)
                              * np.abs(dzv) ** 2 / rho))
     rhs = T1 + T2 + T3 + T4

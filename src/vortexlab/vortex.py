@@ -79,7 +79,6 @@ class VortexProblem:
     F: np.ndarray | None = None
     t: float = 1.0
     N: int = 0
-    base_f0: np.ndarray | None = None
 
     @property
     def existence_ok(self):
@@ -115,16 +114,16 @@ def make_vortex_problem(surface, weight_raw, tau, N, b=0.0, F=None, t=1.0,
     )
     phi0_sq = weight_raw * np.exp(2.0 * f0)
     return VortexProblem(surface=surface, phi0_sq=phi0_sq, tau=tau, b=b, F=F,
-                         t=t, N=N, base_f0=f0)
+                         t=t, N=N)
 
 
-def vortex_residual(problem, f, t=None):
+def vortex_residual(problem, f):
     """lap f + (1/2) Phi0 (e^{2f} - 1) + (1/2) lap(t F)."""
     s = problem.surface
     return (
         s.laplacian(f)
         + 0.5 * problem.phi0_sq * (np.exp(2.0 * f) - 1.0)
-        + problem.twist_term(t)
+        + problem.twist_term()
     )
 
 

@@ -23,7 +23,8 @@ from vortexlab.bogomolnyi import (
 from vortexlab.cli import main
 from vortexlab.coupled import continue_alpha, decoupled_state, make_problem, residual
 from vortexlab.fields import DivisorData, build_divisor_fields
-from vortexlab.greens import green_field, torus_green_eval, torus_green_theta_eval
+from vortexlab.greens import (green_field, sphere_green_eval, torus_green_eval,
+                              torus_green_theta_eval)
 from vortexlab.singular import (
     conical_fit,
     mask_away_from_points,
@@ -231,13 +232,14 @@ def test_criterion_7_infrastructure(torus256, sphere127, tmp_path):
         t = torus_green_theta_eval(P_ZERO, xs, ys)
         assert np.max(np.abs(e - t)) < 1e-8
         p = (0.523, 1.234)
-        gs, ev = green_field(sphere127, p)
+        gs = green_field(sphere127, p)
         assert abs(sphere127.integrate(gs)) < 1e-12
         d = sphere127.distance_field(p)
         flat = np.argsort(d.ravel())[5000:5002]
         # equal-distance pairs agree through the distance-only closed form
         cosang = np.cos(d.ravel()[flat] / sphere127.r)
-        assert abs(float(ev(cosang[0])) - float(ev(cosang[1]))) \
+        assert abs(float(sphere_green_eval(cosang[0]))
+                   - float(sphere_green_eval(cosang[1]))) \
             <= 1e-12 + abs(cosang[0] - cosang[1]) * 10.0
         # Laplacian eigenvalues to 1e-12 relative via Rayleigh quotients
         # (pointwise fields bottom out at the FFT floor eps * lambda_max,

@@ -144,7 +144,7 @@ def test_na_spec_arithmetic(sphere31):
 
 
 def test_eb_problem_locks_phase(sphere31, eb31):
-    assert abs(eb31.params.c_tilde) < 1e-12
+    assert abs(eb31.params.c_tilde(eb31.alpha)) < 1e-12
     assert eb31.tau == pytest.approx(2.0 / (2 * 0.08 * 2.5))
     with pytest.raises(ConfigError):
         make_eb_problem(sphere31, EB_DIVISOR, alpha=0.08, tau=5.0)
@@ -222,11 +222,12 @@ def test_delta_ladder_and_assembly(eb31):
     f, g_density, h_factor, w, report = delta_ladder_and_assemble(
         eb31, deltas=[0.4, 0.2], tol=1e-9)
     assert len(report["d_sup"]) == 1
-    assert np.all(np.isfinite(g_density.values))
-    assert np.all(np.isfinite(h_factor.values))
+    assert np.all(np.isfinite(g_density))
+    assert np.all(np.isfinite(h_factor))
     assert report["lam"] > report["lam_min"]
-    # h-factor carries the parabolic exponents symbolically
-    assert [e for _, e, _ in h_factor.factors] == [0.5]
+    # h-factor carries the parabolic exponent: e^{2f} |t|^{2 * 0.5}
+    assert np.array_equal(h_factor,
+                          np.exp(2.0 * f + 0.5 * eb31.fields.log_t_sq[0]))
     # ladder start ordering: f_1 decreases pointwise as delta decreases
     res = assembled_residual(eb31, f, 0.2, report["lam"])
     assert res["sup_masked"] < 1e-3  # spectral floor of the small test grid

@@ -37,7 +37,7 @@ def test_residual_mean_identity(gv_problem64, torus64):
     u, _ = torus64.random_bandlimited(rng, kmax=4, amp=0.05)
     alpha = 0.03
     _, S2 = residual(gv_problem64, alpha, f, u)
-    c = gv_problem64.c_tilde(alpha)
+    c = gv_problem64.params.c_tilde(alpha)
     Phi = gv_problem64.weight_t * np.exp(2 * f)
     mass = torus64.integrate(gv_problem64.W * np.exp(
         4 * alpha * 4.0 * f - 2 * alpha * Phi - 2 * c * u))

@@ -13,7 +13,7 @@ from vortexlab.fields import (
     log_section_field,
     smoothed_log,
 )
-from vortexlab.greens import torus_green_eval
+from vortexlab.greens import torus_green_eval, torus_green_theta_eval
 from vortexlab.surface import VOL, build_surface
 
 from conftest import P_CONE, P_PARA, P_ZERO
@@ -36,16 +36,13 @@ def test_divisor_validation():
 
 
 def test_log_section_normalization_and_oracle(torus64):
-    vals, ev = log_section_field(torus64, [(P_ZERO, 1.0)])
+    vals = log_section_field(torus64, [(P_ZERO, 1.0)])
     assert abs(np.max(vals)) < 1e-12
     # independent closed-form route at the farthest grid node
     ix, iy = torus64.farthest_grid_index(P_ZERO)
     x, y = torus64.X[ix, iy], torus64.Y[ix, iy]
     alt = -4.0 * np.pi * torus_green_eval(P_ZERO, np.array([x]),
                                           np.array([y]))[0]
-    alt_shift = alt + (vals[ix, iy] - alt)  # same additive normalization
-    direct = ev(np.array([x]), np.array([y]))[0]
-    assert abs(direct - vals[ix, iy]) < 1e-12
     # shape agreement of the two analytic routes at another node
     jx, jy = (ix + 7) % torus64.n, (iy + 3) % torus64.n
     alt2 = -4.0 * np.pi * torus_green_eval(
@@ -54,17 +51,19 @@ def test_log_section_normalization_and_oracle(torus64):
 
 
 def test_log_section_local_order(torus64):
-    _, ev = log_section_field(torus64, [(P_ZERO, 1.0)])
+    # the closed form of log|s|^2 up to its additive constant, which
+    # drops out of the spread asserted here
     h = torus64.h
     ds = np.array([2 * h, 4 * h, 8 * h])
-    vals = ev(P_ZERO[0] + ds, np.full(3, P_ZERO[1]))
+    vals = -4.0 * np.pi * torus_green_theta_eval(P_ZERO, P_ZERO[0] + ds,
+                                                 np.full(3, P_ZERO[1]))
     assert np.ptp(vals - 2.0 * np.log(ds)) < 0.05
 
 
 def test_log_section_mass(torus64):
     # lap(log|s|^2) integrated off a small disk recovers 4 pi W (1 - fraction)
     w = 1.0
-    vals, _ = log_section_field(torus64, [(P_ZERO, w)])
+    vals = log_section_field(torus64, [(P_ZERO, w)])
     lap = torus64.laplacian(vals)
     d = torus64.distance_field(P_ZERO)
     r0 = 10 * torus64.h
@@ -78,13 +77,11 @@ def test_log_section_errors(torus64):
     with pytest.raises(ConfigError):
         log_section_field(torus64, [(P_ZERO, 1.0), (P_ZERO, 2.0)])
     with pytest.raises(ConfigError):
-        log_section_field(torus64, [(P_ZERO, 1.0)], total_weight=2.0)
-    with pytest.raises(ConfigError):
         log_section_field(torus64, [((0.25, 0.5), 1.0)])  # on a grid node
 
 
 def test_smoothed_weight(torus64, gv_divisor):
-    ls, _ = log_section_field(torus64, [(P_ZERO, 1.0)])
+    ls = log_section_field(torus64, [(P_ZERO, 1.0)])
     # no cone points: W = e^{-F_xi} = 1
     flds = build_divisor_fields(torus64, DivisorData(zeros=((P_ZERO, 1),)))
     w0 = make_problem(torus64, flds.divisor, tau=3.0, eps=0.5, fields=flds).W
@@ -137,10 +134,6 @@ def test_higgs_squared(torus64):
     zero = np.zeros(torus64.shape)
     Phi = residual(problem, 0.0, zero, zero).lin.Phi
     assert np.max(Phi) <= 1.0 + 1e-12  # sup-normalized section
-    # vanishing at the marked point through the closed-form evaluator
-    flds = problem.fields
-    at_p = flds.log_phi_sq_eval(np.array([P_ZERO[0]]), np.array([P_ZERO[1]]))[0]
-    assert np.exp(at_p) == 0.0
 
 
 @settings(deadline=None, max_examples=15)
@@ -165,23 +158,22 @@ def test_derive_params_examples(torus64, sphere31):
     assert p.chi_tilde == -0.5
     assert p.N_tilde == 1.0
     assert abs(p.alpha_star - 0.0625) < 1e-15
-    p2 = p.with_alpha(0.0625)
-    assert abs(p2.c_tilde - (-1.0)) < 1e-15
-    assert abs(p2.c_tilde + 0.0625 * 16.0) < 1e-15  # equality at alpha_star
+    assert abs(p.c_tilde(0.0625) - (-1.0)) < 1e-15
+    assert abs(p.c_tilde(0.0625) + 0.0625 * 16.0) < 1e-15  # equality at alpha_star
     # sphere, N=2, alpha=0.1: the phase-locked tau is 5 and c~ = 0
     dd2 = DivisorData(zeros=(((0.7, 1.1), 1), ((-0.5, 4.0), 1)))
     tau_B = 2.0 / (2.0 * 0.1 * 2.0)
     assert tau_B == 5.0
-    p3 = derive_params(dd2, sphere31, tau=tau_B, alpha=0.1)
-    assert abs(p3.c_tilde) < 1e-15
+    p3 = derive_params(dd2, sphere31, tau=tau_B)
+    assert abs(p3.c_tilde(0.1)) < 1e-15
 
 
 def test_derive_params_flags_and_purity(torus64):
     dd = DivisorData(zeros=((P_ZERO, 2),))
-    p = derive_params(dd, torus64, tau=3.0)  # tau < 2N
-    assert not p.existence_ok
-    a = derive_params(dd, torus64, tau=5.0, alpha=0.01)
-    b = derive_params(dd, torus64, tau=5.0, alpha=0.01)
+    p = derive_params(dd, torus64, tau=3.0)  # tau < 2N: no certified range
+    assert np.isnan(p.alpha_star)
+    a = derive_params(dd, torus64, tau=5.0)
+    b = derive_params(dd, torus64, tau=5.0)
     assert a == b  # bit-identical pure function
 
 
@@ -193,14 +185,12 @@ def test_ctilde_sign_on_certified_range(beta, n, frac):
                      cone=(((0.71003, 0.11517), beta),))
     tau = 2.0 * n + 1.7
     p = derive_params(dd, s, tau=tau)
-    assert p.existence_ok
+    assert np.isfinite(p.alpha_star)
     alpha = frac * p.alpha_star
-    q = p.with_alpha(alpha)
     # c~ + alpha tau^2 <= 0 with equality exactly at alpha_star
-    val = q.c_tilde + alpha * tau**2
+    val = p.c_tilde(alpha) + alpha * tau**2
     assert val <= 1e-12
-    at_star = p.with_alpha(p.alpha_star)
-    assert abs(at_star.c_tilde + p.alpha_star * tau**2) < 1e-12
+    assert abs(p.c_tilde(p.alpha_star) + p.alpha_star * tau**2) < 1e-12
 
 
 def test_divisor_fields_weights(torus64, gv_divisor):
@@ -212,5 +202,5 @@ def test_divisor_fields_weights(torus64, gv_divisor):
     (_, beta), = gv_divisor.cone
     prod = (np.exp(flds.log_s_sq[0]) + eps) ** (beta - 1.0)
     assert np.max(np.abs(W - prod)) < 1e-12 * np.max(W)
-    assert abs(flds.b_xi() - 0.5) < 1e-15
-    assert flds.b_eta() == 0.0
+    assert abs(gv_divisor.sum_one_minus_beta - 0.5) < 1e-15
+    assert gv_divisor.sum_alpha == 0.0

@@ -51,12 +51,14 @@ def test_torus_raw_mode_sum_consistency():
 
 
 def test_zero_mean_and_symmetry(torus64):
-    g, ev = green_field(torus64, P)
+    g = green_field(torus64, P)
     assert abs(torus64.integrate(g)) < 1e-12
     # evenness of the kernel = symmetry of G
     for d in [(0.1234, 0.0567), (0.4, 0.21)]:
-        a = ev(np.array([P[0] + d[0]]), np.array([P[1] + d[1]]))[0]
-        b = ev(np.array([P[0] - d[0]]), np.array([P[1] - d[1]]))[0]
+        a = torus_green_theta_eval(P, np.array([P[0] + d[0]]),
+                                   np.array([P[1] + d[1]]))[0]
+        b = torus_green_theta_eval(P, np.array([P[0] - d[0]]),
+                                   np.array([P[1] - d[1]]))[0]
         assert abs(a - b) < 1e-10
 
 
@@ -64,7 +66,7 @@ def test_zero_mean_and_symmetry(torus64):
 def test_green_field_matches_ewald(torus64, p):
     # the runtime theta kernel against the de-meaned Ewald oracle; the corner
     # point makes most displacements wrap
-    g, _ = green_field(torus64, p)
+    g = green_field(torus64, p)
     e = torus_green_eval(p, torus64.X, torus64.Y)
     e = e - torus64.integrate(e) / VOL
     assert np.max(np.abs(g - e)) < 1e-13
@@ -74,7 +76,7 @@ def test_green_field_matches_ewald(torus64, p):
 def test_green_field_is_the_pointwise_kernel(torus64, p):
     # the separable grid route (axes (n, 1) and (1, n)) against the pointwise
     # evaluator on the full coordinate arrays, de-meaned alike
-    g, _ = green_field(torus64, p)
+    g = green_field(torus64, p)
     t = torus_green_theta_eval(p, torus64.X, torus64.Y)
     t = t - torus64.integrate(t) / VOL
     assert np.max(np.abs(g - t)) <= 1e-15
@@ -85,7 +87,7 @@ def test_green_field_matches_ewald_256(p):
     # sampled rows of the 256^2 field against the de-meaned Ewald oracle; the
     # shift needs the oracle's grid mean, so it is evaluated on the whole grid
     torus = build_surface("torus", 256)
-    g, _ = green_field(torus, p)
+    g = green_field(torus, p)
     e = torus_green_eval(p, torus.X, torus.Y)
     e = e - torus.integrate(e) / VOL
     rows = [0, 1, 97, 128, 255]
@@ -103,7 +105,7 @@ def test_green_field_bytes_independent_of_blas_threads():
     code = ("import hashlib; from vortexlab.greens import green_field; "
             "from vortexlab.surface import build_surface; "
             "t = build_surface('torus', 256); "
-            f"print([hashlib.sha256(green_field(t, p)[0].tobytes()).hexdigest() "
+            f"print([hashlib.sha256(green_field(t, p).tobytes()).hexdigest() "
             f"for p in {[P, CORNER]}])")
     digests = []
     for threads in ("1", "2"):
@@ -116,10 +118,9 @@ def test_green_field_bytes_independent_of_blas_threads():
 
 
 def test_log_singularity_coefficient(torus64):
-    _, ev = green_field(torus64, P)
     vals = []
     for d in [1e-3, 1e-5, 1e-7]:
-        v = ev(np.array([P[0] + d]), np.array([P[1]]))[0]
+        v = torus_green_theta_eval(P, np.array([P[0] + d]), np.array([P[1]]))[0]
         vals.append(v + np.log(d) / (2 * np.pi))
     assert np.ptp(vals) < 1e-3
     assert np.all(np.abs(vals) < 10.0)
@@ -142,19 +143,21 @@ def _representation_gap_torus(surface, p, f, modes):
 def test_sphere_green_contract(sphere31):
     s = sphere31
     p = (0.523, 1.234)
-    g, ev = green_field(s, p)
+    g = green_field(s, p)
     assert abs(s.integrate(g)) < 1e-12
     # rotational invariance: equal distances, equal values
     th = 0.9
-    assert abs(float(ev(np.cos(th))) - float(ev(np.cos(th)))) == 0.0
+    assert abs(float(sphere_green_eval(np.cos(th)))
+               - float(sphere_green_eval(np.cos(th)))) == 0.0
     q1 = (p[0] + 0.3, p[1])
     q2 = (p[0], p[1] + 0.3 / np.cos(p[0]))  # roughly same geodesic distance
     d1 = s.distance_points(p, q1)
     # symmetric evaluation through the closed form is exact by construction
-    assert abs(float(ev(np.cos(d1 / s.r))) - float(ev(np.cos(d1 / s.r)))) < 1e-15
+    assert abs(float(sphere_green_eval(np.cos(d1 / s.r)))
+               - float(sphere_green_eval(np.cos(d1 / s.r)))) < 1e-15
     # log coefficient
     for ang in [1e-3, 1e-5]:
-        v = float(ev(np.cos(ang)))
+        v = float(sphere_green_eval(np.cos(ang)))
         assert abs(v + np.log(ang * s.r) / (2 * np.pi)) < 1.0
 
 

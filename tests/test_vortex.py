@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,8 @@ def vortex_setup(torus64):
 
 def test_base_is_exact_t0_solution(vortex_setup, torus64):
     prob, _ = vortex_setup
-    r0 = vortex_residual(prob, np.zeros(torus64.shape), t=0.0)
+    r0 = vortex_residual(dataclasses.replace(prob, t=0.0),
+                         np.zeros(torus64.shape))
     assert np.max(np.abs(r0)) < 1e-30
 
 
@@ -96,9 +99,11 @@ def test_existence_refusal(torus64):
 
 
 def test_constant_section_solution(torus64):
-    # N=0 with constant section: the base solve is f0 = log(tau)/2
+    # N=0 with constant section: the base solve is f0 = log(tau)/2, and
+    # Phi0 = e^{2 f0} for the unit weight
     prob = make_vortex_problem(torus64, np.ones(torus64.shape), tau=5.0, N=0)
-    assert np.max(np.abs(prob.base_f0 - 0.5 * np.log(5.0))) < 1e-9
+    f0 = 0.5 * np.log(prob.phi0_sq)
+    assert np.max(np.abs(f0 - 0.5 * np.log(5.0))) < 1e-9
 
 
 def test_mean_free_twist_required(torus64):
