@@ -402,7 +402,7 @@ def monotone_iterate(problem, w, lam, delta, tol=1e-10, residual_target=None,
 # --- delta ladder and assembly -------------------------------------------------
 
 
-def delta_ladder_and_assemble(problem, deltas=None, tol=1e-10, margin=0.5,
+def delta_ladder_and_assemble(problem, deltas, tol=1e-10, margin=0.5,
                               log=None):
     """Run the regularization ladder and assemble the singular pair.
 
@@ -418,8 +418,6 @@ def delta_ladder_and_assemble(problem, deltas=None, tol=1e-10, margin=0.5,
         raise AssumptionNotSatisfied(
             "admissibility inequalities fail; refusing the phase solve", na
         )
-    if deltas is None:
-        deltas = [0.1 * 0.5**k for k in range(7)]
     deltas = list(deltas)
     if deltas[-1] <= 0 or any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
         raise ConfigError("regularization rungs must be positive and "

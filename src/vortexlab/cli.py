@@ -50,7 +50,7 @@ _DIVISOR = {"zeros": [{"point": "point!", "n": "integer!"}],
             "parabolic": [{"point": "point!", "alpha_k": "number!"}]}
 _COMMON = {"backend": "any!", "resolution": "integer!", "divisor": _DIVISOR,
            "seed": "count", "label": "any",
-           "tolerances": {"residual": "tolerance", "multistart": "number",
+           "tolerances": {"residual": "tolerance", "multistart": "count",
                           "assembled_residual": "tolerance"}}
 _PATH = ("nonnegative", {"target": ("nonnegative", "alpha_star"),
                          "steps": "positive"})
@@ -192,11 +192,11 @@ def synthesize_twist(surface, twist_cfg):
     if surface.backend == "torus":
         if any(k[:2] == (0, 0) for k in norm):
             raise ConfigError("twist mode (0,0) is not mean-free")
-        return b, surface.eval_modes(norm, surface.X, surface.Y)
+        return b, surface.eval_modes(norm)
     if not all(0 < l <= surface.L and 0 <= m <= l for l, m, _, _ in norm):
         raise ConfigError(f"sphere twist modes (l, m) need 0 <= m <= l and "
                           f"0 < l <= {surface.L} (l = 0 is not mean-free)")
-    return b, surface.eval_modes_grid(norm)
+    return b, surface.eval_modes(norm)
 
 
 def run_sequence(cfg):

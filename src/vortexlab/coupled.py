@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceFailure
 from .fields import build_divisor_fields, derive_params
-from .solvers import (damped_step, grid_jacobian, merit, newton,
+from .solvers import (damped_step, merit, newton,
                       solve_block_newton_step, sup_norm, walk)
 from .vortex import solve_twisted_ke, solve_vortex_on_metric
 
@@ -144,11 +144,6 @@ class Linearization:
     Phi: np.ndarray
     rho: np.ndarray
     E: np.ndarray
-
-    def apply(self, df, du):
-        """Directional derivative of (S1, S2) in direction (df, du): the
-        Laplacians plus the ``pointwise`` part that GMRES runs."""
-        return grid_jacobian(self.problem.surface, self.pointwise, df, du)
 
     def pointwise(self, df, du, lap_du, work):
         """K (df, du) given lap du, where J = diag(lap, lap) + K: the part

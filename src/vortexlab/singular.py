@@ -28,7 +28,7 @@ from .fields import build_divisor_fields, smoothed_log
 from .verify import holder_quotient
 
 __all__ = ["FitRecord", "LadderReport", "run_ladder", "mask_away_from_points",
-           "conical_fit", "parabolic_fit", "regular_point_slope"]
+           "conical_fit", "parabolic_fit"]
 
 
 @dataclass
@@ -180,18 +180,6 @@ def parabolic_fit(surface, state, divisor_fields, k, eps):
                      r_in=r_in, r_out=r_out, npoints=n, resolved=ok,
                      oscillation=np.nan,
                      note=f"coincident_zero_n={n_coincident}")
-
-
-def regular_point_slope(surface, state, point):
-    """Radial log-log slope of the metric density on the annulus 4h..16h
-    around a smooth point (control: should vanish)."""
-    r_in, r_out = 4.0 * surface.h, 16.0 * surface.h
-    rho = 1.0 - surface.laplacian(state.u)
-    y = np.log(np.maximum(rho, 1e-300))
-    d = surface.distance_field(point)
-    coord = np.log(np.maximum(d, 1e-300))
-    slope, n, ok = _slope_fit(surface, y, coord, point, r_in, r_out)
-    return slope if ok else np.nan
 
 
 def run_ladder(surface, divisor, tau, alpha, eps_list, n_steps=16,

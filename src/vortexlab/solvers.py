@@ -16,7 +16,8 @@ multiplies, and only the pointwise part of the Jacobian goes through the
 grid, at three inverse and two forward transforms per iteration.  GMRES
 runs to the relative tolerance the caller passes: the coupled Newton step
 passes a forcing term that follows its residual, so the Krylov solve is
-only as tight as the step can use.
+only as tight as the step can use.  The tests check the step against
+lap + K composed on the grid (``grid_jacobian`` in ``tests/oracles.py``).
 
 The Krylov loops allocate no field per iteration: CG keeps its vectors
 for the solve, and the GMRES matvec runs in buffers made once per block
@@ -33,7 +34,7 @@ import numpy as np
 from .errors import ConvergenceFailure, PathStalled
 
 __all__ = ["solve_helmholtz", "solve_block_newton_step", "merit", "sup_norm",
-           "damped_step", "newton", "walk", "block_symbol", "grid_jacobian"]
+           "damped_step", "newton", "walk", "block_symbol"]
 
 # CG's relative tolerance and the absolute floor of the CG and GMRES stops
 _KRYLOV_TOL = 1e-13
@@ -304,15 +305,6 @@ def block_symbol(m, lam):
     m1, m2, m3, m4 = m
     det = (lam + m1) * (lam + m4) - m2 * lam * m3
     return (lam + m4) / det, -m2 * lam / det, -m3 / det, (lam + m1) / det
-
-
-def grid_jacobian(surface, pointwise, df, du):
-    """J (df, du) = (lap df, lap du) + K (df, du) on the grid, where
-    ``pointwise`` is that of ``solve_block_newton_step``; df and du are
-    left as they are."""
-    lap_df, lap_du = surface.laplacian(df), surface.laplacian(du)
-    k1, k2 = pointwise(df.copy(), du.copy(), lap_du.copy(), np.empty_like(df))
-    return lap_df + k1, lap_du + k2
 
 
 def _gmres_left(matvec, prevec, b, rtol, atol, restart, max_krylov):

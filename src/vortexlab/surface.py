@@ -58,7 +58,6 @@ __all__ = [
     "Sphere",
     "build_surface",
     "check_field",
-    "gradient_pairing",
 ]
 
 
@@ -184,10 +183,6 @@ class Torus:
         dy = a[1] - b[1] - round(a[1] - b[1])
         return float(np.hypot(dx, dy))
 
-    def farthest_grid_index(self, p):
-        d = self.distance_field(p)
-        return np.unravel_index(np.argmax(d), self.shape)
-
     def point_off_grid(self, p):
         # offsets measured in cell units, of coordinates wrapped into [0, 1);
         # a node hit needs both near 0 (within 1e-6). A coordinate whose
@@ -210,16 +205,14 @@ class Torus:
                 if k != (0, 0):
                     break
             modes.append((k[0], k[1], float(rng.normal(0, amp)), float(rng.normal(0, amp))))
-        return self.eval_modes(modes, self.X, self.Y), modes
+        return self.eval_modes(modes), modes
 
-    def eval_modes(self, modes, X, Y, laplacian=False):
-        out = np.zeros_like(np.asarray(X, dtype=np.float64))
+    def eval_modes(self, modes):
+        """The grid values of a mode list of ``random_bandlimited``."""
+        out = np.zeros_like(self.X)
         for kx, ky, a, b in modes:
-            phase = 2.0 * np.pi * (kx * X + ky * Y)
-            term = a * np.cos(phase) + b * np.sin(phase)
-            if laplacian:
-                term = term * (2.0 * np.pi * (kx**2 + ky**2))
-            out += term
+            phase = 2.0 * np.pi * (kx * self.X + ky * self.Y)
+            out += a * np.cos(phase) + b * np.sin(phase)
         return out
 
 
@@ -416,32 +409,17 @@ class Sphere:
             l = int(rng.integers(1, kmax + 1))
             m = int(rng.integers(0, l + 1))
             modes.append((l, m, float(rng.normal(0, amp)), float(rng.normal(0, amp))))
-        return self.eval_modes_grid(modes), modes
+        return self.eval_modes(modes), modes
 
-    def eval_modes_grid(self, modes):
+    def eval_modes(self, modes):
+        """The grid values of a mode list of ``random_bandlimited``."""
         coeffs = np.zeros((self.L + 1, self.L + 1), dtype=np.complex128)
         for l, m, a, b in modes:
-            # a*Re(Ylm)+b*Im(Ylm) has coefficient (a - i b)/ (1 if m==0 else 2) * 2 ...
             if m == 0:
                 coeffs[l, 0] += a + 0j
             else:
                 coeffs[l, m] += 0.5 * (a - 1j * b)
         return self.synthesize(coeffs)
-
-    def eval_modes_points(self, modes, theta, phi, laplacian=False):
-        theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
-        phi = np.atleast_1d(np.asarray(phi, dtype=np.float64))
-        mu = np.cos(theta)
-        out = np.zeros_like(mu)
-        for l, m, a, b in modes:
-            scale = 2.0 * l * (l + 1.0) if laplacian else 1.0
-            plm = _legendre_point(l, m, mu)
-            y = plm * np.exp(1j * m * phi) / np.sqrt(2.0 * np.pi)
-            if m == 0:
-                out += scale * a * y.real
-            else:
-                out += scale * (a * y.real + b * y.imag)
-        return out
 
 
 def _shifted_inverse(surface, c, rhs, coeffs, eig, out=None, shifted=None):
@@ -539,7 +517,7 @@ def _folded_legendre(L, mu, w, nfreq):
 
 def _legendre_diagonals(L, mu):
     """Yield (k, D) for k = 0..L, D[m, i] = P_{m+k}^m(mu_i) for m = 0..L-k,
-    in the normalization of ``_legendre_table``.
+    each normalized to unit L2 norm on [-1, 1].
 
     The recurrence runs in extended precision: float64 accumulation leaves
     ~1e-14 cross-talk in the quadrature Gram matrix, which the top Laplacian
@@ -563,35 +541,6 @@ def _legendre_diagonals(L, mu):
                     / (4 * (l - 1) ** 2 - 1))[:, None]
         prev, cur = cur, a * (mu * cur[: L + 1 - k] - b * prev[: L + 1 - k])
     yield L, cur
-
-
-def _legendre_table(L, mu):
-    """Normalized associated Legendre tensor P[m, i, l] with unit L2 norm on
-    [-1, 1]; zero entries for l < m."""
-    P = np.zeros((L + 1, len(mu), L + 1))
-    for k, row in _legendre_diagonals(L, mu):
-        m = np.arange(L + 1 - k)
-        P[m, :, m + k] = row
-    return P
-
-
-def _legendre_point(l, m, mu):
-    """Normalized P_l^m at arbitrary mu (vectorized)."""
-    mu = np.asarray(mu, dtype=np.float64)
-    s = np.sqrt(np.clip(1.0 - mu**2, 0.0, None))
-    pmm = np.full_like(mu, 1.0 / np.sqrt(2.0))
-    for k in range(m):
-        pmm = pmm * (-np.sqrt((2.0 * k + 3.0) / (2.0 * k + 2.0))) * s
-    if l == m:
-        return pmm
-    pm1 = np.sqrt(2.0 * m + 3.0) * mu * pmm
-    if l == m + 1:
-        return pm1
-    for ll in range(m + 2, l + 1):
-        a = np.sqrt((4.0 * ll * ll - 1.0) / (ll * ll - m * m))
-        b = np.sqrt(((ll - 1.0) ** 2 - m * m) / (4.0 * (ll - 1.0) ** 2 - 1.0))
-        pmm, pm1 = pm1, a * (mu * pm1 - b * pmm)
-    return pm1
 
 
 def build_surface(backend, resolution):
@@ -621,15 +570,3 @@ def build_bytes(backend, resolution):
     nlon = 3 * (n + 1) + (3 * (n + 1)) % 2
     nb, rows, nn = n // 2 + 1, n + 2, (nlat + 1) // 2
     return 8 * (2 * nb * rows * nn + 3 * nlat * nlon) + 120 * rows * rows
-
-
-def gradient_pairing(surface, f, g):
-    """Dirichlet pairing <f, lap g> under quadrature.
-
-    Equals 2 * integral of |grad^{1,0} f|^2 when f == g (under the
-    positive-spectrum sign convention), and the polarized bilinear form
-    otherwise.
-    """
-    lf = surface.laplacian(f)
-    lg = surface.laplacian(g)
-    return 0.5 * (surface.integrate(f * lg) + surface.integrate(g * lf))

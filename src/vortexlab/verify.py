@@ -1,5 +1,5 @@
 """Post-hoc certification of computed states against the a-priori estimate
-chain, plus linearization diagnostics.
+chain, plus the kernel identity of the coupled linearization.
 
 Every check is a pure function of (state, seed): named inequality checks
 carry their computed left/right sides and slack; every constant of the
@@ -7,6 +7,8 @@ estimate chain (C1, C2, C3, C6, C7) is computed from the actual kernel and
 quadratures, never assumed.  The C2 Hoelder constant is the sampled discrete
 quotient and the checks that use it are labelled empirical-constant.
 Inequality tolerances default to -1e-6 slack for quadrature error.
+The finite-difference check of the Jacobian that GMRES runs is a test
+instrument and lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coupled import residual
 from .greens import green_field
 from .surface import VOL
 from .vortex import solve_vortex, vortex_residual
@@ -29,7 +30,6 @@ __all__ = [
     "certify_integral_estimates",
     "certify_logy_bounds",
     "kernel_identity",
-    "fd_jacobian_gap",
     "certify_state",
 ]
 
@@ -278,25 +278,6 @@ def kernel_identity(problem, state, seed=0, cert=None):
                   f"T3={T3:.3e} T4={T4:.3e}")
     cert.constants["kernel_identity_gap"] = gap
     return cert
-
-
-def fd_jacobian_gap(problem, alpha, f, u, seed=0):
-    """Relative gap between the Residual's linearization (``lin.apply``,
-    whose pointwise part GMRES runs) and central finite differences."""
-    s, step = problem.surface, 1e-6
-    rng = np.random.default_rng(seed)
-    df, _ = s.random_bandlimited(rng, kmax=4, nmodes=5, amp=1.0)
-    du, _ = s.random_bandlimited(rng, kmax=4, nmodes=5, amp=1.0)
-    df /= max(1e-30, float(np.max(np.abs(df))))
-    du /= max(1e-30, float(np.max(np.abs(du))))
-    J1, J2 = residual(problem, alpha, f, u).lin.apply(df, du)
-    P1, P2 = residual(problem, alpha, f + step * df, u + step * du)
-    M1, M2 = residual(problem, alpha, f - step * df, u - step * du)
-    fd1 = (P1 - M1) / (2.0 * step)
-    fd2 = (P2 - M2) / (2.0 * step)
-    scale = max(float(np.max(np.abs(J1))), float(np.max(np.abs(J2))), 1e-30)
-    gap = max(float(np.max(np.abs(fd1 - J1))), float(np.max(np.abs(fd2 - J2))))
-    return gap / scale
 
 
 def certify_state(problem, state, seed=0):

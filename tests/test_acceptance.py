@@ -23,13 +23,12 @@ from vortexlab.bogomolnyi import (
 from vortexlab.cli import main
 from vortexlab.coupled import continue_alpha, decoupled_state, make_problem, residual
 from vortexlab.fields import DivisorData, build_divisor_fields
-from vortexlab.greens import (green_field, sphere_green_eval, torus_green_eval,
+from vortexlab.greens import (green_field, sphere_green_eval,
                               torus_green_theta_eval)
 from vortexlab.singular import (
     conical_fit,
     mask_away_from_points,
     parabolic_fit,
-    regular_point_slope,
     run_ladder,
 )
 from vortexlab.surface import VOL, build_surface
@@ -37,12 +36,12 @@ from vortexlab.verify import (
     Certificate,
     certify_integral_estimates,
     certify_logy_bounds,
-    fd_jacobian_gap,
     kernel_identity,
 )
 from vortexlab.vortex import make_vortex_problem, solve_vortex, vortex_residual
 
 from conftest import P_CONE, P_PARA, P_ZERO, S_PARA, S_ZERO1, S_ZERO2
+from oracles import fd_jacobian_gap, regular_point_slope, torus_green_eval
 
 
 @contextlib.contextmanager
@@ -252,7 +251,7 @@ def test_criterion_7_infrastructure(torus256, sphere127, tmp_path):
             assert abs(rayleigh - lam) < 1e-12 * lam
             assert np.max(np.abs(torus256.laplacian(f) - lam * f)) < 4e-10
         for l, m in [(1, 0), (2, 1), (4, 2), (10, 7)]:
-            f = sphere127.eval_modes_grid([(l, m, 0.8, -0.3)])
+            f = sphere127.eval_modes([(l, m, 0.8, -0.3)])
             lam = 2.0 * l * (l + 1)
             rayleigh = sphere127.integrate(f * sphere127.laplacian(f)) \
                 / sphere127.integrate(f * f)

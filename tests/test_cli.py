@@ -244,13 +244,17 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["solve-vortex", "--config", cfg, "--out", str(tmp_path / "s"),
                  "--seed", "-1", "--quiet"]) == 2
     assert "'--seed'" in capsys.readouterr().err
-    # values outside a parameter's range, each once a traceback (exit 1) or
-    # a solver failure (exit 3): exit 2
+    # values outside a parameter's range, each once a traceback (exit 1), a
+    # solver failure (exit 3) or a run that went on (exit 0): exit 2
     sphere_twist = dict(VORTEX_CFG, backend="sphere", resolution=15,
                         twist={"modes": [[40, 0, 0.3, 0.0]]})
     out_of_range = [("solve-vortex", dict(VORTEX_CFG, divisor={"zeros": [
                          {"point": [1e308, 0.2], "n": 1}]})),
                     ("solve-vortex", sphere_twist),
+                    ("solve-vortex", dict(VORTEX_CFG,
+                                          tolerances={"multistart": 2.5})),
+                    ("solve-vortex", dict(VORTEX_CFG,
+                                          tolerances={"multistart": -1})),
                     ("solve-tke", dict(TKE_CFG, t=-1.0)),
                     ("solve-tke", dict(TKE_CFG, epsilon=-1.0)),
                     ("solve-eb", dict(EB_CFG, alpha=0.0)),
@@ -536,18 +540,6 @@ def test_truncated_ladder_reverifies(tmp_path, monkeypatch):
     assert [f["eps"] for f in ladder["failures"]] == [0.025]
     assert main(["verify", "--out", out, "--quiet"]) == 0
     assert json.load(open(os.path.join(out, "metadata.json")))["epsilon"] == 0.05
-
-
-def test_runtime_kernel_never_reaches_ewald(tmp_path, monkeypatch):
-    # the divisor fields, the solve and verify sample the theta form only
-    def no_ewald(*args, **kwargs):
-        raise AssertionError("runtime path reached the Ewald oracle")
-
-    monkeypatch.setattr(greens, "_torus_green_ewald", no_ewald)
-    cfg = write_cfg(tmp_path, "gv.json", GV_CFG)
-    out = str(tmp_path / "gv")
-    assert main(["solve-gv", "--config", cfg, "--out", out, "--quiet"]) == 0
-    assert main(["verify", "--out", out, "--quiet"]) == 0
 
 
 def test_cli_import_skips_scipy_special_and_integrate():

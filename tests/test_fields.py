@@ -13,10 +13,11 @@ from vortexlab.fields import (
     log_section_field,
     smoothed_log,
 )
-from vortexlab.greens import torus_green_eval, torus_green_theta_eval
+from vortexlab.greens import torus_green_theta_eval
 from vortexlab.surface import VOL, build_surface
 
 from conftest import P_CONE, P_PARA, P_ZERO
+from oracles import farthest_grid_index, torus_green_eval
 
 
 def test_divisor_validation():
@@ -39,7 +40,7 @@ def test_log_section_normalization_and_oracle(torus64):
     vals = log_section_field(torus64, [(P_ZERO, 1.0)])
     assert abs(np.max(vals)) < 1e-12
     # independent closed-form route at the farthest grid node
-    ix, iy = torus64.farthest_grid_index(P_ZERO)
+    ix, iy = farthest_grid_index(torus64, P_ZERO)
     x, y = torus64.X[ix, iy], torus64.Y[ix, iy]
     alt = -4.0 * np.pi * torus_green_eval(P_ZERO, np.array([x]),
                                           np.array([y]))[0]
@@ -117,7 +118,7 @@ def test_smoothed_weight_limit(torus64):
     # away from the marked point the weight approaches the unsmoothed
     # product pointwise and monotonically for a one-signed exponent
     flds = build_divisor_fields(torus64, DivisorData(cone=((P_ZERO, 0.5),)))
-    ix, iy = torus64.farthest_grid_index(P_ZERO)
+    ix, iy = farthest_grid_index(torus64, P_ZERO)
     exact = np.exp(-0.5 * flds.log_s_sq[0][ix, iy])
     assert np.exp(-flds.F_xi(0.0)[ix, iy]) == exact
     gaps = []

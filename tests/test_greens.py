@@ -6,15 +6,12 @@ import numpy as np
 import pytest
 
 import vortexlab
-from vortexlab.greens import (
-    _torus_green_ewald,
-    green_field,
-    green_pair_modes,
-    sphere_green_eval,
-    torus_green_eval,
-    torus_green_theta_eval,
-)
+from vortexlab.greens import (green_field, sphere_green_eval,
+                              torus_green_theta_eval)
 from vortexlab.surface import VOL, build_surface
+
+from oracles import (_torus_green_ewald, green_pair_modes, sphere_eval_modes,
+                     torus_eval_modes, torus_green_eval)
 
 P = (0.31415926, 0.27182818)
 CORNER = (0.99987, 0.00021)  # most displacements from it wrap
@@ -135,26 +132,23 @@ def test_representation_identity_torus(torus64):
 
 def _representation_gap_torus(surface, p, f, modes):
     pair = green_pair_modes(surface, p, modes, laplacian=True)
-    fP = surface.eval_modes(modes, np.array([p[0]]), np.array([p[1]]))[0]
+    fP = torus_eval_modes(modes, np.array([p[0]]), np.array([p[1]]))[0]
     mean = surface.integrate(f) / VOL
     return abs(fP - mean - pair)
 
 
 def test_sphere_green_contract(sphere31):
     s = sphere31
-    p = (0.523, 1.234)
+    k = 9
+    p = (0.523, s.phi[k])  # on a grid longitude, off every grid latitude
     g = green_field(s, p)
     assert abs(s.integrate(g)) < 1e-12
-    # rotational invariance: equal distances, equal values
-    th = 0.9
-    assert abs(float(sphere_green_eval(np.cos(th)))
-               - float(sphere_green_eval(np.cos(th)))) == 0.0
-    q1 = (p[0] + 0.3, p[1])
-    q2 = (p[0], p[1] + 0.3 / np.cos(p[0]))  # roughly same geodesic distance
-    d1 = s.distance_points(p, q1)
-    # symmetric evaluation through the closed form is exact by construction
-    assert abs(float(sphere_green_eval(np.cos(d1 / s.r)))
-               - float(sphere_green_eval(np.cos(d1 / s.r)))) < 1e-15
+    # rotational invariance: the nodes mirrored about p's meridian lie at
+    # the same distance from p, so the grid field takes the same values there
+    mirror = (2 * k - np.arange(s.nlon)) % s.nlon
+    assert np.max(np.abs(s.distance_field(p) - s.distance_field(p)[:, mirror])) \
+        < 1e-14
+    assert np.max(np.abs(g - g[:, mirror])) < 1e-12
     # log coefficient
     for ang in [1e-3, 1e-5]:
         v = float(sphere_green_eval(np.cos(ang)))
@@ -167,7 +161,7 @@ def test_representation_identity_sphere(sphere31):
     f, modes = s.random_bandlimited(rng, kmax=6)
     p = (0.523, 1.234)
     pair = green_pair_modes(s, p, modes, laplacian=True)
-    fP = s.eval_modes_points(modes, [np.pi / 2 - p[0]], [p[1]])[0]
+    fP = sphere_eval_modes(modes, [np.pi / 2 - p[0]], [p[1]])[0]
     mean = s.integrate(f) / VOL
     assert abs(fP - mean - pair) < 1e-8
 

@@ -113,22 +113,10 @@ def test_every_default_is_passed_by_some_call():
     assert dead == []
 
 
-# functions that only tests call, each an instrument of a named test;
-# ROADMAP open item 7 moves the oracles among them to the tests
-TEST_INSTRUMENTS = {
-    "torus_green_eval": "Ewald oracle of the theta-series torus kernel",
-    "green_pair_modes": "quadrature oracle of the Green representation",
-    "fd_jacobian_gap": "finite-difference check of the coupled Jacobian",
-    "regular_point_slope": "exponent fit at a regular point of the ladder",
-    "gradient_pairing": "Dirichlet pairing of the surface Laplacians",
-    "farthest_grid_index": "probe node of the log-section oracle tests",
-    "_legendre_table": "reference Legendre table of the sphere transform",
-}
-
-
 def test_every_function_is_reached_from_src_or_scripts():
     """A function or method that nothing in src/ or scripts/ names runs
-    only under the tests; outside TEST_INSTRUMENTS it is dead code."""
+    only under the tests: it is dead code, or a test instrument that
+    belongs in tests/oracles.py."""
     names = set()
     for path in [*SRC.glob("*.py"), *(ROOT / "scripts").rglob("*.py")]:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -142,6 +130,26 @@ def test_every_function_is_reached_from_src_or_scripts():
                  if isinstance(node, ast.FunctionDef)
                  and not (node.name.startswith("__")
                           and node.name.endswith("__"))
-                 and node.name not in names
-                 and node.name not in TEST_INSTRUMENTS]
+                 and node.name not in names]
     assert unreached == []
+
+
+def _scipy_imports(path):
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        for module in modules:
+            if module.split(".")[0] == "scipy":
+                yield f"{path.name}:{node.lineno}: {module}"
+
+
+def test_no_module_imports_scipy():
+    """numpy is the package's one dependency: scipy serves the oracles in
+    tests/ only, so no module imports it, inside a function or not."""
+    found = [hit for path in sorted(SRC.glob("*.py"))
+             for hit in _scipy_imports(path)]
+    assert found == []

@@ -12,12 +12,12 @@ from vortexlab.singular import (
     conical_fit,
     mask_away_from_points,
     parabolic_fit,
-    regular_point_slope,
     run_ladder,
 )
 from vortexlab.vortex import solve_vortex_on_metric
 
 from conftest import P_CONE, P_PARA, P_ZERO
+from oracles import regular_point_slope
 
 DD3 = DivisorData(zeros=((P_ZERO, 1),), cone=((P_CONE, 0.5),),
                   parabolic=((P_PARA, 0.5),))

@@ -7,9 +7,10 @@ from numpy.testing import assert_allclose
 
 from vortexlab.errors import ConfigError
 from vortexlab.solvers import block_symbol
-from vortexlab.surface import (BUILD_MAX_BYTES, VOL, _legendre_point,
-                               _legendre_table, build_bytes, build_surface,
-                               gradient_pairing)
+from vortexlab.surface import BUILD_MAX_BYTES, VOL, build_bytes, build_surface
+
+from oracles import (_legendre_point, _legendre_table, gradient_pairing,
+                     sphere_eval_modes, torus_eval_modes)
 
 
 def test_build_validation():
@@ -59,7 +60,7 @@ def test_torus_second_difference_oracle():
 def test_sphere_eigenvalue_exact(sphere31):
     s = sphere31
     for l, m in [(1, 0), (4, 2), (7, 7), (10, 3)]:
-        f = s.eval_modes_grid([(l, m, 0.8, -0.4)])
+        f = s.eval_modes([(l, m, 0.8, -0.4)])
         ev = 2.0 * l * (l + 1)
         assert np.max(np.abs(s.laplacian(f) - ev * f)) < 1e-12 * ev
         # quadrature oracle: <f, lap f> = ev ||f||^2
@@ -110,7 +111,7 @@ def test_solve_shifted(torus64, sphere31):
     f = s.solve_shifted(0.0, rhs)
     assert np.max(np.abs(f - rhs / (2 * np.pi))) < 1e-12
     # the same on the sphere: the l=1 mode has eigenvalue 2*1*2 = 4
-    rhs = sphere31.eval_modes_grid([(1, 1, 0.8, -0.4)])
+    rhs = sphere31.eval_modes([(1, 1, 0.8, -0.4)])
     f = sphere31.solve_shifted(0.0, rhs)
     assert np.max(np.abs(f - rhs / 4.0)) < 1e-12
     for s in (torus64, sphere31):
@@ -163,7 +164,7 @@ def test_sht_roundtrip_and_point_eval(sphere31):
     rng = np.random.default_rng(5)
     f, modes = s.random_bandlimited(rng, kmax=6)
     assert np.max(np.abs(s.synthesize(s.analyze(f)) - f)) < 1e-12
-    v = s.eval_modes_points(modes, [s.theta[4]], [s.phi[9]])[0]
+    v = sphere_eval_modes(modes, [s.theta[4]], [s.phi[9]])[0]
     assert abs(v - f[4, 9]) < 1e-12
 
 
@@ -315,10 +316,12 @@ def test_torus_mode_eval_consistency(torus32):
     s = torus32
     rng = np.random.default_rng(8)
     f, modes = s.random_bandlimited(rng, kmax=5)
-    v = s.eval_modes(modes, s.X[3, 7], s.Y[3, 7])
+    v = torus_eval_modes(modes, s.X[3, 7], s.Y[3, 7])
     assert abs(v - f[3, 7]) < 1e-12
-    lap = s.eval_modes(modes, s.X, s.Y, laplacian=True)
+    lap = torus_eval_modes(modes, s.X, s.Y, laplacian=True)
     assert np.max(np.abs(lap - s.laplacian(f))) < 1e-9
+    # at the nodes the off-grid evaluator runs the grid one's operations
+    assert np.array_equal(torus_eval_modes(modes, s.X, s.Y), f)
 
 
 @pytest.mark.parametrize("n", [32, 64])

@@ -10,12 +10,12 @@ from vortexlab.verify import (
     certify_logy_bounds,
     certify_phi_bound,
     certify_state,
-    fd_jacobian_gap,
     holder_quotient,
     kernel_identity,
 )
 
 from conftest import P_CONE, P_ZERO
+from oracles import fd_jacobian_gap
 
 
 def test_full_certificate_passes(gv_problem64, gv_final):

@@ -146,7 +146,7 @@ def test_sphere_vortex_with_twist(sphere31):
     dd = DivisorData(zeros=(((0.7123, 1.1001), 1),))
     flds = build_divisor_fields(sphere31, dd)
     weight = np.exp(flds.log_phi_sq)
-    F = sphere31.eval_modes_grid([(2, 1, 0.25, 0.0), (1, 0, 0.0, 0.2)])
+    F = sphere31.eval_modes([(2, 1, 0.25, 0.0), (1, 0, 0.0, 0.2)])
     prob = make_vortex_problem(sphere31, weight, tau=5.0, N=1, b=-0.25, F=F)
     f = solve_vortex(prob)
     assert np.max(np.abs(vortex_residual(prob, f))) < 1e-9
