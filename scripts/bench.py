@@ -13,14 +13,16 @@ alpha = 0.0625/16 from the decoupled state, one CG ``solve_helmholtz`` at
 256^2: the first Newton correction of the twist path of
 ``scripts/configs/vortex_torus256.json``,
 and one monotone-iteration step at L = 127: the spectral solve
-``solve_shifted(C_delta, rhs)`` of the first iteration on the first rung of
-``scripts/configs/eb_sphere127.json``. Each LABEL=SRC pair names a
+``solve_shifted(C, rhs)`` of the first iteration on the first rung of
+``scripts/configs/eb_sphere127.json``, with the shift C that the iteration
+takes at f_1. Each LABEL=SRC pair names a
 source tree (the directory holding the ``vortexlab`` package). Every side is
 measured in its own fresh process, and the sides take turns over ROUNDS
 rounds so that a drift in CPU speed affects them alike. Each round takes
 REPEATS timed calls per micro-benchmark (SLOW_REPEATS for the two slow ones)
 after one warm-up call. The medians and quartiles over all rounds, the
-GMRES iterations and 2-D FFTs of the Newton step (``counts``) and the
+GMRES iterations and 2-D FFTs of the Newton step and the monotone
+iterations of the δ ladder of ``eb_sphere127.json`` (``counts``) and the
 run record of ``perfbench/run.py`` (machine, Python, numpy, scipy and BLAS
 versions, BLAS thread setting, git commit) go to FILE (default: standard
 output) as JSON.
@@ -78,10 +80,11 @@ def helmholtz_case(torus, cfg):
 
 def monotone_step_case(sphere, cfg):
     """(solve_shifted, its arguments) for the first monotone iteration on the
-    first delta rung of the Bogomol'nyi config, from f_1 = (log tau - u0)/2."""
+    first delta rung of the Bogomol'nyi config, from f_1 = (log tau - u0)/2,
+    with the shift C = 1 + lam max(0, max e^{-v0} F'(2 f_1 + u0)) of f_1."""
     import numpy as np
 
-    from vortexlab.bogomolnyi import (F_nonlinearity, F_prime_sup,
+    from vortexlab.bogomolnyi import (F_nonlinearity, F_prime,
                                       build_supersolution)
     from vortexlab.cli import _eb_problem, build_divisor
 
@@ -89,13 +92,23 @@ def monotone_step_case(sphere, cfg):
     lam = build_supersolution(problem)[3]
     delta = cfg["delta"][0]
     u0, ev = problem.rung(delta)
-    c_delta = 1.0 + lam * float(np.max(ev)) * F_prime_sup(problem.alpha,
-                                                          problem.tau)
     f = 0.5 * (np.log(problem.tau) - u0)
-    rhs = (-0.5 * lam * ev * F_nonlinearity(2.0 * f + u0, problem.alpha,
-                                            problem.tau)
-           + c_delta * f - problem.params.N_tilde)
-    return sphere.solve_shifted, (c_delta, rhs)
+    t = 2.0 * f + u0
+    slope = ev * F_prime(t, problem.alpha, problem.tau)
+    shift = 1.0 + lam * max(0.0, float(np.max(slope)))
+    rhs = (-0.5 * lam * ev * F_nonlinearity(t, problem.alpha, problem.tau)
+           + shift * f - problem.params.N_tilde)
+    return sphere.solve_shifted, (shift, rhs)
+
+
+def ladder_iterations(sphere, cfg):
+    """The monotone iterations of the Bogomol'nyi config's delta ladder."""
+    from vortexlab.bogomolnyi import delta_ladder_and_assemble
+    from vortexlab.cli import _eb_problem, build_divisor
+
+    problem = _eb_problem(cfg, sphere, build_divisor(cfg))
+    report = delta_ladder_and_assemble(problem, deltas=cfg["delta"])[-1]
+    return sum(report["iterations"])
 
 
 def measure():
@@ -114,7 +127,8 @@ def measure():
     cone_point = tuple(cfg["divisor"]["cone"][0]["point"])
     step, step_args = newton_step_case(torus, cfg)
     cg, cg_args = helmholtz_case(torus, load_config("vortex_torus256.json"))
-    mono, mono_args = monotone_step_case(sphere, load_config("eb_sphere127.json"))
+    eb_cfg = load_config("eb_sphere127.json")
+    mono, mono_args = monotone_step_case(sphere, eb_cfg)
     cases = {
         "sphere127.build": (build_surface, ("sphere", 127), SLOW_REPEATS),
         "sphere127.analyze": (sphere.analyze, (grid,), REPEATS),
@@ -136,10 +150,13 @@ def measure():
             fn(*args)
             samples.append(time.perf_counter() - t0)
         out[name] = samples
-    # work counters: the GMRES iterations and 2-D FFTs of the timed Newton step
+    # work counters: the GMRES iterations and 2-D FFTs of the timed Newton
+    # step, and the monotone iterations of the Bogomol'nyi ladder
     result, transforms = count_transforms(step, step_args)
     counts = {"torus256.gv_newton_step.gmres_iterations": result[4],
-              "torus256.gv_newton_step.transforms": transforms}
+              "torus256.gv_newton_step.transforms": transforms,
+              "sphere127.eb_ladder.monotone_iterations":
+                  ladder_iterations(sphere, eb_cfg)}
     return {"seconds": out, "counts": counts}
 
 

@@ -11,10 +11,13 @@ supersolution w (quintic radial ramp around every marked point), search the
 smallest admissible lam at the d = 1 endpoint (where the inequality is
 tightest, by monotonicity of every factor in d), then iterate
 
-    (lap + C_d) f_n = -(1/2) lam e^{-v0^d} F(2 f_{n-1} + u0^d) + C_d f_{n-1} - N~
+    (lap + C_n) f_{n+1} = -(1/2) lam e^{-v0^d} F(2 f_n + u0^d) + C_n f_n - N~
 
 downward from f_1 = (log tau - u0^d)/2, asserting the pointwise chain
-f_1 > f_2 > ... > w at every step.  The admissibility checker evaluates the
+f_1 > f_2 > ... > w at every step.  The shift C_n = 1 + lam max(0, max_x
+e^{-v0^d} F'(2 f_n + u0^d)) bounds the slope of the nonlinearity on the
+order interval [w, f_n]: for T <= log tau the sup of F' below T is
+max(0, F'(T)).  The admissibility checker evaluates the
 per-singularity-class inequalities (the seven membership cases) that make
 e^{-v0} p-integrable for some p > 1.
 """
@@ -39,7 +42,6 @@ __all__ = [
     "make_eb_problem",
     "F_nonlinearity",
     "F_prime",
-    "F_prime_sup",
     "check_numerical_assumption",
     "build_supersolution",
     "supersolution_margin",
@@ -76,42 +78,34 @@ def F_nonlinearity(t, alpha, tau):
 
 
 def F_prime(t, alpha, tau):
-    """F'(t) = e^{g} [ -2 a e^{2t} + (4 a tau + 1) e^t - 2 a tau^2 ]."""
+    """F'(t) = e^g Q(e^t), overflow-safe, with g = 2 a tau t - 2 a e^t and
+    Q(y) = -2 a y^2 + (4 a tau + 1) y - 2 a tau^2."""
     t = np.asarray(t, dtype=np.float64)
+    # two buffers, as in F_nonlinearity; g is formed twice so that each of
+    # e^{g + 2t}, e^{g + t} and e^g is one exp of a finite or -inf exponent
+    g, out = np.empty_like(t), np.empty_like(t)
+
+    def exponent():  # g = 2 a tau (t - e^t / tau)
+        np.exp(t, out=g)
+        np.multiply(g, -1.0 / tau, out=g)
+        np.add(g, t, out=g)
+        np.multiply(g, 2.0 * alpha * tau, out=g)
+
     with np.errstate(over="ignore"):
-        et = np.exp(t)
-        g = 2.0 * alpha * tau * t - 2.0 * alpha * et
-        return (
-            -2.0 * alpha * np.exp(g + 2.0 * t)
-            + (4.0 * alpha * tau + 1.0) * np.exp(g + t)
-            - 2.0 * alpha * tau**2 * np.exp(g)
-        )
-
-
-def F_prime_sup(alpha, tau):
-    """sup over the reals of F' by dense scan plus golden-section refinement."""
-    ts = np.linspace(-50.0, 50.0, 4001)
-    vals = F_prime(ts, alpha, tau)
-    i = int(np.argmax(vals))
-    lo = ts[max(0, i - 1)]
-    hi = ts[min(len(ts) - 1, i + 1)]
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = float(F_prime(c, alpha, tau)), float(F_prime(d, alpha, tau))
-    for _ in range(200):
-        if b - a < 1e-14:
-            break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = float(F_prime(c, alpha, tau))
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = float(F_prime(d, alpha, tau))
-    return max(float(vals[i]), fc, fd)
+        exponent()
+        np.add(g, t, out=out)
+        out += t
+        np.exp(out, out=out)
+        out *= -2.0 * alpha
+        g += t
+        np.exp(g, out=g)
+        g *= 4.0 * alpha * tau + 1.0
+        out += g
+        exponent()
+        np.exp(g, out=g)
+        g *= 2.0 * alpha * tau**2
+        out -= g
+    return out[()]
 
 
 # --- problem setup -----------------------------------------------------------
@@ -317,20 +311,24 @@ def monotone_iterate(problem, w, lam, delta, tol=1e-10, residual_target=None,
                      max_iter=100_000, log=None, rung=None):
     """Iterate downward from f_1 = (log tau - u0^d)/2; returns (f, info).
 
+    The step from f_n solves (lap + C) f_{n+1} = rhs with the shift taken
+    from an iterate: C = 1 + lam max(0, max e^{-v0^d} F'(2 f_m + u0^d)) at
+    m = 1, 2, 4, 8, ..., the last such m <= n.  Along the chain
+    2 f + u0^d <= 2 f_1 + u0^d = log tau, where F' below a point is bounded
+    by its value there or by 0, so the shift of f_m bounds the slope on
+    [w, f_m], which holds [w, f_n]; it never rises as f_m descends.
     The chain f_1 > f_2 > ... > w is asserted pointwise at every step with
     slack _CHAIN_SLACK; a violation signals a discretization or shift-constant
     bug and raises.  Stops when the sup change falls below tol; when a
     residual_target is set, iteration continues until the masked equation
     residual reaches it or plateaus (the change criterion alone leaves an
-    O(C_d * tol) residual behind).  ``rung`` is ``problem.rung(delta)`` if
+    O(C * tol) residual behind).  ``rung`` is ``problem.rung(delta)`` if
     the caller has it.
     """
     s = problem.surface
     if rung is None:
         rung = problem.rung(delta)
     u0 = rung.u0
-    C_delta = 1.0 + lam * float(np.max(rung.ev)) * F_prime_sup(problem.alpha,
-                                                               problem.tau)
     source = -0.5 * lam * rung.ev
     N_tilde = problem.params.N_tilde
     mask = None
@@ -354,6 +352,11 @@ def monotone_iterate(problem, w, lam, delta, tol=1e-10, residual_target=None,
             )
         rhs = 2.0 * f
         rhs += u0
+        if (it & (it - 1)) == 0:  # it = 1, 2, 4, 8, ...: the shift of f_it
+            slope = F_prime(rhs, problem.alpha, problem.tau)
+            slope *= rung.ev
+            C_delta = 1.0 + lam * max(0.0, float(np.max(slope)))
+            del slope  # freed before the transform
         rhs = F_nonlinearity(rhs, problem.alpha, problem.tau)
         rhs *= source
         rhs += C_delta * f

@@ -240,6 +240,15 @@ def test_criterion_7_infrastructure(torus256, sphere127, tmp_path):
         assert abs(float(sphere_green_eval(cosang[0]))
                    - float(sphere_green_eval(cosang[1]))) \
             <= 1e-12 + abs(cosang[0] - cosang[1]) * 10.0
+        # the grid field depends on the distance alone: with q on a grid
+        # longitude, the nodes mirrored about q's meridian take equal values
+        k = 40
+        q = (0.523, sphere127.phi[k])
+        gq = green_field(sphere127, q)
+        mirror = (2 * k - np.arange(sphere127.nlon)) % sphere127.nlon
+        dq = sphere127.distance_field(q)
+        assert np.max(np.abs(dq - dq[:, mirror])) < 1e-14
+        assert np.max(np.abs(gq - gq[:, mirror])) < 1e-12
         # Laplacian eigenvalues to 1e-12 relative via Rayleigh quotients
         # (pointwise fields bottom out at the FFT floor eps * lambda_max,
         # ~1.6e-10 at n=256; the eigenvalue itself is clean)

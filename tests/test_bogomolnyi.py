@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from vortexlab.bogomolnyi import (
     F_nonlinearity,
     F_prime,
-    F_prime_sup,
     assembled_residual,
     build_supersolution,
     check_numerical_assumption,
@@ -61,10 +60,27 @@ def test_F_prime_matches_difference(t, alpha, tau):
     assert abs(fd - exact) < 1e-5 * max(1.0, abs(exact))
 
 
-@settings(deadline=None, max_examples=20)
-@given(st.floats(-40.0, 10.0), st.floats(0.02, 0.5), st.floats(0.5, 8.0))
-def test_F_prime_sup_dominates(t, alpha, tau):
-    assert F_prime(t, alpha, tau) <= F_prime_sup(alpha, tau) + 1e-12
+@settings(deadline=None, max_examples=30)
+@given(st.floats(-30.0, 6.0), st.floats(-30.0, 6.0), st.floats(0.02, 0.5),
+       st.floats(0.5, 8.0))
+def test_F_prime_bounded_by_its_value_at_the_top(a, b, alpha, tau):
+    """F'(s) <= max(0, F'(T)) for s <= T <= log tau: the slope bound of the
+    monotone iteration on the order interval below an iterate.
+
+    Proof. Write F' = e^g Q(e^t) with Q(y) = -2a y^2 + (4 a tau + 1) y
+    - 2 a tau^2 and g' = 2a (tau - e^t). Q(0) < 0 and Q(tau) = tau > 0, so
+    Q has a root y- in (0, tau) and F' < 0 below log y-. On (log y-, log tau]
+    Q > 0 and g' >= 0, so F'' = e^g (g' Q + e^t (4 a tau + 1 - 4 a e^t)) > 0
+    and F' rises up to T. Hence F'(s) <= max(0, F'(T)). F''(log tau) =
+    tau e^g > 0, so F' still rises just above log tau and the ulps by which
+    2 f_1 + u0 can exceed log tau are still covered.
+    """
+    top = math.log(tau)
+    T = min(max(a, b), top)
+    s = min(a, b, T)
+    bound = max(0.0, float(F_prime(T, alpha, tau)))
+    assert F_prime(s, alpha, tau) <= bound + 1e-12 * max(1.0, bound)
+    assert F_prime(top + 1e-9, alpha, tau) > F_prime(top, alpha, tau) > 0.0
 
 
 def test_na_checker_seven_classes():
@@ -188,6 +204,30 @@ def test_monotone_chain(eb31, eb31_solution):
     f1 = 0.5 * (np.log(eb31.tau) - u0)
     assert np.all(f < f1 + 1e-12)
     assert np.all(f > w - 1e-12)
+
+
+def test_monotone_shift_follows_the_iterate(eb31, monkeypatch):
+    # the shift of the step from f_n bounds lam e^{-v0} F'(2 f + u0) on
+    # [w, f_n] through its value at f_n, so it falls as f_n descends
+    w, _, _, lam = build_supersolution(eb31)
+    rung = eb31.rung(0.2)
+    surface = eb31.surface
+    iterates = [0.5 * (np.log(eb31.tau) - rung.u0)]  # f_1, f_2, ...
+    solve = surface.solve_shifted
+
+    def recording(c, rhs):
+        iterates.append(solve(c, rhs))
+        return iterates[-1]
+
+    monkeypatch.setattr(surface, "solve_shifted", recording)
+    log = []
+    monotone_iterate(eb31, w, lam, 0.2, tol=1e-10, log=log, rung=rung)
+    shifts = {e["iter"]: e["C_delta"] for e in log}
+    assert shifts[2] < shifts[1]
+    for it, shift in shifts.items():
+        slope = rung.ev * F_prime(2.0 * iterates[it - 1] + rung.u0,
+                                  eb31.alpha, eb31.tau)
+        assert shift >= 1.0 + lam * float(np.max(slope))
 
 
 def test_monotone_rejects_bad_constant(eb31):
