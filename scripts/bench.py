@@ -7,25 +7,33 @@ Usage:
 Times the construction of the L = 127 sphere (its Legendre tensors), sphere
 ``analyze``, ``synthesize`` and ``laplacian`` at L = 127, the
 torus Laplacian at 256^2, one theta-form ``green_field`` at 256^2, one damped
-coupled Newton step (``newton_step``) at 256^2: the first step of the
+coupled Newton step (``newton_step``, whose GMRES runs to the forcing term
+``solvers.forcing`` of its residual) at 256^2: the first step of the
 continuation of ``scripts/configs/sweep_torus256.json`` at eps = 0.1, at
 alpha = 0.0625/16 from the decoupled state, one CG ``solve_helmholtz`` at
-256^2: the first Newton correction of the twist path of
-``scripts/configs/vortex_torus256.json``,
-and one monotone-iteration step at L = 127: the spectral solve
+256^2 (to its default 1e-13): the first Newton correction of the twist path
+of ``scripts/configs/vortex_torus256.json``,
+one monotone-iteration step at L = 127: the spectral solve
 ``solve_shifted(C, rhs)`` of the first iteration on the first rung of
 ``scripts/configs/eb_sphere127.json``, with the shift C that the iteration
-takes at f_1. Each LABEL=SRC pair names a
+takes at f_1, and the ``solve-vortex`` and ``solve-tke`` commands on
+``vortex_torus256.json`` and ``tke_torus256.json``, called in-process
+(``cli.main``, artifacts into a temporary directory). Each LABEL=SRC pair
+names a
 source tree (the directory holding the ``vortexlab`` package). Every side is
 measured in its own fresh process, and the sides take turns over ROUNDS
 rounds so that a drift in CPU speed affects them alike. Each round takes
-REPEATS timed calls per micro-benchmark (SLOW_REPEATS for the two slow ones)
-after one warm-up call. The medians and quartiles over all rounds, the
-GMRES iterations and 2-D FFTs of the Newton step and the monotone
-iterations of the δ ladder of ``eb_sphere127.json`` (``counts``) and the
-run record of ``perfbench/run.py`` (machine, Python, numpy, scipy and BLAS
-versions, BLAS thread setting, git commit) go to FILE (default: standard
-output) as JSON.
+REPEATS timed calls per micro-benchmark (SLOW_REPEATS for the slow ones)
+after one warm-up call. The medians and quartiles over all rounds go to FILE
+(default: standard output) as JSON, with the run record of
+``perfbench/run.py`` (machine, Python, numpy, scipy and BLAS versions, BLAS
+thread setting, git commit) and the work counters (``counts``): the GMRES
+iterations and 2-D FFTs of the Newton step, the CG iterations of the CG
+solve and of each command, the monotone iterations of the δ ladder of
+``eb_sphere127.json``, and the Newton steps and the GMRES and CG iterations
+of one ``continue_alpha`` on ``gv_torus256.json`` (the decoupled state and
+its 16 alpha steps). CG iterations are counted as calls of the torus
+``precondition``, which CG makes once an iteration and nothing else calls.
 
 Example, comparing a copy of another commit with this one:
     python scripts/bench.py --out BENCH_12.json before=../parent/src after=src
@@ -57,7 +65,8 @@ def load_config(name):
 
 def newton_step_case(torus, cfg):
     """(newton_step, its arguments) for the first continuation step of the
-    sweep config's divisor at eps = 0.1, from the decoupled state."""
+    sweep config's divisor at eps = 0.1, from the decoupled state; the step's
+    GMRES runs to the forcing term of the residual there."""
     from vortexlab.cli import build_divisor
     from vortexlab.coupled import decoupled_state, make_problem, newton_step
 
@@ -101,6 +110,52 @@ def monotone_step_case(sphere, cfg):
     return sphere.solve_shifted, (shift, rhs)
 
 
+def command_case(name, cfg):
+    """(a call of the CLI command name on the shipped config cfg, no
+    arguments): each call writes its artifact into a new temporary
+    directory, removed after it."""
+    import shutil
+    import tempfile
+
+    from vortexlab.cli import main
+
+    def run():
+        out = tempfile.mkdtemp()
+        try:
+            code = main([name, "--config", os.path.join(CONFIGS, cfg),
+                         "--out", os.path.join(out, "art"), "--quiet"])
+        finally:
+            shutil.rmtree(out)
+        if code != 0:
+            raise RuntimeError(f"{name} on {cfg} exited {code}")
+
+    return run, ()
+
+
+def continuation_work(torus, cfg):
+    """Newton steps, GMRES and CG iterations of the decoupled state and the
+    alpha walk of the gv config."""
+    from vortexlab.cli import build_divisor
+    from vortexlab.coupled import (continue_alpha, decoupled_state,
+                                   make_problem)
+
+    problem = make_problem(torus, build_divisor(cfg), tau=float(cfg["tau"]),
+                           eps=float(cfg["epsilon"]))
+
+    def walk():
+        log = []
+        for st in continue_alpha(problem, decoupled_state(problem),
+                                 problem.params.alpha_star,
+                                 n_steps=cfg["alpha"]["steps"]):
+            log += st.newton_log
+        return log
+
+    log, cg = count_cg(walk, ())
+    return {"newton_steps": len(log),
+            "gmres_iterations": sum(e["krylov"] for e in log),
+            "cg_iterations": cg}
+
+
 def ladder_iterations(sphere, cfg):
     """The monotone iterations of the Bogomol'nyi config's delta ladder."""
     from vortexlab.bogomolnyi import delta_ladder_and_assemble
@@ -140,6 +195,11 @@ def measure():
         "torus256.gv_newton_step": (step, step_args, SLOW_REPEATS),
         "torus256.helmholtz_cg": (cg, cg_args, REPEATS),
         "sphere127.monotone_step": (mono, mono_args, REPEATS),
+        "torus256.solve_vortex": (*command_case("solve-vortex",
+                                                "vortex_torus256.json"),
+                                  SLOW_REPEATS),
+        "torus256.solve_tke": (*command_case("solve-tke", "tke_torus256.json"),
+                               REPEATS),
     }
     out = {}
     for name, (fn, args, repeats) in cases.items():
@@ -151,13 +211,43 @@ def measure():
             samples.append(time.perf_counter() - t0)
         out[name] = samples
     # work counters: the GMRES iterations and 2-D FFTs of the timed Newton
-    # step, and the monotone iterations of the Bogomol'nyi ladder
+    # step, the CG iterations of the timed CG solve and commands, the
+    # monotone iterations of the Bogomol'nyi ladder and the work of one
+    # alpha continuation
     result, transforms = count_transforms(step, step_args)
     counts = {"torus256.gv_newton_step.gmres_iterations": result[4],
               "torus256.gv_newton_step.transforms": transforms,
               "sphere127.eb_ladder.monotone_iterations":
                   ladder_iterations(sphere, eb_cfg)}
+    for name in ("torus256.helmholtz_cg", "torus256.solve_vortex",
+                 "torus256.solve_tke"):
+        fn, args, _ = cases[name]
+        counts[name + ".cg_iterations"] = count_cg(fn, args)[1]
+    work = continuation_work(torus, load_config("gv_torus256.json"))
+    counts.update({"torus256.gv_continuation." + key: value
+                   for key, value in work.items()})
     return {"seconds": out, "counts": counts}
+
+
+def count_cg(fn, args):
+    """fn(*args) and the CG iterations that it made: the calls of the torus
+    ``precondition``, one per CG iteration."""
+    from vortexlab.surface import Torus
+
+    count = 0
+    precondition = Torus.precondition
+
+    def counted(self, *rest, **kwargs):
+        nonlocal count
+        count += 1
+        return precondition(self, *rest, **kwargs)
+
+    Torus.precondition = counted
+    try:
+        result = fn(*args)
+    finally:
+        Torus.precondition = precondition
+    return result, count
 
 
 def count_transforms(fn, args):

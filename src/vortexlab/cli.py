@@ -410,13 +410,18 @@ def run_solve_gv(cfg, outdir, seed, quiet):
     problem = make_problem(surface, divisor, tau=tau, eps=eps, fields=fields)
     if target == "alpha_star":
         target = problem.params.alpha_star
-    path_log, newton = [], []
-    for final in continue_alpha(problem, decoupled_state(problem, tol=tol),
-                                float(target), n_steps=steps, tol=tol):
-        path_log.append({"alpha": final.alpha, "c_tilde": final.c_tilde,
-                         "residual": final.res_norm,
-                         "newton_steps": len(final.newton_log)})
-        newton += final.newton_log
+    path_log, newton, cg = [], [], 0
+    for st in continue_alpha(problem, decoupled_state(problem, tol=tol),
+                             float(target), n_steps=steps, tol=tol):
+        path_log.append({"alpha": st.alpha, "c_tilde": st.c_tilde,
+                         "residual": st.res_norm,
+                         "newton_steps": len(st.newton_log)})
+        newton += st.newton_log
+        cg += st.cg_iterations
+        # the next step's solve reads (f~, u) only: hold no more through it
+        at, st = (st.alpha, st.f_tilde, st.u), None
+    # the last state whole again, bit for bit the state the solve made
+    final = accepted_state(problem, *at)
     phases.end("solve")
     cert = certify_state(problem, final, seed=seed)
     phases.end("certify")
@@ -427,7 +432,8 @@ def run_solve_gv(cfg, outdir, seed, quiet):
     art.write_jsonl("iterations.jsonl", path_log + newton)
     phases.end("write")
     profile = phases.profile(divisor_field_builds=1, newton_steps=len(newton),
-                             gmres_iterations=sum(e["krylov"] for e in newton))
+                             gmres_iterations=sum(e["krylov"] for e in newton),
+                             cg_iterations=cg)
     return art.finish(cert, extra={"alpha": final.alpha, "epsilon": problem.eps,
                                    "alpha_star": problem.params.alpha_star,
                                    "profile": profile})
@@ -480,7 +486,8 @@ def run_sweep_eps(cfg, outdir, seed, quiet):
     phases.end("write")
     profile = phases.profile(divisor_field_builds=1,
                              newton_steps=sum(report.newton_counts),
-                             gmres_iterations=report.gmres_iterations)
+                             gmres_iterations=report.gmres_iterations,
+                             cg_iterations=report.cg_iterations)
     return art.finish(cert, extra={"alpha": final.alpha, "epsilon": problem.eps,
                                    "profile": profile})
 

@@ -12,18 +12,22 @@ F_eta = -sum_k a_k log(|t_k|^2 + eps),  and c~ = chi~ - 2 a tau N~.
 The alpha = 0 state decouples into a twisted-KE solve for u and a vortex
 solve for f~ over the metric density 1 - lap u; continuation then walks a
 fixed alpha grid with adaptive step halving, each step accepted only once
-both residuals are below tolerance and the metric stays positive.
+both residuals are below tolerance and the metric stays positive.  Each
+step's Newton solve starts from the cubic through the (f~, u) of the last
+four accepted states (``solvers.walk``), and each Newton correction's GMRES
+and CG solves run to the forcing term of its residual (``solvers.forcing``).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, ConvergenceFailure
 from .fields import build_divisor_fields, derive_params
-from .solvers import (damped_step, merit, newton,
+from .solvers import (damped_step, forcing, merit, newton,
                       solve_block_newton_step, sup_norm, walk)
 from .vortex import solve_twisted_ke, solve_vortex_on_metric
 
@@ -34,14 +38,6 @@ __all__ = ["GVProblem", "SolveState", "Residual", "Linearization",
 RESIDUAL_TOL = 1e-9
 MAX_NEWTON = 40  # Newton iterations per alpha before the step is halved
 _MERIT_FLOOR = RESIDUAL_TOL * 1e-2  # a Newton trial below it needs no descent
-
-# inexact Newton forcing term: each step's Krylov solve runs to the relative
-# tolerance eta = min(_ETA_MAX, max(_ETA_MIN, _FORCING * ||S||_inf)), which
-# keeps the convergence quadratic (Dembo, Eisenstat & Steihaug 1982;
-# Eisenstat & Walker 1996) while far-from-converged steps stop early
-_FORCING = 1e-3
-_ETA_MIN = 1e-12
-_ETA_MAX = 1e-2
 
 
 @dataclass
@@ -77,6 +73,7 @@ class SolveState:
     res1: np.ndarray
     res2: np.ndarray
     newton_log: list = field(default_factory=list)
+    cg_iterations: int = 0         # of the decoupled solves of alpha = 0
 
     @property
     def res_norm(self):
@@ -197,10 +194,9 @@ def _newton_system(problem, alpha):
             return None
         return _residual(problem, alpha, *x, c_tilde, lap_u)
 
-    def correct(x, res):
+    def correct(x, res, rtol):
         df, du, nk = solve_block_newton_step(
-            s, res.lin.pointwise, *res,
-            rtol=min(_ETA_MAX, max(_ETA_MIN, _FORCING * sup_norm(res))),
+            s, res.lin.pointwise, *res, rtol=rtol,
             model_coeffs=res.lin.model_coeffs())
         krylov.append(nk)
         return df, du
@@ -209,13 +205,16 @@ def _newton_system(problem, alpha):
 
 
 def newton_step(problem, alpha, f_tilde, u):
-    """One damped Newton step (``solvers.damped_step``), keeping 1 - lap u > 0.
+    """One damped Newton step (``solvers.damped_step``), keeping 1 - lap u > 0,
+    whose GMRES runs to the forcing term of ``solve_at_alpha``'s first step.
     Returns (f~', u', residual' (a Residual), step_size, krylov_iterations)."""
     res_fn, correct, krylov = _newton_system(problem, alpha)
     res = residual(problem, alpha, f_tilde, u)
+    rn = sup_norm(res)
     (f, u), trial, _, step = damped_step(
-        problem.surface, res_fn, correct, (f_tilde, u), res,
-        merit(problem.surface, res), _MERIT_FLOOR, [sup_norm(res)])
+        problem.surface, res_fn,
+        functools.partial(correct, rtol=forcing(rn, RESIDUAL_TOL)),
+        (f_tilde, u), res, merit(problem.surface, res), _MERIT_FLOOR, [rn])
     return f, u, trial, step, krylov[0]
 
 
@@ -256,11 +255,14 @@ def decoupled_state(problem, tol=RESIDUAL_TOL):
             "decoupled endpoint needs chi_tilde < 0 "
             f"(got {problem.params.chi_tilde}); add cone weight"
         )
-    u = solve_twisted_ke(s, problem.params.chi_tilde, problem.F_xi, tol=tol * 0.1)
+    cg = []
+    u = solve_twisted_ke(s, problem.params.chi_tilde, problem.F_xi,
+                         tol=tol * 0.1, krylov=cg)
     rho = 1.0 - s.laplacian(u)
     f = solve_vortex_on_metric(s, problem.weight_t, problem.tau, rho,
-                               problem.params.N_tilde, tol=tol * 0.1)
+                               problem.params.N_tilde, tol=tol * 0.1, krylov=cg)
     state = accepted_state(problem, 0.0, f, u)
+    state.cg_iterations = sum(cg)
     if state.res_norm >= tol:
         raise ConvergenceFailure(
             f"decoupled endpoint residual {state.res_norm:.2e} above {tol:g}"
@@ -273,11 +275,14 @@ def continue_alpha(problem, state0, alpha_target, n_steps=16, tol=RESIDUAL_TOL):
     alpha_target.
 
     Fixed alpha grid with adaptive halving; the minimum step is
-    alpha_star/1024.  Yields each accepted state in turn (the start
-    first), so a caller holds one state, not the path: once the walk has
-    moved past a state it keeps no reference to it, the start included.
-    A refused target or start raises before the first.  Raises PathStalled
-    with the last good alpha on failure.
+    alpha_star/1024.  Each step's Newton solve starts from the cubic in
+    alpha through the (f~, u) of the last four accepted states, so the
+    start is close to the next state on a smooth path, and every state is
+    still accepted by the residual test.  Yields each accepted state in
+    turn (the start first), whole, so a caller holds one state, not the
+    path: the walk keeps the (f~, u) of its last states and no state, the
+    start included.  A refused target or start raises before the first.
+    Raises PathStalled with the last good alpha on failure.
     """
     astar = problem.params.alpha_star
     if alpha_target != 0.0 and not (np.isfinite(astar)
@@ -289,12 +294,14 @@ def continue_alpha(problem, state0, alpha_target, n_steps=16, tol=RESIDUAL_TOL):
     if alpha_target != 0.0 and state0.res_norm >= tol:
         raise ConfigError("starting state is not residual-accepted")
 
-    def solve(alpha, st):
-        return solve_at_alpha(problem, alpha, st.f_tilde, st.u, tol=tol)
+    def solve(alpha, start):
+        return solve_at_alpha(problem, alpha, *start, tol=tol)
 
     path = walk(solve, state0.alpha, state0, alpha_target,
-                (alpha_target - state0.alpha) / n_steps, astar / 1024.0)
+                (alpha_target - state0.alpha) / n_steps, astar / 1024.0,
+                lambda st: (st.f_tilde, st.u))
     yield state0
-    del state0  # the walk holds its start until the first step lands
+    del state0
     for _, st in path:
         yield st
+        del st

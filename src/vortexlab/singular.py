@@ -60,6 +60,7 @@ class LadderReport:
     lp_exponent: float = 2.0
     newton_counts: list = field(default_factory=list)
     gmres_iterations: int = 0  # over the Newton steps of newton_counts
+    cg_iterations: int = 0     # over the decoupled solves of the rungs
     failures: list = field(default_factory=list)
     fits: list = field(default_factory=list)
     problem: object = None    # GVProblem of the last completed rung
@@ -188,7 +189,10 @@ def run_ladder(surface, divisor, tau, alpha, eps_list, n_steps=16,
 
     Rung 0 runs the full continuation from the decoupled endpoint; later
     rungs reuse the previous rung's solution as the Newton initial guess at
-    the target coupling (falling back to a full path on failure).  Failures
+    the target coupling (falling back to a full path on failure).  A
+    continuation state is held as (alpha, f~, u) while the next one is
+    solved, and the last one is built whole again (``accepted_state``, bit
+    for bit the state the solve made).  Failures
     truncate the ladder and are recorded.  The divisor fields do not depend
     on eps: they are built once (or taken from ``fields``) and every rung
     adds only its eps-dependent weights.
@@ -219,22 +223,27 @@ def run_ladder(surface, divisor, tau, alpha, eps_list, n_steps=16,
         # that holds it in full
         report.states[:] = [replace(st, Phi=None, res1=None, res2=None)
                             for st in report.states[-1:]]
-        report.problem = problem = state = path = None
+        report.problem = problem = state = None
         problem = make_problem(surface, divisor, tau=tau, eps=eps, fields=fields)
+        steps, cg = [], 0
         try:
             if report.states:
                 last = report.states[-1]
                 try:
-                    path = [solve_at_alpha(problem, alpha, last.f_tilde,
-                                           last.u, tol=tol)]
+                    state = solve_at_alpha(problem, alpha, last.f_tilde,
+                                           last.u, tol=tol)
+                    steps = state.newton_log
                 except ConvergenceFailure:
                     pass
-            if path is None:
-                path = continue_alpha(problem, decoupled_state(problem, tol=tol),
-                                      alpha, n_steps=n_steps, tol=tol)
-            steps = []
-            for state in path:
-                steps += state.newton_log
+            if state is None:
+                for st in continue_alpha(problem,
+                                         decoupled_state(problem, tol=tol),
+                                         alpha, n_steps=n_steps, tol=tol):
+                    steps += st.newton_log
+                    cg += st.cg_iterations
+                    # the next step's solve reads (f~, u) only: hold no more
+                    at, st = (st.alpha, st.f_tilde, st.u), None
+                state = accepted_state(problem, *at)
         except ConvergenceFailure as exc:
             report.failures.append({"eps": eps, "error": str(exc)})
             break
@@ -253,6 +262,7 @@ def run_ladder(surface, divisor, tau, alpha, eps_list, n_steps=16,
         report.problem = problem
         report.newton_counts.append(len(steps))
         report.gmres_iterations += sum(e["krylov"] for e in steps)
+        report.cg_iterations += cg
         report.holder_f.append(holder_quotient(
             surface, state.f_tilde, rng=np.random.default_rng(seed)))
         report.holder_u.append(holder_quotient(

@@ -1,7 +1,9 @@
 """Newton/Krylov building blocks shared by the scalar and coupled solves.
 
 Every Newton solve is ``newton`` over the Armijo step ``damped_step``, and
-every continuation path is the step-halving ``walk``.
+every continuation path is the step-halving ``walk``; the coupled alpha
+walk starts each solve from the polynomial through the last four accepted
+states.
 
 All linearized operators here have the form  lap + diag(V)  with V >= 0
 (pointwise), solved matrix-free by preconditioned CG with the spectral
@@ -13,11 +15,13 @@ one re-orthogonalization) on the Parseval-scaled spectral coefficients of
 the two fields: there the Laplacians and the block preconditioner (the
 inverse symbol of the frozen-coefficient model system) are per-mode
 multiplies, and only the pointwise part of the Jacobian goes through the
-grid, at three inverse and two forward transforms per iteration.  GMRES
-runs to the relative tolerance the caller passes: the coupled Newton step
-passes a forcing term that follows its residual, so the Krylov solve is
-only as tight as the step can use.  The tests check the step against
-lap + K composed on the grid (``grid_jacobian`` in ``tests/oracles.py``).
+grid, at three inverse and two forward transforms per iteration.  Both
+Krylov solvers run to the relative tolerance the caller passes: ``newton``
+passes each correction the forcing term of its residual (``forcing``), so
+a Krylov solve is only as tight as the step can use, and CG runs to its
+1e-13 floor only when called without one.  The tests check the coupled
+step against lap + K composed on the grid (``grid_jacobian`` in
+``tests/oracles.py``).
 
 The Krylov loops allocate no field per iteration: CG keeps its vectors
 for the solve, and the GMRES matvec runs in buffers made once per block
@@ -27,6 +31,7 @@ computes K and the preconditioner runs in place.
 
 from __future__ import annotations
 
+import functools
 import time
 
 import numpy as np
@@ -34,7 +39,7 @@ import numpy as np
 from .errors import ConvergenceFailure, PathStalled
 
 __all__ = ["solve_helmholtz", "solve_block_newton_step", "merit", "sup_norm",
-           "damped_step", "newton", "walk", "block_symbol"]
+           "forcing", "damped_step", "newton", "walk", "block_symbol"]
 
 # CG's relative tolerance and the absolute floor of the CG and GMRES stops
 _KRYLOV_TOL = 1e-13
@@ -43,20 +48,28 @@ _RESTART = 50
 _MAX_KRYLOV = 500
 # step halvings before a damped Newton step is rejected
 _MAX_BACKTRACK = 30
+# the inexact Newton forcing term (``forcing``)
+_FORCING = 1e-3
+_ETA_MIN = 1e-12
+_ETA_MAX = 1e-2
+_SAFEGUARD = 0.01
+# accepted states through which ``walk`` extrapolates its next start
+_PREDICTOR_POINTS = 4
 
 
-def solve_helmholtz(surface, V, rhs):
-    """Solve (lap + V) x = rhs with pointwise V >= 0 (not identically 0).
+def solve_helmholtz(surface, V, rhs, rtol=_KRYLOV_TOL):
+    """Solve (lap + V) x = rhs with pointwise V >= 0 (not identically 0) to
+    the relative tolerance rtol; returns (x, CG iterations).
 
     lap + V is symmetric in the quadrature inner product, not in the
     Euclidean one on the sphere, so CG weighs its dot products by the Gauss
     row weights there (normalized to mean 1); on the torus, with its equal
     cell areas, they are plain dots.
 
-    The absolute floor keeps CG from grinding past the floating-point floor
-    on near-zero right-hand sides (where the recursion coefficients turn
-    NaN); it sits orders of magnitude below every nonlinear accept
-    tolerance in the package.
+    The absolute floor _KRYLOV_TOL keeps CG from grinding past the
+    floating-point floor on near-zero right-hand sides (where the recursion
+    coefficients turn NaN); it sits orders of magnitude below every
+    nonlinear accept tolerance in the package.
     """
     shape = surface.shape
     V = np.broadcast_to(V, shape)
@@ -66,7 +79,7 @@ def solve_helmholtz(surface, V, rhs):
     if vbar < 1e-300:
         # weight underflowed to zero: pseudo-inverse on the mean mode
         mean = surface.integrate(rhs) / (2.0 * np.pi)
-        return surface.solve_shifted(0.0, rhs - mean)
+        return surface.solve_shifted(0.0, rhs - mean), 0
 
     Vf = np.empty(shape)
 
@@ -82,24 +95,27 @@ def solve_helmholtz(surface, V, rhs):
 
     weight = None if surface.backend == "torus" else np.repeat(
         surface.glweights / np.mean(surface.glweights), surface.nlon)
-    x, info = _pcg(apply_op, apply_pre, rhs.ravel(), weight)
+    x, info, niter = _pcg(apply_op, apply_pre, rhs.ravel(), weight, rtol)
     if info != 0:
         raise ConvergenceFailure(f"CG failed to converge (info={info})")
-    return x.reshape(shape)
+    return x.reshape(shape), niter
 
 
-def _pcg(apply_op, apply_pre, b, weight):
+def _pcg(apply_op, apply_pre, b, weight, rtol):
     """Preconditioned CG from x = 0 in the inner product <a, c> =
-    sum(weight * a * c), or the Euclidean one for weight None; returns
-    (x, info) with info = 0 on convergence, -1 on breakdown (rho =
-    <r, M^-1 r> = 0: the preconditioner annihilates the residual, so no
-    search direction is left), else the 400 iterations it gave up after.
-    ``apply_op(x, out)`` and ``apply_pre(x, out)`` return A x and M^-1 x,
-    written into out or in an array of their own.
+    sum(weight * a * c), or the Euclidean one for weight None, to a residual
+    norm below max(_KRYLOV_TOL, rtol |b|); returns (x, info, iterations)
+    with info = 0 on convergence, -1 on breakdown (rho = <r, M^-1 r> = 0:
+    the preconditioner annihilates the residual, so no search direction is
+    left), else the 400 iterations it gave up after. ``apply_op(x, out)``
+    and ``apply_pre(x, out)`` return A x and M^-1 x, written into out or in
+    an array of their own.
 
-    With weight None the loop is scipy's ``cg`` (1.17) operation for
-    operation, so that the iterates and the artifacts built on them are
-    bit-identical to it.
+    With weight None the loop is scipy's ``cg`` (1.17) called with the
+    same rtol and atol = _KRYLOV_TOL, operation for operation, so that the
+    iterates and the artifacts built on them are bit-identical to it. Only
+    at the default rtol is that the call ``cg(rtol=1e-13, atol=1e-13)``;
+    the Newton corrections pass their forcing term instead.
     """
     tmp, z, q = (np.empty_like(b) for _ in range(3))
     if weight is None:
@@ -110,15 +126,15 @@ def _pcg(apply_op, apply_pre, b, weight):
 
     maxiter = 400
     x = np.zeros_like(b)
-    atol = max(_KRYLOV_TOL, _KRYLOV_TOL * np.sqrt(dot(b, b)))
+    atol = max(_KRYLOV_TOL, rtol * np.sqrt(dot(b, b)))
     r = b.copy()
     for iteration in range(maxiter):
         if np.sqrt(dot(r, r)) < atol:
-            return x, 0
+            return x, 0, iteration
         zr = apply_pre(r, z)
         rho = dot(r, zr)
         if rho == 0:
-            return x, -1
+            return x, -1, iteration
         if iteration > 0:
             p *= rho / rho_prev
             p += zr
@@ -129,7 +145,7 @@ def _pcg(apply_op, apply_pre, b, weight):
         x += np.multiply(alpha, p, out=tmp)
         r -= np.multiply(alpha, qp, out=tmp)
         rho_prev = rho
-    return x, maxiter
+    return x, maxiter, maxiter
 
 
 def merit(surface, r):
@@ -143,6 +159,21 @@ def merit(surface, r):
 def sup_norm(r):
     """The largest sup norm of the residual fields."""
     return max(float(np.max(np.abs(ri))) for ri in r)
+
+
+def forcing(rn, tol):
+    """The relative tolerance of the Krylov solve of a Newton correction at
+    a residual of sup norm rn, on the way to tol:
+
+        eta = min(_ETA_MAX, max(_ETA_MIN, _FORCING rn, _SAFEGUARD tol / rn)).
+
+    In proportion to rn it keeps the convergence quadratic while steps far
+    from the root stop early (Dembo, Eisenstat & Steihaug 1982; Eisenstat &
+    Walker 1996); the floor _SAFEGUARD tol / rn stops a step near the root
+    from solving far past the residual tol that it has to reach (Kelley,
+    *Iterative Methods for Linear and Nonlinear Equations*, 1995, 6.3)."""
+    floor = _SAFEGUARD * tol / rn if rn > 0.0 else _ETA_MAX
+    return min(_ETA_MAX, max(_ETA_MIN, _FORCING * rn, floor))
 
 
 def damped_step(surface, residual, correct, x, r, m, floor, history):
@@ -172,9 +203,11 @@ def damped_step(surface, residual, correct, x, r, m, floor, history):
 
 def newton(surface, residual, correct, x, tol, max_iter, floor, log):
     """Damped Newton (``damped_step``) from the fields x to a residual sup
-    norm below tol in at most max_iter steps; returns (x, residual). Appends
-    to ``log``, unless None, a record per iterate: iter, residual_inf,
-    residual_l2, time and the step taken. A failure carries the history."""
+    norm below tol in at most max_iter steps; returns (x, residual). Each
+    correction is ``correct(x, r, rtol)``, which solves J d = r to the
+    relative tolerance rtol = ``forcing(|r|_inf, tol)``. Appends to ``log``,
+    unless None, a record per iterate: iter, residual_inf, residual_l2,
+    time and the step taken. A failure carries the history."""
     r = residual(x)
     if r is None:
         raise ConvergenceFailure("Newton start outside the domain", [np.inf])
@@ -189,8 +222,9 @@ def newton(surface, residual, correct, x, tol, max_iter, floor, log):
                         "time": time.perf_counter()})
         if rn < tol:
             return x, r
-        x, r, m, s = damped_step(surface, residual, correct, x, r, m, floor,
-                                 history)
+        x, r, m, s = damped_step(
+            surface, residual, functools.partial(correct, rtol=forcing(rn, tol)),
+            x, r, m, floor, history)
         if log is not None:
             log[-1]["step"] = s
     raise ConvergenceFailure(
@@ -198,24 +232,63 @@ def newton(surface, residual, correct, x, tol, max_iter, floor, log):
         f"(residual {history[-1]:.3e})", history)
 
 
-def walk(solve, p, x, target, step, min_step):
+def walk(solve, p, x, target, step, min_step, fields=None):
     """Natural-parameter continuation from the accepted state x at p to
-    target: yields each accepted (parameter, state), ``solve(p', x)`` giving
-    the state at p' from x. A ConvergenceFailure halves the step; below
-    min_step the walk raises PathStalled with the last good parameter and
-    the failed solve's history."""
+    target: yields each accepted (parameter, state), ``solve(p', start)``
+    giving the state at p' from start. A ConvergenceFailure halves the
+    step; below min_step the walk raises PathStalled with the last good
+    parameter and the failed solve's history.
+
+    Without ``fields`` the start is the last accepted state. With it,
+    ``fields(state)`` is the tuple of fields of a state, and the start is
+    the Lagrange polynomial through the fields of the last
+    _PREDICTOR_POINTS accepted states (x and those yielded since) at p'
+    (``_extrapolate``): the last state's fields while they are the only
+    ones, order 3 once four are known (Allgower & Georg, *Introduction to
+    Numerical Continuation Methods*, 2003). The walk then keeps those
+    fields only, not the states, and drops the oldest as soon as the start
+    is formed, so a solve runs next to three of them; after a halving the
+    start is taken from what is kept, closer to the last state."""
+    if fields is None:
+        history = None
+        last = x
+    else:
+        history = [(p, fields(x))]
+    del x
     while p < target - 1e-14:
         p_next = min(target, p + step)
+        if history is None:
+            start = last
+        else:
+            start = _extrapolate(history, p_next)
+            del history[:1 - _PREDICTOR_POINTS]
         try:
-            x = solve(p_next, x)
+            x = solve(p_next, start)
         except ConvergenceFailure as exc:
             step *= 0.5
             if step < min_step:
                 raise PathStalled(f"continuation stalled at {p:.6g}", p,
                                   exc.history) from exc
             continue
+        finally:
+            del start
         p = p_next
+        if history is None:
+            last = x
+        else:
+            history.append((p, fields(x)))
         yield p, x
+        del x
+
+
+def _extrapolate(history, p):
+    """The Lagrange polynomial through the (parameter, fields) pairs of
+    history at p: a tuple of new fields."""
+    ps = [q for q, _ in history]
+    weights = [np.prod([(p - qj) / (qi - qj) for qj in ps if qj != qi])
+               for qi in ps]
+    return tuple(sum(w * f for w, f in zip(weights, group))
+                 for group in zip(*(f for _, f in history)))
 
 
 def solve_block_newton_step(surface, pointwise, rhs1, rhs2, rtol=1e-12,

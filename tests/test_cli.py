@@ -16,6 +16,7 @@ from vortexlab.cli import _COVERAGE, _SCHEMA, main
 from vortexlab import greens, singular
 from vortexlab.errors import ConfigError, ConvergenceFailure
 from vortexlab.fieldio import MAGIC, read_field, write_field, write_pgm
+from vortexlab.surface import Torus
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -397,6 +398,23 @@ def test_solve_then_verify(tmp_path, command, base):
         assert profile["counts"] == {
             "monotone_iterations": sum(ladder["iterations"])}
         assert profile["counts"]["monotone_iterations"] > 0
+
+
+@pytest.mark.parametrize("command, base", [
+    ("solve-gv", GV_CFG), ("sweep-eps", SWEEP_CFG)], ids=["gv", "sweep"])
+def test_coupled_profile_counts_cg_iterations(tmp_path, monkeypatch, command,
+                                              base):
+    # CG applies its preconditioner once an iteration, and in these runs it
+    # is called by the decoupled solves of alpha = 0 only
+    calls = []
+    precondition = Torus.precondition
+    monkeypatch.setattr(Torus, "precondition", lambda self, *args, **kw: (
+        calls.append(1) or precondition(self, *args, **kw)))
+    cfg = write_cfg(tmp_path, "cfg.json", base)
+    out = str(tmp_path / "art")
+    assert main([command, "--config", cfg, "--out", out, "--quiet"]) == 0
+    meta = json.load(open(os.path.join(out, "metadata.json")))
+    assert meta["profile"]["counts"]["cg_iterations"] == len(calls) > 0
 
 
 # the divisor of test_kernel_identity_skipped_on_sphere: two zeros and three

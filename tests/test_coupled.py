@@ -112,7 +112,7 @@ def test_forcing_term_saves_krylov_iterations(gv_problem64, gv_final, torus64,
     S1, S2 = residual(gv_problem64, alpha, f, u)
     r0 = max(np.max(np.abs(S1)), np.max(np.abs(S2)))
     _, _, (T1, T2), _, nk = newton_step(gv_problem64, alpha, f, u)
-    monkeypatch.setattr(coupled, "_FORCING", 0.0)
+    monkeypatch.setattr(solvers, "_FORCING", 0.0)
     nk_tight = newton_step(gv_problem64, alpha, f, u)[4]
     assert nk < nk_tight
     assert max(np.max(np.abs(T1)), np.max(np.abs(T2))) <= r0**2
@@ -179,6 +179,15 @@ def test_continue_alpha_paths(gv_problem64, gv_state0, gv_path):
     with pytest.raises(ConfigError):
         next(continue_alpha(gv_problem64, unaccepted,
                             gv_problem64.params.alpha_star))
+
+
+def test_predicted_walk_saves_newton_steps(gv_problem64, gv_state0):
+    # each alpha step starts from the cubic through the last four states: 16
+    # steps to alpha* take fewer Newton steps than two a step, which is what
+    # they take from the last state
+    path = continue_alpha(gv_problem64, gv_state0,
+                          gv_problem64.params.alpha_star, n_steps=16)
+    assert sum(len(st.newton_log) for st in path) < 32
 
 
 def test_path_stalled(gv_problem64, gv_state0, monkeypatch):
@@ -356,8 +365,8 @@ def test_newton_step_transforms_per_krylov_iteration(torus32, gv_divisor,
     alpha = problem.params.alpha_star / 16
     count_transforms = _bench_module().count_transforms
     runs = []
-    for forcing in (coupled._FORCING, 0.0):
-        monkeypatch.setattr(coupled, "_FORCING", forcing)
+    for forcing in (solvers._FORCING, 0.0):
+        monkeypatch.setattr(solvers, "_FORCING", forcing)
         (_, _, _, step, nk), count = count_transforms(
             newton_step, (problem, alpha, state.f_tilde, state.u))
         assert step == 1.0

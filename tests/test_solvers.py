@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vortexlab import vortex
 from vortexlab.errors import ConvergenceFailure, PathStalled
-from vortexlab.solvers import damped_step, merit, walk
+from vortexlab.solvers import damped_step, forcing, merit, walk
 from vortexlab.vortex import solve_exp_scalar, solve_twisted_ke
 
 
@@ -33,7 +34,7 @@ def test_wrong_way_correction_fails_with_history(torus32, monkeypatch):
     # gives up after its halvings and the failure carries the residuals
     solve = vortex.solve_helmholtz
     monkeypatch.setattr(vortex, "solve_helmholtz",
-                        lambda s, V, rhs: -solve(s, V, rhs))
+                        lambda s, V, rhs, rtol: (-solve(s, V, rhs, rtol)[0], 0))
     coeff = np.ones(torus32.shape)
     Q = -0.5 + 0.1 * np.cos(2 * np.pi * torus32.X)
     with pytest.raises(ConvergenceFailure, match="stagnated") as exc:
@@ -72,3 +73,69 @@ def test_walk_stalls_with_the_last_good_parameter():
         list(walk(solve, 0.0, None, 1.0, 0.25, 1.0 / 64.0))
     assert exc.value.last_good_alpha == 0.0
     assert exc.value.history == [3.0, 2.0]
+
+
+def _cubic(p):
+    """Fields that are cubics in the parameter."""
+    x = np.linspace(0.0, 1.0, 5)
+    return (1.0 - p * x + 2.0 * p**2 - 3.0 * p**3 * x,
+            np.cos(x) * p**3 + 0.5 * p)
+
+
+def test_walk_starts_from_the_cubic_through_the_last_four_states():
+    starts = []
+
+    def solve(p, start):
+        starts.append((p, start))
+        return _cubic(p)
+
+    got = list(walk(solve, 0.0, _cubic(0.0), 1.0, 0.125, 0.01, lambda x: x))
+    assert [p for p, _ in got] == [0.125 * k for k in range(1, 9)]
+    # the first solve starts from the start state itself
+    assert all(np.array_equal(a, b) for a, b in zip(starts[0][1], _cubic(0.0)))
+    # once four states are known the start is the next state
+    assert len(starts) == 8
+    for p, start in starts[4:]:
+        for a, b in zip(start, _cubic(p)):
+            assert np.max(np.abs(a - b)) < 1e-12
+
+
+def test_predicting_walk_halves_as_before():
+    # a refused step halves the step as a walk without prediction does: the
+    # same parameters are tried and yielded
+    def run(fields):
+        calls = []
+
+        def solve(p, start):
+            calls.append(p)
+            if p == 0.5 and calls.count(0.5) == 1:
+                raise ConvergenceFailure("refused once", [1.0])
+            return _cubic(p)
+
+        got = [p for p, _ in walk(solve, 0.0, _cubic(0.0), 1.0, 0.25, 0.01,
+                                  fields)]
+        return got, calls
+
+    predicted, plain = run(lambda x: x), run(None)
+    assert predicted == plain
+    assert predicted[0] == [0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rn=st.floats(min_value=1e-300, max_value=1e300),
+       tol=st.floats(min_value=1e-16, max_value=1.0))
+def test_forcing_term_bounds(rn, tol):
+    # the forcing term stays in [1e-12, 1e-2], and it is the proportional
+    # term min(1e-2, max(1e-12, 1e-3 rn)) wherever the floor 0.01 tol / rn
+    # lies below that
+    eta = forcing(rn, tol)
+    assert 1e-12 <= eta <= 1e-2
+    proportional = min(1e-2, max(1e-12, 1e-3 * rn))
+    if 0.01 * tol / rn < proportional:
+        assert eta == proportional
+
+
+def test_forcing_term_floor_near_the_root():
+    # at a residual of twice tol the Krylov solve reduces it by the factor
+    # 0.01 / 2, not by the proportional term's 1e-12 floor
+    assert forcing(2e-9, 1e-9) == pytest.approx(5e-3)
