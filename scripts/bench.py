@@ -12,7 +12,11 @@ coupled Newton step (``newton_step``, whose GMRES runs to the forcing term
 continuation of ``scripts/configs/sweep_torus256.json`` at eps = 0.1, at
 alpha = 0.0625/16 from the decoupled state, one CG ``solve_helmholtz`` at
 256^2 (to its default 1e-13): the first Newton correction of the twist path
-of ``scripts/configs/vortex_torus256.json``,
+of ``scripts/configs/vortex_torus256.json``, the coarse level of the coupled
+preconditioner at 256^2: the low-mode window (``Torus.low_modes``) and the
+inverse of the Galerkin block (``solvers.low_mode_block``) of the
+linearization of the Newton step above (a tree without the two-level
+preconditioner has no such case),
 one monotone-iteration step at L = 127: the spectral solve
 ``solve_shifted(C, rhs)`` of the first iteration on the first rung of
 ``scripts/configs/eb_sphere127.json``, with the shift C that the iteration
@@ -75,6 +79,28 @@ def newton_step_case(torus, cfg):
     state = decoupled_state(problem)
     alpha = float(cfg["alpha"]["target"]) / cfg["alpha"]["steps"]
     return newton_step, (problem, alpha, state.f_tilde, state.u)
+
+
+def low_mode_block_case(problem, alpha, f_tilde, u):
+    """(the window and the inverse of the low-mode Galerkin block, no
+    arguments) of the linearization at (alpha, f~, u), whose coefficient
+    fields are formed once; None for a tree without ``low_mode_block``."""
+    import numpy as np
+
+    from vortexlab import solvers
+    from vortexlab.coupled import residual
+
+    if not hasattr(solvers, "low_mode_block"):
+        return None
+    lin = residual(problem, alpha, f_tilde, u).lin
+    coeffs = lin.coefficients([np.empty(problem.surface.shape)
+                               for _ in range(4)])
+
+    def run():
+        block = solvers.low_mode_block(problem.surface, coeffs)[0]
+        return np.linalg.inv(block)
+
+    return run, ()
 
 
 def helmholtz_case(torus, cfg):
@@ -201,6 +227,9 @@ def measure():
         "torus256.solve_tke": (*command_case("solve-tke", "tke_torus256.json"),
                                REPEATS),
     }
+    low_mode = low_mode_block_case(*step_args)
+    if low_mode is not None:
+        cases["torus256.low_mode_block"] = (*low_mode, REPEATS)
     out = {}
     for name, (fn, args, repeats) in cases.items():
         fn(*args)

@@ -16,6 +16,9 @@ both residuals are below tolerance and the metric stays positive.  Each
 step's Newton solve starts from the cubic through the (f~, u) of the last
 four accepted states (``solvers.walk``), and each Newton correction's GMRES
 and CG solves run to the forcing term of its residual (``solvers.forcing``).
+GMRES is preconditioned from the Jacobian's coefficient fields
+(``Linearization.coefficients``): two-level on the torus, with the low
+Fourier modes solved exactly, and the model system's symbol on the sphere.
 """
 
 from __future__ import annotations
@@ -133,7 +136,8 @@ def _residual(problem, alpha, f_tilde, u, c_tilde, lap_u):
 class Linearization:
     """The Jacobian of (S1, S2) frozen at one iterate (f~, u): Phi,
     rho = 1 - lap u and the exponential factor E, computed once and shared
-    by every Krylov matvec and the model preconditioner of a Newton step."""
+    by every Krylov matvec and the preconditioner of a Newton step, which
+    takes the four coefficient fields (``coefficients``)."""
 
     problem: GVProblem
     alpha: float
@@ -164,16 +168,20 @@ class Linearization:
         df *= self.E
         return work, df
 
-    def model_coeffs(self):
-        """Means of the four coefficients: the constant-coefficient model
-        system whose spectral inverse preconditions GMRES."""
-        tau = self.problem.tau
-        return (
-            float(np.mean(self.Phi * self.rho)),
-            float(np.mean(0.5 * (tau - self.Phi))),
-            float(np.mean(4.0 * self.alpha * (tau - self.Phi) * self.E)),
-            float(np.mean(-2.0 * self.c_tilde * self.E)),
-        )
+    def coefficients(self, out):
+        """The four coefficient fields of K = [[c1, c2 lap], [c3, c4]]:
+        c1 = Phi rho, c2 = (1/2)(tau - Phi), c3 = 4 alpha (tau - Phi) E and
+        c4 = -2 c~ E, written into the four fields of out and returned. The
+        block solve forms them in its scratch for its preconditioner: their
+        means on the sphere, their low Fourier modes on the torus."""
+        c1, c2, c3, c4 = out
+        np.multiply(self.Phi, self.rho, out=c1)
+        np.subtract(self.problem.tau, self.Phi, out=c2)
+        np.multiply(c2, 4.0 * self.alpha, out=c3)
+        c3 *= self.E
+        c2 *= 0.5
+        np.multiply(self.E, -2.0 * self.c_tilde, out=c4)
+        return c1, c2, c3, c4
 
 
 def _linearization(problem, alpha, f_tilde, u, c_tilde, lap_u):
@@ -197,7 +205,7 @@ def _newton_system(problem, alpha):
     def correct(x, res, rtol):
         df, du, nk = solve_block_newton_step(
             s, res.lin.pointwise, *res, rtol=rtol,
-            model_coeffs=res.lin.model_coeffs())
+            coefficients=res.lin.coefficients)
         krylov.append(nk)
         return df, du
 

@@ -12,10 +12,13 @@ it takes the grid part above the harmonic degree L as 1 / mean V), in the
 quadrature inner product in which both are symmetric.  The coupled 2x2 system is
 nonsymmetric and goes through restarted GMRES (classical Gram-Schmidt with
 one re-orthogonalization) on the Parseval-scaled spectral coefficients of
-the two fields: there the Laplacians and the block preconditioner (the
-inverse symbol of the frozen-coefficient model system) are per-mode
-multiplies, and only the pointwise part of the Jacobian goes through the
-grid, at three inverse and two forward transforms per iteration.  Both
+the two fields: there the Laplacians are per-mode multiplies, and only
+the pointwise part of the Jacobian goes through the grid, at three inverse
+and two forward transforms per iteration.  Its preconditioner is
+two-level on the torus: the low Fourier modes, a coarse space, are solved
+exactly (Toselli & Widlund, *Domain Decomposition Methods*, 2005, ch. 2),
+and the rest by the inverse symbol of the frozen-coefficient model
+system, which the sphere takes on every mode.  Both
 Krylov solvers run to the relative tolerance the caller passes: ``newton``
 passes each correction the forcing term of its residual (``forcing``), so
 a Krylov solve is only as tight as the step can use, and CG runs to its
@@ -25,8 +28,9 @@ step against lap + K composed on the grid (``grid_jacobian`` in
 
 The Krylov loops allocate no field per iteration: CG keeps its vectors
 for the solve, and the GMRES matvec runs in buffers made once per block
-solve, into which the surface maps write (``out=``), ``pointwise``
-computes K and the preconditioner runs in place.
+solve, in which the preconditioner's coefficient fields are formed first,
+the surface maps write (``out=``) and ``pointwise`` computes K; the
+preconditioner runs in place.
 """
 
 from __future__ import annotations
@@ -39,7 +43,8 @@ import numpy as np
 from .errors import ConvergenceFailure, PathStalled
 
 __all__ = ["solve_helmholtz", "solve_block_newton_step", "merit", "sup_norm",
-           "forcing", "damped_step", "newton", "walk", "block_symbol"]
+           "forcing", "damped_step", "newton", "walk", "block_symbol",
+           "low_mode_block"]
 
 # CG's relative tolerance and the absolute floor of the CG and GMRES stops
 _KRYLOV_TOL = 1e-13
@@ -52,9 +57,12 @@ _MAX_BACKTRACK = 30
 _FORCING = 1e-3
 _ETA_MIN = 1e-12
 _ETA_MAX = 1e-2
-_SAFEGUARD = 0.01
+_SAFEGUARD = 1e-3
 # accepted states through which ``walk`` extrapolates its next start
 _PREDICTOR_POINTS = 4
+# the coarse level of the coupled preconditioner on the torus: the Fourier
+# modes |kx|, |ky| <= _LOW_MODES of each field, (2 _LOW_MODES + 1)^2 of them
+_LOW_MODES = 3
 
 
 def solve_helmholtz(surface, V, rhs, rtol=_KRYLOV_TOL):
@@ -292,7 +300,7 @@ def _extrapolate(history, p):
 
 
 def solve_block_newton_step(surface, pointwise, rhs1, rhs2, rtol=1e-12,
-                            model_coeffs=None):
+                            coefficients=None):
     """Solve the linearized 2x2 system J (df, du) = (rhs1, rhs2), where
     J = diag(lap, lap) + K and ``pointwise(df, du, lap_du, work)`` returns
     the pointwise part K (df, du), computed in those four fields, which it
@@ -301,12 +309,18 @@ def solve_block_newton_step(surface, pointwise, rhs1, rhs2, rtol=1e-12,
     GMRES runs on the spectral coefficients of (df, du) (``to_coeffs``), in
     which lap multiplies each coefficient by its ``coeff_eig`` and the
     Euclidean norm is the grid norm, so rtol and the floor _KRYLOV_TOL are
-    grid-norm tolerances; only K goes through the grid. The preconditioner
-    is the ``block_symbol`` of the frozen-coefficient model system when
-    ``model_coeffs`` (m1, m2, m3, m4) is supplied and stays definite, else
-    that of (1, 0, 0, 1), blockwise (lap+1)^-1. GMRES that misses rtol in
-    _MAX_KRYLOV iterations raises ConvergenceFailure. The returned fields
-    are new arrays.
+    grid-norm tolerances; only K goes through the grid.
+
+    ``coefficients(out)`` writes the coefficient fields c1..c4 of
+    K = [[c1, c2 lap], [c3, c4]] into the four fields out, the matvec's
+    scratch, and returns them. The preconditioner is then, on the torus
+    modes |kx|, |ky| <= _LOW_MODES, the inverse of J's Galerkin block there
+    (``low_mode_block``), and on every other mode, and on the whole
+    sphere, the ``block_symbol`` of the fields' means (m1, m2, m3, m4) if
+    that stays definite, else that of (1, 0, 0, 1), blockwise (lap+1)^-1,
+    as it is without ``coefficients``. A singular Galerkin block, and GMRES
+    that misses rtol in _MAX_KRYLOV iterations, raise ConvergenceFailure.
+    The returned fields are new arrays.
     """
     eig = surface.coeff_eig
     size = 2 * eig.size  # a field's coefficients as (Re, Im) pairs
@@ -326,22 +340,40 @@ def solve_block_newton_step(surface, pointwise, rhs1, rhs2, rtol=1e-12,
         z = x.view(np.complex128)
         return z[:eig.size], z[eig.size:]
 
-    model = (1.0, 0.0, 0.0, 1.0)
-    if model_coeffs is not None:
-        m1, m2, m3, m4 = model_coeffs
+    model, coarse = (1.0, 0.0, 0.0, 1.0), None
+    if coefficients is not None:
+        c = coefficients(fields)
+        if surface.backend == "torus":
+            galerkin, means, (index, mirror, scale) = low_mode_block(surface, c)
+            coarse = _coarse_inverse(galerkin, np.tile(scale, 2))
+            # the low modes of both fields in the complex view of x, the
+            # conjugated ones, and those that x holds itself
+            low = np.concatenate((index, index + eig.size))
+            flip = np.tile(mirror, 2)
+            own = np.flatnonzero(~flip)
+        else:
+            means = tuple(float(np.mean(ci)) for ci in c)
+        m1, m2, m3, m4 = means
         # det(lam) = lam^2 + (m1 + m4 - m2 m3) lam + m1 m4 must stay positive
         if m1 * m4 > 0 and (m1 + m4 - m2 * m3) > -2.0 * np.sqrt(m1 * m4) * 0.9:
-            model = model_coeffs
+            model = means
     i11, i12, i21, i22 = block_symbol(model, eig)
 
     def prevec(y):
-        """The model inverse of y, in place."""
+        """The preconditioner applied to y, in place."""
+        if coarse is not None:
+            z = y.view(np.complex128)
+            g = z[low]
+            np.conjugate(g, out=g, where=flip)
+            g = coarse @ g
         a, b = modes(y)
         np.multiply(i21, a, out=t1)
         np.multiply(i11, a, out=a)
         a += np.multiply(i12, b, out=t2)
         np.multiply(i22, b, out=b)
         b += t1
+        if coarse is not None:
+            z[low[own]] = g[own]
         return y
 
     def matvec(x):
@@ -378,6 +410,48 @@ def block_symbol(m, lam):
     m1, m2, m3, m4 = m
     det = (lam + m1) * (lam + m4) - m2 * lam * m3
     return (lam + m4) / det, -m2 * lam / det, -m3 / det, (lam + m1) / det
+
+
+def low_mode_block(surface, coefficients):
+    """The Galerkin block of J = diag(lap, lap) + [[c1, c2 lap], [c3, c4]]
+    on the torus modes |kx|, |ky| <= _LOW_MODES of each field, for the four
+    coefficient fields c1..c4, over the orthonormal Fourier modes k, l
+    (``Torus.low_modes``): entries delta_kl lam_k + c^_ij(k - l), the c2
+    entry also times lam_l. Returns (block, means, (index, mirror, scale)):
+    the (2M, 2M) complex block of the M low modes, df's first; the d = 0
+    entries c^_ij(0), the fields' means m1..m4 of ``block_symbol``; and
+    where the low modes sit in a ``to_coeffs`` vector."""
+    window, index, mirror, scale = surface.low_modes(coefficients, _LOW_MODES)
+    lam = surface.coeff_eig[index]
+    c1, c2, c3, c4 = window
+    diag = np.diag(lam)
+    block = np.block([[diag + c1, c2 * lam], [c3, diag + c4]])
+    means = tuple(float(w[0, 0].real) for w in window)
+    return block, means, (index, mirror, scale)
+
+
+def _coarse_inverse(galerkin, scale):
+    """The inverse of the Galerkin block on coefficients that hold scale
+    times the orthonormal ones: diag(scale) galerkin^-1 diag(1 / scale)."""
+    try:
+        inverse = np.linalg.inv(galerkin)
+        if not np.all(np.isfinite(inverse)):
+            raise np.linalg.LinAlgError
+    except np.linalg.LinAlgError:
+        raise ConvergenceFailure("the low-mode block of the Newton "
+                                 "correction is singular") from None
+    inverse *= scale[:, None]
+    inverse /= scale
+    return inverse
+
+
+def _combine(coef, rows, out):
+    """coef @ rows, into out. One row goes through np.multiply, the same
+    bits: numpy runs a one-row matmul in a loop of its own, not in BLAS,
+    several times slower."""
+    if len(coef) == 1:
+        return np.multiply(rows[0], coef[0], out=out)
+    return np.matmul(coef, rows, out=out)
 
 
 def _gmres_left(matvec, prevec, b, rtol, atol, restart, max_krylov):
@@ -420,9 +494,9 @@ def _gmres_left(matvec, prevec, b, rtol, atol, restart, max_krylov):
             # the products land in the row the next basis vector takes
             basis, spare = V[: j + 1], V[j + 1]
             h = basis @ w
-            w -= np.matmul(h, basis, out=spare)
+            w -= _combine(h, basis, spare)
             h2 = basis @ w
-            w -= np.matmul(h2, basis, out=spare)
+            w -= _combine(h2, basis, spare)
             H[: j + 1, j] = h + h2
             H[j + 1, j] = np.linalg.norm(w)
             breakdown = H[j + 1, j] < 1e-300
@@ -443,7 +517,7 @@ def _gmres_left(matvec, prevec, b, rtol, atol, restart, max_krylov):
             if abs(g[j + 1]) <= target or breakdown or total >= max_krylov:
                 break
         y = np.linalg.solve(np.triu(H[:j_used, :j_used]), g[:j_used])
-        x += np.matmul(y, V[:j_used], out=V[j_used])
+        x += _combine(y, V[:j_used], V[j_used])
         if abs(g[j_used]) <= target:
             return x, total, True
         if total >= max_krylov:

@@ -148,6 +148,47 @@ class Torus:
         return self._inverse(
             np.multiply(half, self._coeff_unscale, out=self._spec), out)
 
+    def low_modes(self, fields, bound):
+        """The products of the fields between the low modes k = (kx, ky),
+        |kx|, |ky| <= bound (kx major), and where those modes sit in a
+        ``to_coeffs`` vector: (window, index, mirror, scale).
+
+        window[i, k, l] is the Fourier coefficient of fields[i] at k - l,
+        mean(f_i e^{-2 pi i (k - l).x}): the entry of the multiplication by
+        f_i between the orthonormal Fourier modes l and k. index[k] is the
+        position, in the complex view of a field's coefficient vector, of
+        k's coefficient or, where mirror[k], of that of -k, whose conjugate
+        it is (the half spectrum holds ky >= 0); the vector holds scale[k]
+        times the orthonormal coefficient there. The window is exact for
+        4 bound < n. It is a partial DFT, two small products per field (the
+        columns dy = 0..2 bound, then the rows): O(n^2 bound) work and no
+        2-D transform."""
+        b, n, half = int(bound), self.n, self.n // 2 + 1
+        d = np.arange(-2 * b, 2 * b + 1)
+        cells = np.arange(n)
+        # e^{-2 pi i dy y} for dy >= 0 as (Re, Im) column pairs, a real
+        # matrix that takes the real field with no complex copy of it, and
+        # e^{-2 pi i dx x}
+        angle = (2.0 * np.pi / n) * (np.outer(cells, d[2 * b:]) % n)
+        ey = np.empty(angle.shape + (2,))
+        ey[..., 0], ey[..., 1] = np.cos(angle), -np.sin(angle)
+        ey = ey.reshape(n, -1)
+        ex = np.exp((-2j * np.pi / n) * (np.outer(d, cells) % n))
+        window = np.empty((len(fields), d.size, d.size), np.complex128)
+        for w, f in zip(window, fields):
+            w[:, 2 * b:] = ex @ (f @ ey).view(np.complex128)
+            # dy < 0: the coefficient at -d, conjugated
+            w[:, :2 * b] = np.conj(w[::-1, :2 * b:-1])
+        window /= n * n
+        k = np.arange(-b, b + 1)
+        kx, ky = np.repeat(k, k.size), np.tile(k, k.size)
+        mirror = ky < 0
+        sign = np.where(mirror, -1, 1)
+        index = (sign * kx) % n * half + sign * ky
+        scale = n * self._coeff_scale[np.abs(ky)]
+        window = window[:, kx[:, None] - kx + 2 * b, ky[:, None] - ky + 2 * b]
+        return window, index, mirror, scale
+
     @cached_property
     def _dz_mult(self):
         """Full-spectrum d/dz multiplier, Nyquist zeroed for odd

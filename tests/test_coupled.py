@@ -17,7 +17,7 @@ from vortexlab.coupled import (
 )
 from vortexlab.errors import ConfigError, ConvergenceFailure
 from vortexlab.fields import DivisorData
-from vortexlab.solvers import (_gmres_left, block_symbol,
+from vortexlab.solvers import (_gmres_left, block_symbol, low_mode_block,
                                solve_block_newton_step, solve_helmholtz)
 from vortexlab.surface import VOL, build_surface
 
@@ -260,7 +260,7 @@ def test_cg_breakdown_fails_at_once(monkeypatch):
 def _variable_block_system(surface):
     # a variable-coefficient block system shaped like the coupled Jacobian,
     # with band-limited coefficients and right-hand side; returns its
-    # pointwise part, the means of its coefficients and the right-hand side
+    # pointwise part, its four coefficient fields and the right-hand side
     rng = np.random.default_rng(21)
     k1 = 3.0 + surface.random_bandlimited(rng, kmax=3, amp=0.3)[0]
     k2 = 0.4 + surface.random_bandlimited(rng, kmax=3, amp=0.05)[0]
@@ -270,10 +270,9 @@ def _variable_block_system(surface):
     def pointwise(df, du, lap_du, work):
         return k1 * df + k2 * lap_du, k3 * df + k4 * du
 
-    means = tuple(float(np.mean(k)) for k in (k1, k2, k3, k4))
     r1, _ = surface.random_bandlimited(rng, kmax=5)
     r2, _ = surface.random_bandlimited(rng, kmax=5)
-    return pointwise, means, r1, r2
+    return pointwise, (k1, k2, k3, k4), r1, r2
 
 
 def _dense_block_solve(size, matvec, b):
@@ -291,7 +290,7 @@ def test_block_step_matches_dense_grid_solve():
     # the coefficient-space GMRES solves the grid system: against a dense
     # solve of the grid Jacobian, column by column
     s = build_surface("torus", 16)
-    pointwise, means, r1, r2 = _variable_block_system(s)
+    pointwise, coeffs, r1, r2 = _variable_block_system(s)
     size = r1.size
 
     def grid_jac(x):
@@ -301,7 +300,7 @@ def test_block_step_matches_dense_grid_solve():
     want = _dense_block_solve(size, grid_jac,
                               np.concatenate([r1.ravel(), r2.ravel()]))
     df, du, _ = solve_block_newton_step(s, pointwise, r1, r2, rtol=1e-12,
-                                        model_coeffs=means)
+                                        coefficients=lambda out: coeffs)
     assert np.max(np.abs(df.ravel() - want[:size])) < 1e-10
     assert np.max(np.abs(du.ravel() - want[size:])) < 1e-10
 
@@ -312,7 +311,7 @@ def test_block_step_matches_grid_gmres_on_sphere(sphere15):
     # pointwise product projected onto those harmonics, preconditioned by
     # the model system's symbol applied to the fields' coefficients
     s = sphere15
-    pointwise, means, r1, r2 = _variable_block_system(s)
+    pointwise, coeffs, r1, r2 = _variable_block_system(s)
     size = r1.size
 
     def band(f):
@@ -325,6 +324,7 @@ def test_block_step_matches_grid_gmres_on_sphere(sphere15):
         return np.concatenate([(s.laplacian(df) + band(k1)).ravel(),
                                (lap_du + band(k2)).ravel()])
 
+    means = tuple(float(np.mean(k)) for k in coeffs)
     i11, i12, i21, i22 = block_symbol(means, s.coeff_eig)
 
     def prevec(y):
@@ -339,10 +339,73 @@ def test_block_step_matches_grid_gmres_on_sphere(sphere15):
         rtol=1e-13, atol=0.0, restart=50, max_krylov=500)
     assert converged
     df, du, _ = solve_block_newton_step(s, pointwise, r1, r2, rtol=1e-12,
-                                        model_coeffs=means)
+                                        coefficients=lambda out: coeffs)
     scale = np.max(np.abs(want))
     assert np.max(np.abs(df.ravel() - want[:size])) < 1e-10 * scale
     assert np.max(np.abs(du.ravel() - want[size:])) < 1e-10 * scale
+
+
+def test_low_mode_block_is_the_galerkin_projection():
+    # the coarse level of the torus preconditioner is J's Galerkin block on
+    # the low modes: <e_k, J e_l> over the orthonormal Fourier modes
+    # e_k = e^{2 pi i k.x} / n, each column through the grid Jacobian
+    s = build_surface("torus", 16)
+    pointwise, coeffs, r1, _ = _variable_block_system(s)
+    block, means, (index, mirror, scale) = low_mode_block(s, coeffs)
+    k = np.arange(-solvers._LOW_MODES, solvers._LOW_MODES + 1)
+    kx, ky = np.repeat(k, k.size), np.tile(k, k.size)
+    m, z = kx.size, np.zeros(s.shape)
+    want = np.empty((2 * m, 2 * m), complex)
+    for j in range(m):
+        phase = 2 * np.pi * (kx[j] * s.X + ky[j] * s.Y)
+        for field in (0, 1):
+            (c1, c2), (s1, s2) = (
+                grid_jacobian(s, pointwise, *((p, z) if field == 0 else (z, p)))
+                for p in (np.cos(phase), np.sin(phase)))
+            want[:, field * m + j] = np.concatenate([
+                np.fft.fft2(c + 1j * sn)[kx % s.n, ky % s.n] / s.n**2
+                for c, sn in ((c1, s1), (c2, s2))])
+    assert np.max(np.abs(block - want)) < 1e-12 * np.max(np.abs(want))
+    # the d = 0 entries are the fields' means, those of the symbol
+    assert means == pytest.approx([np.mean(c) for c in coeffs], rel=1e-14)
+    # the map: a to_coeffs vector holds scale times the orthonormal
+    # coefficient of k at index, or of -k, conjugated, where mirror
+    held = s.to_coeffs(r1).view(np.complex128)[index]
+    held = np.where(mirror, np.conj(held), held) / scale
+    assert np.allclose(held, np.fft.fft2(r1)[kx % s.n, ky % s.n] / s.n,
+                       rtol=0, atol=1e-13)
+
+
+def test_singular_low_mode_block_fails_with_a_name():
+    # zero coefficients leave J = diag(lap, lap), singular on the constants,
+    # and so is its Galerkin block: a named failure before any iteration
+    s = build_surface("torus", 16)
+    zero = np.zeros(s.shape)
+    r, _ = s.random_bandlimited(np.random.default_rng(4), kmax=3)
+    def pointwise(df, du, lap_du, work):
+        return 0 * df, 0 * du
+
+    with pytest.raises(ConvergenceFailure, match="singular"):
+        solve_block_newton_step(s, pointwise, r, r,
+                                coefficients=lambda out: (zero,) * 4)
+
+
+def test_low_mode_block_saves_gmres_iterations(gv_problem64, gv_state0,
+                                               monkeypatch):
+    # the 16-step walk to alpha* takes the Newton steps it takes with the
+    # symbol alone (no low modes but the constant) in at most 60 % of its
+    # GMRES iterations
+    def work():
+        log = [e for st in continue_alpha(
+            gv_problem64, gv_state0, gv_problem64.params.alpha_star,
+            n_steps=16) for e in st.newton_log]
+        return len(log), sum(e["krylov"] for e in log)
+
+    steps, krylov = work()
+    monkeypatch.setattr(solvers, "_LOW_MODES", 0)
+    steps_symbol, krylov_symbol = work()
+    assert steps == steps_symbol
+    assert krylov <= 0.6 * krylov_symbol
 
 
 def _bench_module():

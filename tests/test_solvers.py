@@ -137,5 +137,5 @@ def test_forcing_term_bounds(rn, tol):
 
 def test_forcing_term_floor_near_the_root():
     # at a residual of twice tol the Krylov solve reduces it by the factor
-    # 0.01 / 2, not by the proportional term's 1e-12 floor
-    assert forcing(2e-9, 1e-9) == pytest.approx(5e-3)
+    # 0.001 / 2, not by the proportional term's 1e-12 floor
+    assert forcing(2e-9, 1e-9) == pytest.approx(5e-4)
