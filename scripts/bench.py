@@ -15,8 +15,8 @@ alpha = 0.0625/16 from the decoupled state, one CG ``solve_helmholtz`` at
 of ``scripts/configs/vortex_torus256.json``, the coarse level of the coupled
 preconditioner at 256^2: the low-mode window (``Torus.low_modes``) and the
 inverse of the Galerkin block (``solvers.low_mode_block``) of the
-linearization of the Newton step above (a tree without the two-level
-preconditioner has no such case),
+Jacobian of the Newton step above, over the coefficient fields that its
+residual carries (a tree whose residual carries none has no such case),
 one monotone-iteration step at L = 127: the spectral solve
 ``solve_shifted(C, rhs)`` of the first iteration on the first rung of
 ``scripts/configs/eb_sphere127.json``, with the shift C that the iteration
@@ -83,18 +83,19 @@ def newton_step_case(torus, cfg):
 
 def low_mode_block_case(problem, alpha, f_tilde, u):
     """(the window and the inverse of the low-mode Galerkin block, no
-    arguments) of the linearization at (alpha, f~, u), whose coefficient
-    fields are formed once; None for a tree without ``low_mode_block``."""
+    arguments) of the Jacobian at (alpha, f~, u), over the coefficient
+    fields that the residual there carries; None for a tree whose residual
+    carries none (one without ``low_mode_block``, or one that formed the
+    fields in the block solve)."""
     import numpy as np
 
     from vortexlab import solvers
     from vortexlab.coupled import residual
 
-    if not hasattr(solvers, "low_mode_block"):
+    coeffs = getattr(residual(problem, alpha, f_tilde, u), "coefficients",
+                     None)
+    if coeffs is None:
         return None
-    lin = residual(problem, alpha, f_tilde, u).lin
-    coeffs = lin.coefficients([np.empty(problem.surface.shape)
-                               for _ in range(4)])
 
     def run():
         block = solvers.low_mode_block(problem.surface, coeffs)[0]

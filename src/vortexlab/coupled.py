@@ -16,9 +16,11 @@ both residuals are below tolerance and the metric stays positive.  Each
 step's Newton solve starts from the cubic through the (f~, u) of the last
 four accepted states (``solvers.walk``), and each Newton correction's GMRES
 and CG solves run to the forcing term of its residual (``solvers.forcing``).
-GMRES is preconditioned from the Jacobian's coefficient fields
-(``Linearization.coefficients``): two-level on the torus, with the low
-Fourier modes solved exactly, and the model system's symbol on the sphere.
+Each residual carries the Jacobian's coefficient fields
+(``Residual.coefficients``), its one description: GMRES applies them on
+the grid, and its preconditioner is built from them, two-level on the
+torus, with the low Fourier modes solved exactly, and the model system's
+symbol on the sphere.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ from .solvers import (damped_step, forcing, merit, newton,
                       solve_block_newton_step, sup_norm, walk)
 from .vortex import solve_twisted_ke, solve_vortex_on_metric
 
-__all__ = ["GVProblem", "SolveState", "Residual", "Linearization",
-           "make_problem", "residual", "newton_step",
-           "accepted_state", "solve_at_alpha", "decoupled_state", "continue_alpha"]
+__all__ = ["GVProblem", "SolveState", "Residual", "make_problem", "residual",
+           "newton_step", "accepted_state", "solve_at_alpha", "decoupled_state",
+           "continue_alpha"]
 
 RESIDUAL_TOL = 1e-9
 MAX_NEWTON = 40  # Newton iterations per alpha before the step is halved
@@ -96,21 +98,18 @@ def make_problem(surface, divisor, tau, eps, fields=None):
                      F_xi=F_xi, F_eta=F_eta)
 
 
-def _exp_factor(problem, alpha, c_tilde, f_tilde, u, Phi):
-    return problem.W * np.exp(
-        4.0 * alpha * problem.tau * f_tilde - 2.0 * alpha * Phi - 2.0 * c_tilde * u
-    )
-
-
 class Residual(tuple):
-    """The pair (S1, S2) at an iterate, carrying the frozen linearization
-    there (``lin``): its Phi, rho = 1 - lap u and E are the residual's own
-    intermediates, so a Newton step from this iterate computes none of them
-    again."""
+    """The pair (S1, S2) at an iterate, carrying the Jacobian there as the
+    four coefficient fields of K = [[c1, c2 lap], [c3, c4]], where
+    J = diag(lap, lap) + K (``coefficients``): c1 = Phi rho, c2 =
+    (1/2)(tau - Phi), c3 = 4 alpha (tau - Phi) E and c4 = -2 c~ E, with
+    rho = 1 - lap u and E the exponential factor of S2. They are formed
+    from the residual's own intermediates, so a Newton step from this
+    iterate computes none of them again."""
 
-    def __new__(cls, S1, S2, lin):
+    def __new__(cls, S1, S2, coefficients):
         res = super().__new__(cls, (S1, S2))
-        res.lin = lin
+        res.coefficients = coefficients
         return res
 
 
@@ -121,73 +120,32 @@ def residual(problem, alpha, f_tilde, u):
 
 
 def _residual(problem, alpha, f_tilde, u, c_tilde, lap_u):
-    """(S1, S2) given lap u."""
-    lin = _linearization(problem, alpha, f_tilde, u, c_tilde, lap_u)
+    """(S1, S2) given lap u, whose buffer S2 takes. K's coefficient fields
+    c1, c2 and c4 take the buffers of rho, Phi and E once S1 and S2 have
+    read them; c3, the one field more, is allocated first, so that it takes
+    the place of a field freed before the call, not one above this call's
+    temporaries (with c3 last, a 256^2 `sweep-eps` peaks ~1 MiB higher)."""
+    c3 = np.empty_like(f_tilde)
+    Phi = problem.weight_t * np.exp(2.0 * f_tilde)
+    E = problem.W * np.exp(
+        4.0 * alpha * problem.tau * f_tilde - 2.0 * alpha * Phi - 2.0 * c_tilde * u
+    )
+    np.subtract(problem.tau, Phi, out=c3)
+    c3 *= 4.0 * alpha
+    c3 *= E
+    rho = 1.0 - lap_u
     S1 = (
         problem.surface.laplacian(f_tilde)
-        + 0.5 * (lin.Phi - problem.tau) * lin.rho
+        + 0.5 * (Phi - problem.tau) * rho
         + problem.params.N_tilde
     )
-    S2 = lap_u + lin.E - 1.0
-    return Residual(S1, S2, lin)
-
-
-@dataclass(frozen=True, eq=False)
-class Linearization:
-    """The Jacobian of (S1, S2) frozen at one iterate (f~, u): Phi,
-    rho = 1 - lap u and the exponential factor E, computed once and shared
-    by every Krylov matvec and the preconditioner of a Newton step, which
-    takes the four coefficient fields (``coefficients``)."""
-
-    problem: GVProblem
-    alpha: float
-    c_tilde: float
-    Phi: np.ndarray
-    rho: np.ndarray
-    E: np.ndarray
-
-    def pointwise(self, df, du, lap_du, work):
-        """K (df, du) given lap du, where J = diag(lap, lap) + K: the part
-        of the Jacobian that is not a Laplacian, which GMRES evaluates on
-        the grid. It runs in the four given fields, which it overwrites,
-        and returns (k1, k2) in work and df."""
-        tau, Phi = self.problem.tau, self.Phi
-        # k1 = Phi rho df + (1/2)(tau - Phi) lap du
-        np.subtract(tau, Phi, out=work)
-        work *= 0.5
-        lap_du *= work
-        np.multiply(Phi, self.rho, out=work)
-        work *= df
-        work += lap_du
-        # k2 = (4 alpha (tau - Phi) df - 2 c~ du) E
-        np.subtract(tau, Phi, out=lap_du)
-        lap_du *= 4.0 * self.alpha
-        df *= lap_du
-        du *= 2.0 * self.c_tilde
-        df -= du
-        df *= self.E
-        return work, df
-
-    def coefficients(self, out):
-        """The four coefficient fields of K = [[c1, c2 lap], [c3, c4]]:
-        c1 = Phi rho, c2 = (1/2)(tau - Phi), c3 = 4 alpha (tau - Phi) E and
-        c4 = -2 c~ E, written into the four fields of out and returned. The
-        block solve forms them in its scratch for its preconditioner: their
-        means on the sphere, their low Fourier modes on the torus."""
-        c1, c2, c3, c4 = out
-        np.multiply(self.Phi, self.rho, out=c1)
-        np.subtract(self.problem.tau, self.Phi, out=c2)
-        np.multiply(c2, 4.0 * self.alpha, out=c3)
-        c3 *= self.E
-        c2 *= 0.5
-        np.multiply(self.E, -2.0 * self.c_tilde, out=c4)
-        return c1, c2, c3, c4
-
-
-def _linearization(problem, alpha, f_tilde, u, c_tilde, lap_u):
-    Phi = problem.weight_t * np.exp(2.0 * f_tilde)
-    E = _exp_factor(problem, alpha, c_tilde, f_tilde, u, Phi)
-    return Linearization(problem, alpha, c_tilde, Phi, 1.0 - lap_u, E)
+    S2 = np.add(lap_u, E, out=lap_u)
+    S2 -= 1.0
+    c1 = np.multiply(rho, Phi, out=rho)
+    c2 = np.subtract(problem.tau, Phi, out=Phi)
+    c2 *= 0.5
+    c4 = np.multiply(E, -2.0 * c_tilde, out=E)
+    return Residual(S1, S2, (c1, c2, c3, c4))
 
 
 def _newton_system(problem, alpha):
@@ -203,9 +161,8 @@ def _newton_system(problem, alpha):
         return _residual(problem, alpha, *x, c_tilde, lap_u)
 
     def correct(x, res, rtol):
-        df, du, nk = solve_block_newton_step(
-            s, res.lin.pointwise, *res, rtol=rtol,
-            coefficients=res.lin.coefficients)
+        df, du, nk = solve_block_newton_step(s, res.coefficients, *res,
+                                             rtol=rtol)
         krylov.append(nk)
         return df, du
 
@@ -229,12 +186,14 @@ def newton_step(problem, alpha, f_tilde, u):
 def accepted_state(problem, alpha, f_tilde, u, res=None, newton_log=None):
     """The SolveState of (f~, u) at alpha, built by the solve and the
     ``verify`` path alike; ``res`` is the Residual there if the caller has
-    it. Phi and c~ are those of the residual's linearization."""
+    it."""
     if res is None:
         res = residual(problem, alpha, f_tilde, u)
     S1, S2 = res
-    return SolveState(alpha=alpha, c_tilde=res.lin.c_tilde, f_tilde=f_tilde,
-                      u=u, Phi=res.lin.Phi, res1=S1, res2=S2,
+    return SolveState(alpha=alpha, c_tilde=problem.params.c_tilde(alpha),
+                      f_tilde=f_tilde, u=u,
+                      Phi=problem.weight_t * np.exp(2.0 * f_tilde),
+                      res1=S1, res2=S2,
                       newton_log=[] if newton_log is None else newton_log)
 
 

@@ -13,12 +13,13 @@ quadrature inner product in which both are symmetric.  The coupled 2x2 system is
 nonsymmetric and goes through restarted GMRES (classical Gram-Schmidt with
 one re-orthogonalization) on the Parseval-scaled spectral coefficients of
 the two fields: there the Laplacians are per-mode multiplies, and only
-the pointwise part of the Jacobian goes through the grid, at three inverse
-and two forward transforms per iteration.  Its preconditioner is
-two-level on the torus: the low Fourier modes, a coarse space, are solved
-exactly (Toselli & Widlund, *Domain Decomposition Methods*, 2005, ch. 2),
-and the rest by the inverse symbol of the frozen-coefficient model
-system, which the sphere takes on every mode.  Both
+the rest of the Jacobian, K, goes through the grid, at three inverse and
+two forward transforms per iteration.  K is given by its four coefficient
+fields, from which the preconditioner is built too.  It is two-level on
+the torus: the low Fourier modes, a coarse space, are solved exactly
+(Toselli & Widlund, *Domain Decomposition Methods*, 2005, ch. 2), and the
+rest by the inverse symbol of the frozen-coefficient model system, which
+the sphere takes on every mode.  Both
 Krylov solvers run to the relative tolerance the caller passes: ``newton``
 passes each correction the forcing term of its residual (``forcing``), so
 a Krylov solve is only as tight as the step can use, and CG runs to its
@@ -28,8 +29,7 @@ step against lap + K composed on the grid (``grid_jacobian`` in
 
 The Krylov loops allocate no field per iteration: CG keeps its vectors
 for the solve, and the GMRES matvec runs in buffers made once per block
-solve, in which the preconditioner's coefficient fields are formed first,
-the surface maps write (``out=``) and ``pointwise`` computes K; the
+solve, in which the surface maps write (``out=``) and K is applied; the
 preconditioner runs in place.
 """
 
@@ -299,35 +299,30 @@ def _extrapolate(history, p):
                  for group in zip(*(f for _, f in history)))
 
 
-def solve_block_newton_step(surface, pointwise, rhs1, rhs2, rtol=1e-12,
-                            coefficients=None):
+def solve_block_newton_step(surface, coefficients, rhs1, rhs2, rtol=1e-12):
     """Solve the linearized 2x2 system J (df, du) = (rhs1, rhs2), where
-    J = diag(lap, lap) + K and ``pointwise(df, du, lap_du, work)`` returns
-    the pointwise part K (df, du), computed in those four fields, which it
-    may overwrite (work is scratch).
+    J = diag(lap, lap) + K and K = [[c1, c2 lap], [c3, c4]] for the four
+    coefficient fields ``coefficients`` = (c1, c2, c3, c4).
 
     GMRES runs on the spectral coefficients of (df, du) (``to_coeffs``), in
     which lap multiplies each coefficient by its ``coeff_eig`` and the
     Euclidean norm is the grid norm, so rtol and the floor _KRYLOV_TOL are
     grid-norm tolerances; only K goes through the grid.
 
-    ``coefficients(out)`` writes the coefficient fields c1..c4 of
-    K = [[c1, c2 lap], [c3, c4]] into the four fields out, the matvec's
-    scratch, and returns them. The preconditioner is then, on the torus
-    modes |kx|, |ky| <= _LOW_MODES, the inverse of J's Galerkin block there
-    (``low_mode_block``), and on every other mode, and on the whole
-    sphere, the ``block_symbol`` of the fields' means (m1, m2, m3, m4) if
-    that stays definite, else that of (1, 0, 0, 1), blockwise (lap+1)^-1,
-    as it is without ``coefficients``. A singular Galerkin block, and GMRES
-    that misses rtol in _MAX_KRYLOV iterations, raise ConvergenceFailure.
-    The returned fields are new arrays.
+    The preconditioner is, on the torus modes |kx|, |ky| <= _LOW_MODES,
+    the inverse of J's Galerkin block there (``low_mode_block``), and on
+    every other mode, and on the whole sphere, the ``block_symbol`` of the
+    fields' means (m1, m2, m3, m4) if that stays definite, else that of
+    (1, 0, 0, 1), blockwise (lap+1)^-1. A singular Galerkin block, and
+    GMRES that misses rtol in _MAX_KRYLOV iterations, raise
+    ConvergenceFailure. The returned fields are new arrays.
     """
     eig = surface.coeff_eig
     size = 2 * eig.size  # a field's coefficients as (Re, Im) pairs
-    # the matvec's scratch: df, du, lap du and the scratch of pointwise on
-    # the grid, two complex coefficient fields and the output J x, as views
-    # of one array: numpy advises huge pages for an array of 4 MiB or more,
-    # which at 256^2 cuts the minor page faults of a `sweep-eps` by ~30 %
+    # the matvec's scratch: df, du, lap du and k1 on the grid, two complex
+    # coefficient fields and the output J x, as views of one array: numpy
+    # advises huge pages for an array of 4 MiB or more, which at 256^2 cuts
+    # the minor page faults of a `sweep-eps` by ~30 %
     ncell = rhs1.size
     block = np.empty(4 * (ncell + size))
     fields = [block[i * ncell:(i + 1) * ncell].reshape(surface.shape)
@@ -341,22 +336,21 @@ def solve_block_newton_step(surface, pointwise, rhs1, rhs2, rtol=1e-12,
         return z[:eig.size], z[eig.size:]
 
     model, coarse = (1.0, 0.0, 0.0, 1.0), None
-    if coefficients is not None:
-        c = coefficients(fields)
-        if surface.backend == "torus":
-            galerkin, means, (index, mirror, scale) = low_mode_block(surface, c)
-            coarse = _coarse_inverse(galerkin, np.tile(scale, 2))
-            # the low modes of both fields in the complex view of x, the
-            # conjugated ones, and those that x holds itself
-            low = np.concatenate((index, index + eig.size))
-            flip = np.tile(mirror, 2)
-            own = np.flatnonzero(~flip)
-        else:
-            means = tuple(float(np.mean(ci)) for ci in c)
-        m1, m2, m3, m4 = means
-        # det(lam) = lam^2 + (m1 + m4 - m2 m3) lam + m1 m4 must stay positive
-        if m1 * m4 > 0 and (m1 + m4 - m2 * m3) > -2.0 * np.sqrt(m1 * m4) * 0.9:
-            model = means
+    if surface.backend == "torus":
+        galerkin, means, (index, mirror, scale) = low_mode_block(
+            surface, coefficients)
+        coarse = _coarse_inverse(galerkin, np.tile(scale, 2))
+        # the low modes of both fields in the complex view of x, the
+        # conjugated ones, and those that x holds itself
+        low = np.concatenate((index, index + eig.size))
+        flip = np.tile(mirror, 2)
+        own = np.flatnonzero(~flip)
+    else:
+        means = tuple(float(np.mean(c)) for c in coefficients)
+    m1, m2, m3, m4 = means
+    # det(lam) = lam^2 + (m1 + m4 - m2 m3) lam + m1 m4 must stay positive
+    if m1 * m4 > 0 and (m1 + m4 - m2 * m3) > -2.0 * np.sqrt(m1 * m4) * 0.9:
+        model = means
     i11, i12, i21, i22 = block_symbol(model, eig)
 
     def prevec(y):
@@ -376,16 +370,22 @@ def solve_block_newton_step(surface, pointwise, rhs1, rhs2, rtol=1e-12,
             z[low[own]] = g[own]
         return y
 
+    c1, c2, c3, c4 = coefficients
+
     def matvec(x):
         """J x, in jx."""
         zf, zu = modes(x)
         lap_zu = np.multiply(eig, zu, out=t1)
-        k1, k2 = pointwise(surface.from_coeffs(x[:size], out=fields[0]),
-                           surface.from_coeffs(x[size:], out=fields[1]),
-                           surface.from_coeffs(lap_zu.view(np.float64),
-                                               out=fields[2]), fields[3])
+        df = surface.from_coeffs(x[:size], out=fields[0])
+        du = surface.from_coeffs(x[size:], out=fields[1])
+        lap_du = surface.from_coeffs(lap_zu.view(np.float64), out=fields[2])
+        # K (df, du) = (c1 df + c2 lap du, c3 df + c4 du), k2 in df
+        k1 = np.multiply(c1, df, out=fields[3])
+        k1 += np.multiply(c2, lap_du, out=lap_du)
+        df *= c3
+        df += np.multiply(c4, du, out=du)
         surface.to_coeffs(k1, out=jx[:size])
-        surface.to_coeffs(k2, out=jx[size:])
+        surface.to_coeffs(df, out=jx[size:])
         yf, yu = modes(jx)
         yf += np.multiply(eig, zf, out=t2)
         yu += lap_zu

@@ -87,11 +87,6 @@ class VortexProblem:
     b: float = 0.0
     F: np.ndarray | None = None
     t: float = 1.0
-    N: int = 0
-
-    @property
-    def existence_ok(self):
-        return self.tau > 2.0 * (self.N - self.b)
 
     def twist_term(self, t=None):
         if self.F is None:
@@ -123,7 +118,7 @@ def make_vortex_problem(surface, weight_raw, tau, N, b=0.0, F=None, t=1.0,
     )
     phi0_sq = weight_raw * np.exp(2.0 * f0)
     return VortexProblem(surface=surface, phi0_sq=phi0_sq, tau=tau, b=b, F=F,
-                         t=t, N=N)
+                         t=t)
 
 
 def vortex_residual(problem, f):
@@ -143,11 +138,6 @@ def solve_vortex(problem, f_init=None, tol=1e-10, log=None):
     steps of 1/4, halved down to 1/64.  Returns f with ||residual||_inf <
     tol; the Newton iterations go to ``log`` if given.
     """
-    if not problem.existence_ok:
-        raise NoSolutionExpected(
-            f"existence condition violated: tau={problem.tau} must exceed "
-            f"2(N-b)={2.0 * (problem.N - problem.b)}"
-        )
     s = problem.surface
 
     def solve_at(t, f0):

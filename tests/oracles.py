@@ -248,18 +248,18 @@ def gradient_pairing(surface, f, g):
 # --- the coupled Jacobian and the smoothing ladder ----------------------------
 
 
-def grid_jacobian(surface, pointwise, df, du):
+def grid_jacobian(surface, coefficients, df, du):
     """J (df, du) = (lap df, lap du) + K (df, du) on the grid, where
-    ``pointwise`` is that of ``solve_block_newton_step``; df and du are
-    left as they are."""
+    K = [[c1, c2 lap], [c3, c4]] for the four coefficient fields
+    ``coefficients`` = (c1, c2, c3, c4), those of ``solve_block_newton_step``."""
+    c1, c2, c3, c4 = coefficients
     lap_df, lap_du = surface.laplacian(df), surface.laplacian(du)
-    k1, k2 = pointwise(df.copy(), du.copy(), lap_du.copy(), np.empty_like(df))
-    return lap_df + k1, lap_du + k2
+    return lap_df + (c1 * df + c2 * lap_du), lap_du + (c3 * df + c4 * du)
 
 
 def fd_jacobian_gap(problem, alpha, f, u, seed=0):
     """Relative gap between the Residual's linearization (``grid_jacobian``
-    over the ``pointwise`` part that GMRES runs) and central finite
+    over its coefficient fields, those that GMRES runs) and central finite
     differences."""
     s, step = problem.surface, 1e-6
     rng = np.random.default_rng(seed)
@@ -267,7 +267,7 @@ def fd_jacobian_gap(problem, alpha, f, u, seed=0):
     du, _ = s.random_bandlimited(rng, kmax=4, nmodes=5, amp=1.0)
     df /= max(1e-30, float(np.max(np.abs(df))))
     du /= max(1e-30, float(np.max(np.abs(du))))
-    J1, J2 = grid_jacobian(s, residual(problem, alpha, f, u).lin.pointwise,
+    J1, J2 = grid_jacobian(s, residual(problem, alpha, f, u).coefficients,
                            df, du)
     P1, P2 = residual(problem, alpha, f + step * df, u + step * du)
     M1, M2 = residual(problem, alpha, f - step * df, u - step * du)

@@ -65,9 +65,9 @@ def test_jacobian_fd_ten_states(gv_problem64, torus64):
 
 def test_jacobian_zero_direction(gv_problem64, gv_final):
     z = np.zeros_like(gv_final.f_tilde)
-    lin = residual(gv_problem64, gv_final.alpha, gv_final.f_tilde,
-                   gv_final.u).lin
-    d1, d2 = grid_jacobian(gv_problem64.surface, lin.pointwise, z, z)
+    coeffs = residual(gv_problem64, gv_final.alpha, gv_final.f_tilde,
+                      gv_final.u).coefficients
+    d1, d2 = grid_jacobian(gv_problem64.surface, coeffs, z, z)
     assert np.max(np.abs(d1)) == 0.0 and np.max(np.abs(d2)) == 0.0
 
 
@@ -75,8 +75,9 @@ def test_jacobian_decouples_at_alpha_zero(gv_problem64, gv_state0, torus64):
     rng = np.random.default_rng(5)
     df, _ = torus64.random_bandlimited(rng, kmax=4)
     z = np.zeros_like(df)
-    lin = residual(gv_problem64, 0.0, gv_state0.f_tilde, gv_state0.u).lin
-    _, dS2 = grid_jacobian(torus64, lin.pointwise, df, z)
+    coeffs = residual(gv_problem64, 0.0, gv_state0.f_tilde,
+                      gv_state0.u).coefficients
+    _, dS2 = grid_jacobian(torus64, coeffs, df, z)
     assert np.max(np.abs(dS2)) < 1e-12  # no f-coupling at alpha = 0
 
 
@@ -211,31 +212,33 @@ def test_decoupled_needs_negative_chi(torus64):
 
 
 def _stiff_block_system(surface):
-    # a stiff variable-coefficient block system: GMRES needs far more than
-    # a starved budget of 6 iterations; returns its pointwise part and the
+    # a stiff block system in the coupled Jacobian's form, whose coupling
+    # oscillates above the low modes: GMRES needs far more than a starved
+    # budget of 6 iterations; returns its four coefficient fields and the
     # right-hand side
     rng = np.random.default_rng(7)
     V1 = 1.0 + 0.9 * np.cos(2 * np.pi * 5 * surface.X) ** 2
     V2 = 2.0 + np.sin(2 * np.pi * 4 * surface.Y) ** 2
-
-    def pointwise(df, du, lap_du, work):
-        return V1 * df + 40.0 * du, V2 * du - 35.0 * df
-
+    c2 = 0.4 * np.cos(2 * np.pi * 7 * surface.X)
+    c3 = -35.0 * np.cos(2 * np.pi * 6 * surface.Y)
     r1, _ = surface.random_bandlimited(rng, kmax=5)
     r2, _ = surface.random_bandlimited(rng, kmax=5)
-    return pointwise, r1, r2
+    return (V1, c2, c3, V2), r1, r2
 
 
 @pytest.mark.parametrize("grid", ["torus32", "torus64"])
 def test_gmres_failure_raises(grid, request, monkeypatch):
     # GMRES is the one linear solver of the coupled step: under a starved
-    # Krylov budget it fails on every grid, the smallest included
+    # Krylov budget it fails on every grid, the smallest included, on a
+    # system that it solves under the default budget
     surface = request.getfixturevalue(grid)
+    coeffs, r1, r2 = _stiff_block_system(surface)
+    _, _, nk = solve_block_newton_step(surface, coeffs, r1, r2)
+    assert 6 < nk <= solvers._MAX_KRYLOV
     monkeypatch.setattr(solvers, "_RESTART", 3)
     monkeypatch.setattr(solvers, "_MAX_KRYLOV", 6)
-    pointwise, r1, r2 = _stiff_block_system(surface)
     with pytest.raises(ConvergenceFailure, match="GMRES failed"):
-        solve_block_newton_step(surface, pointwise, r1, r2)
+        solve_block_newton_step(surface, coeffs, r1, r2)
 
 
 def test_cg_breakdown_fails_at_once(monkeypatch):
@@ -259,20 +262,16 @@ def test_cg_breakdown_fails_at_once(monkeypatch):
 
 def _variable_block_system(surface):
     # a variable-coefficient block system shaped like the coupled Jacobian,
-    # with band-limited coefficients and right-hand side; returns its
-    # pointwise part, its four coefficient fields and the right-hand side
+    # with band-limited coefficients and right-hand side; returns its four
+    # coefficient fields and the right-hand side
     rng = np.random.default_rng(21)
     k1 = 3.0 + surface.random_bandlimited(rng, kmax=3, amp=0.3)[0]
     k2 = 0.4 + surface.random_bandlimited(rng, kmax=3, amp=0.05)[0]
     k3 = -0.5 + surface.random_bandlimited(rng, kmax=3, amp=0.1)[0]
     k4 = 2.0 + surface.random_bandlimited(rng, kmax=3, amp=0.2)[0]
-
-    def pointwise(df, du, lap_du, work):
-        return k1 * df + k2 * lap_du, k3 * df + k4 * du
-
     r1, _ = surface.random_bandlimited(rng, kmax=5)
     r2, _ = surface.random_bandlimited(rng, kmax=5)
-    return pointwise, (k1, k2, k3, k4), r1, r2
+    return (k1, k2, k3, k4), r1, r2
 
 
 def _dense_block_solve(size, matvec, b):
@@ -290,17 +289,16 @@ def test_block_step_matches_dense_grid_solve():
     # the coefficient-space GMRES solves the grid system: against a dense
     # solve of the grid Jacobian, column by column
     s = build_surface("torus", 16)
-    pointwise, coeffs, r1, r2 = _variable_block_system(s)
+    coeffs, r1, r2 = _variable_block_system(s)
     size = r1.size
 
     def grid_jac(x):
         return np.concatenate([y.ravel() for y in grid_jacobian(
-            s, pointwise, x[:size].reshape(s.shape), x[size:].reshape(s.shape))])
+            s, coeffs, x[:size].reshape(s.shape), x[size:].reshape(s.shape))])
 
     want = _dense_block_solve(size, grid_jac,
                               np.concatenate([r1.ravel(), r2.ravel()]))
-    df, du, _ = solve_block_newton_step(s, pointwise, r1, r2, rtol=1e-12,
-                                        coefficients=lambda out: coeffs)
+    df, du, _ = solve_block_newton_step(s, coeffs, r1, r2, rtol=1e-12)
     assert np.max(np.abs(df.ravel() - want[:size])) < 1e-10
     assert np.max(np.abs(du.ravel() - want[size:])) < 1e-10
 
@@ -311,7 +309,8 @@ def test_block_step_matches_grid_gmres_on_sphere(sphere15):
     # pointwise product projected onto those harmonics, preconditioned by
     # the model system's symbol applied to the fields' coefficients
     s = sphere15
-    pointwise, coeffs, r1, r2 = _variable_block_system(s)
+    coeffs, r1, r2 = _variable_block_system(s)
+    k1, k2, k3, k4 = coeffs
     size = r1.size
 
     def band(f):
@@ -320,9 +319,9 @@ def test_block_step_matches_grid_gmres_on_sphere(sphere15):
     def matvec(x):
         df, du = band(x[:size].reshape(s.shape)), band(x[size:].reshape(s.shape))
         lap_du = s.laplacian(du)
-        k1, k2 = pointwise(df, du, lap_du, None)
-        return np.concatenate([(s.laplacian(df) + band(k1)).ravel(),
-                               (lap_du + band(k2)).ravel()])
+        return np.concatenate([
+            (s.laplacian(df) + band(k1 * df + k2 * lap_du)).ravel(),
+            (lap_du + band(k3 * df + k4 * du)).ravel()])
 
     means = tuple(float(np.mean(k)) for k in coeffs)
     i11, i12, i21, i22 = block_symbol(means, s.coeff_eig)
@@ -338,8 +337,7 @@ def test_block_step_matches_grid_gmres_on_sphere(sphere15):
         matvec, prevec, np.concatenate([band(r1).ravel(), band(r2).ravel()]),
         rtol=1e-13, atol=0.0, restart=50, max_krylov=500)
     assert converged
-    df, du, _ = solve_block_newton_step(s, pointwise, r1, r2, rtol=1e-12,
-                                        coefficients=lambda out: coeffs)
+    df, du, _ = solve_block_newton_step(s, coeffs, r1, r2, rtol=1e-12)
     scale = np.max(np.abs(want))
     assert np.max(np.abs(df.ravel() - want[:size])) < 1e-10 * scale
     assert np.max(np.abs(du.ravel() - want[size:])) < 1e-10 * scale
@@ -350,7 +348,7 @@ def test_low_mode_block_is_the_galerkin_projection():
     # the low modes: <e_k, J e_l> over the orthonormal Fourier modes
     # e_k = e^{2 pi i k.x} / n, each column through the grid Jacobian
     s = build_surface("torus", 16)
-    pointwise, coeffs, r1, _ = _variable_block_system(s)
+    coeffs, r1, _ = _variable_block_system(s)
     block, means, (index, mirror, scale) = low_mode_block(s, coeffs)
     k = np.arange(-solvers._LOW_MODES, solvers._LOW_MODES + 1)
     kx, ky = np.repeat(k, k.size), np.tile(k, k.size)
@@ -360,7 +358,7 @@ def test_low_mode_block_is_the_galerkin_projection():
         phase = 2 * np.pi * (kx[j] * s.X + ky[j] * s.Y)
         for field in (0, 1):
             (c1, c2), (s1, s2) = (
-                grid_jacobian(s, pointwise, *((p, z) if field == 0 else (z, p)))
+                grid_jacobian(s, coeffs, *((p, z) if field == 0 else (z, p)))
                 for p in (np.cos(phase), np.sin(phase)))
             want[:, field * m + j] = np.concatenate([
                 np.fft.fft2(c + 1j * sn)[kx % s.n, ky % s.n] / s.n**2
@@ -382,12 +380,8 @@ def test_singular_low_mode_block_fails_with_a_name():
     s = build_surface("torus", 16)
     zero = np.zeros(s.shape)
     r, _ = s.random_bandlimited(np.random.default_rng(4), kmax=3)
-    def pointwise(df, du, lap_du, work):
-        return 0 * df, 0 * du
-
     with pytest.raises(ConvergenceFailure, match="singular"):
-        solve_block_newton_step(s, pointwise, r, r,
-                                coefficients=lambda out: (zero,) * 4)
+        solve_block_newton_step(s, (zero,) * 4, r, r)
 
 
 def test_low_mode_block_saves_gmres_iterations(gv_problem64, gv_state0,

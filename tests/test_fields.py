@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vortexlab.coupled import make_problem, residual
+from vortexlab.coupled import accepted_state, make_problem
 from vortexlab.errors import ConfigError
 from vortexlab.fields import (
     DivisorData,
@@ -133,7 +133,7 @@ def test_higgs_squared(torus64):
     dd = DivisorData(zeros=((P_ZERO, 1),))
     problem = make_problem(torus64, dd, tau=3.0, eps=1.0)
     zero = np.zeros(torus64.shape)
-    Phi = residual(problem, 0.0, zero, zero).lin.Phi
+    Phi = accepted_state(problem, 0.0, zero, zero).Phi
     assert np.max(Phi) <= 1.0 + 1e-12  # sup-normalized section
 
 
@@ -147,8 +147,8 @@ def test_higgs_shift_covariance(c):
     rng = np.random.default_rng(4)
     f, _ = s.random_bandlimited(rng, kmax=3, amp=0.2)
     u = np.zeros(s.shape)
-    a = residual(problem, 0.0, f + c, u).lin.Phi
-    b = np.exp(2.0 * c) * residual(problem, 0.0, f, u).lin.Phi
+    a = accepted_state(problem, 0.0, f + c, u).Phi
+    b = np.exp(2.0 * c) * accepted_state(problem, 0.0, f, u).Phi
     assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 

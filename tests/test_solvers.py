@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from vortexlab import vortex
+from vortexlab import solvers, vortex
 from vortexlab.errors import ConvergenceFailure, PathStalled
 from vortexlab.solvers import damped_step, forcing, merit, walk
 from vortexlab.vortex import solve_exp_scalar, solve_twisted_ke
@@ -124,15 +124,21 @@ def test_predicting_walk_halves_as_before():
 @settings(max_examples=300, deadline=None)
 @given(rn=st.floats(min_value=1e-300, max_value=1e300),
        tol=st.floats(min_value=1e-16, max_value=1.0))
+@example(rn=5e-5, tol=1e-9)  # the floor just below the proportional term
 def test_forcing_term_bounds(rn, tol):
-    # the forcing term stays in [1e-12, 1e-2], and it is the proportional
-    # term min(1e-2, max(1e-12, 1e-3 rn)) wherever the floor 0.01 tol / rn
-    # lies below that
+    # the forcing term stays in [_ETA_MIN, _ETA_MAX], and it is the
+    # proportional term min(_ETA_MAX, max(_ETA_MIN, _FORCING rn)) wherever
+    # the floor _SAFEGUARD tol / rn lies below that, and the floor where it
+    # lies between the proportional term and _ETA_MAX
     eta = forcing(rn, tol)
-    assert 1e-12 <= eta <= 1e-2
-    proportional = min(1e-2, max(1e-12, 1e-3 * rn))
-    if 0.01 * tol / rn < proportional:
+    assert solvers._ETA_MIN <= eta <= solvers._ETA_MAX
+    proportional = min(solvers._ETA_MAX,
+                       max(solvers._ETA_MIN, solvers._FORCING * rn))
+    floor = solvers._SAFEGUARD * tol / rn
+    if floor < proportional:
         assert eta == proportional
+    elif floor <= solvers._ETA_MAX:
+        assert eta == floor
 
 
 def test_forcing_term_floor_near_the_root():
