@@ -338,7 +338,6 @@ def monotone_iterate(problem, w, lam, delta, tol=1e-10, residual_target=None,
         if not np.any(mask):
             mask = np.ones(s.shape, dtype=bool)
     f = 0.5 * (np.log(problem.tau) - u0)
-    f1 = f
     min_gap_chain = np.inf
     min_gap_floor = np.inf
     it = 0
@@ -390,6 +389,8 @@ def monotone_iterate(problem, w, lam, delta, tol=1e-10, residual_target=None,
                 res_masked = new_res
             if res_masked <= residual_target:
                 break
+    # f_1 again, from u0, rather than held through the loop
+    f1 = 0.5 * (np.log(problem.tau) - u0)
     info = {
         "iterations": it,
         "C_delta": C_delta,

@@ -47,15 +47,17 @@ _MERIT_FLOOR = RESIDUAL_TOL * 1e-2  # a Newton trial below it needs no descent
 
 @dataclass
 class GVProblem:
-    """Frozen problem data for one (surface, divisor, tau, eps) configuration."""
+    """Frozen problem data for one (surface, divisor, tau, eps) configuration.
+
+    It holds the two fields that every residual reads, not F_xi and F_eta:
+    the decoupled solve and the certificate build those where they read
+    them (``fields.F_xi(eps)``, ``fields.F_eta(eps)``)."""
 
     surface: object
     fields: object                 # DivisorFields
     params: object                 # ModelParams
     W: np.ndarray                  # e^{-F_xi}
     weight_t: np.ndarray           # |phi|^2 e^{-F_eta}
-    F_xi: np.ndarray
-    F_eta: np.ndarray
 
     @property
     def tau(self):
@@ -91,11 +93,9 @@ def make_problem(surface, divisor, tau, eps, fields=None):
     if fields is None:
         fields = build_divisor_fields(surface, divisor)
     params = derive_params(divisor, surface, tau, epsilon=eps)
-    F_xi, F_eta = fields.F_xi(eps), fields.F_eta(eps)
     return GVProblem(surface=surface, fields=fields, params=params,
-                     W=np.exp(-F_xi),
-                     weight_t=np.exp(fields.log_phi_sq - F_eta),
-                     F_xi=F_xi, F_eta=F_eta)
+                     W=np.exp(-fields.F_xi(eps)),
+                     weight_t=np.exp(fields.log_phi_sq - fields.F_eta(eps)))
 
 
 class Residual(tuple):
@@ -105,7 +105,9 @@ class Residual(tuple):
     (1/2)(tau - Phi), c3 = 4 alpha (tau - Phi) E and c4 = -2 c~ E, with
     rho = 1 - lap u and E the exponential factor of S2. They are formed
     from the residual's own intermediates, so a Newton step from this
-    iterate computes none of them again."""
+    iterate computes none of them again. The step's block solve
+    (``solvers.solve_block_newton_step``) consumes S1 and S2: it works in
+    their buffers once it holds their coefficients."""
 
     def __new__(cls, S1, S2, coefficients):
         res = super().__new__(cls, (S1, S2))
@@ -223,8 +225,9 @@ def decoupled_state(problem, tol=RESIDUAL_TOL):
             f"(got {problem.params.chi_tilde}); add cone weight"
         )
     cg = []
-    u = solve_twisted_ke(s, problem.params.chi_tilde, problem.F_xi,
-                         tol=tol * 0.1, krylov=cg)
+    u = solve_twisted_ke(s, problem.params.chi_tilde,
+                         problem.fields.F_xi(problem.eps), tol=tol * 0.1,
+                         krylov=cg)
     rho = 1.0 - s.laplacian(u)
     f = solve_vortex_on_metric(s, problem.weight_t, problem.tau, rho,
                                problem.params.N_tilde, tol=tol * 0.1, krylov=cg)

@@ -78,13 +78,19 @@ def mask_away_from_points(surface, points, radius):
 
 
 def _local_quadratic_coeff(surface, log_s, point):
-    """A with |s|^2 ~ A d^2 near the point, from a thin probe annulus."""
+    """A with |s|^2 ~ A d^2 near the point, from a thin probe annulus: e to
+    the median of log|s|^2 - 2 log d there, taken by ``np.partition`` (for
+    an even count the mean of the two middle values, ``np.median``'s bits,
+    without the import of ``numpy.ma`` that ``np.median`` makes)."""
     d = surface.distance_field(point)
     h = surface.h
     sel = (d > 2 * h) & (d < 8 * h)
     if not np.any(sel):
         return 1.0
-    return float(np.exp(np.median(log_s[sel] - 2.0 * np.log(d[sel]))))
+    q = log_s[sel] - 2.0 * np.log(d[sel])
+    k = q.size // 2
+    q = np.partition(q, (k - 1, k))
+    return float(np.exp(q[k] if q.size % 2 else (q[k - 1] + q[k]) / 2.0))
 
 
 def _fit_annulus(surface, point, other_points, eps, A):

@@ -29,8 +29,9 @@ step against lap + K composed on the grid (``grid_jacobian`` in
 
 The Krylov loops allocate no field per iteration: CG keeps its vectors
 for the solve, and the GMRES matvec runs in buffers made once per block
-solve, in which the surface maps write (``out=``) and K is applied; the
-preconditioner runs in place.
+solve and in those of the right-hand side's two fields, which the solve
+consumes; the surface maps write there (``out=``) and K is applied there,
+and the preconditioner runs in place.
 """
 
 from __future__ import annotations
@@ -189,8 +190,9 @@ def damped_step(surface, residual, correct, x, r, m, floor, history):
     m: for d = correct(x, r), which solves J d = r, accept the first x - s d,
     s = 1, 1/2, ... (_MAX_BACKTRACK halvings), whose merit meets Armijo,
     (1 - 1e-4 s) m, or is below floor^2; ``residual(x)`` is None outside
-    the domain, refusing the trial. Returns (x', r', m', s); a failure
-    carries ``history``, the residual sup norms of the solve up to x."""
+    the domain, refusing the trial. The correction may consume r: nothing
+    reads it after. Returns (x', r', m', s); a failure carries
+    ``history``, the residual sup norms of the solve up to x."""
     try:
         d = correct(x, r)
         s = 1.0
@@ -213,9 +215,12 @@ def newton(surface, residual, correct, x, tol, max_iter, floor, log):
     """Damped Newton (``damped_step``) from the fields x to a residual sup
     norm below tol in at most max_iter steps; returns (x, residual). Each
     correction is ``correct(x, r, rtol)``, which solves J d = r to the
-    relative tolerance rtol = ``forcing(|r|_inf, tol)``. Appends to ``log``,
-    unless None, a record per iterate: iter, residual_inf, residual_l2,
-    time and the step taken. A failure carries the history."""
+    relative tolerance rtol = ``forcing(|r|_inf, tol)`` and may consume r:
+    the loop reads only r's merit and sup norm, both taken before the
+    correction, and returns the residual of the last iterate, which no
+    correction took. Appends to ``log``, unless None, a record per
+    iterate: iter, residual_inf, residual_l2, time and the step taken. A
+    failure carries the history."""
     r = residual(x)
     if r is None:
         raise ConvergenceFailure("Newton start outside the domain", [np.inf])
@@ -316,19 +321,26 @@ def solve_block_newton_step(surface, coefficients, rhs1, rhs2, rtol=1e-12):
     (1, 0, 0, 1), blockwise (lap+1)^-1. A singular Galerkin block, and
     GMRES that misses rtol in _MAX_KRYLOV iterations, raise
     ConvergenceFailure. The returned fields are new arrays.
+
+    The solve consumes rhs1 and rhs2, two distinct grid arrays: it turns
+    them into the right-hand side's coefficients first and then works in
+    their buffers, as the matvec's df and du. A caller that reads them
+    afterwards passes copies.
     """
     eig = surface.coeff_eig
     size = 2 * eig.size  # a field's coefficients as (Re, Im) pairs
-    # the matvec's scratch: df, du, lap du and k1 on the grid, two complex
-    # coefficient fields and the output J x, as views of one array: numpy
-    # advises huge pages for an array of 4 MiB or more, which at 256^2 cuts
-    # the minor page faults of a `sweep-eps` by ~30 %
+    # the matvec's scratch: lap du and k1 on the grid, two complex
+    # coefficient fields and the output J x, and the right-hand side b, as
+    # views of one array: numpy advises huge pages for an array of 4 MiB or
+    # more, which at 256^2 cuts the minor page faults of a `sweep-eps` by
+    # ~30 %; df and du take the buffers of rhs1 and rhs2 once b holds them
     ncell = rhs1.size
-    block = np.empty(4 * (ncell + size))
+    block = np.empty(2 * ncell + 6 * size)
     fields = [block[i * ncell:(i + 1) * ncell].reshape(surface.shape)
-              for i in range(4)]
-    t1, t2 = np.split(block[4 * ncell:-2 * size].view(np.complex128), 2)
-    jx = block[-2 * size:]
+              for i in range(2)]
+    t1, t2 = np.split(
+        block[2 * ncell:2 * (ncell + size)].view(np.complex128), 2)
+    jx, b = np.split(block[2 * (ncell + size):], 2)
 
     def modes(x):
         """The complex coefficients of the two fields in x."""
@@ -376,11 +388,11 @@ def solve_block_newton_step(surface, coefficients, rhs1, rhs2, rtol=1e-12):
         """J x, in jx."""
         zf, zu = modes(x)
         lap_zu = np.multiply(eig, zu, out=t1)
-        df = surface.from_coeffs(x[:size], out=fields[0])
-        du = surface.from_coeffs(x[size:], out=fields[1])
-        lap_du = surface.from_coeffs(lap_zu.view(np.float64), out=fields[2])
+        df = surface.from_coeffs(x[:size], out=rhs1)
+        du = surface.from_coeffs(x[size:], out=rhs2)
+        lap_du = surface.from_coeffs(lap_zu.view(np.float64), out=fields[0])
         # K (df, du) = (c1 df + c2 lap du, c3 df + c4 du), k2 in df
-        k1 = np.multiply(c1, df, out=fields[3])
+        k1 = np.multiply(c1, df, out=fields[1])
         k1 += np.multiply(c2, lap_du, out=lap_du)
         df *= c3
         df += np.multiply(c4, du, out=du)
@@ -391,7 +403,6 @@ def solve_block_newton_step(surface, coefficients, rhs1, rhs2, rtol=1e-12):
         yu += lap_zu
         return jx
 
-    b = np.empty(2 * size)
     surface.to_coeffs(rhs1, out=b[:size])
     surface.to_coeffs(rhs2, out=b[size:])
     x, niter, converged = _gmres_left(matvec, prevec, b, rtol=rtol,
@@ -463,7 +474,9 @@ def _gmres_left(matvec, prevec, b, rtol, atol, restart, max_krylov):
     ``matvec(v)`` returns A v in an array that GMRES may overwrite and that
     need stay valid only until the next call; ``prevec(y)`` returns M^-1 y
     and may overwrite y. b is left as it is."""
-    x = np.zeros_like(b)
+    # np.zeros, not zeros_like: calloc writes no zeros to memory fresh from
+    # the system, so those pages stay untouched until the first update
+    x = np.zeros(b.size)
     r = prevec(b.copy())  # the residual at x = 0
     target = max(rtol * np.linalg.norm(r), atol)
     total = 0

@@ -87,8 +87,11 @@ class Torus:
         self.shape = (self.n, self.n)
         self.h = 1.0 / self.n
         self.vol = VOL
+        # the node coordinates as read-only broadcast views of one vector,
+        # X[i, j] = i / n and Y[i, j] = j / n, holding no n^2 grid
         x = np.arange(self.n) / self.n
-        self.X, self.Y = np.meshgrid(x, x, indexing="ij")
+        self.X = np.broadcast_to(x[:, None], self.shape)
+        self.Y = np.broadcast_to(x[None, :], self.shape)
         kx = np.fft.fftfreq(self.n, d=1.0 / self.n)
         ky = np.fft.rfftfreq(self.n, d=1.0 / self.n)
         self._eig_r = 2.0 * np.pi * (kx[:, None] ** 2 + ky[None, :] ** 2)
@@ -597,16 +600,16 @@ def build_surface(backend, resolution):
 
 def build_bytes(backend, resolution):
     """Bytes a surface build holds at its peak, rounded up: on the torus
-    five float64 grids, where the build holds four (the two coordinate
-    grids and, on the rfft2 half grid, the eigenvalues, the shifted
-    eigenvalues and the complex spectrum, the last two scratch) and O(n)
+    three float64 grids, where the build holds two (on the rfft2 half grid,
+    the eigenvalues, the shifted eigenvalues and the complex spectrum, the
+    last two scratch; the node coordinates are broadcast views) and O(n)
     vectors; on the sphere the two folded Legendre tensors P and PW (the
     Gram correction runs one block at a time), the three planes of ``xyz``
     and the O(L^2) index arrays, Gram blocks and small temporaries (their
     coefficient fitted to traced build peaks at L = 15-400)."""
     n = int(resolution)
     if backend == "torus":
-        return 5 * 8 * n * n
+        return 3 * 8 * n * n
     nlat = (3 * (n + 1) + 1) // 2
     nlon = 3 * (n + 1) + (3 * (n + 1)) % 2
     nb, rows, nn = n // 2 + 1, n + 2, (nlat + 1) // 2

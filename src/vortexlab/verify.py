@@ -132,15 +132,22 @@ def certify_vortex_phi_bound(surface, phi_field, tau, b, F, cert=None):
     return cert
 
 
-def certify_integral_estimates(problem, state, cert=None):
-    """The two Jensen-derived integral inequalities."""
+def _forms(problem):
+    """The twisting forms (F_xi, F_eta) of a GVProblem at its eps."""
+    return problem.fields.F_xi(problem.eps), problem.fields.F_eta(problem.eps)
+
+
+def certify_integral_estimates(problem, state, cert=None, forms=None):
+    """The two Jensen-derived integral inequalities; ``forms`` are the
+    problem's (F_xi, F_eta) if the caller has them."""
     cert = Certificate() if cert is None else cert
     s = problem.surface
     a, tau, ct = state.alpha, problem.tau, state.c_tilde
     int_f = s.integrate(state.f_tilde)
     int_u = s.integrate(state.u)
-    int_Fxi = s.integrate(problem.F_xi)
-    int_Feta = s.integrate(problem.F_eta)
+    F_xi, F_eta = _forms(problem) if forms is None else forms
+    int_Fxi = s.integrate(F_xi)
+    int_Feta = s.integrate(F_eta)
     lhs1 = 4.0 * a * tau * int_f - 2.0 * ct * int_u
     rhs1 = 4.0 * np.pi * a * tau + int_Fxi
     cert.add("integral_estimate_1", lhs1, rhs1)
@@ -157,14 +164,15 @@ def certify_integral_estimates(problem, state, cert=None):
     return cert
 
 
-def certify_logy_bounds(problem, state, cert, seed=0):
+def certify_logy_bounds(problem, state, cert, seed=0, forms=None):
     """C0 bounds of log y = 4 a tau f~ - 2 c~ u with computed constants.
 
     C1 comes from the shifted-nonnegative kernel (shift = -min G) and the
     first integral estimate; the lower bound combines the integrated second
     equation with the oscillation bound through the sampled Hoelder constant
     C2 (empirical-constant check).  ``cert`` must hold the constants of
-    ``certify_integral_estimates``.
+    ``certify_integral_estimates``; ``forms`` are the problem's
+    (F_xi, F_eta) if the caller has them.
     """
     s = problem.surface
     a, tau, ct = state.alpha, problem.tau, state.c_tilde
@@ -173,10 +181,11 @@ def certify_logy_bounds(problem, state, cert, seed=0):
     p_star = p / (p - 1.0)
     gmin, gnorm = _green_stats(s, p_star)
     logy = 4.0 * a * tau * state.f_tilde - 2.0 * ct * state.u
-    int_Fxi = s.integrate(problem.F_xi)
+    F_xi, F_eta = _forms(problem) if forms is None else forms
+    int_Fxi = cert.constants["int_F_xi"]
     C1 = 2.0 * a * tau + int_Fxi / VOL - 2.0 * chi_t * (-gmin) * VOL
     cert.add("logy_upper_C1", float(np.max(logy)), C1)
-    int_exp_mFxi = s.integrate(np.exp(-problem.F_xi))
+    int_exp_mFxi = s.integrate(problem.W)
     lower = -np.log(int_exp_mFxi / VOL)
     cert.add("logy_max_lower", lower, float(np.max(logy)),
              note="max log y >= -log((1/2pi) int e^{-F_xi})")
@@ -204,10 +213,10 @@ def certify_logy_bounds(problem, state, cert, seed=0):
     # C6 / C7 chain for f~ and u
     Ntil = problem.params.N_tilde
     rhs2 = cert.constants["rhs_integral_estimate_2"]
-    exp_p = s.integrate(np.exp(-problem.F_xi) ** p) ** (1.0 / p)
+    exp_p = s.integrate(problem.W ** p) ** (1.0 / p)
     C6 = (rhs2 + VOL * C3) / (2.0 * VOL) + 0.5 * tau * np.exp(C1) * gnorm * exp_p
     cert.add("f_upper_C6", float(np.max(state.f_tilde)), C6)
-    int_emFxiFeta = s.integrate(np.exp(-problem.F_xi - problem.F_eta))
+    int_emFxiFeta = s.integrate(np.exp(-F_xi - F_eta))
     C7 = -(0.5 * np.log(VOL * (tau - 2.0 * Ntil))
            - 0.5 * (C1 + int_Fxi / VOL)
            - 0.5 * np.log(int_emFxiFeta))
@@ -223,7 +232,7 @@ def certify_logy_bounds(problem, state, cert, seed=0):
     return cert
 
 
-def kernel_identity(problem, state, seed=0, cert=None):
+def kernel_identity(problem, state, seed=0, cert=None, forms=None):
     """Energy identity of the linearized operator at a solution (torus only).
 
     Both sides are computed independently: the left side pairs random
@@ -231,6 +240,7 @@ def kernel_identity(problem, state, seed=0, cert=None):
     assembles the four geometric square terms (connection term, Higgs term,
     holomorphic Hessian, twist term) from spectral derivatives.  Returns the
     relative gap; on the sphere the check is reported as skipped.
+    ``forms`` are the problem's (F_xi, F_eta) if the caller has them.
     """
     cert = Certificate() if cert is None else cert
     s = problem.surface
@@ -251,9 +261,10 @@ def kernel_identity(problem, state, seed=0, cert=None):
     def lap_w(g):
         return s.laplacian(g) / rho
 
-    dp1 = lap_w(df) + 0.5 * (tau - Phi) * lap_w(dv) + df * Phi
-    dp2 = (0.5 * lap_w(lap_w(dv)) - ct * lap_w(dv)
-           - 2.0 * a * lap_w(df * Phi) + 2.0 * a * tau * lap_w(df))
+    wdf, wdv = lap_w(df), lap_w(dv)
+    dp1 = wdf + 0.5 * (tau - Phi) * wdv + df * Phi
+    dp2 = (0.5 * lap_w(wdv) - ct * wdv
+           - 2.0 * a * lap_w(df * Phi) + 2.0 * a * tau * wdf)
     lhs = s.integrate((4.0 * a * df * dp1 + dv * dp2) * rho)
 
     dzf = s.dz(df)
@@ -267,8 +278,9 @@ def kernel_identity(problem, state, seed=0, cert=None):
     vzz = s.dz2(dv) - s.dz(np.log(rho)) * dzv
     T3 = (8.0 / VOL) * float(np.mean(np.abs(vzz) ** 2 / rho))
     divisor = problem.fields.divisor
-    xi0 = divisor.sum_one_minus_beta - 0.5 * s.laplacian(problem.F_xi)
-    eta0 = -divisor.sum_alpha - 0.5 * s.laplacian(problem.F_eta)
+    F_xi, F_eta = _forms(problem) if forms is None else forms
+    xi0 = divisor.sum_one_minus_beta - 0.5 * s.laplacian(F_xi)
+    eta0 = -divisor.sum_alpha - 0.5 * s.laplacian(F_eta)
     T4 = 4.0 * float(np.mean((xi0 - 2.0 * a * Phi * eta0)
                              * np.abs(dzv) ** 2 / rho))
     rhs = T1 + T2 + T3 + T4
@@ -283,10 +295,11 @@ def kernel_identity(problem, state, seed=0, cert=None):
 def certify_state(problem, state, seed=0):
     """Full certificate for an accepted coupled state."""
     cert = Certificate(seed=seed)
+    forms = _forms(problem)
     certify_phi_bound(state, problem.tau, cert)
-    certify_integral_estimates(problem, state, cert)
-    certify_logy_bounds(problem, state, cert, seed=seed)
-    kernel_identity(problem, state, seed=seed, cert=cert)
+    certify_integral_estimates(problem, state, cert, forms)
+    certify_logy_bounds(problem, state, cert, seed=seed, forms=forms)
+    kernel_identity(problem, state, seed=seed, cert=cert, forms=forms)
     cert.constants["residual_norm"] = state.res_norm
     cert.constants["alpha"] = state.alpha
     cert.constants["c_tilde"] = state.c_tilde

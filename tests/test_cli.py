@@ -571,6 +571,21 @@ def test_cli_import_skips_scipy_special_and_integrate():
     assert out.strip() == "[]"
 
 
+def test_sweep_eps_skips_numpy_ma(tmp_path):
+    # the exponent fits take their median by np.partition: a whole sweep-eps
+    # run never imports numpy.ma
+    src = os.path.dirname(os.path.dirname(greens.__file__))
+    cfg = write_cfg(tmp_path, "sweep.json", SWEEP_CFG)
+    argv = ["sweep-eps", "--config", cfg, "--out", str(tmp_path / "out"),
+            "--quiet"]
+    code = (f"import sys; from vortexlab.cli import main; rc = main({argv!r}); "
+            "print(rc, 'numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.split() == ["0", "False"]
+
+
 def test_export_heatmap(tmp_path):
     # constant field: uniform image
     vals = np.full((8, 8), 3.25)

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.util
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -233,7 +234,7 @@ def test_gmres_failure_raises(grid, request, monkeypatch):
     # system that it solves under the default budget
     surface = request.getfixturevalue(grid)
     coeffs, r1, r2 = _stiff_block_system(surface)
-    _, _, nk = solve_block_newton_step(surface, coeffs, r1, r2)
+    _, _, nk = solve_block_newton_step(surface, coeffs, r1.copy(), r2.copy())
     assert 6 < nk <= solvers._MAX_KRYLOV
     monkeypatch.setattr(solvers, "_RESTART", 3)
     monkeypatch.setattr(solvers, "_MAX_KRYLOV", 6)
@@ -272,6 +273,40 @@ def _variable_block_system(surface):
     r1, _ = surface.random_bandlimited(rng, kmax=5)
     r2, _ = surface.random_bandlimited(rng, kmax=5)
     return (k1, k2, k3, k4), r1, r2
+
+
+def test_block_step_works_in_its_pair(torus64, monkeypatch):
+    # the block solve consumes its right-hand side: the matvec's df and du
+    # are the pair's buffers, so when GMRES starts the solve holds, of its
+    # own, its scratch (two grid and six coefficient fields, the right-hand
+    # side's among them), the low-mode block and its inverse and the
+    # symbol, and no two grid fields more
+    s = torus64
+    coeffs, r1, r2 = _variable_block_system(s)
+    want = solve_block_newton_step(s, coeffs, r1.copy(), r2.copy())
+    held = []
+    gmres = solvers._gmres_left
+
+    def traced(*args, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return gmres(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "_gmres_left", traced)
+    p1, p2 = r1.copy(), r2.copy()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = solve_block_newton_step(s, coeffs, p1, p2)
+    finally:
+        tracemalloc.stop()
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert not np.array_equal(p1, r1) and not np.array_equal(p2, r2)
+    # a grid field and a field's coefficients, in bytes
+    field, coeff = r1.nbytes, 2 * s.coeff_eig.nbytes
+    scratch = 2 * field + 6 * coeff
+    # the low-mode block, its inverse and the symbol's four per-mode arrays
+    preconditioner = 2 * low_mode_block(s, coeffs)[0].nbytes + 2 * coeff
+    assert held[0] - base <= scratch + preconditioner + field
 
 
 def _dense_block_solve(size, matvec, b):
@@ -381,7 +416,7 @@ def test_singular_low_mode_block_fails_with_a_name():
     zero = np.zeros(s.shape)
     r, _ = s.random_bandlimited(np.random.default_rng(4), kmax=3)
     with pytest.raises(ConvergenceFailure, match="singular"):
-        solve_block_newton_step(s, (zero,) * 4, r, r)
+        solve_block_newton_step(s, (zero,) * 4, r, r.copy())
 
 
 def test_low_mode_block_saves_gmres_iterations(gv_problem64, gv_state0,

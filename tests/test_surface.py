@@ -375,6 +375,19 @@ def test_build_bytes_bound():
             build_surface(backend, 10**6)
 
 
+def test_torus_coordinates_are_views():
+    # X and Y are the meshgrid of the node coordinates, read-only views of
+    # one n-vector each: the torus holds no coordinate grid
+    n = 64
+    s = build_surface("torus", n)
+    x = np.arange(n) / n
+    for got, want in zip((s.X, s.Y), np.meshgrid(x, x, indexing="ij")):
+        assert np.array_equal(got, want)
+        assert not got.flags.writeable
+        lo, hi = np.lib.array_utils.byte_bounds(got)
+        assert hi - lo == 8 * n
+
+
 @pytest.mark.parametrize("backend,resolution", [("torus", 1024),
                                                 ("sphere", 127)])
 def test_build_bytes_covers_build_peak(backend, resolution):
