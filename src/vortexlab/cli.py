@@ -41,7 +41,8 @@ from .surface import build_surface, check_field
 from .verify import Certificate, certify_state, certify_tke, certify_vortex
 from .vortex import make_vortex_problem, solve_twisted_ke, solve_vortex
 
-# The config schema: each command maps its keys to a kind.
+# The config schema of a command (its entry of _COMMANDS) maps its keys to
+# a kind.
 # - A string names a kind of _KINDS; a trailing "!" marks a required key.
 # - A dict is a nested table of keys; a list [kind] is a list whose entries
 #   are all of that kind; a tuple lists alternatives.
@@ -54,17 +55,6 @@ _COMMON = {"backend": "any!", "resolution": "integer!", "divisor": _DIVISOR,
                           "assembled_residual": "tolerance"}}
 _PATH = ("nonnegative", {"target": ("nonnegative", "alpha_star"),
                          "steps": "positive"})
-_SCHEMA = {
-    "solve-vortex": dict(_COMMON, tau="number!", t="number",
-                         twist=("null", {"b": "number", "modes": ["mode"]})),
-    "solve-tke": dict(_COMMON, epsilon="nonnegative", t="number"),
-    "solve-gv": dict(_COMMON, tau="number!", alpha=_PATH, epsilon="number"),
-    "sweep-eps": dict(_COMMON, tau="number!", alpha=_PATH, epsilon="ladder",
-                      fit="boolean"),
-    "solve-eb": dict(_COMMON, tau="number", alpha="number", delta="ladder",
-                     sigma="number", margin="number", lambda_pair="boolean",
-                     **{"lambda": "number"}),
-}
 
 
 def _is_number(v):
@@ -79,6 +69,10 @@ def _numbers(v):
     return isinstance(v, list) and v != [] and all(map(_is_number, v))
 
 
+def _decreasing(v):
+    return _numbers(v) and all(b < a for a, b in zip(v, v[1:]))
+
+
 # name: (test, description)
 _KINDS = {
     "number": (_is_number, "a finite number"),
@@ -88,9 +82,9 @@ _KINDS = {
     "positive": (lambda v: _is_integer(v) and v >= 1, "a positive integer"),
     "tolerance": (lambda v: _is_number(v) and v > 0, "a positive number"),
     "boolean": (lambda v: type(v) is bool, "true or false"),
-    "ladder": (lambda v: _is_number(v) or _numbers(v) and all(
-        b < a for a, b in zip(v, v[1:])),
-        "a number or a non-empty strictly decreasing list of numbers"),
+    "ladder": (lambda v: _is_number(v) or _decreasing(v),
+               "a number or a non-empty strictly decreasing list of numbers"),
+    "rungs": (_decreasing, "a non-empty strictly decreasing list of numbers"),
     "point": (lambda v: _numbers(v) and len(v) == 2, "a list of 2 numbers"),
     "mode": (lambda v: _numbers(v) and len(v) == 4, "a list of 4 numbers"),
     "null": (lambda v: v is None, "null"),
@@ -137,19 +131,6 @@ def _describe(kind):
     return "an object" if isinstance(kind, dict) else "a list"
 
 
-_COVERAGE = {
-    "solve-vortex": "covered: twisted-vortex existence/uniqueness "
-                    "(no genus restriction)",
-    "solve-tke": "covered: twisted Kaehler-Einstein, negative constant",
-    "solve-gv": "experimental: continuation existence is proven for genus >= 2;"
-                " model backends are genus 0/1",
-    "sweep-eps": "experimental: continuation existence is proven for genus >= 2;"
-                 " model backends are genus 0/1",
-    "solve-eb": "covered (sphere): Bogomol'nyi-phase existence under the "
-                "admissibility inequalities",
-}
-
-
 def read_json(path):
     """A JSON file; one that is not UTF-8 JSON is a ConfigError naming it."""
     try:
@@ -160,7 +141,7 @@ def read_json(path):
 
 
 def validate_config(cfg, command):
-    _check(command, cfg, _SCHEMA[command])
+    _check(command, cfg, _COMMANDS[command].schema)
     return cfg
 
 
@@ -207,76 +188,8 @@ def run_sequence(cfg):
     return float(a), 16
 
 
-class ArtifactWriter:
-    def __init__(self, outdir, command, cfg, seed, quiet=False, started=None):
-        self.outdir = outdir
-        self.command = command
-        self.cfg = cfg
-        self.seed = seed
-        self.quiet = quiet
-        self.t0 = time.perf_counter() if started is None else started
-        self.files = {}
-        os.makedirs(outdir, exist_ok=True)
-        os.makedirs(os.path.join(outdir, "fields"), exist_ok=True)
-        self.write_json("config.json", cfg)
-
-    def _register(self, relpath):
-        self.files[relpath] = sha256_file(os.path.join(self.outdir, relpath))
-
-    def write_json(self, relpath, obj):
-        path = os.path.join(self.outdir, relpath)
-        with open(path, "w") as fh:
-            json.dump(obj, fh, sort_keys=True, indent=1, default=float)
-        self._register(relpath)
-
-    def write_jsonl(self, relpath, records):
-        """Write log records, their perf_counter ``time`` made run-relative."""
-        records = [dict(r, time=r["time"] - self.t0) if "time" in r else r
-                   for r in records]
-        write_jsonl(os.path.join(self.outdir, relpath), records)
-        self._register(relpath)
-
-    def field(self, name, values, surface):
-        rel = os.path.join("fields", name + ".vfield")
-        write_field(os.path.join(self.outdir, rel), values, surface.backend,
-                    surface.n if surface.backend == "torus" else surface.L,
-                    name)
-        self._register(rel)
-
-    def finalize(self, extra=None):
-        meta = {
-            "command": self.command,
-            "files": self.files,
-            "label": self.cfg.get("label", ""),
-            "seed": self.seed,
-            "theorem_coverage": _COVERAGE.get(self.command, ""),
-            "runtime_seconds": time.perf_counter() - self.t0,
-            "versions": {
-                "vortexlab": __version__,
-                "numpy": np.__version__,
-                "python": platform.python_version(),
-            },
-        }
-        if extra:
-            meta.update(extra)
-        path = os.path.join(self.outdir, "metadata.json")
-        with open(path, "w") as fh:
-            json.dump(meta, fh, sort_keys=True, indent=1, default=float)
-        if not self.quiet:
-            print(f"[vortexlab] artifact written to {self.outdir}")
-        return meta
-
-    def finish(self, cert, extra=None):
-        """Write the certificate and the metadata; a failed check is exit 3."""
-        self.write_json("certificate.json", cert.to_dict())
-        self.finalize(extra)
-        if not cert.all_passed:
-            raise ConvergenceFailure("certificate checks failed")
-        return 0
-
-
 # --- one problem builder and one certifier per command --------------------
-# The solve runners and `verify` both call these, so a stored result is
+# The solve and `verify` both call these, so a stored result is
 # re-certified against the same problem that produced it.
 
 
@@ -348,36 +261,10 @@ def _certify_eb(cfg, problem, seed, f, w, ladder, margins):
     return cert
 
 
-# --- runners -------------------------------------------------------------
-
-
-def run_solve_vortex(cfg, outdir, seed, quiet):
-    t_start = time.perf_counter()
-    surface, divisor = build_setup(cfg)
-    log = []
-    problem = _vortex_problem(cfg, surface, divisor, log)
-    f = solve_vortex(problem, tol=_tol(cfg, "residual", 1e-9) * 0.1, log=log)
-    cert = _certify_vortex(cfg, problem, seed, f)
-    art = ArtifactWriter(outdir, "solve-vortex", cfg, seed, quiet, started=t_start)
-    art.field("f_tilde", f, surface)
-    art.field("Phi", problem.phi0_sq * np.exp(2.0 * f), surface)
-    art.write_jsonl("iterations.jsonl", log)
-    return art.finish(cert)
-
-
-def run_solve_tke(cfg, outdir, seed, quiet):
-    t_start = time.perf_counter()
-    surface, divisor = build_setup(cfg)
-    chi_tilde, F_xi = problem = _tke_problem(cfg, surface, divisor)
-    log = []
-    u = solve_twisted_ke(surface, chi_tilde, F_xi, t=float(cfg.get("t", 1.0)),
-                         tol=_tol(cfg, "residual", 1e-9) * 0.1, log=log)
-    cert = _certify_tke(cfg, surface, problem, u)
-    art = ArtifactWriter(outdir, "solve-tke", cfg, seed, quiet, started=t_start)
-    art.field("u", u, surface)
-    art.field("metric_density", 1.0 - surface.laplacian(u), surface)
-    art.write_jsonl("iterations.jsonl", log)
-    return art.finish(cert, extra={"chi_tilde": chi_tilde})
+# --- one solve per command ------------------------------------------------
+# solve(cfg, surface, divisor, seed, phases) runs after the `setup` phase,
+# ends its own phases and returns (certificate, {field name: values},
+# {file name: report}, metadata extras, profile counts) for _run to write.
 
 
 class _Phases:
@@ -392,15 +279,31 @@ class _Phases:
         self.seconds[name] = now - self._last
         self._last = now
 
-    def profile(self, **counts):
-        return {"seconds": self.seconds, "counts": counts}
+
+def _solve_vortex(cfg, surface, divisor, seed, phases):
+    log = []
+    problem = _vortex_problem(cfg, surface, divisor, log)
+    f = solve_vortex(problem, tol=_tol(cfg, "residual", 1e-9) * 0.1, log=log)
+    phases.end("solve")
+    cert = _certify_vortex(cfg, problem, seed, f)
+    phases.end("certify")
+    return (cert, {"f_tilde": f, "Phi": problem.phi0_sq * np.exp(2.0 * f)},
+            {"iterations.jsonl": log}, {}, {})
 
 
-def run_solve_gv(cfg, outdir, seed, quiet):
-    t_start = time.perf_counter()
-    phases = _Phases(t_start)
-    surface, divisor = build_setup(cfg)
-    phases.end("setup")
+def _solve_tke(cfg, surface, divisor, seed, phases):
+    chi_tilde, F_xi = problem = _tke_problem(cfg, surface, divisor)
+    log = []
+    u = solve_twisted_ke(surface, chi_tilde, F_xi, t=float(cfg.get("t", 1.0)),
+                         tol=_tol(cfg, "residual", 1e-9) * 0.1, log=log)
+    phases.end("solve")
+    cert = _certify_tke(cfg, surface, problem, u)
+    phases.end("certify")
+    return (cert, {"u": u, "metric_density": 1.0 - surface.laplacian(u)},
+            {"iterations.jsonl": log}, {"chi_tilde": chi_tilde}, {})
+
+
+def _solve_gv(cfg, surface, divisor, seed, phases):
     fields = build_divisor_fields(surface, divisor)
     phases.end("divisor_fields")
     tau = float(cfg["tau"])
@@ -425,25 +328,16 @@ def run_solve_gv(cfg, outdir, seed, quiet):
     phases.end("solve")
     cert = certify_state(problem, final, seed=seed)
     phases.end("certify")
-    art = ArtifactWriter(outdir, "solve-gv", cfg, seed, quiet, started=t_start)
-    art.field("f_tilde", final.f_tilde, surface)
-    art.field("u", final.u, surface)
-    art.field("Phi", final.Phi, surface)
-    art.write_jsonl("iterations.jsonl", path_log + newton)
-    phases.end("write")
-    profile = phases.profile(divisor_field_builds=1, newton_steps=len(newton),
-                             gmres_iterations=sum(e["krylov"] for e in newton),
-                             cg_iterations=cg)
-    return art.finish(cert, extra={"alpha": final.alpha, "epsilon": problem.eps,
-                                   "alpha_star": problem.params.alpha_star,
-                                   "profile": profile})
+    return (cert, {"f_tilde": final.f_tilde, "u": final.u, "Phi": final.Phi},
+            {"iterations.jsonl": path_log + newton},
+            {"alpha": final.alpha, "epsilon": problem.eps,
+             "alpha_star": problem.params.alpha_star},
+            {"divisor_field_builds": 1, "newton_steps": len(newton),
+             "gmres_iterations": sum(e["krylov"] for e in newton),
+             "cg_iterations": cg})
 
 
-def run_sweep_eps(cfg, outdir, seed, quiet):
-    t_start = time.perf_counter()
-    phases = _Phases(t_start)
-    surface, divisor = build_setup(cfg)
-    phases.end("setup")
+def _sweep_eps(cfg, surface, divisor, seed, phases):
     fields = build_divisor_fields(surface, divisor)
     phases.end("divisor_fields")
     tau = float(cfg["tau"])
@@ -464,90 +358,56 @@ def run_sweep_eps(cfg, outdir, seed, quiet):
     final, problem = report.states[-1], report.problem
     cert = certify_state(problem, final, seed=seed)
     phases.end("certify")
-    art = ArtifactWriter(outdir, "sweep-eps", cfg, seed, quiet, started=t_start)
-    art.field("f_tilde", final.f_tilde, surface)
-    art.field("u", final.u, surface)
-    art.write_json("ladder.json", {
-        "eps": report.eps_list[: len(report.newton_counts)],
-        "d_f": report.d_f,
-        "d_u": report.d_u,
-        "rho_K": report.rho_K,
-        "holder_f": report.holder_f,
-        "holder_u": report.holder_u,
-        "wp_integrals": report.wp_integrals,
-        "lp_exponent": report.lp_exponent,
-        "newton_counts": report.newton_counts,
-        "failures": report.failures,
-        "fits": [vars(f) for f in report.fits],
-    })
-    art.write_jsonl("iterations.jsonl",
-                    [{"eps": e, "newton_steps": c}
-                     for e, c in zip(report.eps_list, report.newton_counts)])
-    phases.end("write")
-    profile = phases.profile(divisor_field_builds=1,
-                             newton_steps=sum(report.newton_counts),
-                             gmres_iterations=report.gmres_iterations,
-                             cg_iterations=report.cg_iterations)
-    return art.finish(cert, extra={"alpha": final.alpha, "epsilon": problem.eps,
-                                   "profile": profile})
+    ladder = {key: getattr(report, key) for key in (
+        "d_f", "d_u", "rho_K", "holder_f", "holder_u", "wp_integrals",
+        "lp_exponent", "newton_counts", "failures")}
+    ladder.update(eps=report.eps_list[: len(report.newton_counts)],
+                  fits=[vars(f) for f in report.fits])
+    log = [{"eps": e, "newton_steps": c}
+           for e, c in zip(report.eps_list, report.newton_counts)]
+    return (cert, {"f_tilde": final.f_tilde, "u": final.u},
+            {"ladder.json": ladder, "iterations.jsonl": log},
+            {"alpha": final.alpha, "epsilon": problem.eps},
+            {"divisor_field_builds": 1,
+             "newton_steps": sum(report.newton_counts),
+             "gmres_iterations": report.gmres_iterations,
+             "cg_iterations": report.cg_iterations})
 
 
-def run_solve_eb(cfg, outdir, seed, quiet):
-    t_start = time.perf_counter()
-    phases = _Phases(t_start)
-    surface, divisor = build_setup(cfg)
+def _solve_eb(cfg, surface, divisor, seed, phases):
     deltas = cfg.get("delta", [0.1 * 0.5**k for k in range(7)])
     deltas = [float(d) for d in (deltas if isinstance(deltas, list) else [deltas])]
     tol = _tol(cfg, "residual", 1e-10)
     margin = float(cfg.get("margin", 0.5))
     problem = _eb_problem(cfg, surface, divisor)
     na = check_numerical_assumption(problem)
-    art = ArtifactWriter(outdir, "solve-eb", cfg, seed, quiet, started=t_start)
-    art.write_json("na_report.json", na.to_dict())
     if not na.all_passed:
-        art.finalize(extra={"refused": True})
         raise AssumptionNotSatisfied(
             "admissibility inequalities fail; see na_report.json", na)
-    phases.end("setup")
     log = []
     f, g_density, h_factor, w, report = delta_ladder_and_assemble(
         problem, deltas=deltas, tol=tol, margin=margin, log=log)
     iterations = sum(report["iterations"])
-    lambda_pair = bool(cfg.get("lambda_pair", False))
-    if lambda_pair:
+    fields = {"f_tilde": f, "supersolution_w": w, "metric_density": g_density,
+              "hermitian_factor": h_factor}
+    reports = {"na_report.json": na.to_dict(), "ladder.json": report,
+               "iterations.jsonl": log}
+    if cfg.get("lambda_pair", False):
         lam2 = 2.0 * report["lam"]
         f2, _, _, _, report2 = delta_ladder_and_assemble(
             dataclasses.replace(problem, lam=lam2), deltas=deltas[-1:],
             tol=tol, margin=margin)
         iterations += sum(report2["iterations"])
+        fields["f_tilde_lam2"] = f2
+        reports["lambda_dependence.json"] = {
+            "lam_pair": [report["lam"], lam2],
+            "sup_difference": float(np.max(np.abs(f - f2))),
+        }
     phases.end("ladder")
     cert = _certify_eb(cfg, problem, seed, f, w, report, report["sup_margins"])
     phases.end("certify")
-    art.field("f_tilde", f, surface)
-    art.field("supersolution_w", w, surface)
-    art.field("metric_density", g_density, surface)
-    art.field("hermitian_factor", h_factor, surface)
-    art.write_json("ladder.json", report)
-    art.write_jsonl("iterations.jsonl", log)
-    if lambda_pair:
-        art.field("f_tilde_lam2", f2, surface)
-        art.write_json("lambda_dependence.json", {
-            "lam_pair": [report["lam"], lam2],
-            "sup_difference": float(np.max(np.abs(f - f2))),
-        })
-    phases.end("write")
-    return art.finish(cert, extra={"alpha": problem.alpha, "tau": problem.tau,
-                                   "profile": phases.profile(
-                                       monotone_iterations=iterations)})
-
-
-_RUNNERS = {
-    "solve-vortex": run_solve_vortex,
-    "solve-tke": run_solve_tke,
-    "solve-gv": run_solve_gv,
-    "sweep-eps": run_sweep_eps,
-    "solve-eb": run_solve_eb,
-}
+    return (cert, fields, reports, {"alpha": problem.alpha, "tau": problem.tau},
+            {"monotone_iterations": iterations})
 
 
 # --- verification of stored artifacts -----------------------------------
@@ -562,11 +422,12 @@ class _Stored:
         if not os.path.exists(path):
             raise ConfigError(f"no artifact metadata in {outdir}")
         meta = read_json(path)
-        if not (isinstance(meta, dict) and meta.get("command") in _RECERTIFY
+        if not (isinstance(meta, dict) and isinstance(meta.get("command"), str)
+                and meta["command"] in _COMMANDS
                 and isinstance(meta.get("files", {}), dict)
                 and _KINDS["count"][0](meta.get("seed", 0))):
             raise ConfigError(f"{path} is not the metadata of a solve: it "
-                              f"needs a 'command' of {sorted(_RECERTIFY)}, "
+                              f"needs a 'command' of {sorted(_COMMANDS)}, "
                               "a 'files' table and a non-negative 'seed'")
         self.meta, self.seed = meta, int(meta.get("seed", 0))
 
@@ -592,19 +453,139 @@ def _recertify_gv(cfg, surface, divisor, art):
     return certify_state(problem, state, seed=art.seed)
 
 
-# per command: read the stored result back, then run the problem builder and
-# the certifier that the solve runner ran
-_RECERTIFY = {
-    "solve-vortex": lambda cfg, s, d, art: _certify_vortex(
-        cfg, _vortex_problem(cfg, s, d), art.seed, art.field("f_tilde", s)),
-    "solve-tke": lambda cfg, s, d, art: _certify_tke(
-        cfg, s, _tke_problem(cfg, s, d), art.field("u", s)),
-    "solve-gv": _recertify_gv,
-    "sweep-eps": _recertify_gv,
-    "solve-eb": lambda cfg, s, d, art: _certify_eb(
-        cfg, _eb_problem(cfg, s, d), art.seed, art.field("f_tilde", s),
-        art.field("supersolution_w", s), art.read_json("ladder.json"), None),
+def _recertify_eb(cfg, surface, divisor, art):
+    ladder = art.read_json("ladder.json")
+    # the keys the certifier reads, checked as a config's are
+    stored = ladder if isinstance(ladder, dict) else {}
+    for key, kind in (("lam", "number"), ("lam_min", "number"),
+                      ("C_sigma", "number"), ("deltas", "rungs")):
+        _check(f"ladder.json:{key}", stored.get(key), kind)
+    return _certify_eb(cfg, _eb_problem(cfg, surface, divisor), art.seed,
+                       art.field("f_tilde", surface),
+                       art.field("supersolution_w", surface), ladder, None)
+
+
+# --- the command table and the one runner ----------------------------------
+
+
+@dataclasses.dataclass(frozen=True)
+class _Command:
+    """A solve command: its config schema, its theorem-coverage line, its
+    solve and its recertify(cfg, surface, divisor, stored), which reads the
+    stored result back and certifies it as the solve did."""
+
+    schema: dict
+    coverage: str
+    solve: object
+    recertify: object
+
+
+_CONTINUATION = ("experimental: continuation existence is proven for "
+                 "genus >= 2; model backends are genus 0/1")
+_COMMANDS = {
+    "solve-vortex": _Command(
+        dict(_COMMON, tau="number!", t="number",
+             twist=("null", {"b": "number", "modes": ["mode"]})),
+        "covered: twisted-vortex existence/uniqueness (no genus restriction)",
+        _solve_vortex,
+        lambda cfg, s, d, art: _certify_vortex(
+            cfg, _vortex_problem(cfg, s, d), art.seed, art.field("f_tilde", s))),
+    "solve-tke": _Command(
+        dict(_COMMON, epsilon="nonnegative", t="number"),
+        "covered: twisted Kaehler-Einstein, negative constant",
+        _solve_tke,
+        lambda cfg, s, d, art: _certify_tke(
+            cfg, s, _tke_problem(cfg, s, d), art.field("u", s))),
+    "solve-gv": _Command(
+        dict(_COMMON, tau="number!", alpha=_PATH, epsilon="number"),
+        _CONTINUATION, _solve_gv, _recertify_gv),
+    "sweep-eps": _Command(
+        dict(_COMMON, tau="number!", alpha=_PATH, epsilon="ladder",
+             fit="boolean"),
+        _CONTINUATION, _sweep_eps, _recertify_gv),
+    "solve-eb": _Command(
+        dict(_COMMON, tau="number", alpha="number", delta="ladder",
+             sigma="number", margin="number", lambda_pair="boolean",
+             **{"lambda": "number"}),
+        "covered (sphere): Bogomol'nyi-phase existence under the "
+        "admissibility inequalities",
+        _solve_eb, _recertify_eb),
 }
+
+
+def _run(command, cfg, outdir, seed, quiet):
+    """Solve, certify and write the artifact of one command. ``outdir`` is
+    made only once the solve has returned, or has refused (exit 4) with
+    the admissibility report it writes; a failed check is exit 3."""
+    t0 = time.perf_counter()
+    phases = _Phases(t0)
+    surface, divisor = build_setup(cfg)
+    phases.end("setup")
+    try:
+        cert, fields, reports, extra, counts = _COMMANDS[command].solve(
+            cfg, surface, divisor, seed, phases)
+    except AssumptionNotSatisfied as exc:
+        files = _write_files(outdir, t0, surface, {}, {
+            "config.json": cfg, "na_report.json": exc.report.to_dict()})
+        _write_metadata(outdir, command, cfg, seed, t0, files,
+                        {"refused": True}, quiet)
+        raise
+    files = _write_files(outdir, t0, surface, fields, {
+        **reports, "config.json": cfg, "certificate.json": cert.to_dict()})
+    phases.end("write")
+    _write_metadata(outdir, command, cfg, seed, t0, files, dict(
+        extra, profile={"seconds": phases.seconds, "counts": counts}), quiet)
+    if not cert.all_passed:
+        raise ConvergenceFailure("certificate checks failed")
+    return 0
+
+
+def _write_json(path, obj):
+    with open(path, "w") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=1, default=float)
+
+
+def _write_files(outdir, t0, surface, fields, reports):
+    """Write a run's fields and reports into ``outdir``; returns their
+    {relpath: sha256}. A ``.jsonl`` report is log records, whose
+    perf_counter ``time`` is made run-relative; any other is JSON."""
+    os.makedirs(os.path.join(outdir, "fields"), exist_ok=True)
+    written = []
+    for name, values in fields.items():
+        written.append(os.path.join("fields", name + ".vfield"))
+        write_field(os.path.join(outdir, written[-1]), values, surface.backend,
+                    surface.n if surface.backend == "torus" else surface.L,
+                    name)
+    for rel, obj in reports.items():
+        written.append(rel)
+        if rel.endswith(".jsonl"):
+            write_jsonl(os.path.join(outdir, rel),
+                        [dict(r, time=r["time"] - t0) if "time" in r else r
+                         for r in obj])
+        else:
+            _write_json(os.path.join(outdir, rel), obj)
+    return {rel: sha256_file(os.path.join(outdir, rel)) for rel in written}
+
+
+def _write_metadata(outdir, command, cfg, seed, t0, files, extra, quiet):
+    """metadata.json: the hashes of the run's files, its provenance and the
+    command's ``extra`` keys."""
+    _write_json(os.path.join(outdir, "metadata.json"), {
+        "command": command,
+        "files": files,
+        "label": cfg.get("label", ""),
+        "seed": seed,
+        "theorem_coverage": _COMMANDS[command].coverage,
+        "runtime_seconds": time.perf_counter() - t0,
+        "versions": {
+            "vortexlab": __version__,
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+        },
+        **extra,
+    })
+    if not quiet:
+        print(f"[vortexlab] artifact written to {outdir}")
 
 
 def run_verify(outdir, quiet=False):
@@ -618,7 +599,7 @@ def run_verify(outdir, quiet=False):
     command = art.meta["command"]
     cfg = validate_config(art.read_json("config.json"), command)
     surface, divisor = build_setup(cfg)
-    cert = _RECERTIFY[command](cfg, surface, divisor, art)
+    cert = _COMMANDS[command].recertify(cfg, surface, divisor, art)
     fresh = cert.to_dict()
     mism = _compare_certificates(art.read_json("certificate.json"), fresh)
     if mism:
@@ -668,7 +649,7 @@ def main(argv=None):
                     "compact model surfaces",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _RUNNERS:
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
@@ -694,7 +675,7 @@ def main(argv=None):
         if args.seed is not None:
             _check("--seed", args.seed, "count")
         seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
-        return _RUNNERS[args.command](cfg, args.out, seed, args.quiet)
+        return _run(args.command, cfg, args.out, seed, args.quiet)
     except AssumptionNotSatisfied as exc:
         print(f"[vortexlab] refused: {exc}", file=sys.stderr)
         return 4

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vortexlab.cli import _COVERAGE, _SCHEMA, main
+from vortexlab.cli import _COMMANDS, main
 from vortexlab import greens, singular
 from vortexlab.errors import ConfigError, ConvergenceFailure
 from vortexlab.fieldio import MAGIC, read_field, write_field, write_pgm
@@ -79,7 +79,7 @@ def test_solve_vortex_roundtrip(tmp_path):
               "--quiet"])
     assert exc.value.code == 2
     meta = json.load(open(os.path.join(out, "metadata.json")))
-    assert meta["theorem_coverage"] == _COVERAGE["solve-vortex"]
+    assert meta["theorem_coverage"] == _COMMANDS["solve-vortex"].coverage
     # no --seed given: the config's "seed": 7 takes effect
     assert meta["seed"] == 7
     assert meta["theorem_coverage"].startswith("covered")
@@ -324,29 +324,31 @@ def test_gv_and_verify_tamper(tmp_path):
     assert main(["verify", "--out", out, "--quiet"]) == 3
 
 
+def _restamp(art, rel, obj):
+    """Write ``obj`` as the file ``rel`` of an artifact and stamp its hash
+    in metadata.json again."""
+    with open(os.path.join(art, rel), "w") as fh:
+        json.dump(obj, fh)
+    meta_path = os.path.join(art, "metadata.json")
+    meta = json.load(open(meta_path))
+    meta["files"][rel] = hashlib.sha256(
+        open(os.path.join(art, rel), "rb").read()).hexdigest()
+    with open(meta_path, "w") as fh:
+        json.dump(meta, fh)
+
+
 def test_verify_detects_a_changed_certificate(tmp_path, capsys):
     # a certificate edited with its hash re-stamped passes the file check:
     # the re-certification must still tell it apart from the fresh one
     cfg = write_cfg(tmp_path, "tke.json", TKE_CFG)
     out = str(tmp_path / "tke")
     assert main(["solve-tke", "--config", cfg, "--out", out, "--quiet"]) == 0
-    cert_path = os.path.join(out, "certificate.json")
-    meta_path = os.path.join(out, "metadata.json")
-    stored = json.load(open(cert_path))
-
-    def restamp(cert):
-        with open(cert_path, "w") as fh:
-            json.dump(cert, fh)
-        meta = json.load(open(meta_path))
-        meta["files"]["certificate.json"] = hashlib.sha256(
-            open(cert_path, "rb").read()).hexdigest()
-        with open(meta_path, "w") as fh:
-            json.dump(meta, fh)
+    stored = json.load(open(os.path.join(out, "certificate.json")))
 
     doubled = copy.deepcopy(stored)
     check = next(c for c in doubled["checks"] if c["name"] == "tke_residual")
     check["lhs"] *= 2.0
-    restamp(doubled)
+    _restamp(out, "certificate.json", doubled)
     capsys.readouterr()
     assert main(["verify", "--out", out, "--quiet"]) == 3
     err = capsys.readouterr().err
@@ -355,7 +357,7 @@ def test_verify_detects_a_changed_certificate(tmp_path, capsys):
     dropped = copy.deepcopy(stored)
     dropped["checks"] = [c for c in dropped["checks"]
                          if c["name"] != "tke_residual"]
-    restamp(dropped)
+    _restamp(out, "certificate.json", dropped)
     assert main(["verify", "--out", out, "--quiet"]) == 3
     err = capsys.readouterr().err
     assert "check sets differ" in err and "tke_residual" in err
@@ -370,6 +372,17 @@ def test_solve_eb_cli(tmp_path):
     assert main(["verify", "--out", out, "--quiet"]) == 0
 
 
+def test_failed_solve_leaves_no_artifact(tmp_path, capsys):
+    # the monotone chain of this rung breaks at its first iteration: exit 3,
+    # and nothing is written, for --out is made only once a solve returns
+    cfg = write_cfg(tmp_path, "eb.json", dict(EB_CFG, delta=[0.02]))
+    out = str(tmp_path / "art")
+    capsys.readouterr()
+    assert main(["solve-eb", "--config", cfg, "--out", out, "--quiet"]) == 3
+    assert "monotone chain violated" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("command, base", [
     ("solve-vortex", VORTEX_CFG), ("solve-tke", TKE_CFG), ("solve-gv", GV_CFG),
     ("sweep-eps", SWEEP_CFG), ("solve-eb", EB_CFG), ("solve-eb", EB_TAU_CFG)],
@@ -379,22 +392,21 @@ def test_solve_then_verify(tmp_path, command, base):
     out = str(tmp_path / "art")
     assert main([command, "--config", cfg, "--out", out, "--quiet"]) == 0
     assert main(["verify", "--out", out, "--quiet"]) == 0
+    # every command times its setup, its solve, its certificate and its write
+    meta = json.load(open(os.path.join(out, "metadata.json")))
+    profile = meta["profile"]
+    solve = "ladder" if command in ("sweep-eps", "solve-eb") else "solve"
+    assert {"setup", solve, "certify", "write"} <= set(profile["seconds"])
+    assert sum(profile["seconds"].values()) <= meta["runtime_seconds"]
     if command in ("solve-gv", "sweep-eps"):
-        meta = json.load(open(os.path.join(out, "metadata.json")))
-        profile = meta["profile"]
-        solve = "solve" if command == "solve-gv" else "ladder"
         assert set(profile["seconds"]) == {"setup", "divisor_fields", solve,
                                            "certify", "write"}
-        assert sum(profile["seconds"].values()) <= meta["runtime_seconds"]
         assert profile["counts"]["divisor_field_builds"] == 1
         assert profile["counts"]["newton_steps"] > 0
         assert profile["counts"]["gmres_iterations"] > 0
     if command == "solve-eb":
-        meta = json.load(open(os.path.join(out, "metadata.json")))
         ladder = json.load(open(os.path.join(out, "ladder.json")))
-        profile = meta["profile"]
         assert set(profile["seconds"]) == {"setup", "ladder", "certify", "write"}
-        assert sum(profile["seconds"].values()) <= meta["runtime_seconds"]
         assert profile["counts"] == {
             "monotone_iterations": sum(ladder["iterations"])}
         assert profile["counts"]["monotone_iterations"] > 0
@@ -482,15 +494,8 @@ def _artifact_case(tmp_path, tke_artifact, case):
             json.dump(meta, fh)
     elif case == "config-json-malformed":
         # a stored config edited and its hash stamped again
-        cfg_path = os.path.join(art, "config.json")
-        cfg = dict(json.load(open(cfg_path)), resolution="abc")
-        with open(cfg_path, "w") as fh:
-            json.dump(cfg, fh)
-        meta = json.load(open(meta_path))
-        meta["files"]["config.json"] = hashlib.sha256(
-            open(cfg_path, "rb").read()).hexdigest()
-        with open(meta_path, "w") as fh:
-            json.dump(meta, fh)
+        cfg = json.load(open(os.path.join(art, "config.json")))
+        _restamp(art, "config.json", dict(cfg, resolution="abc"))
         return ["verify", "--out", art], "'resolution'"
     elif case == "listed-file-missing":
         os.remove(os.path.join(art, "fields", "u.vfield"))
@@ -504,6 +509,15 @@ def tke_artifact(tmp_path_factory):
     cfg = write_cfg(d, "cfg.json", TKE_CFG)
     out = str(d / "art")
     assert main(["solve-tke", "--config", cfg, "--out", out, "--quiet"]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def eb_artifact(tmp_path_factory):
+    d = tmp_path_factory.mktemp("eb")
+    cfg = write_cfg(d, "cfg.json", EB_CFG)
+    out = str(d / "art")
+    assert main(["solve-eb", "--config", cfg, "--out", out, "--quiet"]) == 0
     return out
 
 
@@ -677,7 +691,7 @@ def _key_paths(value, kind, path=()):
 
 def _mutations(case):
     command, base = SOLVE_CFGS[case]
-    paths = st.sampled_from(list(_key_paths(base, _SCHEMA[command])))
+    paths = st.sampled_from(list(_key_paths(base, _COMMANDS[command].schema)))
     return st.tuples(st.just(case), paths, st.sampled_from(ODD_VALUES))
 
 
@@ -702,6 +716,43 @@ def test_malformed_configs_exit_with_a_code(mutation):
         code = main([command, "--config", cfg_path,
                      "--out", os.path.join(d, "art"), "--quiet"])
     assert code in (0, 2, 3, 4)
+
+
+def test_stored_artifacts_with_odd_values_exit_with_a_code(
+        tmp_path, eb_artifact, tke_artifact, capsys):
+    # verify on an artifact whose metadata.json has one key, or whose
+    # ladder.json has one key or the whole report, replaced (the hash
+    # stamped again) exits 0, 2 or 3, and an exit 2 names the file and key
+    keys = [("metadata.json", (key,))
+            for key in ("command", "seed", "files", "alpha", "tau")]
+    ladder = [("ladder.json", (key,))
+              for key in ("lam", "lam_min", "C_sigma", "deltas")]
+    for name, src, cases in (("eb", eb_artifact, keys + ladder
+                              + [("ladder.json", ())]),
+                             ("tke", tke_artifact, keys)):
+        art = str(tmp_path / name)
+        shutil.copytree(src, art)
+        for rel, path in cases:
+            kept = {r: open(os.path.join(art, r), "rb").read()
+                    for r in ("metadata.json", rel)}
+            for value in ODD_VALUES:
+                obj = (_mutate(json.loads(kept[rel]), path, value) if path
+                       else value)
+                if rel == "metadata.json":
+                    with open(os.path.join(art, rel), "w") as fh:
+                        json.dump(obj, fh)
+                else:
+                    _restamp(art, rel, obj)
+                capsys.readouterr()
+                code = main(["verify", "--out", art, "--quiet"])
+                err = capsys.readouterr().err
+                assert code in (0, 2, 3), (name, rel, path, value, err)
+                assert code != 2 or rel in err and all(
+                    k in err for k in path), (name, rel, path, value, err)
+                assert "Traceback" not in err
+                for r, blob in kept.items():
+                    with open(os.path.join(art, r), "wb") as fh:
+                        fh.write(blob)
 
 
 @pytest.mark.parametrize("script, args", [
