@@ -349,6 +349,7 @@ def monotone_iterate(problem, w, lam, delta, tol=1e-10, residual_target=None,
                 f"monotone iteration exceeded {max_iter} iterations "
                 f"(last change {change:.3e})"
             )
+        s.counts["monotone_iterations"] += 1
         rhs = 2.0 * f
         rhs += u0
         if (it & (it - 1)) == 0:  # it = 1, 2, 4, 8, ...: the shift of f_it

@@ -86,7 +86,9 @@ _KINDS = {
                "a number or a non-empty strictly decreasing list of numbers"),
     "rungs": (_decreasing, "a non-empty strictly decreasing list of numbers"),
     "point": (lambda v: _numbers(v) and len(v) == 2, "a list of 2 numbers"),
-    "mode": (lambda v: _numbers(v) and len(v) == 4, "a list of 4 numbers"),
+    "mode": (lambda v: _numbers(v) and len(v) == 4
+             and all(map(_is_integer, v[:2])),
+             "a list of 4 numbers whose first two are integers"),
     "null": (lambda v: v is None, "null"),
     "alpha_star": (lambda v: v == "alpha_star", '"alpha_star"'),
     "any": (lambda v: True, "anything"),
@@ -264,7 +266,7 @@ def _certify_eb(cfg, problem, seed, f, w, ladder, margins):
 # --- one solve per command ------------------------------------------------
 # solve(cfg, surface, divisor, seed, phases) runs after the `setup` phase,
 # ends its own phases and returns (certificate, {field name: values},
-# {file name: report}, metadata extras, profile counts) for _run to write.
+# {file name: report}, metadata extras) for _run to write.
 
 
 class _Phases:
@@ -288,7 +290,7 @@ def _solve_vortex(cfg, surface, divisor, seed, phases):
     cert = _certify_vortex(cfg, problem, seed, f)
     phases.end("certify")
     return (cert, {"f_tilde": f, "Phi": problem.phi0_sq * np.exp(2.0 * f)},
-            {"iterations.jsonl": log}, {}, {})
+            {"iterations.jsonl": log}, {})
 
 
 def _solve_tke(cfg, surface, divisor, seed, phases):
@@ -300,7 +302,7 @@ def _solve_tke(cfg, surface, divisor, seed, phases):
     cert = _certify_tke(cfg, surface, problem, u)
     phases.end("certify")
     return (cert, {"u": u, "metric_density": 1.0 - surface.laplacian(u)},
-            {"iterations.jsonl": log}, {"chi_tilde": chi_tilde}, {})
+            {"iterations.jsonl": log}, {"chi_tilde": chi_tilde})
 
 
 def _solve_gv(cfg, surface, divisor, seed, phases):
@@ -313,14 +315,13 @@ def _solve_gv(cfg, surface, divisor, seed, phases):
     problem = make_problem(surface, divisor, tau=tau, eps=eps, fields=fields)
     if target == "alpha_star":
         target = problem.params.alpha_star
-    path_log, newton, cg = [], [], 0
+    path_log, newton = [], []
     for st in continue_alpha(problem, decoupled_state(problem, tol=tol),
                              float(target), n_steps=steps, tol=tol):
         path_log.append({"alpha": st.alpha, "c_tilde": st.c_tilde,
                          "residual": st.res_norm,
                          "newton_steps": len(st.newton_log)})
         newton += st.newton_log
-        cg += st.cg_iterations
         # the next step's solve reads (f~, u) only: hold no more through it
         at, st = (st.alpha, st.f_tilde, st.u), None
     # the last state whole again, bit for bit the state the solve made
@@ -331,10 +332,7 @@ def _solve_gv(cfg, surface, divisor, seed, phases):
     return (cert, {"f_tilde": final.f_tilde, "u": final.u, "Phi": final.Phi},
             {"iterations.jsonl": path_log + newton},
             {"alpha": final.alpha, "epsilon": problem.eps,
-             "alpha_star": problem.params.alpha_star},
-            {"divisor_field_builds": 1, "newton_steps": len(newton),
-             "gmres_iterations": sum(e["krylov"] for e in newton),
-             "cg_iterations": cg})
+             "alpha_star": problem.params.alpha_star})
 
 
 def _sweep_eps(cfg, surface, divisor, seed, phases):
@@ -367,11 +365,7 @@ def _sweep_eps(cfg, surface, divisor, seed, phases):
            for e, c in zip(report.eps_list, report.newton_counts)]
     return (cert, {"f_tilde": final.f_tilde, "u": final.u},
             {"ladder.json": ladder, "iterations.jsonl": log},
-            {"alpha": final.alpha, "epsilon": problem.eps},
-            {"divisor_field_builds": 1,
-             "newton_steps": sum(report.newton_counts),
-             "gmres_iterations": report.gmres_iterations,
-             "cg_iterations": report.cg_iterations})
+            {"alpha": final.alpha, "epsilon": problem.eps})
 
 
 def _solve_eb(cfg, surface, divisor, seed, phases):
@@ -387,17 +381,15 @@ def _solve_eb(cfg, surface, divisor, seed, phases):
     log = []
     f, g_density, h_factor, w, report = delta_ladder_and_assemble(
         problem, deltas=deltas, tol=tol, margin=margin, log=log)
-    iterations = sum(report["iterations"])
     fields = {"f_tilde": f, "supersolution_w": w, "metric_density": g_density,
               "hermitian_factor": h_factor}
     reports = {"na_report.json": na.to_dict(), "ladder.json": report,
                "iterations.jsonl": log}
     if cfg.get("lambda_pair", False):
         lam2 = 2.0 * report["lam"]
-        f2, _, _, _, report2 = delta_ladder_and_assemble(
+        f2 = delta_ladder_and_assemble(
             dataclasses.replace(problem, lam=lam2), deltas=deltas[-1:],
-            tol=tol, margin=margin)
-        iterations += sum(report2["iterations"])
+            tol=tol, margin=margin)[0]
         fields["f_tilde_lam2"] = f2
         reports["lambda_dependence.json"] = {
             "lam_pair": [report["lam"], lam2],
@@ -406,8 +398,7 @@ def _solve_eb(cfg, surface, divisor, seed, phases):
     phases.end("ladder")
     cert = _certify_eb(cfg, problem, seed, f, w, report, report["sup_margins"])
     phases.end("certify")
-    return (cert, fields, reports, {"alpha": problem.alpha, "tau": problem.tau},
-            {"monotone_iterations": iterations})
+    return cert, fields, reports, {"alpha": problem.alpha, "tau": problem.tau}
 
 
 # --- verification of stored artifacts -----------------------------------
@@ -522,7 +513,7 @@ def _run(command, cfg, outdir, seed, quiet):
     surface, divisor = build_setup(cfg)
     phases.end("setup")
     try:
-        cert, fields, reports, extra, counts = _COMMANDS[command].solve(
+        cert, fields, reports, extra = _COMMANDS[command].solve(
             cfg, surface, divisor, seed, phases)
     except AssumptionNotSatisfied as exc:
         files = _write_files(outdir, t0, surface, {}, {
@@ -534,7 +525,8 @@ def _run(command, cfg, outdir, seed, quiet):
         **reports, "config.json": cfg, "certificate.json": cert.to_dict()})
     phases.end("write")
     _write_metadata(outdir, command, cfg, seed, t0, files, dict(
-        extra, profile={"seconds": phases.seconds, "counts": counts}), quiet)
+        extra, profile={"seconds": phases.seconds,
+                        "counts": dict(surface.counts)}), quiet)
     if not cert.all_passed:
         raise ConvergenceFailure("certificate checks failed")
     return 0

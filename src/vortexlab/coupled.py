@@ -80,7 +80,6 @@ class SolveState:
     res1: np.ndarray
     res2: np.ndarray
     newton_log: list = field(default_factory=list)
-    cg_iterations: int = 0         # of the decoupled solves of alpha = 0
 
     @property
     def res_norm(self):
@@ -224,15 +223,12 @@ def decoupled_state(problem, tol=RESIDUAL_TOL):
             "decoupled endpoint needs chi_tilde < 0 "
             f"(got {problem.params.chi_tilde}); add cone weight"
         )
-    cg = []
     u = solve_twisted_ke(s, problem.params.chi_tilde,
-                         problem.fields.F_xi(problem.eps), tol=tol * 0.1,
-                         krylov=cg)
+                         problem.fields.F_xi(problem.eps), tol=tol * 0.1)
     rho = 1.0 - s.laplacian(u)
     f = solve_vortex_on_metric(s, problem.weight_t, problem.tau, rho,
-                               problem.params.N_tilde, tol=tol * 0.1, krylov=cg)
+                               problem.params.N_tilde, tol=tol * 0.1)
     state = accepted_state(problem, 0.0, f, u)
-    state.cg_iterations = sum(cg)
     if state.res_norm >= tol:
         raise ConvergenceFailure(
             f"decoupled endpoint residual {state.res_norm:.2e} above {tol:g}"

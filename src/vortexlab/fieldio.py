@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 
 import numpy as np
 
@@ -42,20 +43,27 @@ def write_field(path, values, backend, resolution, name):
 
 
 def read_field(path):
+    """(values, header) of a field file. A file without the magic, a
+    header that is not a table with a ``shape`` of two positive integers,
+    or a payload shorter than that shape, is a ConfigError naming it."""
     with open(path, "rb") as fh:
-        magic = fh.read(16)
-        if magic != MAGIC:
+        size = os.fstat(fh.fileno()).st_size
+        if fh.read(16) != MAGIC:
             raise ConfigError(f"{path}: not a field file (bad magic)")
-        (hlen,) = (int.from_bytes(fh.read(8), "little"),)
+        hlen = int.from_bytes(fh.read(8), "little")
         try:
-            header = json.loads(fh.read(hlen).decode())
+            header = json.loads(fh.read(min(hlen, size)).decode())
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"{path}: malformed field header") from exc
-        shape = tuple(header["shape"])
-        count = int(np.prod(shape))
-        data = np.frombuffer(fh.read(count * 8), dtype="<f8", count=count)
-        if data.size != count:
+        shape = header.get("shape") if isinstance(header, dict) else None
+        if not (isinstance(shape, list) and len(shape) == 2
+                and all(type(n) is int and n > 0 for n in shape)):
+            raise ConfigError(f"{path}: malformed field header: 'shape' "
+                              "must be a list of 2 positive integers")
+        count = shape[0] * shape[1]
+        if size - fh.tell() < 8 * count:
             raise ConfigError(f"{path}: truncated field payload")
+        data = np.frombuffer(fh.read(8 * count), dtype="<f8")
     return data.reshape(shape).astype(np.float64), header
 
 

@@ -181,6 +181,7 @@ class DivisorFields:
 
 def build_divisor_fields(surface, divisor):
     """Construct all log section fields for a divisor on a surface."""
+    surface.counts["divisor_field_builds"] += 1
     return DivisorFields(
         surface=surface,
         divisor=divisor,

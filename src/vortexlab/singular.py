@@ -59,8 +59,6 @@ class LadderReport:
     wp_integrals: list = field(default_factory=list)
     lp_exponent: float = 2.0
     newton_counts: list = field(default_factory=list)
-    gmres_iterations: int = 0  # over the Newton steps of newton_counts
-    cg_iterations: int = 0     # over the decoupled solves of the rungs
     failures: list = field(default_factory=list)
     fits: list = field(default_factory=list)
     problem: object = None    # GVProblem of the last completed rung
@@ -231,7 +229,7 @@ def run_ladder(surface, divisor, tau, alpha, eps_list, n_steps=16,
                             for st in report.states[-1:]]
         report.problem = problem = state = None
         problem = make_problem(surface, divisor, tau=tau, eps=eps, fields=fields)
-        steps, cg = [], 0
+        steps = []
         try:
             if report.states:
                 last = report.states[-1]
@@ -246,7 +244,6 @@ def run_ladder(surface, divisor, tau, alpha, eps_list, n_steps=16,
                                          decoupled_state(problem, tol=tol),
                                          alpha, n_steps=n_steps, tol=tol):
                     steps += st.newton_log
-                    cg += st.cg_iterations
                     # the next step's solve reads (f~, u) only: hold no more
                     at, st = (st.alpha, st.f_tilde, st.u), None
                 state = accepted_state(problem, *at)
@@ -267,8 +264,6 @@ def run_ladder(surface, divisor, tau, alpha, eps_list, n_steps=16,
         report.states.append(state)
         report.problem = problem
         report.newton_counts.append(len(steps))
-        report.gmres_iterations += sum(e["krylov"] for e in steps)
-        report.cg_iterations += cg
         report.holder_f.append(holder_quotient(
             surface, state.f_tilde, rng=np.random.default_rng(seed)))
         report.holder_u.append(holder_quotient(

@@ -68,7 +68,8 @@ _LOW_MODES = 3
 
 def solve_helmholtz(surface, V, rhs, rtol=_KRYLOV_TOL):
     """Solve (lap + V) x = rhs with pointwise V >= 0 (not identically 0) to
-    the relative tolerance rtol; returns (x, CG iterations).
+    the relative tolerance rtol; returns (x, CG iterations), which it adds
+    to ``surface.counts``, a failed solve's too.
 
     lap + V is symmetric in the quadrature inner product, not in the
     Euclidean one on the sphere, so CG weighs its dot products by the Gauss
@@ -105,6 +106,7 @@ def solve_helmholtz(surface, V, rhs, rtol=_KRYLOV_TOL):
     weight = None if surface.backend == "torus" else np.repeat(
         surface.glweights / np.mean(surface.glweights), surface.nlon)
     x, info, niter = _pcg(apply_op, apply_pre, rhs.ravel(), weight, rtol)
+    surface.counts["cg_iterations"] += niter
     if info != 0:
         raise ConvergenceFailure(f"CG failed to converge (info={info})")
     return x.reshape(shape), niter
@@ -320,7 +322,9 @@ def solve_block_newton_step(surface, coefficients, rhs1, rhs2, rtol=1e-12):
     fields' means (m1, m2, m3, m4) if that stays definite, else that of
     (1, 0, 0, 1), blockwise (lap+1)^-1. A singular Galerkin block, and
     GMRES that misses rtol in _MAX_KRYLOV iterations, raise
-    ConvergenceFailure. The returned fields are new arrays.
+    ConvergenceFailure. The returned fields are new arrays. The step and
+    its GMRES iterations are counted in ``surface.counts``, a failed
+    one's too.
 
     The solve consumes rhs1 and rhs2, two distinct grid arrays: it turns
     them into the right-hand side's coefficients first and then works in
@@ -408,6 +412,7 @@ def solve_block_newton_step(surface, coefficients, rhs1, rhs2, rtol=1e-12):
     x, niter, converged = _gmres_left(matvec, prevec, b, rtol=rtol,
                                       atol=_KRYLOV_TOL, restart=_RESTART,
                                       max_krylov=_MAX_KRYLOV)
+    surface.counts.update(newton_steps=1, gmres_iterations=niter)
     if not converged:
         raise ConvergenceFailure(f"GMRES failed after {niter} iterations")
     df, du = surface.from_coeffs(x[:size]), surface.from_coeffs(x[size:])

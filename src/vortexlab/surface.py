@@ -26,7 +26,8 @@ each coefficient, one per (Re, Im) pair.
 array that is not the input) and return it, with the bits of the call
 without it. On the torus such a call allocates no field: the transforms
 run through scratch spectra the surface owns, so a surface is not safe to
-share between threads.
+share between threads. Its ``counts`` are the work the solvers did on it,
+by kind (CG and GMRES iterations, coupled Newton steps, ...).
 
 On the sphere one private pair of transforms, ``_blocks`` (grid to the
 folded Legendre block products) and ``_grid`` (back), carries every
@@ -39,6 +40,7 @@ coefficient array.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property
 
 import numpy as np
@@ -84,6 +86,7 @@ class Torus:
         if n < 16 or n % 2 != 0:
             raise ConfigError(f"torus resolution must be even and >= 16, got {n}")
         self.n = int(n)
+        self.counts = Counter()
         self.shape = (self.n, self.n)
         self.h = 1.0 / self.n
         self.vol = VOL
@@ -276,6 +279,7 @@ class Sphere:
         if L < 15:
             raise ConfigError(f"sphere resolution must satisfy L >= 15, got {L}")
         self.L = int(L)
+        self.counts = Counter()
         self.r = np.sqrt(0.5)
         self.vol = VOL
         self.nlat = int(np.ceil(3 * (L + 1) / 2))

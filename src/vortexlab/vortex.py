@@ -34,11 +34,9 @@ __all__ = [
 _MAX_NEWTON = 60  # Newton iterations of a scalar solve
 
 
-def solve_exp_scalar(surface, coeff, Q, f0=None, tol=1e-10, log=None,
-                     krylov=None):
+def solve_exp_scalar(surface, coeff, Q, f0=None, tol=1e-10, log=None):
     """Damped Newton for lap f + (1/2) coeff e^{2f} + Q = 0 (coeff >= 0).
-    Each correction's CG runs to the forcing term ``newton`` passes, and
-    appends its iterations to ``krylov`` unless None."""
+    Each correction's CG runs to the forcing term ``newton`` passes."""
     if float(surface.integrate(Q)) >= 0.0:
         raise NoSolutionExpected(
             "no balancing mass: integral of the fixed part must be negative"
@@ -48,11 +46,8 @@ def solve_exp_scalar(surface, coeff, Q, f0=None, tol=1e-10, log=None,
         return (surface.laplacian(x[0]) + 0.5 * coeff * np.exp(2.0 * x[0]) + Q,)
 
     def correct(x, r, rtol):
-        d, niter = solve_helmholtz(surface, coeff * np.exp(2.0 * x[0]), r[0],
-                                   rtol)
-        if krylov is not None:
-            krylov.append(niter)
-        return (d,)
+        return (solve_helmholtz(surface, coeff * np.exp(2.0 * x[0]), r[0],
+                                rtol)[0],)
 
     x0 = np.zeros(surface.shape) if f0 is None else f0
     return newton(surface, residual, correct, (x0,), tol, _MAX_NEWTON, tol,
@@ -60,20 +55,18 @@ def solve_exp_scalar(surface, coeff, Q, f0=None, tol=1e-10, log=None,
 
 
 def solve_vortex_on_metric(surface, weight, tau, rho, source, tol=1e-10,
-                           log=None, krylov=None):
+                           log=None):
     """Solve lap f + (1/2)(weight e^{2f} - tau) rho + source = 0.
 
     This is the vortex equation over the metric density rho (mean 1) with
-    zeroth-order source; existence requires tau > 2*source. ``krylov`` is
-    that of ``solve_exp_scalar``.
+    zeroth-order source; existence requires tau > 2*source.
     """
     if tau <= 2.0 * source:
         raise NoSolutionExpected(
             f"existence condition violated: tau={tau} must exceed 2*{source}"
         )
     Q = -0.5 * tau * rho + source
-    return solve_exp_scalar(surface, weight * rho, Q, tol=tol, log=log,
-                            krylov=krylov)
+    return solve_exp_scalar(surface, weight * rho, Q, tol=tol, log=log)
 
 
 @dataclass
@@ -155,13 +148,12 @@ def solve_vortex(problem, f_init=None, tol=1e-10, log=None):
 
 
 def solve_twisted_ke(surface, chi_tilde, F_xi, t=1.0, u_init=None, tol=1e-10,
-                     log=None, krylov=None):
+                     log=None):
     """Solve the conformal-potential equation 1 - lap u = e^{-2 t chi~ u - t F}.
 
     Requires chi~ < 0 and t >= 0 (for a nonnegative linearization); every
     iterate keeps 1 - lap u > 0 (the residual refuses the others). Each
-    correction's CG runs to the forcing term ``newton`` passes, and appends
-    its iterations to ``krylov`` unless None.
+    correction's CG runs to the forcing term ``newton`` passes.
     """
     if chi_tilde >= 0.0 or t < 0.0:
         raise ConfigError("twisted KE solve requires chi_tilde < 0 and "
@@ -175,11 +167,8 @@ def solve_twisted_ke(surface, chi_tilde, F_xi, t=1.0, u_init=None, tol=1e-10,
 
     def correct(x, r, rtol):
         E = np.exp(-2.0 * t * chi_tilde * x[0] - t * F_xi)
-        d, niter = solve_helmholtz(surface, -2.0 * t * chi_tilde * E, r[0],
-                                   rtol)
-        if krylov is not None:
-            krylov.append(niter)
-        return (d,)
+        return (solve_helmholtz(surface, -2.0 * t * chi_tilde * E, r[0],
+                                rtol)[0],)
 
     u0 = np.zeros(surface.shape) if u_init is None else u_init
     return newton(surface, residual, correct, (u0,), tol, _MAX_NEWTON, tol,

@@ -224,6 +224,12 @@ def test_exit_codes(tmp_path, capsys):
                  ("solve-vortex",
                   dict(VORTEX_CFG, twist={"modes": [[1, "x", 0.3, 0.0]]}),
                   "modes"),
+                 ("solve-vortex",
+                  dict(VORTEX_CFG, twist={"modes": [[1.5, 0, 0.3, 0.0]]}),
+                  "modes"),
+                 ("solve-vortex",
+                  dict(VORTEX_CFG, twist={"modes": [[0.5, 0, 0.3, 0.0]]}),
+                  "modes"),
                  ("solve-vortex", dict(VORTEX_CFG, tau=math.nan), "tau"),
                  ("solve-vortex", dict(VORTEX_CFG, tau=math.inf), "tau"),
                  ("solve-vortex",
@@ -325,10 +331,11 @@ def test_gv_and_verify_tamper(tmp_path):
 
 
 def _restamp(art, rel, obj):
-    """Write ``obj`` as the file ``rel`` of an artifact and stamp its hash
-    in metadata.json again."""
-    with open(os.path.join(art, rel), "w") as fh:
-        json.dump(obj, fh)
+    """Write ``obj`` (bytes, or an object as JSON) as the file ``rel`` of an
+    artifact and stamp its hash in metadata.json again."""
+    data = obj if isinstance(obj, bytes) else json.dumps(obj).encode()
+    with open(os.path.join(art, rel), "wb") as fh:
+        fh.write(data)
     meta_path = os.path.join(art, "metadata.json")
     meta = json.load(open(meta_path))
     meta["files"][rel] = hashlib.sha256(
@@ -398,26 +405,29 @@ def test_solve_then_verify(tmp_path, command, base):
     solve = "ladder" if command in ("sweep-eps", "solve-eb") else "solve"
     assert {"setup", solve, "certify", "write"} <= set(profile["seconds"])
     assert sum(profile["seconds"].values()) <= meta["runtime_seconds"]
+    assert profile["counts"]["divisor_field_builds"] == 1
     if command in ("solve-gv", "sweep-eps"):
         assert set(profile["seconds"]) == {"setup", "divisor_fields", solve,
                                            "certify", "write"}
-        assert profile["counts"]["divisor_field_builds"] == 1
         assert profile["counts"]["newton_steps"] > 0
         assert profile["counts"]["gmres_iterations"] > 0
     if command == "solve-eb":
         ladder = json.load(open(os.path.join(out, "ladder.json")))
         assert set(profile["seconds"]) == {"setup", "ladder", "certify", "write"}
         assert profile["counts"] == {
+            "divisor_field_builds": 1,
             "monotone_iterations": sum(ladder["iterations"])}
         assert profile["counts"]["monotone_iterations"] > 0
 
 
 @pytest.mark.parametrize("command, base", [
-    ("solve-gv", GV_CFG), ("sweep-eps", SWEEP_CFG)], ids=["gv", "sweep"])
+    ("solve-vortex", VORTEX_CFG), ("solve-tke", TKE_CFG), ("solve-gv", GV_CFG),
+    ("sweep-eps", SWEEP_CFG)], ids=["vortex", "tke", "gv", "sweep"])
 def test_coupled_profile_counts_cg_iterations(tmp_path, monkeypatch, command,
                                               base):
-    # CG applies its preconditioner once an iteration, and in these runs it
-    # is called by the decoupled solves of alpha = 0 only
+    # CG applies its preconditioner once an iteration, and the counts cover
+    # every CG of the run: the decoupled solves of alpha = 0 in the coupled
+    # runs, and for vortex also the re-solves of the certificate's multistart
     calls = []
     precondition = Torus.precondition
     monkeypatch.setattr(Torus, "precondition", lambda self, *args, **kw: (
@@ -479,6 +489,20 @@ def _artifact_case(tmp_path, tke_artifact, case):
     if case == "export-missing-field":
         missing = str(tmp_path / "missing.vfield")
         return ["export", "--field", missing], missing
+    field = os.path.join(art, "fields", "u.vfield")
+    data = open(field, "rb").read()
+    if case.startswith("export-"):
+        # a field file whose header or payload is malformed
+        bad = tmp_path / "bad.vfield"
+        header = {"export-header-not-a-table": [],
+                  "export-shape-not-a-list": {"shape": "ab"},
+                  "export-negative-shape": {"shape": [-1, 2]}}.get(case)
+        if header is None:  # export-truncated-field
+            bad.write_bytes(data[:-8])
+        else:
+            blob = json.dumps(header).encode()
+            bad.write_bytes(MAGIC + len(blob).to_bytes(8, "little") + blob)
+        return ["export", "--field", str(bad)], str(bad)
     if case == "out-is-a-file":
         cfg = write_cfg(tmp_path, "cfg.json", TKE_CFG)
         taken = tmp_path / "taken"
@@ -498,7 +522,10 @@ def _artifact_case(tmp_path, tke_artifact, case):
         _restamp(art, "config.json", dict(cfg, resolution="abc"))
         return ["verify", "--out", art], "'resolution'"
     elif case == "listed-file-missing":
-        os.remove(os.path.join(art, "fields", "u.vfield"))
+        os.remove(field)
+        return ["verify", "--out", art], "u.vfield"
+    elif case == "verify-truncated-field":
+        _restamp(art, os.path.join("fields", "u.vfield"), data[:-8])
         return ["verify", "--out", art], "u.vfield"
     return ["verify", "--out", art], meta_path
 
@@ -525,11 +552,14 @@ def eb_artifact(tmp_path_factory):
     ("config-is-a-directory", 2), ("config-not-utf8", 2),
     ("export-missing-field", 2), ("out-is-a-file", 2),
     ("metadata-not-json", 2), ("metadata-without-command", 2),
-    ("config-json-malformed", 2), ("listed-file-missing", 3)])
+    ("config-json-malformed", 2), ("listed-file-missing", 3),
+    ("export-truncated-field", 2), ("export-header-not-a-table", 2),
+    ("export-shape-not-a-list", 2), ("export-negative-shape", 2),
+    ("verify-truncated-field", 2)])
 def test_file_errors_exit_with_a_named_message(tmp_path, tke_artifact, capsys,
                                                case, code):
-    # a bad input path, a malformed metadata.json or stored config is
-    # exit 2, a listed artifact file that is missing exit 3 (as a hash
+    # a bad input path, a malformed metadata.json, stored config or field
+    # file is exit 2, a listed artifact file that is missing exit 3 (as a hash
     # mismatch is); each message names the file or key, none is a traceback
     argv, name = _artifact_case(tmp_path, tke_artifact, case)
     capsys.readouterr()
