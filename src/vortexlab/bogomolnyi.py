@@ -32,8 +32,7 @@ import numpy as np
 
 from .errors import AssumptionNotSatisfied, ConfigError, ConvergenceFailure
 from .fields import build_divisor_fields, derive_params, smoothed_log
-from .singular import mask_away_from_points
-from .surface import VOL
+from .surface import VOL, mask_away_from_points
 
 __all__ = [
     "EBProblem",

@@ -20,14 +20,6 @@ import time
 import numpy as np
 
 from . import __version__
-from .bogomolnyi import (
-    assembled_residual,
-    check_numerical_assumption,
-    delta_ladder_and_assemble,
-    make_eb_problem,
-    supersolution_margin,
-)
-from .coupled import accepted_state, continue_alpha, decoupled_state, make_problem
 from .errors import (
     AssumptionNotSatisfied,
     ConfigError,
@@ -36,10 +28,13 @@ from .errors import (
 )
 from .fieldio import read_field, sha256_file, write_field, write_jsonl, write_pgm
 from .fields import DivisorData, build_divisor_fields, derive_params
-from .singular import run_ladder
 from .surface import build_surface, check_field
 from .verify import Certificate, certify_state, certify_tke, certify_vortex
-from .vortex import make_vortex_problem, solve_twisted_ke, solve_vortex
+
+# Every command certifies through verify and writes through fieldio; the
+# solver modules are imported by the commands that run them, so solve-eb
+# and its verify load no coupled, singular, solvers or vortex, and the
+# torus commands load no bogomolnyi.
 
 # The config schema of a command (its entry of _COMMANDS) maps its keys to
 # a kind.
@@ -200,6 +195,8 @@ def _tol(cfg, key, default):
 
 
 def _vortex_problem(cfg, surface, divisor, log=None):
+    from .vortex import make_vortex_problem
+
     tau = float(cfg["tau"])
     b, F = synthesize_twist(surface, cfg.get("twist"))
     weight = np.exp(build_divisor_fields(surface, divisor).log_phi_sq)
@@ -232,6 +229,8 @@ def _certify_tke(cfg, surface, problem, u):
 
 def _eb_problem(cfg, surface, divisor):
     """The c~ = 0 problem from whichever of alpha/tau the config gives."""
+    from .bogomolnyi import make_eb_problem
+
     alpha, tau = cfg.get("alpha"), cfg.get("tau")
     return make_eb_problem(
         surface, divisor,
@@ -246,6 +245,8 @@ def _certify_eb(cfg, problem, seed, f, w, ladder, margins):
     assembled pair at the last rung, for the lam of the ladder report.
     ``margins`` are the margins the ladder run computed, or None to
     compute them from w (``verify`` trusts no stored margin)."""
+    from .bogomolnyi import assembled_residual, supersolution_margin
+
     lam, deltas = ladder["lam"], ladder["deltas"]
     if margins is None:
         margins = [supersolution_margin(problem, w, lam, d) for d in deltas]
@@ -283,6 +284,8 @@ class _Phases:
 
 
 def _solve_vortex(cfg, surface, divisor, seed, phases):
+    from .vortex import solve_vortex
+
     log = []
     problem = _vortex_problem(cfg, surface, divisor, log)
     f = solve_vortex(problem, tol=_tol(cfg, "residual", 1e-9) * 0.1, log=log)
@@ -294,6 +297,8 @@ def _solve_vortex(cfg, surface, divisor, seed, phases):
 
 
 def _solve_tke(cfg, surface, divisor, seed, phases):
+    from .vortex import solve_twisted_ke
+
     chi_tilde, F_xi = problem = _tke_problem(cfg, surface, divisor)
     log = []
     u = solve_twisted_ke(surface, chi_tilde, F_xi, t=float(cfg.get("t", 1.0)),
@@ -306,6 +311,9 @@ def _solve_tke(cfg, surface, divisor, seed, phases):
 
 
 def _solve_gv(cfg, surface, divisor, seed, phases):
+    from .coupled import (accepted_state, continue_alpha, decoupled_state,
+                          make_problem)
+
     fields = build_divisor_fields(surface, divisor)
     phases.end("divisor_fields")
     tau = float(cfg["tau"])
@@ -336,6 +344,8 @@ def _solve_gv(cfg, surface, divisor, seed, phases):
 
 
 def _sweep_eps(cfg, surface, divisor, seed, phases):
+    from .singular import run_ladder
+
     fields = build_divisor_fields(surface, divisor)
     phases.end("divisor_fields")
     tau = float(cfg["tau"])
@@ -369,6 +379,8 @@ def _sweep_eps(cfg, surface, divisor, seed, phases):
 
 
 def _solve_eb(cfg, surface, divisor, seed, phases):
+    from .bogomolnyi import check_numerical_assumption, delta_ladder_and_assemble
+
     deltas = cfg.get("delta", [0.1 * 0.5**k for k in range(7)])
     deltas = [float(d) for d in (deltas if isinstance(deltas, list) else [deltas])]
     tol = _tol(cfg, "residual", 1e-10)
@@ -433,6 +445,8 @@ class _Stored:
 
 
 def _recertify_gv(cfg, surface, divisor, art):
+    from .coupled import accepted_state, make_problem
+
     for key in ("epsilon", "alpha"):
         if not _is_number(art.meta.get(key)):
             raise ConfigError(f"metadata.json records no number {key!r}; "
@@ -507,26 +521,30 @@ _COMMANDS = {
 def _run(command, cfg, outdir, seed, quiet):
     """Solve, certify and write the artifact of one command. ``outdir`` is
     made only once the solve has returned, or has refused (exit 4) with
-    the admissibility report it writes; a failed check is exit 3."""
+    the admissibility report it writes; a failed check is exit 3. Either
+    way metadata.json profiles the run: its phase seconds (a refusal ends
+    the phase ``refused``) and the work counts of its surface."""
     t0 = time.perf_counter()
     phases = _Phases(t0)
     surface, divisor = build_setup(cfg)
     phases.end("setup")
+    refusal = None
     try:
         cert, fields, reports, extra = _COMMANDS[command].solve(
             cfg, surface, divisor, seed, phases)
+        reports["certificate.json"] = cert.to_dict()
     except AssumptionNotSatisfied as exc:
-        files = _write_files(outdir, t0, surface, {}, {
-            "config.json": cfg, "na_report.json": exc.report.to_dict()})
-        _write_metadata(outdir, command, cfg, seed, t0, files,
-                        {"refused": True}, quiet)
-        raise
-    files = _write_files(outdir, t0, surface, fields, {
-        **reports, "config.json": cfg, "certificate.json": cert.to_dict()})
+        phases.end("refused")
+        refusal, fields, extra = exc, {}, {"refused": True}
+        reports = {"na_report.json": exc.report.to_dict()}
+    files = _write_files(outdir, t0, surface, fields,
+                         {**reports, "config.json": cfg})
     phases.end("write")
     _write_metadata(outdir, command, cfg, seed, t0, files, dict(
         extra, profile={"seconds": phases.seconds,
                         "counts": dict(surface.counts)}), quiet)
+    if refusal is not None:
+        raise refusal
     if not cert.all_passed:
         raise ConvergenceFailure("certificate checks failed")
     return 0

@@ -25,10 +25,11 @@ from .coupled import (accepted_state, continue_alpha, decoupled_state,
                       make_problem, solve_at_alpha)
 from .errors import ConfigError, ConvergenceFailure
 from .fields import build_divisor_fields, smoothed_log
+from .surface import mask_away_from_points
 from .verify import holder_quotient
 
-__all__ = ["FitRecord", "LadderReport", "run_ladder", "mask_away_from_points",
-           "conical_fit", "parabolic_fit"]
+__all__ = ["FitRecord", "LadderReport", "run_ladder", "conical_fit",
+           "parabolic_fit"]
 
 
 @dataclass
@@ -66,13 +67,6 @@ class LadderReport:
     @property
     def d_sup(self):
         return [max(a, b) for a, b in zip(self.d_f, self.d_u)]
-
-
-def mask_away_from_points(surface, points, radius):
-    mask = np.ones(surface.shape, dtype=bool)
-    for p in points:
-        mask &= surface.distance_field(p) > radius
-    return mask
 
 
 def _local_quadratic_coeff(surface, log_s, point):

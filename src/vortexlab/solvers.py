@@ -479,9 +479,7 @@ def _gmres_left(matvec, prevec, b, rtol, atol, restart, max_krylov):
     ``matvec(v)`` returns A v in an array that GMRES may overwrite and that
     need stay valid only until the next call; ``prevec(y)`` returns M^-1 y
     and may overwrite y. b is left as it is."""
-    # np.zeros, not zeros_like: calloc writes no zeros to memory fresh from
-    # the system, so those pages stay untouched until the first update
-    x = np.zeros(b.size)
+    x = np.zeros_like(b)
     r = prevec(b.copy())  # the residual at x = 0
     target = max(rtol * np.linalg.norm(r), atol)
     total = 0

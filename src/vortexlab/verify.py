@@ -19,7 +19,6 @@ import numpy as np
 
 from .greens import green_field
 from .surface import VOL
-from .vortex import solve_vortex, vortex_residual
 
 __all__ = [
     "Check",
@@ -310,6 +309,8 @@ def certify_vortex(surface, problem, f, seed=0, multistart=3, tol=1e-9):
     """Certificate for a twisted-vortex solution: residual, maximum-principle
     bound, mass identity, mean bound, linearization check, and multi-start
     uniqueness."""
+    from .vortex import solve_vortex, vortex_residual
+
     cert = Certificate(seed=seed)
     res = vortex_residual(problem, f)
     cert.add("vortex_residual", float(np.max(np.abs(res))), tol, tol=0.0)

@@ -25,13 +25,8 @@ from vortexlab.coupled import continue_alpha, decoupled_state, make_problem, res
 from vortexlab.fields import DivisorData, build_divisor_fields
 from vortexlab.greens import (green_field, sphere_green_eval,
                               torus_green_theta_eval)
-from vortexlab.singular import (
-    conical_fit,
-    mask_away_from_points,
-    parabolic_fit,
-    run_ladder,
-)
-from vortexlab.surface import VOL, build_surface
+from vortexlab.singular import conical_fit, parabolic_fit, run_ladder
+from vortexlab.surface import VOL, build_surface, mask_away_from_points
 from vortexlab.verify import (
     Certificate,
     certify_integral_estimates,

@@ -18,7 +18,7 @@ from vortexlab.bogomolnyi import (
 )
 from vortexlab.errors import AssumptionNotSatisfied, ConfigError, ConvergenceFailure
 from vortexlab.fields import DivisorData
-from vortexlab.singular import mask_away_from_points
+from vortexlab.surface import mask_away_from_points
 
 from conftest import S_PARA, S_ZERO1, S_ZERO2
 

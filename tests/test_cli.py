@@ -55,6 +55,14 @@ EB_CFG = {
     "tolerances": {"residual": 1e-9, "assembled_residual": 0.05},
 }
 
+# two zeros at L = 15 with alpha = 0.1: the admissibility checks refuse it
+EB_REFUSED_CFG = {
+    "backend": "sphere", "resolution": 15,
+    "divisor": {"zeros": [{"point": [0.7123, 1.1001], "n": 1},
+                          {"point": [-0.51234, 4.0123], "n": 1}]},
+    "alpha": 0.1, "delta": [0.3],
+}
+
 TKE_CFG = {k: GV_CFG[k] for k in ("backend", "resolution", "divisor", "epsilon")}
 
 SWEEP_CFG = dict(GV_CFG, epsilon=[0.1, 0.05])
@@ -137,13 +145,7 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["solve-vortex", "--config", cfg, "--out",
                  str(tmp_path / "x2"), "--quiet"]) == 2
     # admissibility refusal: exit 4 and a report artifact
-    refuse = {
-        "backend": "sphere", "resolution": 15,
-        "divisor": {"zeros": [{"point": [0.7123, 1.1001], "n": 1},
-                              {"point": [-0.51234, 4.0123], "n": 1}]},
-        "alpha": 0.1, "delta": [0.3],
-    }
-    cfg = write_cfg(tmp_path, "refuse.json", refuse)
+    cfg = write_cfg(tmp_path, "refuse.json", EB_REFUSED_CFG)
     out = str(tmp_path / "x3")
     assert main(["solve-eb", "--config", cfg, "--out", out, "--quiet"]) == 4
     rep = json.load(open(os.path.join(out, "na_report.json")))
@@ -390,6 +392,19 @@ def test_failed_solve_leaves_no_artifact(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_refused_solve_records_its_profile(tmp_path):
+    # a refusal (exit 4) profiles the work it did, as a finished solve does
+    cfg = write_cfg(tmp_path, "refuse.json", EB_REFUSED_CFG)
+    out = str(tmp_path / "art")
+    assert main(["solve-eb", "--config", cfg, "--out", out, "--quiet"]) == 4
+    meta = json.load(open(os.path.join(out, "metadata.json")))
+    assert meta["refused"] is True
+    profile = meta["profile"]
+    assert set(profile["seconds"]) == {"setup", "refused", "write"}
+    assert sum(profile["seconds"].values()) <= meta["runtime_seconds"]
+    assert profile["counts"] == {"divisor_field_builds": 1}
+
+
 @pytest.mark.parametrize("command, base", [
     ("solve-vortex", VORTEX_CFG), ("solve-tke", TKE_CFG), ("solve-gv", GV_CFG),
     ("sweep-eps", SWEEP_CFG), ("solve-eb", EB_CFG), ("solve-eb", EB_TAU_CFG)],
@@ -617,17 +632,54 @@ def test_cli_import_skips_scipy_special_and_integrate():
 
 def test_sweep_eps_skips_numpy_ma(tmp_path):
     # the exponent fits take their median by np.partition: a whole sweep-eps
-    # run never imports numpy.ma
+    # run never imports numpy.ma, nor the Bogomol'nyi phase it does not run
     src = os.path.dirname(os.path.dirname(greens.__file__))
     cfg = write_cfg(tmp_path, "sweep.json", SWEEP_CFG)
     argv = ["sweep-eps", "--config", cfg, "--out", str(tmp_path / "out"),
             "--quiet"]
     code = (f"import sys; from vortexlab.cli import main; rc = main({argv!r}); "
-            "print(rc, 'numpy.ma' in sys.modules)")
+            "print(rc, 'numpy.ma' in sys.modules, "
+            "'vortexlab.bogomolnyi' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src)).stdout
-    assert out.split() == ["0", "False"]
+    assert out.split() == ["0", "False", "False"]
+
+
+def _modules_loaded(code):
+    """The vortexlab and numpy.polynomial modules that a fresh process
+    running ``code`` has loaded."""
+    src = os.path.dirname(os.path.dirname(greens.__file__))
+    code += ("; import sys; print(*sorted(m for m in sys.modules if "
+             "m.startswith(('vortexlab.', 'numpy.polynomial'))))")
+    return set(subprocess.run([sys.executable, "-c", code], check=True,
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src)).stdout.split())
+
+
+def test_setup_loads_no_solver_module():
+    # the config schema, the surface and the divisor fields run no solver
+    # module, and the sphere's Gauss rule needs no numpy.polynomial
+    code = ("import vortexlab.cli as cli; "
+            f"s, d = cli.build_setup({EB_CFG!r}); cli.build_divisor_fields(s, d)")
+    loaded = _modules_loaded(code)
+    assert not loaded & {f"vortexlab.{m}" for m in (
+        "bogomolnyi", "coupled", "singular", "solvers", "vortex")}
+    assert not any(m.startswith("numpy.polynomial") for m in loaded)
+
+
+def test_solve_eb_loads_no_coupled_solver(tmp_path):
+    # the Bogomol'nyi phase and its verify run the monotone iteration alone
+    cfg = write_cfg(tmp_path, "eb.json", EB_CFG)
+    out = str(tmp_path / "art")
+    code = ("from vortexlab.cli import main; "
+            f"assert main(['solve-eb', '--config', {cfg!r}, '--out', {out!r}, "
+            f"'--quiet']) == 0; assert main(['verify', '--out', {out!r}, "
+            "'--quiet']) == 0")
+    loaded = _modules_loaded(code)
+    assert "vortexlab.bogomolnyi" in loaded
+    assert not loaded & {f"vortexlab.{m}" for m in (
+        "coupled", "singular", "solvers", "vortex")}
 
 
 def test_export_heatmap(tmp_path):

@@ -7,7 +7,8 @@ from numpy.testing import assert_allclose
 
 from vortexlab.errors import ConfigError
 from vortexlab.solvers import block_symbol
-from vortexlab.surface import BUILD_MAX_BYTES, VOL, build_bytes, build_surface
+from vortexlab.surface import (BUILD_MAX_BYTES, VOL, _gauss_legendre,
+                               build_bytes, build_surface)
 
 from oracles import (_legendre_point, _legendre_table, gradient_pairing,
                      sphere_eval_modes, torus_eval_modes)
@@ -295,14 +296,41 @@ def test_torus_preconditioner_is_the_shifted_solve(torus32):
 
 
 def test_legendre_table_matches_point_recurrence(sphere31):
-    # the table's recurrence runs over all orders at once in extended
-    # precision; _legendre_point runs one (l, m) at a time in float64
+    # the table's recurrence runs over all orders at once;
+    # _legendre_point runs one (l, m) at a time
     s = sphere31
     P = _legendre_table(s.L, s.mu)
     for m in range(s.L + 1):
         assert np.all(P[m, :, :m] == 0.0)
         for l in range(m, s.L + 1):
             assert np.max(np.abs(P[m, :, l] - _legendre_point(l, m, s.mu))) < 1e-13
+
+
+@pytest.mark.parametrize("n", [27, 192])
+def test_gauss_legendre_rule(n):
+    # Newton's iteration on P_n: the nodes of numpy's eigenvalue rule to
+    # rounding, weights summing to 2, and every even monomial of degree
+    # <= 2n - 2 integrated to 1e-14 relative
+    x, w = _gauss_legendre(n)
+    assert np.max(np.abs(x - np.polynomial.legendre.leggauss(n)[0])) <= 2e-16
+    assert abs(np.sum(w) - 2.0) <= 1e-15
+    k = np.arange(n)
+    quad = x ** (2 * k[:, None]) @ w
+    assert np.max(np.abs(quad / (2.0 / (2 * k + 1)) - 1.0)) <= 1e-14
+
+
+def test_sphere_float64_build_at_L255():
+    # the float64 Legendre build with its Gram correction at L = 255: the
+    # analyze(synthesize) defect at rounding level, and eigenfunctions of
+    # degree 10 and 100 within criterion 7's pointwise 4e-10
+    s = build_surface("sphere", 255)
+    rng = np.random.default_rng(255)
+    a = np.tril(rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256)))
+    a[:, 0] = a[:, 0].real
+    assert np.max(np.abs(s.analyze(s.synthesize(a)) - a)) < 1e-14
+    for l, m in [(10, 7), (100, 50)]:
+        f = s.eval_modes([(l, m, 0.8, -0.3)])
+        assert np.max(np.abs(s.laplacian(f) - 2.0 * l * (l + 1) * f)) < 4e-10
 
 
 def test_sphere_keeps_no_dense_tensors():
