@@ -12,12 +12,7 @@ import sys
 
 import numpy as np
 
-from vortexlab.coupled import (
-    continue_alpha,
-    decoupled_state,
-    make_problem,
-    solve_at_alpha,
-)
+from vortexlab.coupled import make_problem, solve_at_alpha, solve_path
 from vortexlab.errors import ConvergenceFailure
 from vortexlab.fields import DivisorData
 from vortexlab.surface import build_surface
@@ -30,9 +25,7 @@ def run(resolution=64, overshoots=(1.0, 1.05, 1.25, 1.5, 2.0)):
     problem = make_problem(surf, dd, tau=4.0, eps=0.1)
     astar = problem.params.alpha_star
     print(f"alpha_star = {astar}")
-    for state in continue_alpha(problem, decoupled_state(problem), astar,
-                                n_steps=8):
-        pass
+    state = solve_path(problem, astar, n_steps=8)[0]
     f, u = state.f_tilde, state.u
     for s in overshoots:
         alpha = s * astar

@@ -16,8 +16,7 @@ of ``scripts/configs/vortex_torus256.json``, the coarse level of the coupled
 preconditioner at 256^2: the low-mode window (``Torus.low_modes``) and the
 inverse of the Galerkin block (``solvers.low_mode_block``) of the
 Jacobian of the Newton step above, over the coefficient fields that its
-residual carries (a tree whose residual carries none has no such case),
-one monotone-iteration step at L = 127: the spectral solve
+residual carries, one monotone-iteration step at L = 127: the spectral solve
 ``solve_shifted(C, rhs)`` of the first iteration on the first rung of
 ``scripts/configs/eb_sphere127.json``, with the shift C that the iteration
 takes at f_1, and the ``solve-vortex`` and ``solve-tke`` commands on
@@ -35,7 +34,7 @@ thread setting, git commit) and the work counters (``counts``): the GMRES
 iterations and 2-D FFTs of the Newton step, the CG iterations of the CG
 solve and of each command, the monotone iterations of the δ ladder of
 ``eb_sphere127.json``, and the Newton steps and the GMRES and CG iterations
-of one ``continue_alpha`` on ``gv_torus256.json`` (the decoupled state and
+of one ``solve_path`` on ``gv_torus256.json`` (the decoupled state and
 its 16 alpha steps). CG iterations are counted as calls of the torus
 ``precondition``, which CG makes once an iteration and nothing else calls.
 
@@ -84,18 +83,13 @@ def newton_step_case(torus, cfg):
 def low_mode_block_case(problem, alpha, f_tilde, u):
     """(the window and the inverse of the low-mode Galerkin block, no
     arguments) of the Jacobian at (alpha, f~, u), over the coefficient
-    fields that the residual there carries; None for a tree whose residual
-    carries none (one without ``low_mode_block``, or one that formed the
-    fields in the block solve)."""
+    fields that the residual there carries."""
     import numpy as np
 
     from vortexlab import solvers
     from vortexlab.coupled import residual
 
-    coeffs = getattr(residual(problem, alpha, f_tilde, u), "coefficients",
-                     None)
-    if coeffs is None:
-        return None
+    coeffs = residual(problem, alpha, f_tilde, u).coefficients
 
     def run():
         block = solvers.low_mode_block(problem.surface, coeffs)[0]
@@ -163,21 +157,12 @@ def continuation_work(torus, cfg):
     """Newton steps, GMRES and CG iterations of the decoupled state and the
     alpha walk of the gv config."""
     from vortexlab.cli import build_divisor
-    from vortexlab.coupled import (continue_alpha, decoupled_state,
-                                   make_problem)
+    from vortexlab.coupled import make_problem, solve_path
 
     problem = make_problem(torus, build_divisor(cfg), tau=float(cfg["tau"]),
                            eps=float(cfg["epsilon"]))
-
-    def walk():
-        log = []
-        for st in continue_alpha(problem, decoupled_state(problem),
-                                 problem.params.alpha_star,
-                                 n_steps=cfg["alpha"]["steps"]):
-            log += st.newton_log
-        return log
-
-    log, cg = count_cg(walk, ())
+    (_, _, log), cg = count_cg(solve_path, (problem, problem.params.alpha_star,
+                                            cfg["alpha"]["steps"]))
     return {"newton_steps": len(log),
             "gmres_iterations": sum(e["krylov"] for e in log),
             "cg_iterations": cg}
@@ -227,10 +212,8 @@ def measure():
                                   SLOW_REPEATS),
         "torus256.solve_tke": (*command_case("solve-tke", "tke_torus256.json"),
                                REPEATS),
+        "torus256.low_mode_block": (*low_mode_block_case(*step_args), REPEATS),
     }
-    low_mode = low_mode_block_case(*step_args)
-    if low_mode is not None:
-        cases["torus256.low_mode_block"] = (*low_mode, REPEATS)
     out = {}
     for name, (fn, args, repeats) in cases.items():
         fn(*args)

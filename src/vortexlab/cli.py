@@ -311,8 +311,7 @@ def _solve_tke(cfg, surface, divisor, seed, phases):
 
 
 def _solve_gv(cfg, surface, divisor, seed, phases):
-    from .coupled import (accepted_state, continue_alpha, decoupled_state,
-                          make_problem)
+    from .coupled import make_problem, solve_path
 
     fields = build_divisor_fields(surface, divisor)
     phases.end("divisor_fields")
@@ -323,22 +322,13 @@ def _solve_gv(cfg, surface, divisor, seed, phases):
     problem = make_problem(surface, divisor, tau=tau, eps=eps, fields=fields)
     if target == "alpha_star":
         target = problem.params.alpha_star
-    path_log, newton = [], []
-    for st in continue_alpha(problem, decoupled_state(problem, tol=tol),
-                             float(target), n_steps=steps, tol=tol):
-        path_log.append({"alpha": st.alpha, "c_tilde": st.c_tilde,
-                         "residual": st.res_norm,
-                         "newton_steps": len(st.newton_log)})
-        newton += st.newton_log
-        # the next step's solve reads (f~, u) only: hold no more through it
-        at, st = (st.alpha, st.f_tilde, st.u), None
-    # the last state whole again, bit for bit the state the solve made
-    final = accepted_state(problem, *at)
+    final, path, newton = solve_path(problem, float(target), n_steps=steps,
+                                     tol=tol)
     phases.end("solve")
     cert = certify_state(problem, final, seed=seed)
     phases.end("certify")
     return (cert, {"f_tilde": final.f_tilde, "u": final.u, "Phi": final.Phi},
-            {"iterations.jsonl": path_log + newton},
+            {"iterations.jsonl": path + newton},
             {"alpha": final.alpha, "epsilon": problem.eps,
              "alpha_star": problem.params.alpha_star})
 
@@ -379,23 +369,19 @@ def _sweep_eps(cfg, surface, divisor, seed, phases):
 
 
 def _solve_eb(cfg, surface, divisor, seed, phases):
-    from .bogomolnyi import check_numerical_assumption, delta_ladder_and_assemble
+    from .bogomolnyi import delta_ladder_and_assemble
 
     deltas = cfg.get("delta", [0.1 * 0.5**k for k in range(7)])
     deltas = [float(d) for d in (deltas if isinstance(deltas, list) else [deltas])]
     tol = _tol(cfg, "residual", 1e-10)
     margin = float(cfg.get("margin", 0.5))
     problem = _eb_problem(cfg, surface, divisor)
-    na = check_numerical_assumption(problem)
-    if not na.all_passed:
-        raise AssumptionNotSatisfied(
-            "admissibility inequalities fail; see na_report.json", na)
     log = []
     f, g_density, h_factor, w, report = delta_ladder_and_assemble(
         problem, deltas=deltas, tol=tol, margin=margin, log=log)
     fields = {"f_tilde": f, "supersolution_w": w, "metric_density": g_density,
               "hermitian_factor": h_factor}
-    reports = {"na_report.json": na.to_dict(), "ladder.json": report,
+    reports = {"na_report.json": report["na_report"], "ladder.json": report,
                "iterations.jsonl": log}
     if cfg.get("lambda_pair", False):
         lam2 = 2.0 * report["lam"]

@@ -38,7 +38,7 @@ from .vortex import solve_twisted_ke, solve_vortex_on_metric
 
 __all__ = ["GVProblem", "SolveState", "Residual", "make_problem", "residual",
            "newton_step", "accepted_state", "solve_at_alpha", "decoupled_state",
-           "continue_alpha"]
+           "continue_alpha", "solve_path"]
 
 RESIDUAL_TOL = 1e-9
 MAX_NEWTON = 40  # Newton iterations per alpha before the step is halved
@@ -245,10 +245,10 @@ def continue_alpha(problem, state0, alpha_target, n_steps=16, tol=RESIDUAL_TOL):
     alpha through the (f~, u) of the last four accepted states, so the
     start is close to the next state on a smooth path, and every state is
     still accepted by the residual test.  Yields each accepted state in
-    turn (the start first), whole, so a caller holds one state, not the
-    path: the walk keeps the (f~, u) of its last states and no state, the
-    start included.  A refused target or start raises before the first.
-    Raises PathStalled with the last good alpha on failure.
+    turn (the start first), whole; the walk keeps the (f~, u) of its last
+    states and no state, the start included.  A refused target or start
+    raises before the first.  Raises PathStalled with the last good alpha
+    on failure.
     """
     astar = problem.params.alpha_star
     if alpha_target != 0.0 and not (np.isfinite(astar)
@@ -271,3 +271,33 @@ def continue_alpha(problem, state0, alpha_target, n_steps=16, tol=RESIDUAL_TOL):
     for _, st in path:
         yield st
         del st
+
+
+def solve_path(problem, alpha_target, n_steps=16, tol=RESIDUAL_TOL,
+               start=None):
+    """(state at alpha_target, path, steps): ``path`` has one record per
+    state solved, ``steps`` their Newton records.  From ``start`` = (f~, u)
+    it tries one ``solve_at_alpha`` at the target first; without a start,
+    or if that fails, it walks from the decoupled state, holding each state
+    as (alpha, f~, u) through the next solve, which reads no more, and
+    builds the last one whole again (``accepted_state``, bit for bit)."""
+    path, steps = [], []
+
+    def record(st):
+        path.append({"alpha": st.alpha, "c_tilde": st.c_tilde,
+                     "residual": st.res_norm,
+                     "newton_steps": len(st.newton_log)})
+        steps.extend(st.newton_log)
+
+    if start is not None:
+        try:
+            state = solve_at_alpha(problem, alpha_target, *start, tol=tol)
+            record(state)
+            return state, path, steps
+        except ConvergenceFailure:
+            pass
+    for st in continue_alpha(problem, decoupled_state(problem, tol=tol),
+                             alpha_target, n_steps=n_steps, tol=tol):
+        record(st)
+        at, st = (st.alpha, st.f_tilde, st.u), None
+    return accepted_state(problem, *at), path, steps

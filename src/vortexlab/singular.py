@@ -21,8 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .coupled import (accepted_state, continue_alpha, decoupled_state,
-                      make_problem, solve_at_alpha)
+from .coupled import accepted_state, make_problem, solve_path
 from .errors import ConfigError, ConvergenceFailure
 from .fields import build_divisor_fields, smoothed_log
 from .surface import mask_away_from_points
@@ -185,15 +184,12 @@ def run_ladder(surface, divisor, tau, alpha, eps_list, n_steps=16,
                tol=1e-9, seed=0, fit=True, fields=None):
     """Drive the smoothing ladder; warm-start each rung from the previous.
 
-    Rung 0 runs the full continuation from the decoupled endpoint; later
-    rungs reuse the previous rung's solution as the Newton initial guess at
-    the target coupling (falling back to a full path on failure).  A
-    continuation state is held as (alpha, f~, u) while the next one is
-    solved, and the last one is built whole again (``accepted_state``, bit
-    for bit the state the solve made).  Failures
-    truncate the ladder and are recorded.  The divisor fields do not depend
-    on eps: they are built once (or taken from ``fields``) and every rung
-    adds only its eps-dependent weights.
+    Every rung is one ``coupled.solve_path`` to the target coupling: rung 0
+    walks the alpha path from the decoupled endpoint, and later rungs pass
+    the previous rung's (f~, u) as its start (it walks only if the warm
+    solve fails).  Failures truncate the ladder and are recorded.  The
+    divisor fields do not depend on eps: they are built once (or taken
+    from ``fields``) and every rung adds only its eps-dependent weights.
 
     A rung reads the last rung's (f~, u) only.  Its Cauchy distances to
     that rung are taken as it lands, and before the next rung is solved it
@@ -223,24 +219,11 @@ def run_ladder(surface, divisor, tau, alpha, eps_list, n_steps=16,
                             for st in report.states[-1:]]
         report.problem = problem = state = None
         problem = make_problem(surface, divisor, tau=tau, eps=eps, fields=fields)
-        steps = []
+        last = report.states[-1] if report.states else None
         try:
-            if report.states:
-                last = report.states[-1]
-                try:
-                    state = solve_at_alpha(problem, alpha, last.f_tilde,
-                                           last.u, tol=tol)
-                    steps = state.newton_log
-                except ConvergenceFailure:
-                    pass
-            if state is None:
-                for st in continue_alpha(problem,
-                                         decoupled_state(problem, tol=tol),
-                                         alpha, n_steps=n_steps, tol=tol):
-                    steps += st.newton_log
-                    # the next step's solve reads (f~, u) only: hold no more
-                    at, st = (st.alpha, st.f_tilde, st.u), None
-                state = accepted_state(problem, *at)
+            state, _, steps = solve_path(
+                problem, alpha, n_steps=n_steps, tol=tol,
+                start=None if last is None else (last.f_tilde, last.u))
         except ConvergenceFailure as exc:
             report.failures.append({"eps": eps, "error": str(exc)})
             break

@@ -68,8 +68,8 @@ _LOW_MODES = 3
 
 def solve_helmholtz(surface, V, rhs, rtol=_KRYLOV_TOL):
     """Solve (lap + V) x = rhs with pointwise V >= 0 (not identically 0) to
-    the relative tolerance rtol; returns (x, CG iterations), which it adds
-    to ``surface.counts``, a failed solve's too.
+    the relative tolerance rtol; returns x, and adds the CG iterations to
+    ``surface.counts``, a failed solve's too.
 
     lap + V is symmetric in the quadrature inner product, not in the
     Euclidean one on the sphere, so CG weighs its dot products by the Gauss
@@ -89,7 +89,7 @@ def solve_helmholtz(surface, V, rhs, rtol=_KRYLOV_TOL):
     if vbar < 1e-300:
         # weight underflowed to zero: pseudo-inverse on the mean mode
         mean = surface.integrate(rhs) / (2.0 * np.pi)
-        return surface.solve_shifted(0.0, rhs - mean), 0
+        return surface.solve_shifted(0.0, rhs - mean)
 
     Vf = np.empty(shape)
 
@@ -109,7 +109,7 @@ def solve_helmholtz(surface, V, rhs, rtol=_KRYLOV_TOL):
     surface.counts["cg_iterations"] += niter
     if info != 0:
         raise ConvergenceFailure(f"CG failed to converge (info={info})")
-    return x.reshape(shape), niter
+    return x.reshape(shape)
 
 
 def _pcg(apply_op, apply_pre, b, weight, rtol):

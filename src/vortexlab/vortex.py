@@ -47,7 +47,7 @@ def solve_exp_scalar(surface, coeff, Q, f0=None, tol=1e-10, log=None):
 
     def correct(x, r, rtol):
         return (solve_helmholtz(surface, coeff * np.exp(2.0 * x[0]), r[0],
-                                rtol)[0],)
+                                rtol),)
 
     x0 = np.zeros(surface.shape) if f0 is None else f0
     return newton(surface, residual, correct, (x0,), tol, _MAX_NEWTON, tol,
@@ -168,7 +168,7 @@ def solve_twisted_ke(surface, chi_tilde, F_xi, t=1.0, u_init=None, tol=1e-10,
     def correct(x, r, rtol):
         E = np.exp(-2.0 * t * chi_tilde * x[0] - t * F_xi)
         return (solve_helmholtz(surface, -2.0 * t * chi_tilde * E, r[0],
-                                rtol)[0],)
+                                rtol),)
 
     u0 = np.zeros(surface.shape) if u_init is None else u_init
     return newton(surface, residual, correct, (u0,), tol, _MAX_NEWTON, tol,

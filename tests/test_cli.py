@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vortexlab.cli import _COMMANDS, main
-from vortexlab import greens, singular
+from vortexlab import coupled, greens
 from vortexlab.errors import ConfigError, ConvergenceFailure
 from vortexlab.fieldio import MAGIC, read_field, write_field, write_pgm
 from vortexlab.surface import Torus
@@ -392,6 +392,38 @@ def test_failed_solve_leaves_no_artifact(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_failed_first_rung_leaves_no_artifact(tmp_path, capsys,
+                                             monkeypatch):
+    # a ladder with no completed rung has nothing to certify: exit 3
+    def fail(problem, **kwargs):
+        raise ConvergenceFailure("injected decoupled failure")
+
+    monkeypatch.setattr(coupled, "decoupled_state", fail)
+    cfg = write_cfg(tmp_path, "sweep.json", SWEEP_CFG)
+    out = str(tmp_path / "art")
+    capsys.readouterr()
+    assert main(["sweep-eps", "--config", cfg, "--out", out, "--quiet"]) == 3
+    assert "ladder failed" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_failed_certificate_is_written_and_fails_verify(tmp_path, capsys):
+    # a check that fails is exit 3, but the artifact is written, and verify
+    # reproduces the certificate and fails it again
+    cfg = write_cfg(tmp_path, "eb.json", dict(
+        EB_CFG, tolerances=dict(EB_CFG["tolerances"],
+                                assembled_residual=1e-30)))
+    out = str(tmp_path / "art")
+    capsys.readouterr()
+    assert main(["solve-eb", "--config", cfg, "--out", out, "--quiet"]) == 3
+    assert "certificate checks failed" in capsys.readouterr().err
+    cert = json.load(open(os.path.join(out, "certificate.json")))
+    assert not cert["all_passed"]
+    assert main(["verify", "--out", out, "--quiet"]) == 3
+    assert ("certificate checks fail on re-verification"
+            in capsys.readouterr().err)
+
+
 def test_refused_solve_records_its_profile(tmp_path):
     # a refusal (exit 4) profiles the work it did, as a finished solve does
     cfg = write_cfg(tmp_path, "refuse.json", EB_REFUSED_CFG)
@@ -512,7 +544,9 @@ def _artifact_case(tmp_path, tke_artifact, case):
         header = {"export-header-not-a-table": [],
                   "export-shape-not-a-list": {"shape": "ab"},
                   "export-negative-shape": {"shape": [-1, 2]}}.get(case)
-        if header is None:  # export-truncated-field
+        if case == "export-header-not-json":
+            bad.write_bytes(MAGIC + (8).to_bytes(8, "little") + b"{shape: ")
+        elif header is None:  # export-truncated-field
             bad.write_bytes(data[:-8])
         else:
             blob = json.dumps(header).encode()
@@ -570,7 +604,7 @@ def eb_artifact(tmp_path_factory):
     ("config-json-malformed", 2), ("listed-file-missing", 3),
     ("export-truncated-field", 2), ("export-header-not-a-table", 2),
     ("export-shape-not-a-list", 2), ("export-negative-shape", 2),
-    ("verify-truncated-field", 2)])
+    ("export-header-not-json", 2), ("verify-truncated-field", 2)])
 def test_file_errors_exit_with_a_named_message(tmp_path, tke_artifact, capsys,
                                                case, code):
     # a bad input path, a malformed metadata.json, stored config or field
@@ -606,8 +640,8 @@ def test_truncated_ladder_reverifies(tmp_path, monkeypatch):
         return wrapped
 
     for name in ("solve_at_alpha", "decoupled_state"):
-        monkeypatch.setattr(singular, name,
-                            fail_fine_rungs(getattr(singular, name)))
+        monkeypatch.setattr(coupled, name,
+                            fail_fine_rungs(getattr(coupled, name)))
     cfg = write_cfg(tmp_path, "sweep.json",
                     dict(GV_CFG, epsilon=[0.1, 0.05, 0.025]))
     out = str(tmp_path / "sweep")
@@ -842,7 +876,7 @@ def test_stored_artifacts_with_odd_values_exit_with_a_code(
     ("gv_pipeline_demo.py", ["{tmp}/demo", "32"]),
 ])
 def test_script_runs(tmp_path, script, args):
-    # the scripts call continue_alpha, solve_at_alpha and the CLI directly;
+    # the scripts call solve_path, solve_at_alpha and the CLI directly;
     # the demo's config file goes to TMPDIR
     src = os.path.dirname(os.path.dirname(greens.__file__))
     path = os.path.join(os.path.dirname(src), "scripts", script)

@@ -205,6 +205,79 @@ def test_path_stalled(gv_problem64, gv_state0, monkeypatch):
     assert exc.value.last_good_alpha == 0.0
 
 
+@pytest.fixture(scope="module")
+def gv_problem32(torus32, gv_divisor):
+    # the problem of the CLI tests' GV_CFG: torus 32, tau 4, eps 0.1
+    return make_problem(torus32, gv_divisor, tau=4.0, eps=0.1)
+
+
+def _without_time(records):
+    return [{k: v for k, v in r.items() if k != "time"} for r in records]
+
+
+def _same_state(a, b):
+    return all(np.array_equal(getattr(a, name), getattr(b, name))
+               for name in ("alpha", "c_tilde", "f_tilde", "u", "Phi",
+                            "res1", "res2"))
+
+
+def test_solve_path_is_the_hand_written_walk(gv_problem32):
+    # the walk that holds each state as (alpha, f~, u) and builds the last
+    # one whole again, written out as solve-gv once did
+    p, astar = gv_problem32, gv_problem32.params.alpha_star
+    path, steps = [], []
+    for st in continue_alpha(p, coupled.decoupled_state(p), astar, n_steps=4):
+        path.append({"alpha": st.alpha, "c_tilde": st.c_tilde,
+                     "residual": st.res_norm,
+                     "newton_steps": len(st.newton_log)})
+        steps += st.newton_log
+        at, st = (st.alpha, st.f_tilde, st.u), None
+    state, got_path, got_steps = coupled.solve_path(p, astar, n_steps=4)
+    assert _same_state(state, coupled.accepted_state(p, *at))
+    assert got_path == path and len(path) == 5
+    assert _without_time(got_steps) == _without_time(steps)
+
+
+def test_solve_path_from_a_converged_start(gv_problem32, monkeypatch):
+    # a start that solves the target: the warm solve's state, and no walk
+    p, astar = gv_problem32, gv_problem32.params.alpha_star
+    final = coupled.solve_path(p, astar, n_steps=4)[0]
+    start = (final.f_tilde, final.u)
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("solve_path walked from a converged start")
+
+    monkeypatch.setattr(coupled, "decoupled_state", no_walk)
+    state, path, steps = coupled.solve_path(p, astar, n_steps=4, start=start)
+    assert _same_state(state, solve_at_alpha(p, astar, *start))
+    assert path == [{"alpha": astar, "c_tilde": state.c_tilde,
+                     "residual": state.res_norm,
+                     "newton_steps": len(state.newton_log)}]
+    assert steps == state.newton_log
+
+
+def test_solve_path_walks_when_the_warm_solve_fails(gv_problem32,
+                                                    monkeypatch):
+    p, astar = gv_problem32, gv_problem32.params.alpha_star
+    cold = coupled.solve_path(p, astar, n_steps=4)
+    orig, alphas = coupled.solve_at_alpha, []
+
+    def fail_first(problem, alpha, *args, **kwargs):
+        alphas.append(alpha)
+        if len(alphas) == 1:
+            raise ConvergenceFailure("synthetic failure")
+        return orig(problem, alpha, *args, **kwargs)
+
+    monkeypatch.setattr(coupled, "solve_at_alpha", fail_first)
+    zero = np.zeros(p.surface.shape)
+    state, path, steps = coupled.solve_path(p, astar, n_steps=4,
+                                            start=(zero, zero))
+    # the warm solve, then one solve per walked state past the start
+    assert alphas[0] == astar and len(alphas) == len(cold[1])
+    assert _same_state(state, cold[0]) and path == cold[1]
+    assert _without_time(steps) == _without_time(cold[2])
+
+
 def test_decoupled_needs_negative_chi(torus64):
     dd = DivisorData(zeros=((P_ZERO, 1),))  # no cone point: chi~ = 0
     prob = make_problem(torus64, dd, tau=5.0, eps=0.1)

@@ -109,11 +109,10 @@ def _held_at_solve_starts(monkeypatch):
             return st
         return wrapped
 
-    solve = tracked(coupled.solve_at_alpha, True)
-    start = tracked(coupled.decoupled_state, False)
-    for mod in (coupled, singular):
-        monkeypatch.setattr(mod, "solve_at_alpha", solve)
-        monkeypatch.setattr(mod, "decoupled_state", start)
+    monkeypatch.setattr(coupled, "solve_at_alpha",
+                        tracked(coupled.solve_at_alpha, True))
+    monkeypatch.setattr(coupled, "decoupled_state",
+                        tracked(coupled.decoupled_state, False))
     return held
 
 
@@ -146,22 +145,16 @@ def test_rung_failure_truncates(torus64, monkeypatch):
     # the ladder that stops at rung 0 of its own accord
     whole = run_ladder(torus64, DD3, tau=4.0, alpha=0.03125, eps_list=[0.1],
                        n_steps=4)
-    calls = {"n": 0}
-    orig = singular.solve_at_alpha
+    # rung 1 (eps = 0.05) fails its warm start and every solve of its
+    # fallback walk
+    orig = coupled.solve_at_alpha
 
-    def failing(problem, alpha, f, u, **kw):
-        calls["n"] += 1
-        raise ConvergenceFailure("synthetic failure")
-
-    monkeypatch.setattr(singular, "solve_at_alpha", failing)
-    orig_cont = singular.continue_alpha
-
-    def failing_cont(problem, st0, alpha, **kw):
-        if calls["n"] > 0:
+    def failing(problem, *args, **kw):
+        if problem.eps < 0.1:
             raise ConvergenceFailure("synthetic failure")
-        return orig_cont(problem, st0, alpha, **kw)
+        return orig(problem, *args, **kw)
 
-    monkeypatch.setattr(singular, "continue_alpha", failing_cont)
+    monkeypatch.setattr(coupled, "solve_at_alpha", failing)
     r = run_ladder(torus64, DD3, tau=4.0, alpha=0.03125,
                    eps_list=[0.1, 0.05], n_steps=4)
     assert len(r.newton_counts) == 1
