@@ -15,6 +15,7 @@ import numpy as np
 from vortexlab.coupled import make_problem, solve_at_alpha, solve_path
 from vortexlab.errors import ConvergenceFailure
 from vortexlab.fields import DivisorData
+from vortexlab.solvers import ACCEPT_TOL
 from vortexlab.surface import build_surface
 
 
@@ -25,12 +26,12 @@ def run(resolution=64, overshoots=(1.0, 1.05, 1.25, 1.5, 2.0)):
     problem = make_problem(surf, dd, tau=4.0, eps=0.1)
     astar = problem.params.alpha_star
     print(f"alpha_star = {astar}")
-    state = solve_path(problem, astar, n_steps=8)[0]
+    state = solve_path(problem, astar, n_steps=8, tol=ACCEPT_TOL)[0]
     f, u = state.f_tilde, state.u
     for s in overshoots:
         alpha = s * astar
         try:
-            st = solve_at_alpha(problem, alpha, f, u)
+            st = solve_at_alpha(problem, alpha, f, u, tol=ACCEPT_TOL)
             ct = problem.params.c_tilde(alpha)
             print(f"alpha = {s:5.2f} * alpha_star: converged, "
                   f"residual {st.res_norm:.2e}, c~ = {ct:+.4f}, "

@@ -45,6 +45,7 @@ Example, comparing a copy of another commit with this one:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import statistics
@@ -72,10 +73,11 @@ def newton_step_case(torus, cfg):
     GMRES runs to the forcing term of the residual there."""
     from vortexlab.cli import build_divisor
     from vortexlab.coupled import decoupled_state, make_problem, newton_step
+    from vortexlab.solvers import ACCEPT_TOL
 
     problem = make_problem(torus, build_divisor(cfg), tau=float(cfg["tau"]),
                            eps=0.1)
-    state = decoupled_state(problem)
+    state = decoupled_state(problem, tol=ACCEPT_TOL)
     alpha = float(cfg["alpha"]["target"]) / cfg["alpha"]["steps"]
     return newton_step, (problem, alpha, state.f_tilde, state.u)
 
@@ -102,9 +104,9 @@ def helmholtz_case(torus, cfg):
     """(solve_helmholtz, its arguments) for the first Newton correction of the
     vortex config's twist-path solve: (lap + Phi0) d = -r at f = 0."""
     from vortexlab.cli import _vortex_problem, build_divisor
-    from vortexlab.solvers import solve_helmholtz
+    from vortexlab.solvers import ACCEPT_TOL, solve_helmholtz
 
-    problem = _vortex_problem(cfg, torus, build_divisor(cfg))
+    problem = _vortex_problem(cfg, torus, build_divisor(cfg), ACCEPT_TOL)
     return solve_helmholtz, (torus, problem.phi0_sq, -problem.twist_term())
 
 
@@ -158,11 +160,13 @@ def continuation_work(torus, cfg):
     alpha walk of the gv config."""
     from vortexlab.cli import build_divisor
     from vortexlab.coupled import make_problem, solve_path
+    from vortexlab.solvers import ACCEPT_TOL
 
     problem = make_problem(torus, build_divisor(cfg), tau=float(cfg["tau"]),
                            eps=float(cfg["epsilon"]))
-    (_, _, log), cg = count_cg(solve_path, (problem, problem.params.alpha_star,
-                                            cfg["alpha"]["steps"]))
+    (_, _, log), cg = count_cg(
+        functools.partial(solve_path, tol=ACCEPT_TOL),
+        (problem, problem.params.alpha_star, cfg["alpha"]["steps"]))
     return {"newton_steps": len(log),
             "gmres_iterations": sum(e["krylov"] for e in log),
             "cg_iterations": cg}
@@ -170,11 +174,12 @@ def continuation_work(torus, cfg):
 
 def ladder_iterations(sphere, cfg):
     """The monotone iterations of the Bogomol'nyi config's delta ladder."""
-    from vortexlab.bogomolnyi import delta_ladder_and_assemble
+    from vortexlab.bogomolnyi import CHANGE_TOL, delta_ladder_and_assemble
     from vortexlab.cli import _eb_problem, build_divisor
 
     problem = _eb_problem(cfg, sphere, build_divisor(cfg))
-    report = delta_ladder_and_assemble(problem, deltas=cfg["delta"])[-1]
+    report = delta_ladder_and_assemble(problem, deltas=cfg["delta"],
+                                       tol=CHANGE_TOL)[-1]
     return sum(report["iterations"])
 
 

@@ -49,6 +49,10 @@ __all__ = [
     "delta_ladder_and_assemble",
 ]
 
+# the default change tolerance of the monotone chain: each rung stops once
+# its sup change falls below it (solve-eb's ``tolerances.residual``; it lives
+# here, not with the other defaults in ``solvers``, which solve-eb never loads)
+CHANGE_TOL = 1e-10
 # lam = _LAM_SAFETY * lam_min when the config gives no lambda
 _LAM_SAFETY = 1.5
 # pointwise slack of the asserted monotone chain f_1 > f_2 > ... > w
@@ -306,7 +310,7 @@ def eb_residual(problem, f, delta, lam, rung=None):
             + problem.params.N_tilde)
 
 
-def monotone_iterate(problem, w, lam, delta, tol=1e-10, residual_target=None,
+def monotone_iterate(problem, w, lam, delta, *, tol, residual_target=None,
                      max_iter=100_000, log=None, rung=None):
     """Iterate downward from f_1 = (log tau - u0^d)/2; returns (f, info).
 
@@ -406,16 +410,16 @@ def monotone_iterate(problem, w, lam, delta, tol=1e-10, residual_target=None,
 # --- delta ladder and assembly -------------------------------------------------
 
 
-def delta_ladder_and_assemble(problem, deltas, tol=1e-10, margin=0.5,
-                              log=None):
+def delta_ladder_and_assemble(problem, deltas, *, tol, margin=0.5, log=None):
     """Run the regularization ladder and assemble the singular pair.
 
     Refuses (with the report) when the admissibility checker fails.  One
     supersolution/lam pair serves every rung (the d = 1 bound dominates);
-    each rung re-runs the monotone iteration from its own f_1 so the chain
-    property stays intact, and Cauchy sup-distances away from the marked
-    points are recorded.  Returns (f, metric density, Hermitian factor, w,
-    report), the two assembled fields as grid arrays.
+    each rung re-runs the monotone iteration from its own f_1, to a sup
+    change below tol, so the chain property stays intact, and Cauchy
+    sup-distances away from the marked points are recorded.  Returns (f,
+    metric density, Hermitian factor, w, report), the two assembled fields
+    as grid arrays.
     """
     na = check_numerical_assumption(problem)
     if not na.all_passed:

@@ -194,20 +194,40 @@ def _tol(cfg, key, default):
     return float(cfg.get("tolerances", {}).get(key, default))
 
 
-def _vortex_problem(cfg, surface, divisor, log=None):
+def _residual_tol(cfg, command):
+    """``tolerances.residual``, which _run and run_verify read once and pass
+    to the command's solve or recertify: the residual sup norm below which
+    a state is accepted (default ``solvers.ACCEPT_TOL``), or for solve-eb
+    the change tolerance of the monotone chain (``bogomolnyi.CHANGE_TOL``).
+    The modules are loaded here, per command, as the solves load theirs."""
+    if command == "solve-eb":
+        from .bogomolnyi import CHANGE_TOL as default
+    else:
+        from .solvers import ACCEPT_TOL as default
+    return _tol(cfg, "residual", default)
+
+
+def _inner(tol):
+    """The tolerance of a scalar solve whose state is accepted at tol."""
+    from .solvers import INNER_FACTOR
+
+    return tol * INNER_FACTOR
+
+
+def _vortex_problem(cfg, surface, divisor, tol, log=None):
     from .vortex import make_vortex_problem
 
     tau = float(cfg["tau"])
     b, F = synthesize_twist(surface, cfg.get("twist"))
     weight = np.exp(build_divisor_fields(surface, divisor).log_phi_sq)
     return make_vortex_problem(surface, weight, tau, divisor.N, b=b, F=F,
-                               t=float(cfg.get("t", 1.0)), log=log)
+                               t=float(cfg.get("t", 1.0)), tol=_inner(tol),
+                               log=log)
 
 
-def _certify_vortex(cfg, problem, seed, f):
+def _certify_vortex(cfg, problem, seed, f, tol):
     return certify_vortex(problem.surface, problem, f, seed=seed,
-                          multistart=int(_tol(cfg, "multistart", 3)),
-                          tol=_tol(cfg, "residual", 1e-9))
+                          multistart=int(_tol(cfg, "multistart", 3)), tol=tol)
 
 
 def _tke_problem(cfg, surface, divisor):
@@ -217,10 +237,10 @@ def _tke_problem(cfg, surface, divisor):
             fields.F_xi(float(cfg.get("epsilon", 0.1))))
 
 
-def _certify_tke(cfg, surface, problem, u):
+def _certify_tke(cfg, surface, problem, u, tol):
     chi_tilde, F_xi = problem
     return certify_tke(surface, chi_tilde, F_xi, u, t=float(cfg.get("t", 1.0)),
-                       tol=_tol(cfg, "residual", 1e-9))
+                       tol=tol)
 
 
 # solve-gv and sweep-eps build their problem with coupled.make_problem at the
@@ -265,7 +285,7 @@ def _certify_eb(cfg, problem, seed, f, w, ladder, margins):
 
 
 # --- one solve per command ------------------------------------------------
-# solve(cfg, surface, divisor, seed, phases) runs after the `setup` phase,
+# solve(cfg, surface, divisor, seed, tol, phases) runs after the `setup` phase,
 # ends its own phases and returns (certificate, {field name: values},
 # {file name: report}, metadata extras) for _run to write.
 
@@ -283,41 +303,40 @@ class _Phases:
         self._last = now
 
 
-def _solve_vortex(cfg, surface, divisor, seed, phases):
+def _solve_vortex(cfg, surface, divisor, seed, tol, phases):
     from .vortex import solve_vortex
 
     log = []
-    problem = _vortex_problem(cfg, surface, divisor, log)
-    f = solve_vortex(problem, tol=_tol(cfg, "residual", 1e-9) * 0.1, log=log)
+    problem = _vortex_problem(cfg, surface, divisor, tol, log)
+    f = solve_vortex(problem, tol=_inner(tol), log=log)
     phases.end("solve")
-    cert = _certify_vortex(cfg, problem, seed, f)
+    cert = _certify_vortex(cfg, problem, seed, f, tol)
     phases.end("certify")
     return (cert, {"f_tilde": f, "Phi": problem.phi0_sq * np.exp(2.0 * f)},
             {"iterations.jsonl": log}, {})
 
 
-def _solve_tke(cfg, surface, divisor, seed, phases):
+def _solve_tke(cfg, surface, divisor, seed, tol, phases):
     from .vortex import solve_twisted_ke
 
     chi_tilde, F_xi = problem = _tke_problem(cfg, surface, divisor)
     log = []
     u = solve_twisted_ke(surface, chi_tilde, F_xi, t=float(cfg.get("t", 1.0)),
-                         tol=_tol(cfg, "residual", 1e-9) * 0.1, log=log)
+                         tol=_inner(tol), log=log)
     phases.end("solve")
-    cert = _certify_tke(cfg, surface, problem, u)
+    cert = _certify_tke(cfg, surface, problem, u, tol)
     phases.end("certify")
     return (cert, {"u": u, "metric_density": 1.0 - surface.laplacian(u)},
             {"iterations.jsonl": log}, {"chi_tilde": chi_tilde})
 
 
-def _solve_gv(cfg, surface, divisor, seed, phases):
+def _solve_gv(cfg, surface, divisor, seed, tol, phases):
     from .coupled import make_problem, solve_path
 
     fields = build_divisor_fields(surface, divisor)
     phases.end("divisor_fields")
     tau = float(cfg["tau"])
     eps = float(cfg.get("epsilon", 0.1))
-    tol = _tol(cfg, "residual", 1e-9)
     target, steps = run_sequence(cfg)
     problem = make_problem(surface, divisor, tau=tau, eps=eps, fields=fields)
     if target == "alpha_star":
@@ -325,7 +344,7 @@ def _solve_gv(cfg, surface, divisor, seed, phases):
     final, path, newton = solve_path(problem, float(target), n_steps=steps,
                                      tol=tol)
     phases.end("solve")
-    cert = certify_state(problem, final, seed=seed)
+    cert = certify_state(problem, final, seed=seed, tol=tol)
     phases.end("certify")
     return (cert, {"f_tilde": final.f_tilde, "u": final.u, "Phi": final.Phi},
             {"iterations.jsonl": path + newton},
@@ -333,7 +352,7 @@ def _solve_gv(cfg, surface, divisor, seed, phases):
              "alpha_star": problem.params.alpha_star})
 
 
-def _sweep_eps(cfg, surface, divisor, seed, phases):
+def _sweep_eps(cfg, surface, divisor, seed, tol, phases):
     from .singular import run_ladder
 
     fields = build_divisor_fields(surface, divisor)
@@ -341,7 +360,6 @@ def _sweep_eps(cfg, surface, divisor, seed, phases):
     tau = float(cfg["tau"])
     eps = cfg.get("epsilon", [0.1, 0.05, 0.025, 0.0125])
     eps_list = [float(e) for e in (eps if isinstance(eps, list) else [eps])]
-    tol = _tol(cfg, "residual", 1e-9)
     target, steps = run_sequence(cfg)
     if target == "alpha_star":
         target = derive_params(divisor, surface, tau,
@@ -354,7 +372,7 @@ def _sweep_eps(cfg, surface, divisor, seed, phases):
     phases.end("ladder")
     # a truncated ladder certifies its last completed rung
     final, problem = report.states[-1], report.problem
-    cert = certify_state(problem, final, seed=seed)
+    cert = certify_state(problem, final, seed=seed, tol=tol)
     phases.end("certify")
     ladder = {key: getattr(report, key) for key in (
         "d_f", "d_u", "rho_K", "holder_f", "holder_u", "wp_integrals",
@@ -368,12 +386,11 @@ def _sweep_eps(cfg, surface, divisor, seed, phases):
             {"alpha": final.alpha, "epsilon": problem.eps})
 
 
-def _solve_eb(cfg, surface, divisor, seed, phases):
+def _solve_eb(cfg, surface, divisor, seed, tol, phases):
     from .bogomolnyi import delta_ladder_and_assemble
 
     deltas = cfg.get("delta", [0.1 * 0.5**k for k in range(7)])
     deltas = [float(d) for d in (deltas if isinstance(deltas, list) else [deltas])]
-    tol = _tol(cfg, "residual", 1e-10)
     margin = float(cfg.get("margin", 0.5))
     problem = _eb_problem(cfg, surface, divisor)
     log = []
@@ -430,7 +447,9 @@ class _Stored:
         return values
 
 
-def _recertify_gv(cfg, surface, divisor, art):
+def _recertify_gv(cfg, surface, divisor, tol, art):
+    """The stored coupled state's certificate; a state whose residual is
+    not below tol, the tolerance its solve accepted at, is refused."""
     from .coupled import accepted_state, make_problem
 
     for key in ("epsilon", "alpha"):
@@ -441,10 +460,19 @@ def _recertify_gv(cfg, surface, divisor, art):
                            eps=float(art.meta["epsilon"]))
     state = accepted_state(problem, float(art.meta["alpha"]),
                            art.field("f_tilde", surface), art.field("u", surface))
-    return certify_state(problem, state, seed=art.seed)
+    if not state.res_norm < tol:
+        raise ConvergenceFailure(
+            f"the stored state does not solve its equations: residual_norm "
+            f"{state.res_norm:.3e} is not below tolerances.residual {tol:g}")
+    return certify_state(problem, state, seed=art.seed, tol=tol)
 
 
-def _recertify_eb(cfg, surface, divisor, art):
+def _recertify_vortex(cfg, surface, divisor, tol, art):
+    return _certify_vortex(cfg, _vortex_problem(cfg, surface, divisor, tol),
+                           art.seed, art.field("f_tilde", surface), tol)
+
+
+def _recertify_eb(cfg, surface, divisor, tol, art):
     ladder = art.read_json("ladder.json")
     # the keys the certifier reads, checked as a config's are
     stored = ladder if isinstance(ladder, dict) else {}
@@ -462,8 +490,8 @@ def _recertify_eb(cfg, surface, divisor, art):
 @dataclasses.dataclass(frozen=True)
 class _Command:
     """A solve command: its config schema, its theorem-coverage line, its
-    solve and its recertify(cfg, surface, divisor, stored), which reads the
-    stored result back and certifies it as the solve did."""
+    solve and its recertify(cfg, surface, divisor, tol, stored), which reads
+    the stored result back and certifies it as the solve did."""
 
     schema: dict
     coverage: str
@@ -478,15 +506,13 @@ _COMMANDS = {
         dict(_COMMON, tau="number!", t="number",
              twist=("null", {"b": "number", "modes": ["mode"]})),
         "covered: twisted-vortex existence/uniqueness (no genus restriction)",
-        _solve_vortex,
-        lambda cfg, s, d, art: _certify_vortex(
-            cfg, _vortex_problem(cfg, s, d), art.seed, art.field("f_tilde", s))),
+        _solve_vortex, _recertify_vortex),
     "solve-tke": _Command(
         dict(_COMMON, epsilon="nonnegative", t="number"),
         "covered: twisted Kaehler-Einstein, negative constant",
         _solve_tke,
-        lambda cfg, s, d, art: _certify_tke(
-            cfg, s, _tke_problem(cfg, s, d), art.field("u", s))),
+        lambda cfg, s, d, tol, art: _certify_tke(
+            cfg, s, _tke_problem(cfg, s, d), art.field("u", s), tol)),
     "solve-gv": _Command(
         dict(_COMMON, tau="number!", alpha=_PATH, epsilon="number"),
         _CONTINUATION, _solve_gv, _recertify_gv),
@@ -517,7 +543,7 @@ def _run(command, cfg, outdir, seed, quiet):
     refusal = None
     try:
         cert, fields, reports, extra = _COMMANDS[command].solve(
-            cfg, surface, divisor, seed, phases)
+            cfg, surface, divisor, seed, _residual_tol(cfg, command), phases)
         reports["certificate.json"] = cert.to_dict()
     except AssumptionNotSatisfied as exc:
         phases.end("refused")
@@ -595,7 +621,8 @@ def run_verify(outdir, quiet=False):
     command = art.meta["command"]
     cfg = validate_config(art.read_json("config.json"), command)
     surface, divisor = build_setup(cfg)
-    cert = _COMMANDS[command].recertify(cfg, surface, divisor, art)
+    cert = _COMMANDS[command].recertify(cfg, surface, divisor,
+                                        _residual_tol(cfg, command), art)
     fresh = cert.to_dict()
     mism = _compare_certificates(art.read_json("certificate.json"), fresh)
     if mism:
@@ -611,6 +638,9 @@ def run_verify(outdir, quiet=False):
 
 
 def _compare_certificates(stored, fresh):
+    """Where a stored certificate departs from the fresh one: its check
+    sets and each check's lhs, rhs and passed, and its constants, key by
+    key."""
     mism = []
     a = {c["name"]: c for c in stored.get("checks", [])}
     b = {c["name"]: c for c in fresh.get("checks", [])}
@@ -621,6 +651,10 @@ def _compare_certificates(stored, fresh):
         for key in ("lhs", "rhs", "passed"):
             if a[name][key] != b[name][key]:
                 mism.append(f"{name}.{key}: {a[name][key]} != {b[name][key]}")
+    a, b = stored.get("constants", {}), fresh["constants"]
+    for key in sorted(set(a) | set(b)):
+        if a.get(key) != b.get(key):
+            mism.append(f"constants.{key}: {a.get(key)} != {b.get(key)}")
     return mism
 
 

@@ -32,17 +32,17 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceFailure
 from .fields import build_divisor_fields, derive_params
-from .solvers import (damped_step, forcing, merit, newton,
-                      solve_block_newton_step, sup_norm, walk)
+from .solvers import (ACCEPT_TOL, INNER_FACTOR, damped_step, forcing, merit,
+                      newton, solve_block_newton_step, sup_norm, walk)
 from .vortex import solve_twisted_ke, solve_vortex_on_metric
 
 __all__ = ["GVProblem", "SolveState", "Residual", "make_problem", "residual",
            "newton_step", "accepted_state", "solve_at_alpha", "decoupled_state",
            "continue_alpha", "solve_path"]
 
-RESIDUAL_TOL = 1e-9
 MAX_NEWTON = 40  # Newton iterations per alpha before the step is halved
-_MERIT_FLOOR = RESIDUAL_TOL * 1e-2  # a Newton trial below it needs no descent
+# a Newton trial whose merit is below (_MERIT_FLOOR * tol)^2 needs no descent
+_MERIT_FLOOR = 1e-2
 
 
 @dataclass
@@ -172,15 +172,17 @@ def _newton_system(problem, alpha):
 
 def newton_step(problem, alpha, f_tilde, u):
     """One damped Newton step (``solvers.damped_step``), keeping 1 - lap u > 0,
-    whose GMRES runs to the forcing term of ``solve_at_alpha``'s first step.
+    whose GMRES runs to the forcing term of ``solve_at_alpha``'s first step
+    at the default tolerance ``solvers.ACCEPT_TOL``.
     Returns (f~', u', residual' (a Residual), step_size, krylov_iterations)."""
     res_fn, correct, krylov = _newton_system(problem, alpha)
     res = residual(problem, alpha, f_tilde, u)
     rn = sup_norm(res)
     (f, u), trial, _, step = damped_step(
         problem.surface, res_fn,
-        functools.partial(correct, rtol=forcing(rn, RESIDUAL_TOL)),
-        (f_tilde, u), res, merit(problem.surface, res), _MERIT_FLOOR, [rn])
+        functools.partial(correct, rtol=forcing(rn, ACCEPT_TOL)),
+        (f_tilde, u), res, merit(problem.surface, res),
+        ACCEPT_TOL * _MERIT_FLOOR, [rn])
     return f, u, trial, step, krylov[0]
 
 
@@ -198,24 +200,26 @@ def accepted_state(problem, alpha, f_tilde, u, res=None, newton_log=None):
                       newton_log=[] if newton_log is None else newton_log)
 
 
-def solve_at_alpha(problem, alpha, f_init, u_init, tol=RESIDUAL_TOL):
+def solve_at_alpha(problem, alpha, f_init, u_init, *, tol):
     """Newton loop (``solvers.newton``) at fixed alpha from the given
-    initial pair; the state's newton_log has one record per accepted step."""
+    initial pair to a residual sup norm below tol; the state's newton_log
+    has one record per accepted step."""
     res_fn, correct, krylov = _newton_system(problem, alpha)
     log = []
     (f, u), res = newton(problem.surface, res_fn, correct, (f_init, u_init),
-                         tol, MAX_NEWTON, _MERIT_FLOOR, log)
+                         tol, MAX_NEWTON, tol * _MERIT_FLOOR, log)
     steps = [{"alpha": alpha, "step": a["step"], "krylov": nk,
               "residual_inf": b["residual_inf"], "time": b["time"]}
              for a, b, nk in zip(log, log[1:], krylov)]
     return accepted_state(problem, alpha, f, u, res, steps)
 
 
-def decoupled_state(problem, tol=RESIDUAL_TOL):
-    """alpha = 0 state from the two decoupled solves.
+def decoupled_state(problem, *, tol):
+    """alpha = 0 state from the two decoupled solves, accepted below tol.
 
     u solves the twisted-KE equation with twist F_xi; f~ solves the vortex
-    equation over the resulting metric density with source N~.
+    equation over the resulting metric density with source N~; both run to
+    ``solvers.INNER_FACTOR`` times tol.
     """
     s = problem.surface
     if problem.params.chi_tilde >= 0.0:
@@ -224,10 +228,11 @@ def decoupled_state(problem, tol=RESIDUAL_TOL):
             f"(got {problem.params.chi_tilde}); add cone weight"
         )
     u = solve_twisted_ke(s, problem.params.chi_tilde,
-                         problem.fields.F_xi(problem.eps), tol=tol * 0.1)
+                         problem.fields.F_xi(problem.eps),
+                         tol=tol * INNER_FACTOR)
     rho = 1.0 - s.laplacian(u)
     f = solve_vortex_on_metric(s, problem.weight_t, problem.tau, rho,
-                               problem.params.N_tilde, tol=tol * 0.1)
+                               problem.params.N_tilde, tol=tol * INNER_FACTOR)
     state = accepted_state(problem, 0.0, f, u)
     if state.res_norm >= tol:
         raise ConvergenceFailure(
@@ -236,7 +241,7 @@ def decoupled_state(problem, tol=RESIDUAL_TOL):
     return state
 
 
-def continue_alpha(problem, state0, alpha_target, n_steps=16, tol=RESIDUAL_TOL):
+def continue_alpha(problem, state0, alpha_target, n_steps=16, *, tol):
     """Continuation (``solvers.walk``) from the accepted alpha=0 state to
     alpha_target.
 
@@ -244,11 +249,11 @@ def continue_alpha(problem, state0, alpha_target, n_steps=16, tol=RESIDUAL_TOL):
     alpha_star/1024.  Each step's Newton solve starts from the cubic in
     alpha through the (f~, u) of the last four accepted states, so the
     start is close to the next state on a smooth path, and every state is
-    still accepted by the residual test.  Yields each accepted state in
-    turn (the start first), whole; the walk keeps the (f~, u) of its last
-    states and no state, the start included.  A refused target or start
-    raises before the first.  Raises PathStalled with the last good alpha
-    on failure.
+    still accepted by the residual test, a sup norm below tol.  Yields
+    each accepted state in turn (the start first), whole; the walk keeps
+    the (f~, u) of its last states and no state, the start included.  A
+    refused target or start raises before the first.  Raises PathStalled
+    with the last good alpha on failure.
     """
     astar = problem.params.alpha_star
     if alpha_target != 0.0 and not (np.isfinite(astar)
@@ -273,8 +278,7 @@ def continue_alpha(problem, state0, alpha_target, n_steps=16, tol=RESIDUAL_TOL):
         del st
 
 
-def solve_path(problem, alpha_target, n_steps=16, tol=RESIDUAL_TOL,
-               start=None):
+def solve_path(problem, alpha_target, n_steps=16, *, tol, start=None):
     """(state at alpha_target, path, steps): ``path`` has one record per
     state solved, ``steps`` their Newton records.  From ``start`` = (f~, u)
     it tries one ``solve_at_alpha`` at the target first; without a start,

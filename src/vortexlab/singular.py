@@ -180,16 +180,17 @@ def parabolic_fit(surface, state, divisor_fields, k, eps):
                      note=f"coincident_zero_n={n_coincident}")
 
 
-def run_ladder(surface, divisor, tau, alpha, eps_list, n_steps=16,
-               tol=1e-9, seed=0, fit=True, fields=None):
+def run_ladder(surface, divisor, tau, alpha, eps_list, n_steps=16, *, tol,
+               seed=0, fit=True, fields=None):
     """Drive the smoothing ladder; warm-start each rung from the previous.
 
-    Every rung is one ``coupled.solve_path`` to the target coupling: rung 0
-    walks the alpha path from the decoupled endpoint, and later rungs pass
-    the previous rung's (f~, u) as its start (it walks only if the warm
-    solve fails).  Failures truncate the ladder and are recorded.  The
-    divisor fields do not depend on eps: they are built once (or taken
-    from ``fields``) and every rung adds only its eps-dependent weights.
+    Every rung is one ``coupled.solve_path`` to the target coupling, each
+    state accepted below tol: rung 0 walks the alpha path from the
+    decoupled endpoint, and later rungs pass the previous rung's (f~, u)
+    as its start (it walks only if the warm solve fails).  Failures
+    truncate the ladder and are recorded.  The divisor fields do not
+    depend on eps: they are built once (or taken from ``fields``) and
+    every rung adds only its eps-dependent weights.
 
     A rung reads the last rung's (f~, u) only.  Its Cauchy distances to
     that rung are taken as it lands, and before the next rung is solved it

@@ -34,8 +34,9 @@ __all__ = [
 _MAX_NEWTON = 60  # Newton iterations of a scalar solve
 
 
-def solve_exp_scalar(surface, coeff, Q, f0=None, tol=1e-10, log=None):
-    """Damped Newton for lap f + (1/2) coeff e^{2f} + Q = 0 (coeff >= 0).
+def solve_exp_scalar(surface, coeff, Q, f0=None, *, tol, log=None):
+    """Damped Newton for lap f + (1/2) coeff e^{2f} + Q = 0 (coeff >= 0), to
+    a residual sup norm below tol.
     Each correction's CG runs to the forcing term ``newton`` passes."""
     if float(surface.integrate(Q)) >= 0.0:
         raise NoSolutionExpected(
@@ -54,12 +55,13 @@ def solve_exp_scalar(surface, coeff, Q, f0=None, tol=1e-10, log=None):
                   log)[0][0]
 
 
-def solve_vortex_on_metric(surface, weight, tau, rho, source, tol=1e-10,
+def solve_vortex_on_metric(surface, weight, tau, rho, source, *, tol,
                            log=None):
     """Solve lap f + (1/2)(weight e^{2f} - tau) rho + source = 0.
 
     This is the vortex equation over the metric density rho (mean 1) with
-    zeroth-order source; existence requires tau > 2*source.
+    zeroth-order source, solved to a residual sup norm below tol; existence
+    requires tau > 2*source.
     """
     if tau <= 2.0 * source:
         raise NoSolutionExpected(
@@ -88,13 +90,14 @@ class VortexProblem:
         return 0.5 * t * self.surface.laplacian(self.F)
 
 
-def make_vortex_problem(surface, weight_raw, tau, N, b=0.0, F=None, t=1.0,
-                        log=None):
+def make_vortex_problem(surface, weight_raw, tau, N, b=0.0, F=None, t=1.0, *,
+                        tol, log=None):
     """Solve the base vortex equation (twist bw only) and re-center.
 
     weight_raw is |phi|^2 under the constant-curvature reference metric.
     The returned problem has residual identically zero at f = 0, t = 0.
-    The base solve's Newton iterations go to ``log`` if given.
+    The base solve runs to a residual sup norm below tol, and its Newton
+    iterations go to ``log`` if given.
     """
     if tau <= 2.0 * (N - b):
         raise NoSolutionExpected(
@@ -107,7 +110,7 @@ def make_vortex_problem(surface, weight_raw, tau, N, b=0.0, F=None, t=1.0,
             raise ConfigError("twist potential F must be mean-free")
     f0 = solve_vortex_on_metric(
         surface, weight_raw, tau, np.ones(surface.shape), float(N - b),
-        tol=1e-10, log=log,
+        tol=tol, log=log,
     )
     phi0_sq = weight_raw * np.exp(2.0 * f0)
     return VortexProblem(surface=surface, phi0_sq=phi0_sq, tau=tau, b=b, F=F,
@@ -124,7 +127,7 @@ def vortex_residual(problem, f):
     )
 
 
-def solve_vortex(problem, f_init=None, tol=1e-10, log=None):
+def solve_vortex(problem, f_init=None, *, tol, log=None):
     """Solve the twist path at t = problem.t.
 
     Direct damped Newton first; on failure, a ``walk`` in t from 0 in
@@ -147,9 +150,10 @@ def solve_vortex(problem, f_init=None, tol=1e-10, log=None):
     return f
 
 
-def solve_twisted_ke(surface, chi_tilde, F_xi, t=1.0, u_init=None, tol=1e-10,
+def solve_twisted_ke(surface, chi_tilde, F_xi, t=1.0, u_init=None, *, tol,
                      log=None):
-    """Solve the conformal-potential equation 1 - lap u = e^{-2 t chi~ u - t F}.
+    """Solve the conformal-potential equation 1 - lap u = e^{-2 t chi~ u - t F}
+    to a residual sup norm below tol.
 
     Requires chi~ < 0 and t >= 0 (for a nonnegative linearization); every
     iterate keeps 1 - lap u > 0 (the residual refuses the others). Each

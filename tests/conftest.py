@@ -48,13 +48,14 @@ def gv_problem64(torus64, gv_divisor):
 
 @pytest.fixture(scope="session")
 def gv_state0(gv_problem64):
-    return decoupled_state(gv_problem64)
+    return decoupled_state(gv_problem64, tol=1e-9)
 
 
 @pytest.fixture(scope="session")
 def gv_path(gv_problem64, gv_state0):
     return list(continue_alpha(gv_problem64, gv_state0,
-                               gv_problem64.params.alpha_star, n_steps=8))
+                               gv_problem64.params.alpha_star, n_steps=8,
+                               tol=1e-9))
 
 
 @pytest.fixture(scope="session")

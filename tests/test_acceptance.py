@@ -67,9 +67,9 @@ def acc3(torus256):
     dd = DivisorData(zeros=((P_ZERO, 1),), cone=((P_CONE, 0.5),))
     problem = make_problem(torus256, dd, tau=4.0, eps=0.1)
     t0 = time.time()
-    st0 = decoupled_state(problem)
+    st0 = decoupled_state(problem, tol=1e-9)
     states = list(continue_alpha(problem, st0, problem.params.alpha_star,
-                                 n_steps=16))
+                                 n_steps=16, tol=1e-9))
     return problem, states, time.time() - t0
 
 
@@ -83,7 +83,8 @@ def test_criterion_1_twisted_vortex_suite(torus256):
             2 * np.pi * (s.X + s.Y))
         rng = np.random.default_rng(42)
         for b in (0.0, -0.5):
-            prob = make_vortex_problem(s, weight, tau=5.0, N=1, b=b, F=F)
+            prob = make_vortex_problem(s, weight, tau=5.0, N=1, b=b, F=F,
+                                       tol=1e-10)
             f = solve_vortex(prob, tol=1e-10)
             assert np.max(np.abs(vortex_residual(prob, f))) < 1e-9
             Phi = prob.phi0_sq * np.exp(2.0 * f)
@@ -103,7 +104,7 @@ def test_criterion_2_decoupled_endpoint(torus256):
         dd = DivisorData(zeros=((P_ZERO, 1),), cone=((P_CONE, 0.5),),
                          parabolic=((P_PARA, 0.5),))
         problem = make_problem(torus256, dd, tau=4.0, eps=0.1)
-        st0 = decoupled_state(problem)
+        st0 = decoupled_state(problem, tol=1e-9)
         assert np.max(np.abs(st0.res1)) < 1e-8
         assert np.max(np.abs(st0.res2)) < 1e-8
 
@@ -120,7 +121,7 @@ def test_criterion_3_alpha_continuation(acc3):
             assert float(np.max(st.Phi)) <= problem.tau + 1e-8
             cert = Certificate()
             certify_integral_estimates(problem, st, cert)
-            certify_logy_bounds(problem, st, cert, seed=1)
+            certify_logy_bounds(problem, st, cert, seed=1, tol=1e-9)
             bad = [c.name for c in cert.checks if not c.passed]
             assert not bad, f"alpha={st.alpha}: {bad}"
         assert solve_time < 300
@@ -146,7 +147,8 @@ def test_criterion_5_epsilon_ladder(torus256):
         dd = DivisorData(zeros=((P_ZERO, 1),), cone=((P_CONE, 0.5),),
                          parabolic=((P_PARA, 0.5),))
         report = run_ladder(torus256, dd, tau=4.0, alpha=0.0625,
-                            eps_list=[0.1, 0.05, 0.025, 0.0125], n_steps=16)
+                            eps_list=[0.1, 0.05, 0.025, 0.0125], n_steps=16,
+                            tol=1e-9)
         assert len(report.newton_counts) == 4 and not report.failures
         d = report.d_sup
         assert d[0] > d[1] > d[2]  # decreasing over the last three rungs

@@ -294,7 +294,7 @@ def test_refusal_with_report(sphere31):
     dd = DivisorData(zeros=((S_ZERO1, 1), (S_ZERO2, 1)))
     prob = make_eb_problem(sphere31, dd, alpha=0.1)
     with pytest.raises(AssumptionNotSatisfied) as exc:
-        delta_ladder_and_assemble(prob, deltas=[0.2])
+        delta_ladder_and_assemble(prob, deltas=[0.2], tol=1e-10)
     assert exc.value.report is not None
     assert not exc.value.report.all_passed
 

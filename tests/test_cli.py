@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vortexlab.cli import _COMMANDS, main
+from vortexlab.cli import _COMMANDS, build_setup, main
 from vortexlab import coupled, greens
 from vortexlab.errors import ConfigError, ConvergenceFailure
 from vortexlab.fieldio import MAGIC, read_field, write_field, write_pgm
-from vortexlab.surface import Torus
+from vortexlab.surface import VOL, Torus
+from vortexlab.verify import certify_state
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -518,6 +519,80 @@ def test_sphere_coupled_solve_then_verify(tmp_path, command, base):
     if command == "sweep-eps":
         ladder = json.load(open(os.path.join(out, "ladder.json")))
         assert ladder["eps"] == [0.3, 0.2] and ladder["failures"] == []
+
+
+@pytest.mark.parametrize("command, base, tol, mass_check", [
+    ("solve-tke", TKE_CFG, 1e-4, "tke_conformal_volume"),
+    ("solve-gv", GV_CFG, 1e-4, "second_equation_mass"),
+    ("sweep-eps", SWEEP_CFG, 1e-4, "second_equation_mass"),
+    ("solve-vortex", VORTEX_CFG, 1e-2, "vortex_mass_identity")],
+    ids=["tke", "gv", "sweep", "vortex"])
+def test_residual_tolerance_sets_the_solve_and_its_bounds(
+        tmp_path, command, base, tol, mass_check):
+    # a loose tolerances.residual is solved to, and the bounds that the
+    # residual test forces follow it: the state exits 0 and verifies
+    cfg = write_cfg(tmp_path, "cfg.json",
+                    dict(base, tolerances={"residual": tol}))
+    out = str(tmp_path / "art")
+    assert main([command, "--config", cfg, "--out", out, "--quiet"]) == 0
+    assert main(["verify", "--out", out, "--quiet"]) == 0
+    cert = json.load(open(os.path.join(out, "certificate.json")))
+    rhs = {c["name"]: c["rhs"] for c in cert["checks"]}
+    assert rhs[mass_check] == 10.0 * tol
+    if command in ("solve-gv", "sweep-eps"):
+        assert 1e-9 < cert["constants"]["residual_norm"] < tol
+
+
+def _forge_coupled_state(art, base):
+    """Move the coupled state of the artifact ``art`` off the solution: f~ +
+    1e-4 g, g a smooth mode of sup 1, with the mass int W e^{...} = 2 pi
+    restored by a constant in u (S2's exponential scales as e^{-2 c~ u}).
+    Write its fields and the certificate that verify recomputes, with their
+    hashes; returns that certificate and the forged state's residual."""
+    meta = json.load(open(os.path.join(art, "metadata.json")))
+    surface, divisor = build_setup(base)
+    problem = coupled.make_problem(surface, divisor, tau=base["tau"],
+                                   eps=meta["epsilon"])
+    a, tau = meta["alpha"], problem.tau
+    ct = problem.params.c_tilde(a)
+    fields = {name: read_field(os.path.join(art, "fields",
+                                            name + ".vfield"))[0]
+              for name in ("f_tilde", "u")}
+    g = (np.cos(2 * np.pi * surface.X) if surface.backend == "torus"
+         else surface.xyz[..., 2])
+    f = fields["f_tilde"] + 1e-4 * g
+    Phi = problem.weight_t * np.exp(2.0 * f)
+    mass = surface.integrate(problem.W * np.exp(
+        4.0 * a * tau * f - 2.0 * a * Phi - 2.0 * ct * fields["u"]))
+    fields = {"f_tilde": f, "u": fields["u"] + np.log(mass / VOL) / (2.0 * ct)}
+    for name, values in fields.items():
+        rel = os.path.join("fields", name + ".vfield")
+        write_field(os.path.join(art, rel), values, surface.backend,
+                    base["resolution"], name)
+        _restamp(art, rel, open(os.path.join(art, rel), "rb").read())
+    state = coupled.accepted_state(problem, a, fields["f_tilde"], fields["u"])
+    cert = certify_state(problem, state, seed=meta["seed"], tol=1e-9)
+    _restamp(art, "certificate.json", cert.to_dict())
+    return cert, state.res_norm
+
+
+@pytest.mark.parametrize("base", [GV_CFG, SPHERE_GV_CFG],
+                         ids=["torus", "sphere"])
+def test_verify_refuses_a_coupled_state_that_solves_nothing(tmp_path, capsys,
+                                                            base):
+    # every check of the coupled certificate passes on the forged fields,
+    # whose residual is far above the 1e-9 the solve accepted at: verify
+    # refuses them for their residual
+    cfg = write_cfg(tmp_path, "gv.json", base)
+    out = str(tmp_path / "gv")
+    assert main(["solve-gv", "--config", cfg, "--out", out, "--quiet"]) == 0
+    cert, res_norm = _forge_coupled_state(out, base)
+    assert cert.all_passed and res_norm > 1e-5
+    capsys.readouterr()
+    assert main(["verify", "--out", out, "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert "residual_norm" in err and f"{res_norm:.3e}" in err
+    assert "tolerances.residual 1e-09" in err
 
 
 def _artifact_case(tmp_path, tke_artifact, case):

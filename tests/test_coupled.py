@@ -164,7 +164,7 @@ def test_positivity_guard_damps(gv_problem64, gv_final, monkeypatch):
 
 def test_continue_alpha_paths(gv_problem64, gv_state0, gv_path):
     # alpha_target = 0 returns the input unchanged
-    states = list(continue_alpha(gv_problem64, gv_state0, 0.0))
+    states = list(continue_alpha(gv_problem64, gv_state0, 0.0, tol=1e-9))
     assert states == [gv_state0]
     # c~ strictly decreasing along the path
     cts = [st.c_tilde for st in gv_path]
@@ -175,12 +175,12 @@ def test_continue_alpha_paths(gv_problem64, gv_state0, gv_path):
         assert np.max(st.Phi) <= gv_problem64.tau + 1e-8
     with pytest.raises(ConfigError):
         next(continue_alpha(gv_problem64, gv_state0,
-                            gv_problem64.params.alpha_star * 1.5))
+                            gv_problem64.params.alpha_star * 1.5, tol=1e-9))
     # a start that is not residual-accepted is refused before it is yielded
     unaccepted = dataclasses.replace(gv_state0, res1=gv_state0.res1 + 1.0)
     with pytest.raises(ConfigError):
         next(continue_alpha(gv_problem64, unaccepted,
-                            gv_problem64.params.alpha_star))
+                            gv_problem64.params.alpha_star, tol=1e-9))
 
 
 def test_predicted_walk_saves_newton_steps(gv_problem64, gv_state0):
@@ -188,7 +188,7 @@ def test_predicted_walk_saves_newton_steps(gv_problem64, gv_state0):
     # steps to alpha* take fewer Newton steps than two a step, which is what
     # they take from the last state
     path = continue_alpha(gv_problem64, gv_state0,
-                          gv_problem64.params.alpha_star, n_steps=16)
+                          gv_problem64.params.alpha_star, n_steps=16, tol=1e-9)
     assert sum(len(st.newton_log) for st in path) < 32
 
 
@@ -201,7 +201,8 @@ def test_path_stalled(gv_problem64, gv_state0, monkeypatch):
     monkeypatch.setattr(coupled, "solve_at_alpha", always_fail)
     with pytest.raises(PathStalled) as exc:
         list(continue_alpha(gv_problem64, gv_state0,
-                            gv_problem64.params.alpha_star, n_steps=4))
+                            gv_problem64.params.alpha_star, n_steps=4,
+                            tol=1e-9))
     assert exc.value.last_good_alpha == 0.0
 
 
@@ -226,13 +227,15 @@ def test_solve_path_is_the_hand_written_walk(gv_problem32):
     # one whole again, written out as solve-gv once did
     p, astar = gv_problem32, gv_problem32.params.alpha_star
     path, steps = [], []
-    for st in continue_alpha(p, coupled.decoupled_state(p), astar, n_steps=4):
+    for st in continue_alpha(p, coupled.decoupled_state(p, tol=1e-9), astar,
+                             n_steps=4, tol=1e-9):
         path.append({"alpha": st.alpha, "c_tilde": st.c_tilde,
                      "residual": st.res_norm,
                      "newton_steps": len(st.newton_log)})
         steps += st.newton_log
         at, st = (st.alpha, st.f_tilde, st.u), None
-    state, got_path, got_steps = coupled.solve_path(p, astar, n_steps=4)
+    state, got_path, got_steps = coupled.solve_path(p, astar, n_steps=4,
+                                                    tol=1e-9)
     assert _same_state(state, coupled.accepted_state(p, *at))
     assert got_path == path and len(path) == 5
     assert _without_time(got_steps) == _without_time(steps)
@@ -241,15 +244,16 @@ def test_solve_path_is_the_hand_written_walk(gv_problem32):
 def test_solve_path_from_a_converged_start(gv_problem32, monkeypatch):
     # a start that solves the target: the warm solve's state, and no walk
     p, astar = gv_problem32, gv_problem32.params.alpha_star
-    final = coupled.solve_path(p, astar, n_steps=4)[0]
+    final = coupled.solve_path(p, astar, n_steps=4, tol=1e-9)[0]
     start = (final.f_tilde, final.u)
 
     def no_walk(*args, **kwargs):
         raise AssertionError("solve_path walked from a converged start")
 
     monkeypatch.setattr(coupled, "decoupled_state", no_walk)
-    state, path, steps = coupled.solve_path(p, astar, n_steps=4, start=start)
-    assert _same_state(state, solve_at_alpha(p, astar, *start))
+    state, path, steps = coupled.solve_path(p, astar, n_steps=4, tol=1e-9,
+                                            start=start)
+    assert _same_state(state, solve_at_alpha(p, astar, *start, tol=1e-9))
     assert path == [{"alpha": astar, "c_tilde": state.c_tilde,
                      "residual": state.res_norm,
                      "newton_steps": len(state.newton_log)}]
@@ -259,7 +263,7 @@ def test_solve_path_from_a_converged_start(gv_problem32, monkeypatch):
 def test_solve_path_walks_when_the_warm_solve_fails(gv_problem32,
                                                     monkeypatch):
     p, astar = gv_problem32, gv_problem32.params.alpha_star
-    cold = coupled.solve_path(p, astar, n_steps=4)
+    cold = coupled.solve_path(p, astar, n_steps=4, tol=1e-9)
     orig, alphas = coupled.solve_at_alpha, []
 
     def fail_first(problem, alpha, *args, **kwargs):
@@ -270,7 +274,7 @@ def test_solve_path_walks_when_the_warm_solve_fails(gv_problem32,
 
     monkeypatch.setattr(coupled, "solve_at_alpha", fail_first)
     zero = np.zeros(p.surface.shape)
-    state, path, steps = coupled.solve_path(p, astar, n_steps=4,
+    state, path, steps = coupled.solve_path(p, astar, n_steps=4, tol=1e-9,
                                             start=(zero, zero))
     # the warm solve, then one solve per walked state past the start
     assert alphas[0] == astar and len(alphas) == len(cold[1])
@@ -282,7 +286,7 @@ def test_decoupled_needs_negative_chi(torus64):
     dd = DivisorData(zeros=((P_ZERO, 1),))  # no cone point: chi~ = 0
     prob = make_problem(torus64, dd, tau=5.0, eps=0.1)
     with pytest.raises(ConfigError):
-        coupled.decoupled_state(prob)
+        coupled.decoupled_state(prob, tol=1e-9)
 
 
 def _stiff_block_system(surface):
@@ -500,7 +504,7 @@ def test_low_mode_block_saves_gmres_iterations(gv_problem64, gv_state0,
     def work():
         log = [e for st in continue_alpha(
             gv_problem64, gv_state0, gv_problem64.params.alpha_star,
-            n_steps=16) for e in st.newton_log]
+            n_steps=16, tol=1e-9) for e in st.newton_log]
         return len(log), sum(e["krylov"] for e in log)
 
     steps, krylov = work()
@@ -526,7 +530,7 @@ def test_newton_step_transforms_per_krylov_iteration(torus32, gv_divisor,
     # 2-D FFTs (df, du, lap du) and two forward ones (the pointwise part),
     # on top of a fixed number per step
     problem = make_problem(torus32, gv_divisor, tau=4.0, eps=0.1)
-    state = coupled.decoupled_state(problem)
+    state = coupled.decoupled_state(problem, tol=1e-9)
     alpha = problem.params.alpha_star / 16
     count_transforms = _bench_module().count_transforms
     runs = []
@@ -551,7 +555,7 @@ def test_coupled_failures_carry_history(gv_problem64, gv_state0, gv_final,
     monkeypatch.setattr(coupled, "MAX_NEWTON", 1)
     with pytest.raises(ConvergenceFailure) as exc:
         solve_at_alpha(gv_problem64, gv_final.alpha, gv_state0.f_tilde,
-                       gv_state0.u)
+                       gv_state0.u, tol=1e-9)
     S1, S2 = residual(gv_problem64, gv_final.alpha, gv_state0.f_tilde,
                       gv_state0.u)
     assert exc.value.history == [max(np.max(np.abs(S1)), np.max(np.abs(S2)))]
@@ -579,4 +583,5 @@ def test_coupled_start_outside_the_domain(gv_problem64, gv_final):
     u = gv_final.u + 0.2 * np.cos(2 * np.pi * surf.X)
     assert np.min(1.0 - surf.laplacian(u)) <= 0.0
     with pytest.raises(ConvergenceFailure, match="outside the domain"):
-        solve_at_alpha(gv_problem64, gv_final.alpha, gv_final.f_tilde, u)
+        solve_at_alpha(gv_problem64, gv_final.alpha, gv_final.f_tilde, u,
+                       tol=1e-9)

@@ -134,6 +134,37 @@ def test_every_function_is_reached_from_src_or_scripts():
     assert unreached == []
 
 
+def _is_number_literal(node):
+    """A default written as numbers alone: 1e-9, -1e-8 or 1e-9 * 0.1."""
+    parts = list(ast.walk(node))
+    return all(isinstance(n, (ast.Constant, ast.UnaryOp, ast.BinOp,
+                              ast.unaryop, ast.operator)) for n in parts) \
+        and any(isinstance(n, ast.Constant) and type(n.value) in (int, float)
+                for n in parts)
+
+
+def test_no_tol_parameter_defaults_to_a_number():
+    """Each default tolerance has one home, a named constant in
+    ``solvers`` (or ``bogomolnyi.CHANGE_TOL``), and the CLI passes
+    ``tolerances.residual`` down: a ``tol`` parameter whose default is a
+    number of its own would let a solve or a bound ignore that key."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            a = node.args
+            params = a.posonlyargs + a.args
+            pairs = list(zip(params[len(params) - len(a.defaults):],
+                             a.defaults))
+            pairs += [(p, d) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                      if d is not None]
+            found += [f"{path.name}:{node.lineno}: {node.name}"
+                      f"(tol={ast.unparse(d)})" for p, d in pairs
+                      if p.arg == "tol" and _is_number_literal(d)]
+    assert found == []
+
+
 def _scipy_imports(path):
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Import):

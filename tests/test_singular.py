@@ -22,7 +22,7 @@ DD3 = DivisorData(zeros=((P_ZERO, 1),), cone=((P_CONE, 0.5),),
 @pytest.fixture(scope="module")
 def ladder64(torus64):
     return run_ladder(torus64, DD3, tau=4.0, alpha=0.0625,
-                      eps_list=[0.1, 0.05, 0.025], n_steps=8)
+                      eps_list=[0.1, 0.05, 0.025], n_steps=8, tol=1e-9)
 
 
 def test_ladder_structure(ladder64):
@@ -70,14 +70,15 @@ def test_ladder_builds_divisor_fields_once(torus32, monkeypatch):
     monkeypatch.setattr(singular, "build_divisor_fields", build)
     monkeypatch.setattr(coupled, "build_divisor_fields", build)
     r = run_ladder(torus32, DD3, tau=4.0, alpha=0.03125,
-                   eps_list=[0.1, 0.05, 0.025], n_steps=4, fit=False)
+                   eps_list=[0.1, 0.05, 0.025], n_steps=4, tol=1e-9,
+                   fit=False)
     assert len(r.newton_counts) == 3 and not r.failures
     assert calls == {"green_field": 3, "build": 1}
 
 
 def test_single_rung_no_distances(torus64):
     r = run_ladder(torus64, DD3, tau=4.0, alpha=0.03125, eps_list=[0.1],
-                   n_steps=4)
+                   n_steps=4, tol=1e-9)
     assert len(r.newton_counts) == 1 and r.d_f == [] and r.d_u == []
 
 
@@ -86,7 +87,8 @@ def test_non_decreasing_rungs_are_a_config_error(torus32, eps_list):
     # the same input the delta ladder refuses as a config error (exit 2);
     # it is refused before any rung is solved
     with pytest.raises(ConfigError, match="strictly decreasing"):
-        run_ladder(torus32, DD3, tau=4.0, alpha=0.0, eps_list=eps_list)
+        run_ladder(torus32, DD3, tau=4.0, alpha=0.0, eps_list=eps_list,
+                   tol=1e-9)
 
 
 def _held_at_solve_starts(monkeypatch):
@@ -122,7 +124,8 @@ def test_ladder_keeps_what_the_next_rung_reads(torus32, monkeypatch):
     # holds Phi and the residuals
     held = _held_at_solve_starts(monkeypatch)
     r = run_ladder(torus32, DD3, tau=4.0, alpha=0.03125,
-                   eps_list=[0.1, 0.05, 0.025, 0.0125], n_steps=4, fit=False)
+                   eps_list=[0.1, 0.05, 0.025, 0.0125], n_steps=4, tol=1e-9,
+                   fit=False)
     assert len(r.newton_counts) == 4 and not r.failures
     assert len(held) >= 7 and max(held) <= 1
     assert [st.Phi is None for st in r.states] == [True, False]
@@ -133,8 +136,8 @@ def test_walk_keeps_no_state_it_has_passed(torus32, monkeypatch):
     # reference to it: only the caller's loop variable keeps one
     held = _held_at_solve_starts(monkeypatch)
     problem = make_problem(torus32, DD3, tau=4.0, eps=0.1)
-    path = continue_alpha(problem, coupled.decoupled_state(problem),
-                          problem.params.alpha_star, n_steps=4)
+    path = continue_alpha(problem, coupled.decoupled_state(problem, tol=1e-9),
+                          problem.params.alpha_star, n_steps=4, tol=1e-9)
     for st in path:
         pass
     assert st.alpha == problem.params.alpha_star
@@ -144,7 +147,7 @@ def test_walk_keeps_no_state_it_has_passed(torus32, monkeypatch):
 def test_rung_failure_truncates(torus64, monkeypatch):
     # the ladder that stops at rung 0 of its own accord
     whole = run_ladder(torus64, DD3, tau=4.0, alpha=0.03125, eps_list=[0.1],
-                       n_steps=4)
+                       n_steps=4, tol=1e-9)
     # rung 1 (eps = 0.05) fails its warm start and every solve of its
     # fallback walk
     orig = coupled.solve_at_alpha
@@ -156,7 +159,7 @@ def test_rung_failure_truncates(torus64, monkeypatch):
 
     monkeypatch.setattr(coupled, "solve_at_alpha", failing)
     r = run_ladder(torus64, DD3, tau=4.0, alpha=0.03125,
-                   eps_list=[0.1, 0.05], n_steps=4)
+                   eps_list=[0.1, 0.05], n_steps=4, tol=1e-9)
     assert len(r.newton_counts) == 1
     assert r.failures and r.failures[0]["eps"] == 0.05
     # the truncated ladder builds its last rung's state again, bit for bit
@@ -170,12 +173,12 @@ def test_alpha_zero_ladder_reproduces_vortex(torus64):
     # decoupled cross-check: rung states at alpha = 0 solve the vortex
     # equation over the twisted-KE metric density
     r = run_ladder(torus64, DD3, tau=4.0, alpha=0.0, eps_list=[0.1, 0.05],
-                   n_steps=2, fit=False)
+                   n_steps=2, tol=1e-9, fit=False)
     for st, eps in zip(r.states, [0.1, 0.05]):
         prob = make_problem(torus64, DD3, tau=4.0, eps=eps)
         rho = 1.0 - torus64.laplacian(st.u)
         f = solve_vortex_on_metric(torus64, prob.weight_t, 4.0, rho,
-                                   prob.params.N_tilde)
+                                   prob.params.N_tilde, tol=1e-10)
         assert np.max(np.abs(f - st.f_tilde)) < 1e-8
 
 
@@ -192,7 +195,7 @@ def test_fit_records(ladder64, torus64):
 def test_unresolved_on_coarse_smoothing(torus64):
     # rung 0 of ladder64, which keeps only its last two rungs
     rung0 = run_ladder(torus64, DD3, tau=4.0, alpha=0.0625, eps_list=[0.1],
-                       n_steps=8, fit=False)
+                       n_steps=8, tol=1e-9, fit=False)
     prob = make_problem(torus64, DD3, tau=4.0, eps=0.1)
     rec = conical_fit(torus64, rung0.states[-1], prob.fields, 0, 0.1)
     assert not rec.resolved  # smoothing radius beyond the neighbour guard
@@ -211,7 +214,7 @@ def test_coincident_parabolic_zero_target(torus64):
     dd = DivisorData(zeros=((P_PARA, 1),), cone=((P_CONE, 0.5),),
                      parabolic=((P_PARA, 1.0),))
     r = run_ladder(torus64, dd, tau=6.0, alpha=0.02, eps_list=[0.05, 0.025],
-                   n_steps=4)
+                   n_steps=4, tol=1e-9)
     rec = [f for f in r.fits if f.kind == "parabolic"][0]
     assert rec.target == pytest.approx(2.0 * 1.0 + 2.0 * 1)
     if rec.resolved:
@@ -221,7 +224,7 @@ def test_coincident_parabolic_zero_target(torus64):
 def test_no_cone_points_no_cone_fits(torus64):
     dd = DivisorData(zeros=((P_ZERO, 1),), cone=((P_CONE, 0.5),))
     r = run_ladder(torus64, dd, tau=4.0, alpha=0.03, eps_list=[0.1, 0.05],
-                   n_steps=4)
+                   n_steps=4, tol=1e-9)
     assert all(f.kind != "parabolic" for f in r.fits)
     assert len([f for f in r.fits if f.kind == "cone"]) == 1
 
