@@ -4,8 +4,10 @@
 certificate value or a field beyond rounding shows up.
 
 Usage:
-    python scripts/reference.py           # compare with tests/reference/
     python scripts/reference.py --write   # write tests/reference/<config>.json
+
+``tests/test_reference.py`` compares a fresh record of each config with the
+written one.
 
 Each config's solve command runs in-process (``cli.main``, its artifact in a
 temporary directory). Its record holds the exit code, the work counts of
@@ -16,11 +18,24 @@ field, its max, min and mean. It holds no hash: those change with numpy
 builds and CPUs.
 
 Two records agree when their keys agree, counts, integers and flags are
-equal, and each other number a, b has |a - b| <= 1e-9 max(|a|, |b|); a
-check's ``lhs`` also agrees if |a - b| <= 1e-3 |rhs|, for some ``lhs`` are
-rounding-sized and move with the BLAS thread count (the multistart
-uniqueness gap, ~1e-11 against its 1e-8 bound). A change that moves a value
-beyond that runs ``--write`` and lists the record's diff in CHANGES.md.
+equal, and each other number a, b has |a - b| <= 1e-9 max(|a|, |b|), or
+|a - b| <= its floor.  Rounding-sized values move with the BLAS kernels
+(the thread count, the CPU) beyond that relative test, so three kinds get
+a floor:
+
+- a check's ``lhs``: a tenth of its ``rhs``.  The scalar solves stop
+  anywhere below a tenth of the residual bound, and the finite-difference
+  gap is rounding; between 1 and 2 OpenBLAS threads ``tke_residual`` and
+  ``vortex_linearization_fd`` each move by about 0.4 % of their bound.
+- the constant ``residual_norm``: the accept tolerance
+  ``solvers.ACCEPT_TOL`` (the shipped configs keep the default), for any
+  residual below it is the same outcome.
+- the constant ``kernel_identity_gap``: the floor of the ``kernel_identity``
+  check's ``lhs``, which it repeats.
+
+The fields, the other constants, every ``rhs`` and ``ladder.json`` keep the
+relative test.  A change that moves a value beyond that runs ``--write``
+and lists the record's diff in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -42,7 +57,7 @@ COMMANDS = {"vortex_torus256": "solve-vortex", "tke_torus256": "solve-tke",
             "gv_torus256": "solve-gv", "sweep_torus256": "sweep-eps",
             "eb_sphere127": "solve-eb"}
 RTOL = 1e-9        # relative agreement of two numbers
-LHS_FLOOR = 1e-3   # a check's lhs also agrees within this share of its rhs
+LHS_FLOOR = 0.1    # a check's lhs also agrees within this share of its rhs
 
 
 def _numbers(value, path=""):
@@ -114,6 +129,17 @@ def _agree(a, b, floor=0.0):
     return a == b
 
 
+def _constant_floor(name, want):
+    """The floor of a rounding-sized constant of the reference ``want``."""
+    if name == "residual_norm":
+        from vortexlab.solvers import ACCEPT_TOL
+
+        return ACCEPT_TOL
+    if name == "kernel_identity_gap":
+        return LHS_FLOOR * abs(want["checks"]["kernel_identity"]["rhs"])
+    return 0.0
+
+
 def differences(want, got):
     """Where the record ``got`` departs from the reference ``want``."""
     diffs = []
@@ -133,7 +159,9 @@ def differences(want, got):
     for section in ("counts", "constants", "ladder"):
         a, b = want.get(section, {}), got.get(section, {})
         for key in common(section, a, b):
-            compare(f"{section}.{key}", a[key], b[key])
+            compare(f"{section}.{key}", a[key], b[key],
+                    _constant_floor(key, want) if section == "constants"
+                    else 0.0)
     for section in ("checks", "fields"):
         a, b = want.get(section, {}), got.get(section, {})
         for name in common(section, a, b):
@@ -147,29 +175,18 @@ def differences(want, got):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--write", action="store_true",
-                        help="write the records instead of comparing")
-    parser.add_argument("names", nargs="*", default=sorted(COMMANDS),
-                        help="configs to run (default: all five)")
-    args = parser.parse_args(argv)
-    failed = 0
-    for name in args.names:
-        got = record(name)
+    parser.add_argument("--write", action="store_true", required=True,
+                        help="write the records (required, so that a bare "
+                             "run overwrites nothing)")
+    parser.parse_args(argv)
+    os.makedirs(RECORDS, exist_ok=True)
+    for name in sorted(COMMANDS):
         path = os.path.join(RECORDS, name + ".json")
-        if args.write:
-            os.makedirs(RECORDS, exist_ok=True)
-            with open(path, "w") as fh:
-                json.dump(got, fh, indent=1, sort_keys=True)
-                fh.write("\n")
-            print(f"wrote {os.path.relpath(path, ROOT)}")
-            continue
-        with open(path) as fh:
-            diffs = differences(json.load(fh), got)
-        failed += bool(diffs)
-        print(f"{name}: {'agrees' if not diffs else 'DIFFERS'}")
-        for d in diffs:
-            print(f"  {d}")
-    return 1 if failed else 0
+        with open(path, "w") as fh:
+            json.dump(record(name), fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        print(f"wrote {os.path.relpath(path, ROOT)}")
+    return 0
 
 
 if __name__ == "__main__":

@@ -207,13 +207,6 @@ def _residual_tol(cfg, command):
     return _tol(cfg, "residual", default)
 
 
-def _inner(tol):
-    """The tolerance of a scalar solve whose state is accepted at tol."""
-    from .solvers import INNER_FACTOR
-
-    return tol * INNER_FACTOR
-
-
 def _vortex_problem(cfg, surface, divisor, tol, log=None):
     from .vortex import make_vortex_problem
 
@@ -221,8 +214,7 @@ def _vortex_problem(cfg, surface, divisor, tol, log=None):
     b, F = synthesize_twist(surface, cfg.get("twist"))
     weight = np.exp(build_divisor_fields(surface, divisor).log_phi_sq)
     return make_vortex_problem(surface, weight, tau, divisor.N, b=b, F=F,
-                               t=float(cfg.get("t", 1.0)), tol=_inner(tol),
-                               log=log)
+                               t=float(cfg.get("t", 1.0)), tol=tol, log=log)
 
 
 def _certify_vortex(cfg, problem, seed, f, tol):
@@ -308,7 +300,7 @@ def _solve_vortex(cfg, surface, divisor, seed, tol, phases):
 
     log = []
     problem = _vortex_problem(cfg, surface, divisor, tol, log)
-    f = solve_vortex(problem, tol=_inner(tol), log=log)
+    f = solve_vortex(problem, tol=tol, log=log)
     phases.end("solve")
     cert = _certify_vortex(cfg, problem, seed, f, tol)
     phases.end("certify")
@@ -322,7 +314,7 @@ def _solve_tke(cfg, surface, divisor, seed, tol, phases):
     chi_tilde, F_xi = problem = _tke_problem(cfg, surface, divisor)
     log = []
     u = solve_twisted_ke(surface, chi_tilde, F_xi, t=float(cfg.get("t", 1.0)),
-                         tol=_inner(tol), log=log)
+                         tol=tol, log=log)
     phases.end("solve")
     cert = _certify_tke(cfg, surface, problem, u, tol)
     phases.end("certify")

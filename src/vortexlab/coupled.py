@@ -32,8 +32,8 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceFailure
 from .fields import build_divisor_fields, derive_params
-from .solvers import (ACCEPT_TOL, INNER_FACTOR, damped_step, forcing, merit,
-                      newton, solve_block_newton_step, sup_norm, walk)
+from .solvers import (ACCEPT_TOL, damped_step, forcing, merit, newton,
+                      solve_block_newton_step, sup_norm, walk)
 from .vortex import solve_twisted_ke, solve_vortex_on_metric
 
 __all__ = ["GVProblem", "SolveState", "Residual", "make_problem", "residual",
@@ -41,8 +41,8 @@ __all__ = ["GVProblem", "SolveState", "Residual", "make_problem", "residual",
            "continue_alpha", "solve_path"]
 
 MAX_NEWTON = 40  # Newton iterations per alpha before the step is halved
-# a Newton trial whose merit is below (_MERIT_FLOOR * tol)^2 needs no descent
-_MERIT_FLOOR = 1e-2
+# a Newton trial whose merit is below (_MERIT_FACTOR * tol)^2 needs no descent
+_MERIT_FACTOR = 1e-2
 
 
 @dataclass
@@ -182,7 +182,7 @@ def newton_step(problem, alpha, f_tilde, u):
         problem.surface, res_fn,
         functools.partial(correct, rtol=forcing(rn, ACCEPT_TOL)),
         (f_tilde, u), res, merit(problem.surface, res),
-        ACCEPT_TOL * _MERIT_FLOOR, [rn])
+        ACCEPT_TOL * _MERIT_FACTOR, [rn])
     return f, u, trial, step, krylov[0]
 
 
@@ -207,7 +207,7 @@ def solve_at_alpha(problem, alpha, f_init, u_init, *, tol):
     res_fn, correct, krylov = _newton_system(problem, alpha)
     log = []
     (f, u), res = newton(problem.surface, res_fn, correct, (f_init, u_init),
-                         tol, MAX_NEWTON, tol * _MERIT_FLOOR, log)
+                         tol, MAX_NEWTON, tol * _MERIT_FACTOR, log)
     steps = [{"alpha": alpha, "step": a["step"], "krylov": nk,
               "residual_inf": b["residual_inf"], "time": b["time"]}
              for a, b, nk in zip(log, log[1:], krylov)]
@@ -218,8 +218,9 @@ def decoupled_state(problem, *, tol):
     """alpha = 0 state from the two decoupled solves, accepted below tol.
 
     u solves the twisted-KE equation with twist F_xi; f~ solves the vortex
-    equation over the resulting metric density with source N~; both run to
-    ``solvers.INNER_FACTOR`` times tol.
+    equation over the resulting metric density with source N~; both are
+    scalar solves accepted at tol (``vortex`` runs them to
+    ``solvers.INNER_FACTOR`` times it).
     """
     s = problem.surface
     if problem.params.chi_tilde >= 0.0:
@@ -228,11 +229,10 @@ def decoupled_state(problem, *, tol):
             f"(got {problem.params.chi_tilde}); add cone weight"
         )
     u = solve_twisted_ke(s, problem.params.chi_tilde,
-                         problem.fields.F_xi(problem.eps),
-                         tol=tol * INNER_FACTOR)
+                         problem.fields.F_xi(problem.eps), tol=tol)
     rho = 1.0 - s.laplacian(u)
     f = solve_vortex_on_metric(s, problem.weight_t, problem.tau, rho,
-                               problem.params.N_tilde, tol=tol * INNER_FACTOR)
+                               problem.params.N_tilde, tol=tol)
     state = accepted_state(problem, 0.0, f, u)
     if state.res_norm >= tol:
         raise ConvergenceFailure(

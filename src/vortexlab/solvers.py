@@ -50,11 +50,12 @@ __all__ = ["solve_helmholtz", "solve_block_newton_step", "merit", "sup_norm",
 # The default tolerances of the solves, one home each. The CLI reads
 # ``tolerances.residual`` once per command and passes it down; no solve has
 # a default of its own. ACCEPT_TOL is its default: a state is accepted once
-# its residual's sup norm is below it. The scalar solves (solve-vortex,
-# solve-tke, the decoupled alpha = 0 state, the vortex multistart) run to
-# INNER_FACTOR times it, so that what they return passes its certificate's
-# residual check with a margin. (solve-eb's ``residual`` is the change
-# tolerance of its monotone chain, ``bogomolnyi.CHANGE_TOL``.)
+# its residual's sup norm is below it. The scalar solves of ``vortex``
+# (solve-vortex, solve-tke, the decoupled alpha = 0 state, the vortex
+# multistart) take it and run to INNER_FACTOR times it, so that what they
+# return passes its certificate's residual check with a margin. (solve-eb's
+# ``residual`` is the change tolerance of its monotone chain,
+# ``bogomolnyi.CHANGE_TOL``.)
 ACCEPT_TOL = 1e-9
 INNER_FACTOR = 0.1
 # CG's relative tolerance and the absolute floor of the CG and GMRES stops

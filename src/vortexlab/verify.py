@@ -323,20 +323,20 @@ def certify_vortex(surface, problem, f, seed=0, multistart=3, *, tol):
     lap(t F) have no mean, so m1 - m0 = int Phi0 (e^{2f} - 1) = 2 int R for
     the residual R, and |m1 - m0| < 4 pi tol.  Its bound 10 tol, relative to
     m0 = 2 pi (tau - 2(N - b)) (up to the base solve's residual), holds once
-    tau - 2(N - b) >= 1/5, and the solve's ``solvers.INNER_FACTOR`` tol
-    leaves a factor 10 more.
+    tau - 2(N - b) >= 1/5, and the solve's residual below
+    ``solvers.INNER_FACTOR`` tol leaves a factor 10 more.
 
-    Uniqueness compares states solved to min(tol, ``solvers.ACCEPT_TOL``)
-    times ``solvers.INNER_FACTOR``: the multistart re-solves and f itself,
-    refined from f (no step when f already meets that tolerance, as it does
-    at the default).  So the fixed 1e-8 bound sees distances between states
-    of residual below 1e-10 whatever tol f was accepted at: they are those
-    of the linearization's inverse times 2e-10 (1.9e-11 on
-    ``vortex_torus256.json``).  A bound that followed tol instead would need
-    an estimate of that inverse, which the maximum principle does not give
-    (Phi0 vanishes at the zeros of phi).
+    Uniqueness compares states accepted at min(tol, ``solvers.ACCEPT_TOL``),
+    so solved to ``solvers.INNER_FACTOR`` times it: the multistart re-solves
+    and f itself, refined from f (no step when f already meets that
+    tolerance, as it does at the default).  So the fixed 1e-8 bound sees
+    distances between states of residual below 1e-10 whatever tol f was
+    accepted at: they are those of the linearization's inverse times 2e-10
+    (1.9e-11 on ``vortex_torus256.json``).  A bound that followed tol
+    instead would need an estimate of that inverse, which the maximum
+    principle does not give (Phi0 vanishes at the zeros of phi).
     """
-    from .solvers import ACCEPT_TOL, INNER_FACTOR
+    from .solvers import ACCEPT_TOL
     from .vortex import solve_vortex, vortex_residual
 
     cert = Certificate(seed=seed)
@@ -369,7 +369,7 @@ def certify_vortex(surface, problem, f, seed=0, multistart=3, *, tol):
         while len(starts) < multistart:
             g, _ = surface.random_bandlimited(rng, kmax=3, nmodes=4, amp=0.3)
             starts.append(g)
-        sharp = min(tol, ACCEPT_TOL) * INNER_FACTOR
+        sharp = min(tol, ACCEPT_TOL)
         f_sharp = solve_vortex(problem, f_init=f, tol=sharp)
         for g in starts[:multistart]:
             fi = solve_vortex(problem, f_init=g, tol=sharp)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ConvergenceFailure, NoSolutionExpected
-from .solvers import newton, solve_helmholtz, walk
+from .solvers import INNER_FACTOR, newton, solve_helmholtz, walk
 from .surface import VOL
 
 __all__ = [
@@ -32,6 +32,10 @@ __all__ = [
 ]
 
 _MAX_NEWTON = 60  # Newton iterations of a scalar solve
+# The entry points below take the accept tolerance tol of their state and
+# run to ``solvers.INNER_FACTOR`` times it, so that what they return passes
+# its certificate's residual check with a margin; solve_exp_scalar, the
+# engine they share, runs to the tol it is given.
 
 
 def solve_exp_scalar(surface, coeff, Q, f0=None, *, tol, log=None):
@@ -60,15 +64,16 @@ def solve_vortex_on_metric(surface, weight, tau, rho, source, *, tol,
     """Solve lap f + (1/2)(weight e^{2f} - tau) rho + source = 0.
 
     This is the vortex equation over the metric density rho (mean 1) with
-    zeroth-order source, solved to a residual sup norm below tol; existence
-    requires tau > 2*source.
+    zeroth-order source, solved to a residual sup norm below INNER_FACTOR
+    tol; existence requires tau > 2*source.
     """
     if tau <= 2.0 * source:
         raise NoSolutionExpected(
             f"existence condition violated: tau={tau} must exceed 2*{source}"
         )
     Q = -0.5 * tau * rho + source
-    return solve_exp_scalar(surface, weight * rho, Q, tol=tol, log=log)
+    return solve_exp_scalar(surface, weight * rho, Q, tol=tol * INNER_FACTOR,
+                            log=log)
 
 
 @dataclass
@@ -96,8 +101,9 @@ def make_vortex_problem(surface, weight_raw, tau, N, b=0.0, F=None, t=1.0, *,
 
     weight_raw is |phi|^2 under the constant-curvature reference metric.
     The returned problem has residual identically zero at f = 0, t = 0.
-    The base solve runs to a residual sup norm below tol, and its Newton
-    iterations go to ``log`` if given.
+    The base solve (``solve_vortex_on_metric``, accepted at tol) runs to a
+    residual sup norm below INNER_FACTOR tol, and its Newton iterations go
+    to ``log`` if given.
     """
     if tau <= 2.0 * (N - b):
         raise NoSolutionExpected(
@@ -132,13 +138,14 @@ def solve_vortex(problem, f_init=None, *, tol, log=None):
 
     Direct damped Newton first; on failure, a ``walk`` in t from 0 in
     steps of 1/4, halved down to 1/64.  Returns f with ||residual||_inf <
-    tol; the Newton iterations go to ``log`` if given.
+    INNER_FACTOR tol; the Newton iterations go to ``log`` if given.
     """
     s = problem.surface
+    inner = tol * INNER_FACTOR
 
     def solve_at(t, f0):
         Q = -0.5 * problem.phi0_sq + problem.twist_term(t)
-        return solve_exp_scalar(s, problem.phi0_sq, Q, f0=f0, tol=tol,
+        return solve_exp_scalar(s, problem.phi0_sq, Q, f0=f0, tol=inner,
                                 log=log)
 
     try:
@@ -153,7 +160,7 @@ def solve_vortex(problem, f_init=None, *, tol, log=None):
 def solve_twisted_ke(surface, chi_tilde, F_xi, t=1.0, u_init=None, *, tol,
                      log=None):
     """Solve the conformal-potential equation 1 - lap u = e^{-2 t chi~ u - t F}
-    to a residual sup norm below tol.
+    to a residual sup norm below INNER_FACTOR tol.
 
     Requires chi~ < 0 and t >= 0 (for a nonnegative linearization); every
     iterate keeps 1 - lap u > 0 (the residual refuses the others). Each
@@ -175,5 +182,6 @@ def solve_twisted_ke(surface, chi_tilde, F_xi, t=1.0, u_init=None, *, tol,
                                 rtol),)
 
     u0 = np.zeros(surface.shape) if u_init is None else u_init
-    return newton(surface, residual, correct, (u0,), tol, _MAX_NEWTON, tol,
-                  log)[0][0]
+    inner = tol * INNER_FACTOR
+    return newton(surface, residual, correct, (u0,), inner, _MAX_NEWTON,
+                  inner, log)[0][0]

@@ -48,7 +48,7 @@ def test_start_outside_the_domain_is_named(torus32):
     assert np.min(1.0 - torus32.laplacian(u)) <= 0.0
     with pytest.raises(ConvergenceFailure, match="outside the domain") as exc:
         solve_twisted_ke(torus32, -1.0, np.zeros(torus32.shape), u_init=u,
-                         tol=1e-10)
+                         tol=1e-9)
     assert exc.value.history
 
 

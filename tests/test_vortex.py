@@ -25,8 +25,8 @@ def vortex_setup(torus64):
     F = 0.3 * np.cos(2 * np.pi * torus64.X) + 0.2 * np.sin(
         2 * np.pi * (torus64.X + torus64.Y))
     prob = make_vortex_problem(torus64, weight, tau=5.0, N=1, b=-0.5, F=F,
-                               tol=1e-10)
-    f = solve_vortex(prob, tol=1e-10)
+                               tol=1e-9)
+    f = solve_vortex(prob, tol=1e-9)
     return prob, f
 
 
@@ -75,7 +75,7 @@ def test_multistart_uniqueness(vortex_setup, torus64):
     rng = np.random.default_rng(9)
     g, _ = torus64.random_bandlimited(rng, kmax=3, amp=0.4)
     for start in (np.ones(torus64.shape), g, -0.7 * np.ones(torus64.shape)):
-        fi = solve_vortex(prob, f_init=start, tol=1e-10)
+        fi = solve_vortex(prob, f_init=start, tol=1e-9)
         assert np.max(np.abs(fi - f)) < 1e-8
 
 
@@ -97,14 +97,14 @@ def test_existence_refusal(torus64):
     weight = np.exp(flds.log_phi_sq)
     with pytest.raises(NoSolutionExpected):
         # tau = 2N boundary
-        make_vortex_problem(torus64, weight, tau=2.0, N=1, tol=1e-10)
+        make_vortex_problem(torus64, weight, tau=2.0, N=1, tol=1e-9)
 
 
 def test_constant_section_solution(torus64):
     # N=0 with constant section: the base solve is f0 = log(tau)/2, and
     # Phi0 = e^{2 f0} for the unit weight
     prob = make_vortex_problem(torus64, np.ones(torus64.shape), tau=5.0, N=0,
-                               tol=1e-10)
+                               tol=1e-9)
     f0 = 0.5 * np.log(prob.phi0_sq)
     assert np.max(np.abs(f0 - 0.5 * np.log(5.0))) < 1e-9
 
@@ -115,25 +115,25 @@ def test_mean_free_twist_required(torus64):
     weight = np.exp(flds.log_phi_sq)
     with pytest.raises(ConfigError):
         make_vortex_problem(torus64, weight, tau=5.0, N=1,
-                            F=np.ones(torus64.shape), tol=1e-10)
+                            F=np.ones(torus64.shape), tol=1e-9)
 
 
 def test_twisted_ke(torus64):
     chi_t = -0.5
     F = 0.4 * np.cos(2 * np.pi * torus64.Y)
-    u = solve_twisted_ke(torus64, chi_t, F, tol=1e-10)
+    u = solve_twisted_ke(torus64, chi_t, F, tol=1e-9)
     conf = np.exp(-2.0 * chi_t * u - F)
     assert np.max(np.abs(1.0 - torus64.laplacian(u) - conf)) < 1e-9
     assert np.min(1.0 - torus64.laplacian(u)) > 0.0
     assert abs(torus64.integrate(torus64.laplacian(u))) < 1e-9
     assert abs(torus64.integrate(conf) - VOL) < 1e-8
     # zero twist: the background is the solution
-    u0 = solve_twisted_ke(torus64, chi_t, np.zeros(torus64.shape), tol=1e-10)
+    u0 = solve_twisted_ke(torus64, chi_t, np.zeros(torus64.shape), tol=1e-9)
     assert np.max(np.abs(u0)) < 1e-12
     # path independence: warm start from the halfway parameter
-    u_half = solve_twisted_ke(torus64, chi_t, F, t=0.5, tol=1e-10)
+    u_half = solve_twisted_ke(torus64, chi_t, F, t=0.5, tol=1e-9)
     u_warm = solve_twisted_ke(torus64, chi_t, F, t=1.0, u_init=u_half,
-                              tol=1e-10)
+                              tol=1e-9)
     assert np.max(np.abs(u_warm - u)) < 1e-9
 
 
@@ -142,7 +142,7 @@ def test_untwisted_base_max_principle(torus64):
     dd = DivisorData(zeros=((P_ZERO, 1),))
     flds = build_divisor_fields(torus64, dd)
     prob = make_vortex_problem(torus64, np.exp(flds.log_phi_sq), tau=5.0, N=1,
-                               tol=1e-10)
+                               tol=1e-9)
     assert np.max(prob.phi0_sq) <= 5.0 + 1e-8
 
 
@@ -153,8 +153,8 @@ def test_sphere_vortex_with_twist(sphere31):
     weight = np.exp(flds.log_phi_sq)
     F = sphere31.eval_modes([(2, 1, 0.25, 0.0), (1, 0, 0.0, 0.2)])
     prob = make_vortex_problem(sphere31, weight, tau=5.0, N=1, b=-0.25, F=F,
-                               tol=1e-10)
-    f = solve_vortex(prob, tol=1e-10)
+                               tol=1e-9)
+    f = solve_vortex(prob, tol=1e-9)
     assert np.max(np.abs(vortex_residual(prob, f))) < 1e-9
     Phi = prob.phi0_sq * np.exp(2.0 * f)
     bound = 5.0 - 0.5 + np.max(np.abs(sphere31.laplacian(F)))
@@ -163,9 +163,9 @@ def test_sphere_vortex_with_twist(sphere31):
 
 def test_twisted_ke_requires_negative_constant(torus64):
     with pytest.raises(ConfigError):
-        solve_twisted_ke(torus64, 0.0, np.zeros(torus64.shape), tol=1e-10)
+        solve_twisted_ke(torus64, 0.0, np.zeros(torus64.shape), tol=1e-9)
     with pytest.raises(ConfigError):
-        solve_twisted_ke(torus64, 0.3, np.zeros(torus64.shape), tol=1e-10)
+        solve_twisted_ke(torus64, 0.3, np.zeros(torus64.shape), tol=1e-9)
 
 
 def test_vortex_walk_fallback(vortex_setup, monkeypatch):
@@ -182,7 +182,7 @@ def test_vortex_walk_fallback(vortex_setup, monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(vortex, "solve_exp_scalar", fail_first)
-    f = solve_vortex(prob, tol=1e-10)
+    f = solve_vortex(prob, tol=1e-9)
     assert len(calls) == 5  # the direct try, then t = 1/4, 1/2, 3/4, 1
     assert np.max(np.abs(vortex_residual(prob, f))) < 1e-10
     assert np.max(np.abs(f - f_direct)) < 1e-9
