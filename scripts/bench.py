@@ -19,12 +19,12 @@ Jacobian of the Newton step above, over the coefficient fields that its
 residual carries, one monotone-iteration step at L = 127: the spectral solve
 ``solve_shifted(C, rhs)`` of the first iteration on the first rung of
 ``scripts/configs/eb_sphere127.json``, with the shift C that the iteration
-takes at f_1, and the ``solve-vortex`` and ``solve-tke`` commands on
-``vortex_torus256.json`` and ``tke_torus256.json``, called in-process
-(``cli.main``, artifacts into a temporary directory). Each LABEL=SRC pair
-names a
-source tree (the directory holding the ``vortexlab`` package). Every side is
-measured in its own fresh process, and the sides take turns over ROUNDS
+takes at f_1, and the ``solve-vortex``, ``solve-tke`` and ``solve-eb``
+commands on ``vortex_torus256.json``, ``tke_torus256.json`` and
+``eb_sphere127.json``, called in-process (``cli.main``, artifacts into a
+temporary directory). Each LABEL=SRC pair names a source tree (the
+directory holding the ``vortexlab`` package). Every side is measured in
+its own fresh process, and the sides take turns over ROUNDS
 rounds so that a drift in CPU speed affects them alike. Each round takes
 REPEATS timed calls per micro-benchmark (SLOW_REPEATS for the slow ones)
 after one warm-up call. The medians and quartiles over all rounds go to FILE
@@ -57,7 +57,8 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 REPEATS = 20      # timed calls per micro-benchmark in each round
-SLOW_REPEATS = 3  # the same for the sphere build and the Newton step (~0.2 s)
+SLOW_REPEATS = 3  # the same for the slow ones: the sphere build, the Newton
+                  # step (~0.2 s) and the solve-vortex and solve-eb commands
 ROUNDS = 10       # alternating rounds per side
 CONFIGS = os.path.join(ROOT, "scripts", "configs")
 
@@ -217,6 +218,8 @@ def measure():
                                   SLOW_REPEATS),
         "torus256.solve_tke": (*command_case("solve-tke", "tke_torus256.json"),
                                REPEATS),
+        "sphere127.solve_eb": (*command_case("solve-eb", "eb_sphere127.json"),
+                               SLOW_REPEATS),
         "torus256.low_mode_block": (*low_mode_block_case(*step_args), REPEATS),
     }
     out = {}

@@ -237,6 +237,12 @@ def test_monotone_rejects_bad_constant(eb31):
         monotone_iterate(eb31, w_bad, 5.0, 0.5, tol=1e-10, max_iter=50)
 
 
+def test_max_iter_guard_raises_convergence_failure(eb31):
+    w, _, _, lam = build_supersolution(eb31)
+    with pytest.raises(ConvergenceFailure, match="exceeded 0 iterations"):
+        monotone_iterate(eb31, w, lam, 0.2, tol=1e-10, max_iter=0)
+
+
 def test_f1_monotone_in_delta(eb31):
     f1a = 0.5 * (np.log(eb31.tau) - eb31.rung(0.5).u0)
     f1b = 0.5 * (np.log(eb31.tau) - eb31.rung(0.25).u0)
@@ -271,6 +277,19 @@ def test_delta_ladder_and_assembly(eb31):
     # ladder start ordering: f_1 decreases pointwise as delta decreases
     res = assembled_residual(eb31, f, 0.2, report["lam"])
     assert res["sup_masked"] < 1e-3  # spectral floor of the small test grid
+
+
+def test_last_rung_independent_of_the_earlier_ones(eb31):
+    # the last rung starts from its own f_1 and runs to tol, so its f is
+    # the single-rung solve; the earlier rungs stop at a looser change
+    deltas = [0.4, 0.3, 0.2]
+    f, _, _, w, report = delta_ladder_and_assemble(eb31, deltas, tol=1e-10)
+    lam = report["lam"]
+    alone, info = monotone_iterate(eb31, w, lam, 0.2, tol=1e-10)
+    assert np.array_equal(f, alone)
+    assert report["iterations"][-1] == info["iterations"]
+    for d, its in zip(deltas[:-1], report["iterations"]):
+        assert its < monotone_iterate(eb31, w, lam, d, tol=1e-10)[1]["iterations"]
 
 
 def test_assembled_residual_with_a_cone_point(sphere31):
