@@ -35,8 +35,9 @@ iterations and 2-D FFTs of the Newton step, the CG iterations of the CG
 solve and of each command, the monotone iterations of the δ ladder of
 ``eb_sphere127.json``, and the Newton steps and the GMRES and CG iterations
 of one ``solve_path`` on ``gv_torus256.json`` (the decoupled state and
-its 16 alpha steps). CG iterations are counted as calls of the torus
-``precondition``, which CG makes once an iteration and nothing else calls.
+its 16 alpha steps). CG iterations are read from the work counts of the
+surface (``Torus.counts``): their change over the call, and for a command
+the ``profile.counts`` of the metadata.json that it writes.
 
 Example, comparing a copy of another commit with this one:
     python scripts/bench.py --out BENCH_12.json before=../parent/src after=src
@@ -137,7 +138,8 @@ def monotone_step_case(sphere, cfg):
 def command_case(name, cfg):
     """(a call of the CLI command name on the shipped config cfg, no
     arguments): each call writes its artifact into a new temporary
-    directory, removed after it."""
+    directory, removed after it, and returns the work counts that its
+    metadata.json records."""
     import shutil
     import tempfile
 
@@ -145,13 +147,16 @@ def command_case(name, cfg):
 
     def run():
         out = tempfile.mkdtemp()
+        art = os.path.join(out, "art")
         try:
             code = main([name, "--config", os.path.join(CONFIGS, cfg),
-                         "--out", os.path.join(out, "art"), "--quiet"])
+                         "--out", art, "--quiet"])
+            if code == 0:
+                with open(os.path.join(art, "metadata.json")) as fh:
+                    return json.load(fh)["profile"]["counts"]
         finally:
             shutil.rmtree(out)
-        if code != 0:
-            raise RuntimeError(f"{name} on {cfg} exited {code}")
+        raise RuntimeError(f"{name} on {cfg} exited {code}")
 
     return run, ()
 
@@ -165,12 +170,12 @@ def continuation_work(torus, cfg):
 
     problem = make_problem(torus, build_divisor(cfg), tau=float(cfg["tau"]),
                            eps=float(cfg["epsilon"]))
-    (_, _, log), cg = count_cg(
-        functools.partial(solve_path, tol=ACCEPT_TOL),
+    (_, _, log), work = count_work(
+        torus, functools.partial(solve_path, tol=ACCEPT_TOL),
         (problem, problem.params.alpha_star, cfg["alpha"]["steps"]))
     return {"newton_steps": len(log),
             "gmres_iterations": sum(e["krylov"] for e in log),
-            "cg_iterations": cg}
+            "cg_iterations": work["cg_iterations"]}
 
 
 def ladder_iterations(sphere, cfg):
@@ -240,35 +245,22 @@ def measure():
               "torus256.gv_newton_step.transforms": transforms,
               "sphere127.eb_ladder.monotone_iterations":
                   ladder_iterations(sphere, eb_cfg)}
-    for name in ("torus256.helmholtz_cg", "torus256.solve_vortex",
-                 "torus256.solve_tke"):
+    counts["torus256.helmholtz_cg.cg_iterations"] = count_work(
+        torus, cg, cg_args)[1]["cg_iterations"]
+    for name in ("torus256.solve_vortex", "torus256.solve_tke"):
         fn, args, _ = cases[name]
-        counts[name + ".cg_iterations"] = count_cg(fn, args)[1]
+        counts[name + ".cg_iterations"] = fn(*args)["cg_iterations"]
     work = continuation_work(torus, load_config("gv_torus256.json"))
     counts.update({"torus256.gv_continuation." + key: value
                    for key, value in work.items()})
     return {"seconds": out, "counts": counts}
 
 
-def count_cg(fn, args):
-    """fn(*args) and the CG iterations that it made: the calls of the torus
-    ``precondition``, one per CG iteration."""
-    from vortexlab.surface import Torus
-
-    count = 0
-    precondition = Torus.precondition
-
-    def counted(self, *rest, **kwargs):
-        nonlocal count
-        count += 1
-        return precondition(self, *rest, **kwargs)
-
-    Torus.precondition = counted
-    try:
-        result = fn(*args)
-    finally:
-        Torus.precondition = precondition
-    return result, count
+def count_work(surface, fn, args):
+    """fn(*args) and the work counts that it added to ``surface.counts``."""
+    before = surface.counts.copy()
+    result = fn(*args)
+    return result, surface.counts - before
 
 
 def count_transforms(fn, args):

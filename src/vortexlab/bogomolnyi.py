@@ -47,6 +47,8 @@ __all__ = [
     "monotone_iterate",
     "eb_residual",
     "delta_ladder_and_assemble",
+    "assembled_residual",
+    "CHANGE_TOL",
 ]
 
 # the default change tolerance of the monotone chain: the last delta rung

@@ -85,6 +85,8 @@ _KINDS = {
              and all(map(_is_integer, v[:2])),
              "a list of 4 numbers whose first two are integers"),
     "null": (lambda v: v is None, "null"),
+    "string": (lambda v: isinstance(v, str), "a string"),
+    "table": (lambda v: isinstance(v, dict), "an object"),
     "alpha_star": (lambda v: v == "alpha_star", '"alpha_star"'),
     "any": (lambda v: True, "anything"),
 }
@@ -602,7 +604,7 @@ def _write_metadata(outdir, command, cfg, seed, t0, files, extra, quiet):
         print(f"[vortexlab] artifact written to {outdir}")
 
 
-def run_verify(outdir, quiet=False):
+def run_verify(outdir, quiet):
     art = _Stored(outdir)
     for rel, digest in art.meta.get("files", {}).items():
         path = os.path.join(outdir, rel)
@@ -612,11 +614,16 @@ def run_verify(outdir, quiet=False):
             raise ConvergenceFailure(f"artifact file {rel} hash mismatch")
     command = art.meta["command"]
     cfg = validate_config(art.read_json("config.json"), command)
+    stored = art.read_json("certificate.json")
+    # the keys _compare_certificates reads, checked as a config's are
+    for key, kind in (("checks", [_STORED_CHECK]), ("constants", "table")):
+        _check(f"certificate.json:{key}",
+               stored.get(key) if isinstance(stored, dict) else None, kind)
     surface, divisor = build_setup(cfg)
     cert = _COMMANDS[command].recertify(cfg, surface, divisor,
                                         _residual_tol(cfg, command), art)
     fresh = cert.to_dict()
-    mism = _compare_certificates(art.read_json("certificate.json"), fresh)
+    mism = _compare_certificates(stored, fresh)
     if mism:
         raise ConvergenceFailure(
             "re-certification differs from the stored certificate: "
@@ -629,13 +636,18 @@ def run_verify(outdir, quiet=False):
     return 0
 
 
+# a check of a stored certificate.json, as Check.to_dict writes it
+_STORED_CHECK = {"name": "string!", "lhs": "any!", "rhs": "any!",
+                 "passed": "any!", "slack": "any", "note": "any"}
+
+
 def _compare_certificates(stored, fresh):
     """Where a stored certificate departs from the fresh one: its check
     sets and each check's lhs, rhs and passed, and its constants, key by
     key."""
     mism = []
-    a = {c["name"]: c for c in stored.get("checks", [])}
-    b = {c["name"]: c for c in fresh.get("checks", [])}
+    a = {c["name"]: c for c in stored["checks"]}
+    b = {c["name"]: c for c in fresh["checks"]}
     if set(a) != set(b):
         mism.append(f"check sets differ: {sorted(set(a) ^ set(b))}")
         return mism
@@ -643,14 +655,14 @@ def _compare_certificates(stored, fresh):
         for key in ("lhs", "rhs", "passed"):
             if a[name][key] != b[name][key]:
                 mism.append(f"{name}.{key}: {a[name][key]} != {b[name][key]}")
-    a, b = stored.get("constants", {}), fresh["constants"]
+    a, b = stored["constants"], fresh["constants"]
     for key in sorted(set(a) | set(b)):
         if a.get(key) != b.get(key):
             mism.append(f"constants.{key}: {a.get(key)} != {b.get(key)}")
     return mism
 
 
-def run_export(field_path, out_path, quiet=False):
+def run_export(field_path, out_path, quiet):
     values, header = read_field(field_path)
     if out_path is None:
         out_path = os.path.splitext(field_path)[0] + ".pgm"

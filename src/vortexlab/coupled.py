@@ -278,7 +278,7 @@ def continue_alpha(problem, state0, alpha_target, n_steps=16, *, tol):
         del st
 
 
-def solve_path(problem, alpha_target, n_steps=16, *, tol, start=None):
+def solve_path(problem, alpha_target, n_steps, *, tol, start=None):
     """(state at alpha_target, path, steps): ``path`` has one record per
     state solved, ``steps`` their Newton records.  From ``start`` = (f~, u)
     it tries one ``solve_at_alpha`` at the target first; without a start,

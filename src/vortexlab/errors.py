@@ -28,7 +28,7 @@ class PathStalled(ConvergenceFailure):
     """Continuation could not proceed past ``last_good_alpha`` after maximal
     step refinement."""
 
-    def __init__(self, message, last_good_alpha, history=None):
+    def __init__(self, message, last_good_alpha, history):
         super().__init__(message, history)
         self.last_good_alpha = last_good_alpha
 
@@ -37,6 +37,6 @@ class AssumptionNotSatisfied(VortexlabError):
     """A per-singularity inequality of the admissibility checker fails
     (exit code 4).  Carries the report for the refusal message."""
 
-    def __init__(self, message, report=None):
+    def __init__(self, message, report):
         super().__init__(message)
         self.report = report

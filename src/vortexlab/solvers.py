@@ -43,9 +43,9 @@ import numpy as np
 
 from .errors import ConvergenceFailure, PathStalled
 
-__all__ = ["solve_helmholtz", "solve_block_newton_step", "merit", "sup_norm",
-           "forcing", "damped_step", "newton", "walk", "block_symbol",
-           "low_mode_block"]
+__all__ = ["ACCEPT_TOL", "INNER_FACTOR", "solve_helmholtz",
+           "solve_block_newton_step", "merit", "sup_norm", "forcing",
+           "damped_step", "newton", "walk", "block_symbol", "low_mode_block"]
 
 # The default tolerances of the solves, one home each. The CLI reads
 # ``tolerances.residual`` once per command and passes it down; no solve has

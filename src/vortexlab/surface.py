@@ -249,7 +249,7 @@ class Torus:
         return max(abs(x - round(x)), abs(y - round(y))) > 1e-6
 
     # -- band-limited test fields ----------------------------------------
-    def random_bandlimited(self, rng, kmax=6, nmodes=8, amp=1.0):
+    def random_bandlimited(self, rng, kmax, nmodes=8, amp=1.0):
         """Random real trigonometric polynomial; returns (values, modes).
 
         modes is a list of (kx, ky, a, b) meaning a*cos(2pi k.x) + b*sin(2pi k.x).
@@ -455,7 +455,7 @@ class Sphere:
         return float(np.min(self.distance_field(p))) > 1e-9
 
     # -- band-limited test fields ------------------------------------------
-    def random_bandlimited(self, rng, kmax=6, nmodes=8, amp=1.0):
+    def random_bandlimited(self, rng, kmax, nmodes=8, amp=1.0):
         """Random combination of low-degree real harmonics; returns (values, modes).
 
         modes is a list of (l, m, a, b) meaning a*Re(Ylm) + b*Im(Ylm) terms

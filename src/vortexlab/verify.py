@@ -27,15 +27,16 @@ __all__ = [
     "Check",
     "Certificate",
     "holder_quotient",
-    "certify_phi_bound",
-    "certify_vortex_phi_bound",
-    "certify_integral_estimates",
     "certify_logy_bounds",
     "kernel_identity",
     "certify_state",
+    "certify_vortex",
+    "certify_tke",
 ]
 
 SLACK_TOL = -1e-6
+HOLDER_GAMMA = 0.25  # the exponent of the sampled Hoelder quotient
+HOLDER_PAIRS = 1000  # the grid-point pairs it samples
 
 
 @dataclass
@@ -81,13 +82,13 @@ class Certificate:
         }
 
 
-def holder_quotient(surface, values, gamma=0.25, npairs=1000, rng=None):
-    """Discrete Hoelder-gamma quotient on a seeded random pair sample."""
-    rng = np.random.default_rng(0) if rng is None else rng
+def holder_quotient(surface, values, rng):
+    """Discrete Hoelder quotient, exponent HOLDER_GAMMA, on HOLDER_PAIRS
+    random pairs drawn from rng."""
     flat = values.ravel()
     n = flat.size
-    i = rng.integers(0, n, size=npairs)
-    j = rng.integers(0, n, size=npairs)
+    i = rng.integers(0, n, size=HOLDER_PAIRS)
+    j = rng.integers(0, n, size=HOLDER_PAIRS)
     keep = i != j
     i, j = i[keep], j[keep]
     if surface.backend == "torus":
@@ -103,7 +104,8 @@ def holder_quotient(surface, values, gamma=0.25, npairs=1000, rng=None):
         cosang = np.clip(np.sum(pts[i] * pts[j], axis=1), -1.0, 1.0)
         d = surface.r * np.arccos(cosang)
     ok = d > 0
-    return float(np.max(np.abs(flat[i[ok]] - flat[j[ok]]) / d[ok] ** gamma))
+    return float(np.max(np.abs(flat[i[ok]] - flat[j[ok]])
+                        / d[ok] ** HOLDER_GAMMA))
 
 
 def _green_stats(surface, p_star):
@@ -117,64 +119,16 @@ def _green_stats(surface, p_star):
     return float(np.min(g)), surface.integrate(np.abs(g) ** p_star) ** (1.0 / p_star)
 
 
-def certify_phi_bound(state, tau, cert=None):
-    """max Phi <= tau for coupled states (nonpositive bundle twist)."""
-    cert = Certificate() if cert is None else cert
-    cert.add("phi_upper_bound", float(np.max(state.Phi)), tau, tol=-1e-8)
-    return cert
-
-
-def certify_vortex_phi_bound(surface, phi_field, tau, b, F, cert=None):
-    """max Phi <= tau + 2b + ||lap F||_inf for a twisted vortex solution."""
-    cert = Certificate() if cert is None else cert
-    bound = tau + 2.0 * b
-    if F is not None:
-        bound += float(np.max(np.abs(surface.laplacian(F))))
-    cert.add("vortex_phi_bound", float(np.max(phi_field)), bound, tol=-1e-8)
-    return cert
-
-
-def _forms(problem):
-    """The twisting forms (F_xi, F_eta) of a GVProblem at its eps."""
-    return problem.fields.F_xi(problem.eps), problem.fields.F_eta(problem.eps)
-
-
-def certify_integral_estimates(problem, state, cert=None, forms=None):
-    """The two Jensen-derived integral inequalities; ``forms`` are the
-    problem's (F_xi, F_eta) if the caller has them."""
-    cert = Certificate() if cert is None else cert
-    s = problem.surface
-    a, tau, ct = state.alpha, problem.tau, state.c_tilde
-    int_f = s.integrate(state.f_tilde)
-    int_u = s.integrate(state.u)
-    F_xi, F_eta = _forms(problem) if forms is None else forms
-    int_Fxi = s.integrate(F_xi)
-    int_Feta = s.integrate(F_eta)
-    lhs1 = 4.0 * a * tau * int_f - 2.0 * ct * int_u
-    rhs1 = 4.0 * np.pi * a * tau + int_Fxi
-    cert.add("integral_estimate_1", lhs1, rhs1)
-    int_logphi = s.integrate(problem.fields.log_phi_sq)
-    Ntil = problem.params.N_tilde
-    lhs2 = (2.0 + 4.0 * a * tau) * int_f - 2.0 * ct * int_u
-    rhs2 = (4.0 * np.pi * a * tau + VOL * np.log(tau - 2.0 * Ntil)
-            - int_logphi + int_Fxi + int_Feta)
-    cert.add("integral_estimate_2", lhs2, rhs2)
-    cert.constants["int_F_xi"] = int_Fxi
-    cert.constants["int_F_eta"] = int_Feta
-    cert.constants["int_log_phi_sq"] = int_logphi
-    cert.constants["rhs_integral_estimate_2"] = rhs2
-    return cert
-
-
-def certify_logy_bounds(problem, state, cert, seed=0, forms=None, *, tol):
-    """C0 bounds of log y = 4 a tau f~ - 2 c~ u with computed constants.
+def certify_logy_bounds(problem, state, cert, seed, F_xi, F_eta, *, tol):
+    """The two Jensen-derived integral estimates, then the C0 bounds of
+    log y = 4 a tau f~ - 2 c~ u with computed constants, added to cert;
+    (F_xi, F_eta) are the problem's twisting forms at its eps.
 
     C1 comes from the shifted-nonnegative kernel (shift = -min G) and the
     first integral estimate; the lower bound combines the integrated second
     equation with the oscillation bound through the sampled Hoelder constant
-    C2 (empirical-constant check).  ``cert`` must hold the constants of
-    ``certify_integral_estimates``; ``forms`` are the problem's
-    (F_xi, F_eta) if the caller has them.
+    C2 (empirical-constant check).  C6 takes the right side of the second
+    integral estimate.
 
     The integrated second equation is forced by the residual test: the
     Laplacian has no mean, so int W e^{...} - 2 pi = int S2, and a state
@@ -183,13 +137,25 @@ def certify_logy_bounds(problem, state, cert, seed=0, forms=None, *, tol):
     """
     s = problem.surface
     a, tau, ct = state.alpha, problem.tau, state.c_tilde
+    Ntil = problem.params.N_tilde
+    int_f = s.integrate(state.f_tilde)
+    int_u = s.integrate(state.u)
+    int_Fxi = s.integrate(F_xi)
+    int_Feta = s.integrate(F_eta)
+    lhs1 = 4.0 * a * tau * int_f - 2.0 * ct * int_u
+    rhs1 = 4.0 * np.pi * a * tau + int_Fxi
+    cert.add("integral_estimate_1", lhs1, rhs1)
+    int_logphi = s.integrate(problem.fields.log_phi_sq)
+    lhs2 = (2.0 + 4.0 * a * tau) * int_f - 2.0 * ct * int_u
+    rhs2 = (4.0 * np.pi * a * tau + VOL * np.log(tau - 2.0 * Ntil)
+            - int_logphi + int_Fxi + int_Feta)
+    cert.add("integral_estimate_2", lhs2, rhs2)
+
     chi_t = problem.params.chi_tilde
     p = problem.fields.divisor.lp_exponent
     p_star = p / (p - 1.0)
     gmin, gnorm = _green_stats(s, p_star)
     logy = 4.0 * a * tau * state.f_tilde - 2.0 * ct * state.u
-    F_xi, F_eta = _forms(problem) if forms is None else forms
-    int_Fxi = cert.constants["int_F_xi"]
     C1 = 2.0 * a * tau + int_Fxi / VOL - 2.0 * chi_t * (-gmin) * VOL
     cert.add("logy_upper_C1", float(np.max(logy)), C1)
     int_exp_mFxi = s.integrate(problem.W)
@@ -197,8 +163,8 @@ def certify_logy_bounds(problem, state, cert, seed=0, forms=None, *, tol):
     cert.add("logy_max_lower", lower, float(np.max(logy)),
              note="max log y >= -log((1/2pi) int e^{-F_xi})")
     rng = np.random.default_rng(seed)
-    fbar = s.integrate(state.f_tilde) / VOL
-    ubar = s.integrate(state.u) / VOL
+    fbar = int_f / VOL
+    ubar = int_u / VOL
     C2 = max(
         float(np.max(np.abs(state.f_tilde - fbar)))
         + holder_quotient(s, state.f_tilde - fbar, rng=rng),
@@ -212,14 +178,12 @@ def certify_logy_bounds(problem, state, cert, seed=0, forms=None, *, tol):
     cert.add("logy_lower_C3", -C3, float(np.min(logy)),
              note="empirical-constant")
     # integrated second equation (forced by the residual being accepted)
-    Phi = state.Phi
     mass = s.integrate(problem.W * np.exp(
-        4.0 * a * tau * state.f_tilde - 2.0 * a * Phi - 2.0 * ct * state.u))
+        4.0 * a * tau * state.f_tilde - 2.0 * a * state.Phi
+        - 2.0 * ct * state.u))
     cert.add("second_equation_mass", abs(mass - VOL), 10.0 * tol, tol=0.0,
              note="int W e^{...} = 2 pi")
     # C6 / C7 chain for f~ and u
-    Ntil = problem.params.N_tilde
-    rhs2 = cert.constants["rhs_integral_estimate_2"]
     exp_p = s.integrate(problem.W ** p) ** (1.0 / p)
     C6 = (rhs2 + VOL * C3) / (2.0 * VOL) + 0.5 * tau * np.exp(C1) * gnorm * exp_p
     cert.add("f_upper_C6", float(np.max(state.f_tilde)), C6)
@@ -233,30 +197,31 @@ def certify_logy_bounds(problem, state, cert, seed=0, forms=None, *, tol):
              (C1 + 4.0 * a * tau * (2.0 * C2 + C7)) / (-2.0 * ct))
     cert.add("u_lower", -(C3 + 4.0 * a * tau * C6) / (-2.0 * ct),
              float(np.min(state.u)))
-    cert.constants.update({"C1": C1, "C2": C2, "C3": C3, "C6": C6, "C7": C7,
+    cert.constants.update({"int_F_xi": int_Fxi, "int_F_eta": int_Feta,
+                           "int_log_phi_sq": int_logphi,
+                           "rhs_integral_estimate_2": rhs2,
+                           "C1": C1, "C2": C2, "C3": C3, "C6": C6, "C7": C7,
                            "green_min": gmin, "green_Lpstar": gnorm,
                            "lp_exponent": p})
-    return cert
 
 
-def kernel_identity(problem, state, seed=0, cert=None, forms=None):
-    """Energy identity of the linearized operator at a solution (torus only).
+def kernel_identity(problem, state, cert, seed, F_xi, F_eta):
+    """Energy identity of the linearized operator at a solution (torus
+    only), added to cert; (F_xi, F_eta) are the problem's twisting forms.
 
     Both sides are computed independently: the left side pairs random
     directions against the metric-level linearizations; the right side
     assembles the four geometric square terms (connection term, Higgs term,
     holomorphic Hessian, twist term) from spectral derivatives.  Returns the
     relative gap; on the sphere the check is reported as skipped.
-    ``forms`` are the problem's (F_xi, F_eta) if the caller has them.
     """
-    cert = Certificate() if cert is None else cert
     s = problem.surface
     if s.backend != "torus":
-        c = Check(name="kernel_identity", lhs=0.0, rhs=0.0, passed=True,
-                  note="skipped: identity requires the global complex "
-                       "coordinate of the torus backend")
-        cert.checks.append(c)
-        return cert
+        cert.checks.append(Check(
+            name="kernel_identity", lhs=0.0, rhs=0.0, passed=True,
+            note="skipped: identity requires the global complex "
+                 "coordinate of the torus backend"))
+        return
     rng = np.random.default_rng(seed)
     df, _ = s.random_bandlimited(rng, kmax=5, nmodes=6, amp=0.3)
     dv, _ = s.random_bandlimited(rng, kmax=5, nmodes=6, amp=0.3)
@@ -285,7 +250,6 @@ def kernel_identity(problem, state, seed=0, cert=None, forms=None):
     vzz = s.dz2(dv) - s.dz(np.log(rho)) * dzv
     T3 = (8.0 / VOL) * float(np.mean(np.abs(vzz) ** 2 / rho))
     divisor = problem.fields.divisor
-    F_xi, F_eta = _forms(problem) if forms is None else forms
     xi0 = divisor.sum_one_minus_beta - 0.5 * s.laplacian(F_xi)
     eta0 = -divisor.sum_alpha - 0.5 * s.laplacian(F_eta)
     T4 = 4.0 * float(np.mean((xi0 - 2.0 * a * Phi * eta0)
@@ -296,25 +260,26 @@ def kernel_identity(problem, state, seed=0, cert=None, forms=None):
              note=f"lhs={lhs:.6e} T1={T1:.3e} T2={T2:.3e} "
                   f"T3={T3:.3e} T4={T4:.3e}")
     cert.constants["kernel_identity_gap"] = gap
-    return cert
 
 
-def certify_state(problem, state, seed=0, *, tol):
+def certify_state(problem, state, seed, *, tol):
     """Full certificate for a coupled state accepted at the residual
-    tolerance tol."""
+    tolerance tol: max Phi <= tau (nonpositive bundle twist), then the
+    stages ``certify_logy_bounds`` and ``kernel_identity``."""
     cert = Certificate(seed=seed)
-    forms = _forms(problem)
-    certify_phi_bound(state, problem.tau, cert)
-    certify_integral_estimates(problem, state, cert, forms)
-    certify_logy_bounds(problem, state, cert, seed=seed, forms=forms, tol=tol)
-    kernel_identity(problem, state, seed=seed, cert=cert, forms=forms)
+    F_xi = problem.fields.F_xi(problem.eps)
+    F_eta = problem.fields.F_eta(problem.eps)
+    cert.add("phi_upper_bound", float(np.max(state.Phi)), problem.tau,
+             tol=-1e-8)
+    certify_logy_bounds(problem, state, cert, seed, F_xi, F_eta, tol=tol)
+    kernel_identity(problem, state, cert, seed, F_xi, F_eta)
     cert.constants["residual_norm"] = state.res_norm
     cert.constants["alpha"] = state.alpha
     cert.constants["c_tilde"] = state.c_tilde
     return cert
 
 
-def certify_vortex(surface, problem, f, seed=0, multistart=3, *, tol):
+def certify_vortex(surface, problem, f, seed, multistart, *, tol):
     """Certificate for a twisted-vortex solution accepted at the residual
     tolerance tol: residual, maximum-principle bound, mass identity, mean
     bound, linearization check, and multi-start uniqueness.
@@ -342,11 +307,14 @@ def certify_vortex(surface, problem, f, seed=0, multistart=3, *, tol):
     cert = Certificate(seed=seed)
     res = vortex_residual(problem, f)
     cert.add("vortex_residual", float(np.max(np.abs(res))), tol, tol=0.0)
+    # max Phi <= tau + 2b + ||lap F||_inf
     Phi = problem.phi0_sq * np.exp(2.0 * f)
-    certify_vortex_phi_bound(surface, Phi, problem.tau, problem.b, problem.F,
-                             cert)
+    bound = problem.tau + 2.0 * problem.b
+    if problem.F is not None:
+        bound += float(np.max(np.abs(surface.laplacian(problem.F))))
+    cert.add("vortex_phi_bound", float(np.max(Phi)), bound, tol=-1e-8)
     m0 = surface.integrate(problem.phi0_sq)
-    m1 = surface.integrate(problem.phi0_sq * np.exp(2.0 * f))
+    m1 = surface.integrate(Phi)
     cert.add("vortex_mass_identity", abs(m1 - m0) / max(m0, 1e-300),
              10.0 * tol, tol=0.0, note="int Phi0 e^{2f} = int Phi0, relative")
     cert.add("vortex_max_f_nonneg", 0.0, float(np.max(f)), tol=-1e-10)
@@ -380,7 +348,7 @@ def certify_vortex(surface, problem, f, seed=0, multistart=3, *, tol):
     return cert
 
 
-def certify_tke(surface, chi_tilde, F_xi, u, t=1.0, *, tol):
+def certify_tke(surface, chi_tilde, F_xi, u, t, *, tol):
     """Certificate for a twisted Kaehler-Einstein potential accepted at the
     residual tolerance tol.
 

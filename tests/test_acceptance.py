@@ -27,12 +27,7 @@ from vortexlab.greens import (green_field, sphere_green_eval,
                               torus_green_theta_eval)
 from vortexlab.singular import conical_fit, parabolic_fit, run_ladder
 from vortexlab.surface import VOL, build_surface, mask_away_from_points
-from vortexlab.verify import (
-    Certificate,
-    certify_integral_estimates,
-    certify_logy_bounds,
-    kernel_identity,
-)
+from vortexlab.verify import certify_state
 from vortexlab.vortex import make_vortex_problem, solve_vortex, vortex_residual
 
 from conftest import P_CONE, P_PARA, P_ZERO, S_PARA, S_ZERO1, S_ZERO2
@@ -119,9 +114,7 @@ def test_criterion_3_alpha_continuation(acc3):
         for st in states:
             assert st.res_norm < 1e-9
             assert float(np.max(st.Phi)) <= problem.tau + 1e-8
-            cert = Certificate()
-            certify_integral_estimates(problem, st, cert)
-            certify_logy_bounds(problem, st, cert, seed=1, tol=1e-9)
+            cert = certify_state(problem, st, seed=1, tol=1e-9)
             bad = [c.name for c in cert.checks if not c.passed]
             assert not bad, f"alpha={st.alpha}: {bad}"
         assert solve_time < 300
@@ -138,7 +131,7 @@ def test_criterion_4_linearization(acc3, torus256):
             u, _ = torus256.random_bandlimited(rng, kmax=5, amp=0.05)
             worst = max(worst, fd_jacobian_gap(problem, 0.04, f, u, seed=seed))
         assert worst < 1e-6
-        cert = kernel_identity(problem, final, seed=5)
+        cert = certify_state(problem, final, seed=5, tol=1e-9)
         assert cert.constants["kernel_identity_gap"] < 1e-5
 
 

@@ -692,6 +692,42 @@ def test_file_errors_exit_with_a_named_message(tmp_path, tke_artifact, capsys,
     assert name in err and "Traceback" not in err
 
 
+def _malformed_certificate(stored, case):
+    """A copy of a stored certificate.json made malformed in one way."""
+    cert = copy.deepcopy(stored)
+    if case == "not-a-table":
+        return []
+    if case == "checks-not-a-list":
+        return {"checks": 5}
+    if case == "check-without-lhs":
+        del cert["checks"][0]["lhs"]
+    elif case == "check-not-a-table":
+        cert["checks"][0] = "tke_residual"
+    elif case == "constants-not-a-table":
+        cert["constants"] = ["residual_norm"]
+    return cert
+
+
+@pytest.mark.parametrize("case, key", [
+    ("not-a-table", "certificate.json:checks"),
+    ("checks-not-a-list", "certificate.json:checks"),
+    ("check-without-lhs", "certificate.json:checks"),
+    ("check-not-a-table", "certificate.json:checks"),
+    ("constants-not-a-table", "certificate.json:constants")])
+def test_malformed_stored_certificate_exits_2(tmp_path, tke_artifact, capsys,
+                                              case, key):
+    # a stored certificate.json edited and its hash stamped again, whose
+    # shape is not that of a certificate: exit 2 naming the key, no traceback
+    art = str(tmp_path / "art")
+    shutil.copytree(tke_artifact, art)
+    stored = json.load(open(os.path.join(art, "certificate.json")))
+    _restamp(art, "certificate.json", _malformed_certificate(stored, case))
+    capsys.readouterr()
+    assert main(["verify", "--out", art, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+
+
 @settings(deadline=None, max_examples=100)
 @given(st.one_of(st.binary(max_size=64),
                  st.text(max_size=64).map(str.encode)))

@@ -76,10 +76,10 @@ def _defaulted_parameters(path):
             yield f"{path.name}:{node.lineno}", name, params, defaulted
 
 
-def _passed_arguments(paths):
-    """Per called name: the keywords passed and the most positional
-    arguments passed by any call (a ``*args`` call passes them all)."""
-    keywords, positional = {}, {}
+def _calls(paths):
+    """Per called name: (positional arguments, keywords) of each call (a
+    ``*args`` call passes every positional argument)."""
+    calls = {}
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if not isinstance(node, ast.Call):
@@ -89,28 +89,43 @@ def _passed_arguments(paths):
                     func.attr if isinstance(func, ast.Attribute) else None)
             if name is None:
                 continue
-            keywords.setdefault(name, set()).update(
-                k.arg for k in node.keywords if k.arg is not None)
             n = (float("inf") if any(isinstance(a, ast.Starred)
                                      for a in node.args) else len(node.args))
-            positional[name] = max(positional.get(name, 0), n)
-    return keywords, positional
+            calls.setdefault(name, []).append(
+                (n, {k.arg for k in node.keywords if k.arg is not None}))
+    return calls
+
+
+def _passes(call, p, params):
+    n, keywords = call
+    return p in keywords or p in params and params.index(p) < n
+
+
+def _defaults_by_calls(passed):
+    """``where: name(parameter)`` of every defaulted parameter of a src/
+    function for which ``passed(calls that pass it, calls)`` holds, over
+    the calls in src/, tests/ and scripts/, matched by name."""
+    calls = _calls([p for d in ("src", "tests", "scripts")
+                    for p in sorted((ROOT / d).rglob("*.py"))])
+    return [f"{where}: {name}({p})"
+            for path in sorted(SRC.glob("*.py"))
+            for where, name, params, defaulted in _defaulted_parameters(path)
+            for p in defaulted
+            if passed(sum(_passes(c, p, params) for c in calls.get(name, ())),
+                      len(calls.get(name, ())))]
 
 
 def test_every_default_is_passed_by_some_call():
     """A parameter with a default that no call in src/, tests/ or scripts/
     passes is a knob nobody turns: its value belongs in a constant."""
-    callers = [p for d in ("src", "tests", "scripts")
-               for p in sorted((ROOT / d).rglob("*.py"))]
-    keywords, positional = _passed_arguments(callers)
-    dead = [f"{where}: {name}({p})"
-            for path in sorted(SRC.glob("*.py"))
-            for where, name, params, defaulted in _defaulted_parameters(path)
-            for p in defaulted
-            if p not in keywords.get(name, ())
-            and not (p in params
-                     and params.index(p) < positional.get(name, 0))]
-    assert dead == []
+    assert _defaults_by_calls(lambda passing, total: passing == 0) == []
+
+
+def test_no_default_is_overridden_by_every_call():
+    """A parameter with a default that every call passes is a value no
+    caller takes: the parameter is required."""
+    assert _defaults_by_calls(
+        lambda passing, total: passing == total > 0) == []
 
 
 def test_every_function_is_reached_from_src_or_scripts():
@@ -183,4 +198,49 @@ def test_no_module_imports_scipy():
     tests/ only, so no module imports it, inside a function or not."""
     found = [hit for path in sorted(SRC.glob("*.py"))
              for hit in _scipy_imports(path)]
+    assert found == []
+
+
+def _declared_all(path):
+    """The names of a module's ``__all__``, or None if it declares none."""
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            return set(ast.literal_eval(node.value))
+    return None
+
+
+def _package_imports(path):
+    """(module file, name, where) of each name that ``path`` imports from a
+    vortexlab module, relatively or by its full name."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        parts = (node.module or "").split(".")
+        if node.level == 0:
+            if parts[0] != "vortexlab":
+                continue
+            parts = parts[1:]
+        elif node.level != 1 or path.parent != SRC:
+            continue
+        target = SRC / ("/".join(p for p in parts if p) or "__init__")
+        for alias in node.names:
+            if not (SRC / (alias.name + ".py")).exists():  # not a module
+                yield (target.with_suffix(".py"), alias.name,
+                       f"{path.relative_to(ROOT)}:{node.lineno}")
+
+
+def test_every_imported_public_name_is_in_all():
+    """A public name that a package module or a script imports from a
+    package module with an ``__all__`` is part of that module's interface:
+    its ``__all__`` lists it."""
+    found = []
+    for path in [*sorted(SRC.glob("*.py")),
+                 *sorted((ROOT / "scripts").rglob("*.py"))]:
+        for target, name, where in _package_imports(path):
+            declared = _declared_all(target) if target.exists() else None
+            if (declared is not None and not name.startswith("_")
+                    and name not in declared):
+                found.append(f"{where}: {name} from {target.stem}")
     assert found == []

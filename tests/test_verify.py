@@ -4,15 +4,7 @@ import pytest
 from vortexlab.coupled import SolveState, make_problem, residual
 from vortexlab.fields import DivisorData
 from vortexlab.surface import build_surface
-from vortexlab.verify import (
-    Certificate,
-    certify_integral_estimates,
-    certify_logy_bounds,
-    certify_phi_bound,
-    certify_state,
-    holder_quotient,
-    kernel_identity,
-)
+from vortexlab.verify import certify_state, holder_quotient
 
 from conftest import P_CONE, P_ZERO
 from oracles import fd_jacobian_gap
@@ -36,16 +28,17 @@ def test_inflated_state_fails_phi_bound(gv_problem64, gv_final):
                      f_tilde=gv_final.f_tilde + 1.0, u=gv_final.u,
                      Phi=gv_final.Phi * np.exp(2.0), res1=gv_final.res1,
                      res2=gv_final.res2)
-    cert = certify_phi_bound(bad, gv_problem64.tau)
-    assert not cert.all_passed
+    cert = certify_state(gv_problem64, bad, seed=0, tol=1e-9)
+    check = next(c for c in cert.checks if c.name == "phi_upper_bound")
+    assert not check.passed
 
 
 def test_kernel_identity_passes(gv_problem64, gv_final, gv_state0):
-    cert = kernel_identity(gv_problem64, gv_final, seed=11)
+    cert = certify_state(gv_problem64, gv_final, seed=11, tol=1e-9)
     gap = cert.constants["kernel_identity_gap"]
     assert gap < 1e-5
     # alpha = 0 reduction: only the Hessian and twist terms survive
-    cert0 = kernel_identity(gv_problem64, gv_state0, seed=12)
+    cert0 = certify_state(gv_problem64, gv_state0, seed=12, tol=1e-9)
     assert cert0.constants["kernel_identity_gap"] < 1e-5
 
 
@@ -59,9 +52,10 @@ def test_kernel_identity_skipped_on_sphere(sphere31):
                     u=np.zeros(sphere31.shape),
                     Phi=prob.weight_t, res1=np.zeros(sphere31.shape),
                     res2=np.zeros(sphere31.shape))
-    cert = kernel_identity(prob, st)
-    assert cert.checks[0].passed
-    assert "skipped" in cert.checks[0].note
+    cert = certify_state(prob, st, seed=0, tol=1e-9)
+    check = next(c for c in cert.checks if c.name == "kernel_identity")
+    assert check.passed
+    assert "skipped" in check.note
 
 
 def test_fd_jacobian_seeded(gv_problem64, gv_final):
@@ -74,16 +68,13 @@ def test_holder_quotient_basics(torus64):
     rng = np.random.default_rng(0)
     assert holder_quotient(torus64, np.ones(torus64.shape), rng=rng) == 0.0
     f = np.cos(2 * np.pi * torus64.X)
-    q = holder_quotient(torus64, f, gamma=0.25, npairs=2000,
-                        rng=np.random.default_rng(1))
+    q = holder_quotient(torus64, f, rng=np.random.default_rng(1))
     assert 0.5 < q < 2 * np.pi  # bounded by the gradient scale
 
 
 def test_integral_estimates_and_logy(gv_problem64, gv_path):
     for st in gv_path[:: max(1, len(gv_path) - 1)]:
-        cert = Certificate()
-        certify_integral_estimates(gv_problem64, st, cert)
-        certify_logy_bounds(gv_problem64, st, cert, seed=2, tol=1e-9)
+        cert = certify_state(gv_problem64, st, seed=2, tol=1e-9)
         assert cert.all_passed, [c.name for c in cert.checks if not c.passed]
 
 
