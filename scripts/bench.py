@@ -105,10 +105,10 @@ def low_mode_block_case(problem, alpha, f_tilde, u):
 def helmholtz_case(torus, cfg):
     """(solve_helmholtz, its arguments) for the first Newton correction of the
     vortex config's twist-path solve: (lap + Phi0) d = -r at f = 0."""
-    from vortexlab.cli import _vortex_problem, build_divisor
+    from vortexlab.cli import build_divisor, vortex_problem
     from vortexlab.solvers import ACCEPT_TOL, solve_helmholtz
 
-    problem = _vortex_problem(cfg, torus, build_divisor(cfg), ACCEPT_TOL)
+    problem = vortex_problem(cfg, torus, build_divisor(cfg), ACCEPT_TOL)
     return solve_helmholtz, (torus, problem.phi0_sq, -problem.twist_term())
 
 
@@ -120,9 +120,9 @@ def monotone_step_case(sphere, cfg):
 
     from vortexlab.bogomolnyi import (F_nonlinearity, F_prime,
                                       build_supersolution)
-    from vortexlab.cli import _eb_problem, build_divisor
+    from vortexlab.cli import build_divisor, eb_problem
 
-    problem = _eb_problem(cfg, sphere, build_divisor(cfg))
+    problem = eb_problem(cfg, sphere, build_divisor(cfg))
     lam = build_supersolution(problem)[3]
     delta = cfg["delta"][0]
     u0, ev = problem.rung(delta)
@@ -181,9 +181,9 @@ def continuation_work(torus, cfg):
 def ladder_iterations(sphere, cfg):
     """The monotone iterations of the Bogomol'nyi config's delta ladder."""
     from vortexlab.bogomolnyi import CHANGE_TOL, delta_ladder_and_assemble
-    from vortexlab.cli import _eb_problem, build_divisor
+    from vortexlab.cli import build_divisor, eb_problem
 
-    problem = _eb_problem(cfg, sphere, build_divisor(cfg))
+    problem = eb_problem(cfg, sphere, build_divisor(cfg))
     report = delta_ladder_and_assemble(problem, deltas=cfg["delta"],
                                        tol=CHANGE_TOL)[-1]
     return sum(report["iterations"])

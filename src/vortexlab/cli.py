@@ -31,6 +31,21 @@ from .fields import DivisorData, build_divisor_fields, derive_params
 from .surface import build_surface, check_field
 from .verify import Certificate, certify_state, certify_tke, certify_vortex
 
+__all__ = [
+    "main",
+    "read_json",
+    "validate_config",
+    "build_divisor",
+    "build_setup",
+    "build_divisor_fields",
+    "synthesize_twist",
+    "run_sequence",
+    "vortex_problem",
+    "eb_problem",
+    "run_verify",
+    "run_export",
+]
+
 # Every command certifies through verify and writes through fieldio; the
 # solver modules are imported by the commands that run them, so solve-eb
 # and its verify load no coupled, singular, solvers or vortex, and the
@@ -189,7 +204,8 @@ def run_sequence(cfg):
 
 # --- one problem builder and one certifier per command --------------------
 # The solve and `verify` both call these, so a stored result is
-# re-certified against the same problem that produced it.
+# re-certified against the same problem that produced it; scripts/bench.py
+# times the public builders.
 
 
 def _tol(cfg, key, default):
@@ -209,7 +225,8 @@ def _residual_tol(cfg, command):
     return _tol(cfg, "residual", default)
 
 
-def _vortex_problem(cfg, surface, divisor, tol, log=None):
+def vortex_problem(cfg, surface, divisor, tol, log=None):
+    """The twisted-vortex problem from the config's tau, twist and t."""
     from .vortex import make_vortex_problem
 
     tau = float(cfg["tau"])
@@ -231,17 +248,17 @@ def _tke_problem(cfg, surface, divisor):
             fields.F_xi(float(cfg.get("epsilon", 0.1))))
 
 
-def _certify_tke(cfg, surface, problem, u, tol):
+def _certify_tke(cfg, surface, problem, seed, u, tol):
     chi_tilde, F_xi = problem
     return certify_tke(surface, chi_tilde, F_xi, u, t=float(cfg.get("t", 1.0)),
-                       tol=tol)
+                       seed=seed, tol=tol)
 
 
 # solve-gv and sweep-eps build their problem with coupled.make_problem at the
 # recorded epsilon and certify with verify.certify_state
 
 
-def _eb_problem(cfg, surface, divisor):
+def eb_problem(cfg, surface, divisor):
     """The c~ = 0 problem from whichever of alpha/tau the config gives."""
     from .bogomolnyi import make_eb_problem
 
@@ -301,7 +318,7 @@ def _solve_vortex(cfg, surface, divisor, seed, tol, phases):
     from .vortex import solve_vortex
 
     log = []
-    problem = _vortex_problem(cfg, surface, divisor, tol, log)
+    problem = vortex_problem(cfg, surface, divisor, tol, log)
     f = solve_vortex(problem, tol=tol, log=log)
     phases.end("solve")
     cert = _certify_vortex(cfg, problem, seed, f, tol)
@@ -318,7 +335,7 @@ def _solve_tke(cfg, surface, divisor, seed, tol, phases):
     u = solve_twisted_ke(surface, chi_tilde, F_xi, t=float(cfg.get("t", 1.0)),
                          tol=tol, log=log)
     phases.end("solve")
-    cert = _certify_tke(cfg, surface, problem, u, tol)
+    cert = _certify_tke(cfg, surface, problem, seed, u, tol)
     phases.end("certify")
     return (cert, {"u": u, "metric_density": 1.0 - surface.laplacian(u)},
             {"iterations.jsonl": log}, {"chi_tilde": chi_tilde})
@@ -386,7 +403,7 @@ def _solve_eb(cfg, surface, divisor, seed, tol, phases):
     deltas = cfg.get("delta", [0.1 * 0.5**k for k in range(7)])
     deltas = [float(d) for d in (deltas if isinstance(deltas, list) else [deltas])]
     margin = float(cfg.get("margin", 0.5))
-    problem = _eb_problem(cfg, surface, divisor)
+    problem = eb_problem(cfg, surface, divisor)
     log = []
     f, g_density, h_factor, w, report = delta_ladder_and_assemble(
         problem, deltas=deltas, tol=tol, margin=margin, log=log)
@@ -462,7 +479,7 @@ def _recertify_gv(cfg, surface, divisor, tol, art):
 
 
 def _recertify_vortex(cfg, surface, divisor, tol, art):
-    return _certify_vortex(cfg, _vortex_problem(cfg, surface, divisor, tol),
+    return _certify_vortex(cfg, vortex_problem(cfg, surface, divisor, tol),
                            art.seed, art.field("f_tilde", surface), tol)
 
 
@@ -473,7 +490,7 @@ def _recertify_eb(cfg, surface, divisor, tol, art):
     for key, kind in (("lam", "number"), ("lam_min", "number"),
                       ("C_sigma", "number"), ("deltas", "rungs")):
         _check(f"ladder.json:{key}", stored.get(key), kind)
-    return _certify_eb(cfg, _eb_problem(cfg, surface, divisor), art.seed,
+    return _certify_eb(cfg, eb_problem(cfg, surface, divisor), art.seed,
                        art.field("f_tilde", surface),
                        art.field("supersolution_w", surface), ladder, None)
 
@@ -506,7 +523,8 @@ _COMMANDS = {
         "covered: twisted Kaehler-Einstein, negative constant",
         _solve_tke,
         lambda cfg, s, d, tol, art: _certify_tke(
-            cfg, s, _tke_problem(cfg, s, d), art.field("u", s), tol)),
+            cfg, s, _tke_problem(cfg, s, d), art.seed, art.field("u", s),
+            tol)),
     "solve-gv": _Command(
         dict(_COMMON, tau="number!", alpha=_PATH, epsilon="number"),
         _CONTINUATION, _solve_gv, _recertify_gv),

@@ -1,5 +1,14 @@
 """Exception hierarchy shared across the solver modules."""
 
+__all__ = [
+    "VortexlabError",
+    "ConfigError",
+    "NoSolutionExpected",
+    "ConvergenceFailure",
+    "PathStalled",
+    "AssumptionNotSatisfied",
+]
+
 
 class VortexlabError(Exception):
     """Base class for all package errors."""

@@ -348,7 +348,7 @@ def certify_vortex(surface, problem, f, seed, multistart, *, tol):
     return cert
 
 
-def certify_tke(surface, chi_tilde, F_xi, u, t, *, tol):
+def certify_tke(surface, chi_tilde, F_xi, u, t, seed, *, tol):
     """Certificate for a twisted Kaehler-Einstein potential accepted at the
     residual tolerance tol.
 
@@ -359,7 +359,7 @@ def certify_tke(surface, chi_tilde, F_xi, u, t, *, tol):
     bound ``tke_mean_lap_u`` stays a fixed 1e-9, for it measures quadrature,
     not the residual.
     """
-    cert = Certificate()
+    cert = Certificate(seed=seed)
     conf = np.exp(-2.0 * t * chi_tilde * u - t * F_xi)
     res = surface.laplacian(u) + conf - 1.0
     cert.add("tke_residual", float(np.max(np.abs(res))), tol, tol=0.0)

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from vortexlab.coupled import continue_alpha, decoupled_state, make_problem

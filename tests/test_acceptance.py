@@ -21,12 +21,12 @@ from vortexlab.bogomolnyi import (
     supersolution_margin,
 )
 from vortexlab.cli import main
-from vortexlab.coupled import continue_alpha, decoupled_state, make_problem, residual
+from vortexlab.coupled import continue_alpha, decoupled_state, make_problem
 from vortexlab.fields import DivisorData, build_divisor_fields
 from vortexlab.greens import (green_field, sphere_green_eval,
                               torus_green_theta_eval)
-from vortexlab.singular import conical_fit, parabolic_fit, run_ladder
-from vortexlab.surface import VOL, build_surface, mask_away_from_points
+from vortexlab.singular import run_ladder
+from vortexlab.surface import build_surface, mask_away_from_points
 from vortexlab.verify import certify_state
 from vortexlab.vortex import make_vortex_problem, solve_vortex, vortex_residual
 

@@ -48,6 +48,10 @@ def test_F_values():
     assert F_nonlinearity(800.0, 0.1, 5.0) == 0.0
     assert F_nonlinearity(-800.0, 0.1, 5.0) == 0.0
     assert np.isfinite(F_nonlinearity(np.linspace(-900, 900, 101), 0.1, 5.0)).all()
+    # F' overflows nowhere either (a RuntimeWarning fails the suite)
+    assert F_prime(800.0, 0.1, 5.0) == 0.0
+    assert F_prime(-800.0, 0.1, 5.0) == 0.0
+    assert np.isfinite(F_prime(np.linspace(-900, 900, 101), 0.1, 5.0)).all()
 
 
 @settings(deadline=None, max_examples=30)

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from vortexlab.cli import _COMMANDS, build_setup, main
 from vortexlab import coupled, greens
-from vortexlab.errors import ConfigError, ConvergenceFailure
+from vortexlab.errors import ConvergenceFailure
 from vortexlab.fieldio import MAGIC, read_field, write_field, write_pgm
 from vortexlab.surface import VOL, Torus
 from vortexlab.verify import certify_state
@@ -345,6 +345,16 @@ def _restamp(art, rel, obj):
         open(os.path.join(art, rel), "rb").read()).hexdigest()
     with open(meta_path, "w") as fh:
         json.dump(meta, fh)
+
+
+def test_tke_certificate_records_the_seed(tmp_path):
+    cfg = write_cfg(tmp_path, "tke.json", TKE_CFG)
+    out = str(tmp_path / "tke")
+    assert main(["solve-tke", "--config", cfg, "--out", out, "--seed", "7",
+                 "--quiet"]) == 0
+    for name in ("certificate.json", "metadata.json"):
+        assert json.load(open(os.path.join(out, name)))["seed"] == 7
+    assert main(["verify", "--out", out, "--quiet"]) == 0
 
 
 def test_verify_detects_a_changed_certificate(tmp_path, capsys):

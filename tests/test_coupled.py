@@ -22,7 +22,7 @@ from vortexlab.solvers import (_gmres_left, block_symbol, low_mode_block,
                                solve_block_newton_step, solve_helmholtz)
 from vortexlab.surface import VOL, build_surface
 
-from conftest import P_CONE, P_ZERO
+from conftest import P_ZERO
 from oracles import fd_jacobian_gap, grid_jacobian
 
 

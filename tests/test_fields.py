@@ -16,7 +16,7 @@ from vortexlab.fields import (
 from vortexlab.greens import torus_green_theta_eval
 from vortexlab.surface import VOL, build_surface
 
-from conftest import P_CONE, P_PARA, P_ZERO
+from conftest import P_CONE, P_ZERO
 from oracles import farthest_grid_index, torus_green_eval
 
 

@@ -1,11 +1,12 @@
-"""Module boundaries: no vortexlab module imports another's private names or
-reads a private attribute of another object, so each helper has one home
-and a public name where it is shared."""
+"""Module boundaries: no vortexlab module or script imports a module's
+private names, and no module reads a private attribute of another object,
+so each helper has one home and a public name where it is shared."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "vortexlab"
+ROOT = SRC.parents[1]
 
 
 def _is_private(name):
@@ -24,12 +25,15 @@ def _private_imports(path):
         for alias in node.names:
             name = alias.name
             if _is_private(name):
-                yield (f"{path.name}:{node.lineno}: from "
+                yield (f"{path.relative_to(ROOT)}:{node.lineno}: from "
                        f"{'.' * node.level}{module} import {name}")
 
 
 def test_no_module_imports_a_private_name():
-    found = [hit for path in sorted(SRC.glob("*.py"))
+    """Nor does a script in scripts/: it reaches the package through
+    public names only."""
+    found = [hit for path in [*sorted(SRC.glob("*.py")),
+                              *sorted((ROOT / "scripts").glob("*.py"))]
              for hit in _private_imports(path)]
     assert found == []
 
@@ -47,9 +51,6 @@ def test_no_module_reads_another_objects_private_attribute():
     found = [hit for path in sorted(SRC.glob("*.py"))
              for hit in _private_attributes(path)]
     assert found == []
-
-
-ROOT = SRC.parents[1]
 
 
 def _defaulted_parameters(path):
@@ -243,4 +244,31 @@ def test_every_imported_public_name_is_in_all():
             if (declared is not None and not name.startswith("_")
                     and name not in declared):
                 found.append(f"{where}: {name} from {target.stem}")
+    assert found == []
+
+
+def _unused_imports(path):
+    """``where: name`` of each name an import in ``path`` binds that the
+    module never reads and its ``__all__`` does not list."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    read |= _declared_all(path) or set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names = [a.asname or a.name for a in node.names if a.name != "*"]
+        else:
+            continue
+        yield from (f"{path.relative_to(ROOT)}:{node.lineno}: {name}"
+                    for name in names if name not in read)
+
+
+def test_no_unused_imports():
+    """Every name an import binds in src/, scripts/ or tests/ is read in
+    its module or listed in its ``__all__``."""
+    found = [hit for d in ("src", "scripts", "tests")
+             for path in sorted((ROOT / d).rglob("*.py"))
+             for hit in _unused_imports(path)]
     assert found == []

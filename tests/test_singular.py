@@ -8,7 +8,7 @@ import vortexlab.singular as singular
 from vortexlab.coupled import continue_alpha, make_problem
 from vortexlab.errors import ConfigError, ConvergenceFailure
 from vortexlab.fields import DivisorData, build_divisor_fields
-from vortexlab.singular import conical_fit, parabolic_fit, run_ladder
+from vortexlab.singular import conical_fit, run_ladder
 from vortexlab.surface import mask_away_from_points
 from vortexlab.vortex import solve_vortex_on_metric
 

@@ -1,12 +1,9 @@
 import numpy as np
-import pytest
 
-from vortexlab.coupled import SolveState, make_problem, residual
+from vortexlab.coupled import SolveState, make_problem
 from vortexlab.fields import DivisorData
-from vortexlab.surface import build_surface
 from vortexlab.verify import certify_state, holder_quotient
 
-from conftest import P_CONE, P_ZERO
 from oracles import fd_jacobian_gap
 
 

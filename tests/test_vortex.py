@@ -6,7 +6,7 @@ import pytest
 from vortexlab import vortex
 from vortexlab.errors import ConfigError, ConvergenceFailure, NoSolutionExpected
 from vortexlab.fields import build_divisor_fields, DivisorData
-from vortexlab.surface import VOL, build_surface
+from vortexlab.surface import VOL
 from vortexlab.vortex import (
     make_vortex_problem,
     solve_twisted_ke,
